@@ -15,24 +15,20 @@ from .errors import (BudgetExceeded, ConductorMismatch, EmptySet, EvenOrder,
                      MalformedInput, NotATree, NotDegenerateZeroed,
                      OrderTooLow, SteinerError, TooLarge, TooSmall, WrongShape,
                      ZeroVector)
-from .scalar import (CFloat, CycNum, Rat, cyc_embed, cyc_pow,
-                     cyclotomic_polynomial, euler_phi, root_of_unity,
-                     unify_conductor)
+from .scalar import (CFloat, CycNum, Rat, cyclotomic_polynomial, euler_phi,
+                     root_of_unity, unify_conductor)
 from .trees import (Tree, canonical_key, enumerate_trees, format_tree,
-                    pairwise_distance, parse_tree, path_tree, prufer_decode,
-                    prufer_encode, random_tree, star_tree, steiner_distance,
-                    steiner_distance_bruteforce)
+                    parse_tree, path_tree, prufer_decode, prufer_encode,
+                    random_tree, star_tree, steiner_distance_bruteforce)
 from .hypermatrix import (Hypermatrix, build_steiner, export_json, export_text,
                           import_json, import_text, zero_degenerate)
 from .forms import (NotDivisible, SparsePoly, distance_quadratic,
-                    divide_by_linear, evaluate, gradient_direct,
-                    hessian_direct, order3_form, partial, s3_cofactors,
-                    s_form, steiner_form, verify_euler_identity,
-                    verify_not_divisible, verify_product_decomposition,
-                    verify_s3_decomposition)
+                    divide_by_linear, gradient_direct, hessian_direct,
+                    order3_form, s3_cofactors, s_form, steiner_form,
+                    verify_euler_identity, verify_not_divisible,
+                    verify_product_decomposition, verify_s3_decomposition)
 from .distmatrix import (RatMatrix, c_coefficients, determinant_exact,
-                         distance_matrix, gl_inverse, graham_pollak_value,
-                         solve_row_system)
+                         distance_matrix, gl_inverse, graham_pollak_value)
 from .smalldet import (cayley_222, det_order2, two_vertex_form,
                        two_vertex_nullvector_witness, verify_k2_no_nullvector)
 from .nullspace import (CompletionCandidate, NullvectorReport, SearchCandidate,

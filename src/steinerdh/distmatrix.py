@@ -13,6 +13,7 @@ elimination (integer fast path when the matrix is integral).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,18 +95,10 @@ def determinant_exact(m: RatMatrix) -> Fraction:
     scale = Fraction(1)
     rows = []
     for row in m.rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         rows.append([int(x * lcm) for x in row])
     return Fraction(_bareiss_int(rows)) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss_int(a: list[list[int]]) -> int:
@@ -165,26 +158,3 @@ def c_coefficients(t: Tree) -> list[Fraction]:
         raise ValueError("needs n >= 2")
     return [Fraction(2 - t.degrees[r], n - 1) for r in range(1, n + 1)]
 
-
-def solve_row_system(m: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve y * M = rhs exactly by Gaussian elimination (M assumed invertible).
-
-    Kept as the independent oracle for the closed-form c coefficients.
-    """
-    n = m.n
-    if len(rhs) != n:
-        raise ValueError("size mismatch")
-    # y M = rhs  <=>  M^T y^T = rhs^T
-    aug = [[m.rows[j][i] for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

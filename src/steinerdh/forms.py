@@ -1,15 +1,16 @@
 """Steiner k-forms, their gradients, and exact sparse multivariate polynomials.
 
 The Steiner k-form of a hypermatrix M is sum over all index tuples of
-M[i1..ik] * x_{i1}...x_{ik}.  Gradients can be evaluated either through the
-materialized polynomial or directly from the tree: grouping the (k-1)-tuples
-of a partial derivative by their vertex multiset gives
+M[i1..ik] * x_{i1}...x_{ik}.  For the Steiner hypermatrix of a tree, a
+multiset's entry counts the edges it straddles, which gives the edge-cut
+closed form
 
-    D_z p / k = sum over multisets mu of size k-1 drawn from the support of x
-                of  multinomial(mu) * d_T(set(mu) + z) * x^mu,
+    p(x) = sum_e ( s^k - a_e^k - b_e^k ),
 
-which never touches the n^k expansion and is what makes exact order-7
-certificates cheap.
+with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
+(``Tree.far_sums``).  Gradients take O(n) powers from it and Hessians one
+n x n block update per edge, never touching the n^k expansion; that is what
+makes exact high-order certificates cheap.
 
 Polynomials store Fraction coefficients keyed by exponent vectors; the
 canonical term order used for serialization and printing is graded
@@ -26,6 +27,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
 import mpmath
+import numpy as np
 
 from .errors import ConductorMismatch
 from .hypermatrix import Hypermatrix, build_steiner
@@ -209,25 +211,12 @@ class SparsePoly:
         """
         if len(point) != self.n:
             raise ValueError(f"point length {len(point)} != {self.n} variables")
-        cyc_m = None
         for x in point:
-            if isinstance(x, CycNum):
-                if cyc_m is None:
-                    cyc_m = x.m
-                elif x.m != cyc_m:
-                    raise ConductorMismatch(
-                        f"point mixes Q(zeta_{cyc_m}) and Q(zeta_{x.m})")
-            elif not isinstance(x, (int, Fraction)):
+            if not isinstance(x, (CycNum, int, Fraction)):
                 raise TypeError(f"cannot evaluate exactly at {type(x).__name__}")
-        if cyc_m is not None:
-            coords = [x if isinstance(x, CycNum) else CycNum.from_rational(x, cyc_m)
-                      for x in point]
-            acc = CycNum.zero(cyc_m)
-        else:
-            coords = [Fraction(x) for x in point]
-            acc = Fraction(0)
-        pows = _power_table(coords, max((max(e) for e in self.terms), default=0),
-                            one=CycNum.one(cyc_m) if cyc_m is not None else Fraction(1))
+        coords, one = _coerce_point(point)
+        acc = one * 0
+        pows = _power_table(coords, max((max(e) for e in self.terms), default=0), one)
         for exp, c in self.terms.items():
             term = c
             for i, e in enumerate(exp):
@@ -241,8 +230,7 @@ class SparsePoly:
         if len(point) != self.n:
             raise ValueError(f"point length {len(point)} != {self.n} variables")
         with mpmath.workprec(prec):
-            coords = [x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-                      for x in point]
+            coords = [_to_mpc(x) for x in point]
             acc = mpmath.mpc(0)
             for exp, c in self.terms.items():
                 term = mpmath.mpf(c.numerator) / c.denominator
@@ -275,6 +263,32 @@ class SparsePoly:
                             for i, e in enumerate(exp) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "SparsePoly(" + " + ".join(bits) + ")"
+
+
+def _to_mpc(x):
+    return x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
+
+
+def _coerce_point(point: Sequence) -> tuple[list, object]:
+    """A point's coordinates in one number type, and that type's 1.
+
+    CycNum entries must share one modulus (ConductorMismatch otherwise) and
+    pull ints and Fractions into their field; an all-rational point becomes
+    Fractions; any other point becomes mpmath complex numbers.
+    """
+    cyc_m = None
+    for x in point:
+        if isinstance(x, CycNum):
+            if cyc_m is None:
+                cyc_m = x.m
+            elif x.m != cyc_m:
+                raise ConductorMismatch(f"point mixes Q(zeta_{cyc_m}) and Q(zeta_{x.m})")
+    if cyc_m is not None:
+        return ([x if isinstance(x, CycNum) else CycNum.from_rational(x, cyc_m)
+                 for x in point], CycNum.one(cyc_m))
+    if all(isinstance(x, (int, Fraction)) for x in point):
+        return [Fraction(x) for x in point], Fraction(1)
+    return [_to_mpc(x) for x in point], mpmath.mpc(1)
 
 
 def _power_table(coords, top: int, one):
@@ -395,29 +409,18 @@ def distance_quadratic(t: Tree) -> SparsePoly:
     return SparsePoly(n, terms)
 
 
-def partial(p: SparsePoly, r: int) -> SparsePoly:
-    return p.partial(r)
-
-
-def evaluate(p: SparsePoly, point: Sequence):
-    return p.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
-# direct gradient / Hessian from the tree
+# direct gradient / Hessian from the edge cuts
 # ---------------------------------------------------------------------------
-
-def _is_exact_zero(x) -> bool:
-    if isinstance(x, CycNum):
-        return x.is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x == 0
-
 
 def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
-    """All n partial derivatives of the order-k Steiner form at a point,
-    via multiset grouping; never materializes the polynomial.
+    """All n partial derivatives of the order-k Steiner form at a point.
+
+    D_r p = k * sum_e (s^(k-1) - side_e(r)^(k-1)), where side_e(r) is the
+    x-sum on r's side of edge e.  Vertex 1 sees the near side s - a_c of every
+    edge (c, parent c), a_c being the far-side sum; stepping from a parent to
+    its child c changes only edge c's term, so
+    D_c = D_parent - k * (a_c^(k-1) - (s - a_c)^(k-1)).
 
     Accepts CycNum (one shared modulus), Fraction/int, or mpmath complex
     coordinates; the return list matches the coordinate type.
@@ -427,80 +430,36 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         raise ValueError(f"point length {len(point)} != {n} vertices")
     if k < 2:
         raise ValueError("order must be >= 2")
-    cyc_m = None
-    for x in point:
-        if isinstance(x, CycNum):
-            if cyc_m is None:
-                cyc_m = x.m
-            elif x.m != cyc_m:
-                raise ConductorMismatch(f"point mixes Q(zeta_{cyc_m}) and Q(zeta_{x.m})")
-    if cyc_m is not None:
-        point = [x if isinstance(x, CycNum) else CycNum.from_rational(x, cyc_m)
-                 for x in point]
-        zero = CycNum.zero(cyc_m)
-        one = CycNum.one(cyc_m)
-    elif all(isinstance(x, (int, Fraction)) for x in point):
-        point = [Fraction(x) for x in point]
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        point = [x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-                 for x in point]
-        zero, one = mpmath.mpc(0), mpmath.mpc(1)
-
-    support = [v for v in range(1, n + 1) if not _is_exact_zero(point[v - 1])]
-    pows = {v: _power_row(point[v - 1], k - 1, one) for v in support}
-
-    grad = []
-    for z in range(1, n + 1):
-        acc = zero
-        for multiset in combinations_with_replacement(support, k - 1):
-            counts = Counter(multiset)
-            dist = t.steiner(set(multiset) | {z})
-            if dist == 0:
-                continue
-            weight = _multinomial(k - 1, counts.values()) * dist
-            term = one
-            for v, c in counts.items():
-                term = term * pows[v][c]
-            acc = acc + weight * term
-        grad.append(k * acc)
-    return grad
+    coords, _ = _coerce_point(point)
+    s = sum(coords)
+    far = t.far_sums(coords)
+    far_pow = [a ** (k - 1) for a in far]
+    near_pow = [(s - a) ** (k - 1) for a in far]
+    grad = [None] * (n + 1)
+    grad[1] = k * ((n - 1) * s ** (k - 1) - sum(near_pow))
+    for c, f, b in zip(t.order[1:], far_pow, near_pow):
+        grad[c] = grad[t.parent[c]] - k * (f - b)
+    return grad[1:]
 
 
 def hessian_direct(t: Tree, k: int, point: Sequence) -> list[list]:
-    """Second partials of the order-k Steiner form at a numeric point."""
+    """Second partials of the order-k Steiner form at a numeric point.
+
+    D_q D_r p = k(k-1) * sum_e (s^(k-2) - [q, r on one side of e] * side^(k-2)),
+    side being the x-sum on the side of e that holds both q and r.
+    """
     n = t.n
     if len(point) != n:
         raise ValueError(f"point length {len(point)} != {n} vertices")
-    coords = [x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-              for x in point]
-    one = mpmath.mpc(1)
-    support = [v for v in range(1, n + 1) if coords[v - 1] != 0]
-    pows = {v: _power_row(coords[v - 1], max(k - 2, 0), one) for v in support}
-    scale = k * (k - 1)
-    hess = [[mpmath.mpc(0)] * n for _ in range(n)]
-    for z in range(1, n + 1):
-        for r in range(z, n + 1):
-            acc = mpmath.mpc(0)
-            for multiset in combinations_with_replacement(support, k - 2):
-                counts = Counter(multiset)
-                dist = t.steiner(set(multiset) | {z, r})
-                if dist == 0:
-                    continue
-                weight = _multinomial(k - 2, counts.values()) * dist
-                term = one
-                for v, c in counts.items():
-                    term = term * pows[v][c]
-                acc += weight * term
-            hess[z - 1][r - 1] = hess[r - 1][z - 1] = scale * acc
-    return hess
-
-
-def _power_row(x, top: int, one):
-    row = [one]
-    for _ in range(top):
-        row.append(row[-1] * x)
-    return row
+    if k < 2:
+        raise ValueError("order must be >= 2")
+    coords = [_to_mpc(x) for x in point]
+    s = sum(coords)
+    acc = np.full((n, n), (n - 1) * s ** (k - 2), dtype=object)
+    for a, far in zip(t.far_sums(coords), t.far_sums(np.eye(n, dtype=bool))):
+        for side, total in ((far, a), (~far, s - a)):
+            acc[np.ix_(side, side)] -= total ** (k - 2)
+    return (k * (k - 1) * acc).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Order-k Steiner distance hypermatrices: construction, degenerate zeroing, I/O.
 
 Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order.
-Construction walks the C(n+k-1, k) distinct index multisets once, queries the
-Steiner distance per multiset, and broadcasts the value to every permutation,
-so the array is super-symmetric by construction.
+A multiset's Steiner distance is the number of edges it straddles, so
+
+    entries = (n-1) - sum_e (1_A^{(x)k} + 1_B^{(x)k})
+
+over the two sides A, B of every edge (``Tree.far_sums``).  The sum is one
+``np.einsum`` over the stacked side indicators, written straight into the
+output array, so no second n^k array is ever allocated.  The result is
+super-symmetric by construction.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import combinations_with_replacement, permutations
 from typing import Iterable
 
 import numpy as np
@@ -83,33 +87,35 @@ def build_steiner(t: Tree, k: int, budget: int | None = None) -> Hypermatrix:
     if n ** k > limit:
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     arr = np.zeros((n,) * k, dtype=np.int64)
-    for combo in combinations_with_replacement(range(1, n + 1), k):
-        value = t.steiner(combo)
-        if value:
-            zero_based = tuple(v - 1 for v in combo)
-            for perm in set(permutations(zero_based)):
-                arr[perm] = value
+    if n > 1:
+        far = np.array(t.far_sums(np.eye(n, dtype=np.int64)))
+        sides = np.concatenate([far, 1 - far])
+        # entry (i1..ik) counts the sides holding all of i1..ik
+        operands = []
+        for axis in range(1, k + 1):
+            operands += [sides, [0, axis]]
+        np.einsum(*operands, list(range(1, k + 1)), out=arr)
+        np.subtract(n - 1, arr, out=arr)
     return Hypermatrix(k, n, arr)
+
+
+def _repeated_index_mask(n: int, k: int) -> np.ndarray:
+    """True where an index tuple of the (n,)*k array repeats a label."""
+    idx = np.indices((n,) * k)
+    repeated = np.zeros((n,) * k, dtype=bool)
+    for a in range(k):
+        for b in range(a + 1, k):
+            repeated |= idx[a] == idx[b]
+    return repeated
 
 
 def zero_degenerate(h: Hypermatrix) -> Hypermatrix:
     """Copy with every entry whose index tuple repeats a label set to 0."""
-    idx = np.indices((h.n,) * h.k)
-    repeated = np.zeros((h.n,) * h.k, dtype=bool)
-    for a in range(h.k):
-        for b in range(a + 1, h.k):
-            repeated |= idx[a] == idx[b]
-    arr = np.where(repeated, 0, h.entries)
-    return Hypermatrix(h.k, h.n, arr)
+    return Hypermatrix(h.k, h.n, np.where(_repeated_index_mask(h.n, h.k), 0, h.entries))
 
 
 def has_nonzero_degenerate(h: Hypermatrix) -> bool:
-    idx = np.indices((h.n,) * h.k)
-    repeated = np.zeros((h.n,) * h.k, dtype=bool)
-    for a in range(h.k):
-        for b in range(a + 1, h.k):
-            repeated |= idx[a] == idx[b]
-    return bool(np.any(h.entries[repeated] != 0))
+    return bool(np.any(h.entries[_repeated_index_mask(h.n, h.k)] != 0))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ def canonical_odd_nullvector(t: Tree, k: int) -> list[CycNum]:
 
     Ties broken by lowest label: u is the lowest-labeled leaf, w its neighbor,
     v the lowest-labeled neighbor of w other than u.
+
+    Why every partial vanishes, from the edge-cut form (see ``forms``):
+    D_r p = k * sum_e (s^(k-1) - side_e(r)^(k-1)).  Here
+    s = 1 + (-1 - zeta) + zeta = 0.  Any edge other than uw and wv has u, w
+    and v on one side, so both its side sums are 0.  Edge uw splits the sums
+    into 1 (the leaf u) and -1; edge wv into zeta (v's side) and -zeta.  As
+    k-1 is even, every vertex gets D_r p = -k * (1 + zeta^(k-1)), and
+    zeta^(k-1) = -1 for a primitive (2k-2)-th root of unity.
     """
     if k % 2 == 0:
         raise EvenOrder("canonical construction exists for odd order only")

@@ -366,7 +366,8 @@ class CycNum:
                 return self.coeffs == other.coeffs
             if self.is_rational() and other.is_rational():
                 return self.coeffs[0] == other.coeffs[0]
-            return NotImplemented
+            raise ConductorMismatch(
+                f"cannot compare Q(zeta_{self.m}) with Q(zeta_{other.m}); lift first")
         return NotImplemented
 
     def __hash__(self):
@@ -426,16 +427,6 @@ def root_of_unity(m: int, power: int = 1) -> CycNum:
     j = power % m
     row = _reduction_table(m)[j]
     return CycNum(m, row)
-
-
-def cyc_pow(x: CycNum, e: int) -> CycNum:
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return x ** e
-
-
-def cyc_embed(x: CycNum, precision_bits: int = 128) -> "CFloat":
-    return x.embed(precision_bits)
 
 
 def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:

@@ -74,14 +74,8 @@ def verify_k2_no_nullvector(k: int) -> bool:
     hyperdeterminant of the tensor.  False exactly when 6 | k-1, where
     two_vertex_nullvector_witness returns the singular point.
     """
-    if k < 2:
-        raise ValueError("order must be >= 2")
-    m = k - 1
-    one = root_of_unity(m, 0)
-    for j in range(m):
-        zeta = root_of_unity(m, j)
-        if (one + zeta) ** m == one:
-            return False
+    if two_vertex_nullvector_witness(k) is not None:
+        return False
 
     # x1 = 0 branch: D_1 restricted to x1 = 0 must be k * x2^(k-1), whose only
     # zero is x2 = 0 (and symmetrically for x2 = 0).
@@ -97,11 +91,11 @@ def verify_k2_no_nullvector(k: int) -> bool:
 def two_vertex_nullvector_witness(k: int):
     """A nullvector (1, zeta) of the two-vertex order-k form, or None.
 
-    The root-of-unity scan of verify_k2_no_nullvector is not vacuous: when
-    k = 1 (mod 6) the cube root of unity survives it, because 1 + zeta_3 is
-    the primitive sixth root and (1 + zeta_3)^(k-1) = 1.  The returned pair
-    then zeroes both partial derivatives exactly, so the order-k
-    hyperdeterminant of the two-vertex tree vanishes for those k.
+    This is the root-of-unity scan behind verify_k2_no_nullvector, and it is
+    not vacuous: when k = 1 (mod 6) the cube root of unity survives it,
+    because 1 + zeta_3 is the primitive sixth root and (1 + zeta_3)^(k-1) = 1.
+    The returned pair then zeroes both partial derivatives exactly, so the
+    order-k hyperdeterminant of the two-vertex tree vanishes for those k.
     """
     if k < 2:
         raise ValueError("order must be >= 2")

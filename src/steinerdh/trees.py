@@ -5,8 +5,14 @@ sequences drawn from numpy's Philox counter-based generator (Philox4x64,
 keyed by the 64-bit seed), so the same (n, seed) pair yields the same tree
 on every platform.
 
-Steiner distance of a vertex multiset uses the virtual-tree identity: sort
-the distinct vertices v1..vr by Euler-tour first-visit order and return
+The Steiner distance of a vertex set is the number of edges whose removal
+separates it.  Every Steiner sum the package needs (hypermatrix entries,
+gradients, Hessians of the Steiner form) therefore reduces to per-edge sums
+over the two sides of each edge; ``Tree.far_sums`` computes them in one
+children-first pass over the BFS order from vertex 1.
+
+A single Steiner query (``Tree.steiner``) uses the virtual-tree identity:
+sort the distinct vertices v1..vr by Euler-tour first-visit order and return
 (sum of cyclic consecutive pairwise distances) / 2.  A bitmask brute-force
 oracle over connected vertex subsets is provided for n <= 12.
 """
@@ -14,7 +20,6 @@ oracle over connected vertex subsets is provided for n <= 12.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +33,7 @@ class Tree:
     """Immutable labeled tree on vertices 1..n with O(1) LCA queries."""
 
     __slots__ = (
-        "n", "edges", "adjacency", "degrees",
+        "n", "edges", "adjacency", "degrees", "parent", "order",
         "_depth", "_first_visit", "_sparse",
         "_connected_masks_cache",
     )
@@ -60,16 +65,15 @@ class Tree:
 
         depth = [-1] * (n + 1)
         depth[1] = 0
-        q = deque([1])
-        reached = 1
-        while q:
-            x = q.popleft()
+        parent = [0] * (n + 1)
+        order = [1]
+        for x in order:  # the BFS order doubles as the queue
             for y in adjacency[x]:
                 if depth[y] < 0:
                     depth[y] = depth[x] + 1
-                    reached += 1
-                    q.append(y)
-        if reached != n:
+                    parent[y] = x
+                    order.append(y)
+        if len(order) != n:
             raise NotATree("edge list does not connect all vertices")
 
         object.__setattr__(self, "n", n)
@@ -77,6 +81,8 @@ class Tree:
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adjacency))
         object.__setattr__(self, "degrees",
                            (0,) + tuple(len(adjacency[v]) for v in range(1, n + 1)))
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_depth", tuple(depth))
         self._build_lca()
         object.__setattr__(self, "_connected_masks_cache", None)
@@ -162,6 +168,23 @@ class Tree:
         for i in range(r):
             total += self.distance(distinct[i], distinct[(i + 1) % r])
         return total // 2
+
+    # -- edge cuts ---------------------------------------------------------------
+
+    def far_sums(self, values: Sequence) -> list:
+        """Per edge, the sum of ``values`` over the edge's far side.
+
+        ``values[v - 1]`` belongs to vertex v.  Edge j (0-based) joins
+        ``order[j + 1]`` to its parent; its far side is the subtree below
+        ``order[j + 1]``, the side without vertex 1.  One children-first pass,
+        so the values need only support ``+``: numbers give side sums, the rows
+        of an identity matrix give side indicators.
+        """
+        below = [None, *values]
+        for v in reversed(self.order[1:]):
+            p = self.parent[v]
+            below[p] = below[p] + below[v]
+        return [below[v] for v in self.order[1:]]
 
     # -- brute-force support ----------------------------------------------------
 
@@ -320,16 +343,8 @@ def random_tree(n: int, seed: int) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# distances (module-level surface)
+# brute-force Steiner distance
 # ---------------------------------------------------------------------------
-
-def pairwise_distance(t: Tree, u: int, v: int) -> int:
-    return t.distance(u, v)
-
-
-def steiner_distance(t: Tree, vertices: Iterable[int]) -> int:
-    return t.steiner(vertices)
-
 
 def steiner_distance_bruteforce(t: Tree, vertices: Iterable[int]) -> int:
     """Minimum |W|-1 over connected vertex sets W containing the query set."""

@@ -226,14 +226,12 @@ def test_criterion_08_oracle_equivalence():
                 if size > n:
                     continue
                 for S in combinations(range(1, n + 1), size):
-                    assert sd.steiner_distance(t, S) == \
+                    assert t.steiner(S) == \
                         sd.steiner_distance_bruteforce(t, S), (i, S)
             for S in combinations(range(1, n + 1), 3):
                 a, b, c = S
-                assert 2 * sd.steiner_distance(t, S) == (
-                    sd.pairwise_distance(t, a, b)
-                    + sd.pairwise_distance(t, a, c)
-                    + sd.pairwise_distance(t, b, c)), (i, S)
+                assert 2 * t.steiner(S) == (
+                    t.distance(a, b) + t.distance(a, c) + t.distance(b, c)), (i, S)
 
 
 def _mixed_points(t, draw):

@@ -3,19 +3,21 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
                        build_steiner, canonical_odd_nullvector,
-                       distance_quadratic, divide_by_linear, gradient_direct,
-                       hessian_direct, order3_form, partial, random_tree,
-                       root_of_unity, s3_cofactors, s_form, star_tree,
-                       steiner_form, verify_euler_identity,
+                       distance_quadratic, divide_by_linear,
+                       gradient_direct, hessian_direct, order3_form,
+                       path_tree, random_tree, root_of_unity, s3_cofactors,
+                       s_form, star_tree, steiner_form, verify_euler_identity,
                        verify_not_divisible, verify_product_decomposition,
                        verify_s3_decomposition)
 from conftest import tree_corpus
+from oracles import multiset_gradient, multiset_hessian
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -36,10 +38,10 @@ def test_ring_basics():
 
 def test_partial_examples():
     x1, x2 = X(3, 1), X(3, 2)
-    assert partial(2 * x1 * x2, 1) == 2 * x2
+    assert (2 * x1 * x2).partial(1) == 2 * x2
     p = SparsePoly(2, {(2, 1): 3, (1, 2): 3})
-    assert partial(p, 2) == SparsePoly(2, {(2, 0): 3, (1, 1): 6})
-    assert partial(x1 * x2, 3).is_zero()
+    assert p.partial(2) == SparsePoly(2, {(2, 0): 3, (1, 1): 6})
+    assert (x1 * x2).partial(3).is_zero()
 
 
 def test_evaluate_examples():
@@ -51,6 +53,8 @@ def test_evaluate_examples():
         (x1 * x2).evaluate([root_of_unity(4), root_of_unity(8)])
     with pytest.raises(ValueError):
         (x1 * x2).evaluate([1])
+    with pytest.raises(TypeError):
+        (x1 * x2).evaluate([1, 0.5])
 
 
 def test_evaluate_rational_and_numeric_agree():
@@ -131,6 +135,55 @@ def test_gradient_direct_matches_polynomial_route_cyclotomic():
         p = steiner_form(build_steiner(t, k))
         expected = [p.partial(r).evaluate(point) for r in range(1, 6)]
         assert gradient_direct(t, k, point) == expected
+
+
+def _oracle_trees(n: int) -> list:
+    """Path, star and one random labeling: covers n = 1 and n = 2 too."""
+    return [path_tree(n), star_tree(n), random_tree(n, 40 + n)]
+
+
+def test_gradient_direct_matches_multiset_oracle_rational():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for t in _oracle_trees(n):
+            for k in range(2, 8):
+                point = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                         for _ in range(n)]
+                assert gradient_direct(t, k, point) == multiset_gradient(t, k, point), \
+                    (t, k, point)
+
+
+def test_gradient_direct_matches_multiset_oracle_cyclotomic():
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        t = random_tree(n, 60 + n)
+        for k in range(2, 8):
+            m = (3, 4, 2 * k - 2)[k % 3]
+            zeta = root_of_unity(m)
+            point = [int(rng.integers(-2, 3)) + int(rng.integers(-2, 3)) * zeta
+                     for _ in range(n)]
+            grad = gradient_direct(t, k, point)
+            assert all(isinstance(g, CycNum) and g.m == m for g in grad)
+            assert grad == multiset_gradient(t, k, point), (t, k, point)
+
+
+def test_numeric_gradient_and_hessian_match_multiset_oracle():
+    rng = np.random.default_rng(9)
+    with mpmath.workprec(128):
+        tol = mpmath.mpf(10) ** -30
+        for n in range(1, 7):
+            for t in _oracle_trees(n):
+                for k in range(2, 6):
+                    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    z /= np.linalg.norm(z)
+                    point = [mpmath.mpc(c.real, c.imag) for c in z]
+                    grad = gradient_direct(t, k, point)
+                    want = multiset_gradient(t, k, point)
+                    assert max(abs(g - w) for g, w in zip(grad, want)) < tol, (t, k)
+                    hess = hessian_direct(t, k, point)
+                    want_h = multiset_hessian(t, k, point)
+                    assert max(abs(hess[q][r] - want_h[q][r])
+                               for q in range(n) for r in range(n)) < tol, (t, k)
 
 
 @settings(max_examples=25, deadline=None)

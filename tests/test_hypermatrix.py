@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from steinerdh import (BudgetExceeded, MalformedInput, WrongShape,
-                       build_steiner, export_json, export_text, import_json,
-                       import_text, random_tree, steiner_distance_bruteforce,
-                       zero_degenerate)
+                       build_steiner, enumerate_trees, export_json, export_text,
+                       import_json, import_text, random_tree,
+                       steiner_distance_bruteforce, zero_degenerate)
 from steinerdh.hypermatrix import BUDGET_ENV_VAR, entry_budget
+from oracles import multiset_hypermatrix
 
 
 def test_build_examples(k2, path3):
@@ -48,6 +49,13 @@ def test_entries_match_bruteforce():
                     assert h.entry(idx) == 0
                 else:
                     assert h.entry(idx) == steiner_distance_bruteforce(t, idx)
+
+
+def test_build_matches_multiset_oracle_on_every_small_tree_class():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            for k in range(2, 6):
+                assert build_steiner(t, k) == multiset_hypermatrix(t, k), (t, k)
 
 
 def test_zero_degenerate(k2, path3):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerdh import (CFloat, ConductorMismatch, CycNum, cyc_embed, cyc_pow,
-                       cyclotomic_polynomial, euler_phi, root_of_unity,
-                       unify_conductor)
+from steinerdh import (CFloat, ConductorMismatch, CycNum, cyclotomic_polynomial,
+                       euler_phi, root_of_unity, unify_conductor)
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
@@ -42,24 +41,24 @@ def test_root_of_unity_examples():
 def test_all_roots_have_full_order_dividing_m():
     for m in range(1, 20):
         for p in range(m):
-            assert cyc_pow(root_of_unity(m, p), m) == 1
+            assert root_of_unity(m, p) ** m == 1
 
 
 def test_cyc_pow_examples():
     i = root_of_unity(4)
-    assert cyc_pow(i, 2) == -1
-    assert cyc_pow(1 + i, 2) == 2 * i
+    assert i ** 2 == -1
+    assert (1 + i) ** 2 == 2 * i
     x = CycNum(8, [Fraction(3, 7), -2, 0, 5])
-    assert cyc_pow(x, 0) == 1
+    assert x ** 0 == 1
 
 
 def test_embed_examples():
     i = root_of_unity(4)
-    e = cyc_embed(i)
+    e = i.embed()
     assert abs(float(e.real)) < 1e-15 and abs(float(e.imag) - 1) < 1e-15
-    e2 = cyc_embed(-1 - i)
+    e2 = (-1 - i).embed()
     assert abs(float(e2.real) + 1) < 1e-15 and abs(float(e2.imag) + 1) < 1e-15
-    e3 = cyc_embed(root_of_unity(8))
+    e3 = root_of_unity(8).embed()
     with mpmath.workprec(150):
         half_sqrt2 = mpmath.sqrt(2) / 2
         assert abs(e3.real - half_sqrt2) < mpmath.mpf(10) ** -30
@@ -68,7 +67,7 @@ def test_embed_examples():
 
 def test_embed_requires_53_bits():
     with pytest.raises(ValueError):
-        cyc_embed(root_of_unity(4), precision_bits=40)
+        root_of_unity(4).embed(precision_bits=40)
 
 
 small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -110,6 +109,22 @@ def test_conductor_mismatch_raised():
         root_of_unity(4) + root_of_unity(8)
     with pytest.raises(ConductorMismatch):
         root_of_unity(3).lift(8)
+
+
+def test_equality_across_moduli():
+    # an irrational element compared with another field's element must be
+    # lifted first, as for arithmetic; a silent False would hide equal values
+    i = root_of_unity(4)
+    with pytest.raises(ConductorMismatch):
+        i == i.lift(8)
+    with pytest.raises(ConductorMismatch):
+        i != root_of_unity(8)
+    with pytest.raises(ConductorMismatch):
+        CycNum.from_rational(2, 8) == i
+    assert i.lift(8) == root_of_unity(8, 2)
+    half4, half8 = CycNum.from_rational(Fraction(1, 2), 4), CycNum.from_rational(Fraction(1, 2), 8)
+    assert half4 == half8 and hash(half4) == hash(half8) == hash(Fraction(1, 2))
+    assert CycNum.from_rational(3, 4) != CycNum.from_rational(2, 6)
 
 
 def test_lift_preserves_value():

@@ -2,15 +2,15 @@
 
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import (EmptySet, MalformedInput, NotATree, TooLarge, Tree,
-                       canonical_key, enumerate_trees, format_tree,
-                       pairwise_distance, parse_tree, path_tree, prufer_decode,
-                       prufer_encode, random_tree, star_tree, steiner_distance,
-                       steiner_distance_bruteforce)
+                       canonical_key, enumerate_trees, format_tree, parse_tree,
+                       path_tree, prufer_decode, prufer_encode, random_tree,
+                       star_tree, steiner_distance_bruteforce)
 from conftest import tree_corpus
 
 
@@ -63,26 +63,26 @@ def test_prufer_round_trips():
 
 
 def test_pairwise_distance_examples(path3, star4):
-    assert pairwise_distance(path3, 1, 3) == 2
-    assert pairwise_distance(path3, 2, 2) == 0
-    assert pairwise_distance(star4, 2, 3) == 2
+    assert path3.distance(1, 3) == 2
+    assert path3.distance(2, 2) == 0
+    assert star4.distance(2, 3) == 2
     with pytest.raises(ValueError):
-        pairwise_distance(path3, 0, 1)
+        path3.distance(0, 1)
 
 
 def test_steiner_examples(path3, star4):
-    assert steiner_distance(path3, [1, 3]) == 2
-    assert steiner_distance(star4, [2, 3, 4]) == 3
-    assert steiner_distance(star4, range(1, 5)) == 3
-    assert steiner_distance(path3, [2, 2, 2]) == 0
+    assert path3.steiner([1, 3]) == 2
+    assert star4.steiner([2, 3, 4]) == 3
+    assert star4.steiner(range(1, 5)) == 3
+    assert path3.steiner([2, 2, 2]) == 0
     with pytest.raises(EmptySet):
-        steiner_distance(path3, [])
+        path3.steiner([])
 
 
 def test_steiner_whole_vertex_set_is_n_minus_1():
     for seed in range(10):
         t = random_tree(7, seed)
-        assert steiner_distance(t, range(1, 8)) == 6
+        assert t.steiner(range(1, 8)) == 6
 
 
 def test_bruteforce_examples(path3, star4):
@@ -99,14 +99,14 @@ def test_steiner_matches_bruteforce_small_sets():
     for t in tree_corpus(12, 4, 9, seed0=50):
         for size in (1, 2, 3, 4):
             for S in combinations(range(1, t.n + 1), size):
-                assert steiner_distance(t, S) == steiner_distance_bruteforce(t, S)
+                assert t.steiner(S) == steiner_distance_bruteforce(t, S)
 
 
 def test_steiner_pairs_equal_pairwise():
     for t in tree_corpus(8, 3, 8):
         for u in range(1, t.n + 1):
             for v in range(1, t.n + 1):
-                assert steiner_distance(t, [u, v]) == pairwise_distance(t, u, v)
+                assert t.steiner([u, v]) == t.distance(u, v)
 
 
 def test_triple_identity():
@@ -114,9 +114,30 @@ def test_triple_identity():
     for t in tree_corpus(10, 3, 9, seed0=7):
         for S in combinations(range(1, t.n + 1), 3):
             i, j, k = S
-            lhs = 2 * steiner_distance(t, S)
-            assert lhs == (pairwise_distance(t, i, j) + pairwise_distance(t, i, k)
-                           + pairwise_distance(t, j, k))
+            lhs = 2 * t.steiner(S)
+            assert lhs == t.distance(i, j) + t.distance(i, k) + t.distance(j, k)
+
+
+def test_far_sums_are_edge_cuts():
+    for t in tree_corpus(12, 1, 9, seed0=500):
+        n = t.n
+        assert t.order[0] == 1 and sorted(t.order) == list(range(1, n + 1))
+        sides = t.far_sums(np.eye(n, dtype=bool))
+        assert len(sides) == n - 1
+        for c, side in zip(t.order[1:], sides):
+            p = t.parent[c]
+            assert (min(c, p), max(c, p)) in t.edges
+            assert t.order.index(p) < t.order.index(c)
+            # the far side of edge (c, p) is every vertex closer to c than to p
+            assert [bool(x) for x in side] == [t.distance(w, c) < t.distance(w, p)
+                                               for w in range(1, n + 1)]
+        assert t.far_sums(list(range(1, n + 1))) == [
+            sum(w for w in range(1, n + 1) if side[w - 1]) for side in sides]
+        # the edge-cut identity: a set's Steiner distance counts the edges it straddles
+        for size in (1, 2, 3):
+            for S in combinations(range(1, n + 1), size):
+                cut = sum(1 for side in sides if 0 < sum(side[v - 1] for v in S) < size)
+                assert t.steiner(S) == cut
 
 
 @settings(max_examples=50, deadline=None)
@@ -126,7 +147,7 @@ def test_steiner_monotone_under_superset(n, seed, data):
     t = random_tree(n, seed)
     small = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
     extra = data.draw(st.sets(st.integers(1, n), max_size=n))
-    assert steiner_distance(t, small) <= steiner_distance(t, small | extra)
+    assert t.steiner(small) <= t.steiner(small | extra)
 
 
 @settings(max_examples=50, deadline=None)
