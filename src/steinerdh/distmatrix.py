@@ -7,13 +7,15 @@ Covers the two classical closed forms this package leans on:
   and adjacency, d*_ij = (2-d_i)(2-d_j)/(2(n-1)) + (-d_i/2 if i=j else a_ij/2).
 
 Everything here is Fraction-exact; determinants use Bareiss fraction-free
-elimination (integer fast path when the matrix is integral).
+elimination (integer fast path when the matrix is integral), and products
+multiply integer numerators over each factor's common denominator.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,9 +49,15 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix) or other.n != self.n:
             raise ValueError("size mismatch")
-        n = self.n
-        return RatMatrix([[sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                           for j in range(n)] for i in range(n)])
+        (a, da), (b, db) = self._integral(), other._integral()
+        cols = list(zip(*b))
+        return RatMatrix([[Fraction(sum(map(operator.mul, row, col)), da * db)
+                           for col in cols] for row in a])
+
+    def _integral(self) -> tuple[list[list[int]], int]:
+        """Integer numerators over the common denominator of every entry."""
+        den = math.lcm(*(x.denominator for row in self.rows for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row] for row in self.rows], den
 
     def row_times(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """vec (row) times this matrix."""

@@ -12,7 +12,9 @@ with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
 n x n block update per edge, never touching the n^k expansion; that is what
 makes exact high-order certificates cheap.
 
-Polynomials store Fraction coefficients keyed by exponent vectors; the
+Polynomials are keyed by exponent vectors and store an integral coefficient
+as an ``int`` and any other as a ``Fraction``, so integer forms multiply at
+Python-int speed; ``coefficient`` still hands back a ``Fraction``.  The
 canonical term order used for serialization and printing is graded
 lexicographic.
 """
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
@@ -52,7 +56,7 @@ class SparsePoly:
     def __init__(self, n: int, terms: dict[tuple[int, ...], Coefficient] | None = None):
         if n < 0:
             raise ValueError("variable count must be >= 0")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Coefficient] = {}
         if terms:
             for exp, coeff in terms.items():
                 c = Fraction(coeff)
@@ -60,9 +64,18 @@ class SparsePoly:
                     continue
                 if len(exp) != n or any(e < 0 for e in exp):
                     raise ValueError(f"bad exponent vector {exp} for n={n}")
-                clean[tuple(exp)] = c
+                clean[tuple(exp)] = _int_if_integral(c)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _ring(cls, n: int, terms: dict) -> "SparsePoly":
+        """A ring result: well-formed keys and int/Fraction values, zeros dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", {e: c if type(c) is int else _int_if_integral(c)
+                                           for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("SparsePoly is immutable")
@@ -100,13 +113,13 @@ class SparsePoly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return SparsePoly(self.n, terms)
+            terms[exp] = terms.get(exp, 0) + c
+        return SparsePoly._ring(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._ring(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -120,16 +133,19 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SparsePoly(self.n, {e: c * other for e, c in self.terms.items()})
+            other = _int_if_integral(other)
+            return SparsePoly._ring(self.n, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coefficient] = {}
+        get, add = terms.get, operator.add
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SparsePoly(self.n, terms)
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                terms[key] = get(key, 0) + c1 * c2
+        return SparsePoly._ring(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -141,8 +157,9 @@ class SparsePoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -161,9 +178,9 @@ class SparsePoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.terms.get(tuple(exp), 0))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         """Graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]),
                       reverse=True)
@@ -175,14 +192,14 @@ class SparsePoly:
         if not (1 <= r <= self.n):
             raise ValueError(f"variable index {r} outside 1..{self.n}")
         i = r - 1
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Coefficient] = {}
         for exp, c in self.terms.items():
             e = exp[i]
             if e:
                 new = list(exp)
                 new[i] = e - 1
                 terms[tuple(new)] = c * e
-        return SparsePoly(self.n, terms)
+        return SparsePoly._ring(self.n, terms)
 
     def substitute(self, r: int, value: "SparsePoly") -> "SparsePoly":
         """Replace x_r by another polynomial."""
@@ -265,6 +282,10 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
+def _int_if_integral(c: Coefficient) -> Coefficient:
+    return c.numerator if c.denominator == 1 else c
+
+
 def _to_mpc(x):
     return x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
 
@@ -334,10 +355,10 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     r, a = pivot
     # rho = -(s - a*x_r)/a
     rest_terms = {exp: c for exp, c in s.terms.items() if exp.index(1) != r}
-    rho = SparsePoly(s.n, rest_terms) * Fraction(-1, 1) * (Fraction(1) / a)
+    rho = SparsePoly._ring(s.n, rest_terms) * Fraction(-1, a)
 
     # coefficients of p as a polynomial in x_r
-    layers: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    layers: dict[int, dict[tuple[int, ...], Coefficient]] = {}
     for exp, c in p.terms.items():
         e = exp[r]
         flat = list(exp)
@@ -346,7 +367,7 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     if not layers:
         return SparsePoly.zero(p.n)
     top = max(layers)
-    coeffs = [SparsePoly(p.n, layers.get(j, {})) for j in range(top + 1)]
+    coeffs = [SparsePoly._ring(p.n, layers.get(j, {})) for j in range(top + 1)]
 
     # synthetic division by (x_r - rho): b_{j} = c_{j+1} + rho*b_{j+1}
     quot_layers: list[SparsePoly] = [SparsePoly.zero(p.n)] * max(top, 1)
@@ -364,7 +385,7 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     for layer in quot_layers:
         quotient = quotient + layer * power
         power = power * xr
-    return quotient * (Fraction(1) / a)
+    return quotient * Fraction(1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +405,13 @@ def steiner_form(h: Hypermatrix) -> SparsePoly:
                 exp[v] = c
             weight = _multinomial(k, counts.values())
             key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + value * weight
+            terms[key] = terms.get(key, 0) + value * weight
     return SparsePoly(n, terms)
 
 
 def s_form(n: int) -> SparsePoly:
     """The all-ones linear form x_1 + ... + x_n."""
-    return SparsePoly(n, {tuple(1 if i == j else 0 for i in range(n)): Fraction(1)
+    return SparsePoly(n, {tuple(1 if i == j else 0 for i in range(n)): 1
                           for j in range(n)})
 
 
@@ -405,7 +426,7 @@ def distance_quadratic(t: Tree) -> SparsePoly:
                 exp = [0] * n
                 exp[i - 1] = 1
                 exp[j - 1] = 1
-                terms[tuple(exp)] = Fraction(3 * d)
+                terms[tuple(exp)] = 3 * d
     return SparsePoly(n, terms)
 
 
@@ -466,7 +487,9 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> list[list]:
 # order-3 identity suite
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def order3_form(t: Tree) -> SparsePoly:
+    """The order-3 Steiner form, via the hypermatrix; one identity suite reuses it."""
     return steiner_form(build_steiner(t, 3))
 
 
@@ -495,7 +518,8 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
     f_r = ((2 - deg_r) * s - (2/3) x_r) / (3(n-1)).  The leading 1/3 is
     forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
     since D_r g carries the factor 3 of g.  See tests for the exact
-    3-s^3 pin of the unscaled variant.
+    3-s^3 pin of the unscaled variant.  9(n-1) * f_r = 3(2 - deg_r) s - 2 x_r
+    is integral; ``verify_s3_decomposition`` checks the identity in that form.
     """
     n = t.n
     if n < 2:
@@ -511,15 +535,20 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
 
 
 def verify_s3_decomposition(t: Tree) -> bool:
-    """s^3 lies in the gradient ideal, with the explicit degree-based cofactors."""
+    """s^3 lies in the gradient ideal, with the explicit degree-based cofactors.
+
+    Checks s^3 = sum_r f_r * D_r p (``s3_cofactors``) with the denominators
+    cleared, all in integers: sum_r (3(2 - deg_r) s - 2 x_r) * D_r p = 9(n-1) s^3.
+    """
     n = t.n
     if n < 2:
         raise ValueError("needs at least two vertices")
     p = order3_form(t)
+    scale = 9 * (n - 1)
     total = SparsePoly.zero(n)
     for r, f in enumerate(s3_cofactors(t), start=1):
-        total = total + f * p.partial(r)
-    return total == s_form(n) ** 3
+        total = total + (f * scale) * p.partial(r)
+    return total == s_form(n) ** 3 * scale
 
 
 def verify_not_divisible(t: Tree) -> bool:

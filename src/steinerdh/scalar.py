@@ -24,6 +24,7 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler totient of m >= 1."""
     if m < 1:

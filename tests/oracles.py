@@ -2,7 +2,9 @@
 
 Each oracle derives its object from per-multiset ``Tree.steiner`` queries (or,
 for linear systems, plain Gaussian elimination), sharing nothing with the
-edge-cut closed forms it checks.
+edge-cut closed forms it checks.  Polynomial and matrix products are redone
+on plain ``{exponent tuple: Fraction}`` dicts and Fraction sums, with none of
+the integer fast paths of ``SparsePoly`` and ``RatMatrix``.
 """
 
 from __future__ import annotations
@@ -107,3 +109,76 @@ def solve_row_system(m: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Fraction-only polynomial and matrix arithmetic
+# ---------------------------------------------------------------------------
+
+Terms = dict[tuple[int, ...], Fraction]
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def fraction_terms(p) -> Terms:
+    """A SparsePoly's terms as Fractions."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def fraction_add(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _nonzero(out)
+
+
+def fraction_mul(a: Terms, b: Terms) -> Terms:
+    """The dict product SparsePoly used before its integer coefficients."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def fraction_pow(a: Terms, n: int, e: int) -> Terms:
+    out: Terms = {(0,) * n: Fraction(1)}
+    for _ in range(e):
+        out = fraction_mul(out, a)
+    return out
+
+
+def fraction_partial(a: Terms, r: int) -> Terms:
+    """d/dx_r, r 1-based."""
+    out: Terms = {}
+    for e, c in a.items():
+        if e[r - 1]:
+            key = e[:r - 1] + (e[r - 1] - 1,) + e[r:]
+            out[key] = c * e[r - 1]
+    return _nonzero(out)
+
+
+def fraction_remainder(p: Terms, s: Terms, n: int) -> Terms:
+    """p with x_r replaced by the root of s = 0, r the highest variable in s.
+
+    This is p modulo s, free of x_r: the remainder ``divide_by_linear``
+    must return, found by substitution rather than synthetic division.
+    """
+    r = max(e.index(1) for e in s)
+    a = s[next(e for e in s if e.index(1) == r)]
+    root = {e: -c / a for e, c in s.items() if e.index(1) != r}
+    out: Terms = {}
+    for e, c in p.items():
+        rest = e[:r] + (0,) + e[r + 1:]
+        out = fraction_add(out, fraction_mul({rest: c}, fraction_pow(root, n, e[r])))
+    return out
+
+
+def fraction_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
+    """Entrywise sum of Fraction products."""
+    n = a.n
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]

@@ -9,7 +9,7 @@ from steinerdh import (RatMatrix, c_coefficients, determinant_exact,
                        distance_matrix, gl_inverse, graham_pollak_value,
                        random_tree, star_tree)
 from conftest import tree_corpus
-from oracles import solve_row_system
+from oracles import fraction_matmul, solve_row_system
 
 
 def naive_determinant(m: RatMatrix) -> Fraction:
@@ -100,6 +100,20 @@ def test_c_coefficients_match_linear_solve():
         assert D.row_times(c) == [Fraction(1)] * t.n
         assert solve_row_system(D, [Fraction(1)] * t.n) == c
         assert sum(c) == Fraction(2, t.n - 1)
+
+
+def test_matmul_matches_entrywise_fraction_sums():
+    mixed = RatMatrix([[Fraction(1, 3), 2, Fraction(-5, 6)], [0, Fraction(-7, 5), 1],
+                       [Fraction(9, 4), -3, Fraction(2, 9)]])
+    integral = RatMatrix([[1, -2, 0], [4, 0, 3], [-1, 5, 7]])
+    for a, b in [(mixed, integral), (integral, mixed), (mixed, mixed),
+                 (integral, integral)]:
+        assert (a @ b).rows == tuple(map(tuple, fraction_matmul(a, b)))
+    for t in tree_corpus(10, 2, 9, seed0=700):
+        D, inv = distance_matrix(t), gl_inverse(t)
+        assert (inv @ D).rows == tuple(map(tuple, fraction_matmul(inv, D)))
+    with pytest.raises(ValueError):
+        integral @ RatMatrix.identity(2)
 
 
 def test_ratmatrix_json():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
                        verify_not_divisible, verify_product_decomposition,
                        verify_s3_decomposition)
 from conftest import tree_corpus
-from oracles import multiset_gradient, multiset_hessian
+from oracles import (fraction_add, fraction_mul, fraction_partial, fraction_pow,
+                     fraction_remainder, fraction_terms, multiset_gradient,
+                     multiset_hessian)
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -71,8 +75,112 @@ def test_json_round_trip_canonical():
     q = SparsePoly.from_json(p.to_json())
     assert q == p
     # graded-lex: degree-2 terms first, then the constant
-    exps = [t["exp"] for t in __import__("json").loads(p.to_json())["terms"]]
+    exps = [t["exp"] for t in json.loads(p.to_json())["terms"]]
     assert exps == [[2, 0], [1, 1], [0, 0]]
+
+
+def test_coefficient_type_contract():
+    e = (2, 1, 0)
+    p = SparsePoly(3, {e: 3, (0, 0, 1): Fraction(-8, 2), (0, 0, 0): Fraction(1, 3)})
+    # integral values are stored as int, the rest as Fraction ...
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert type((p * Fraction(3)).terms[(0, 0, 0)]) is int
+    # ... but coefficient() always hands back a Fraction
+    assert type(p.coefficient(e)) is Fraction and p.coefficient(e) == 3
+    assert type(p.coefficient((1, 1, 1))) is Fraction
+    assert p.coefficient((0, 0, 1)) / 3 == Fraction(-4, 3)
+    assert SparsePoly(3, {e: 3}) == SparsePoly(3, {e: Fraction(3)})
+    assert SparsePoly(3, {e: 3}) == SparsePoly(3, {e: Fraction(6, 2)}) * 1
+
+
+def test_to_json_bytes_unchanged():
+    integral = SparsePoly(3, {(2, 1, 0): 3, (0, 0, 1): -4, (0, 0, 0): 7})
+    assert integral.to_json() == (
+        '{"n": 3, "terms": [{"exp": [2, 1, 0], "num": "3", "den": "1"}, '
+        '{"exp": [0, 0, 1], "num": "-4", "den": "1"}, '
+        '{"exp": [0, 0, 0], "num": "7", "den": "1"}]}')
+    mixed = SparsePoly(2, {(1, 1): Fraction(2, 3), (2, 0): -1, (0, 0): Fraction(10, 2)})
+    assert mixed.to_json() == (
+        '{"n": 2, "terms": [{"exp": [2, 0], "num": "-1", "den": "1"}, '
+        '{"exp": [1, 1], "num": "2", "den": "3"}, '
+        '{"exp": [0, 0], "num": "5", "den": "1"}]}')
+    assert (s_form(2) ** 2 * Fraction(3, 2)).to_json() == (
+        '{"n": 2, "terms": [{"exp": [2, 0], "num": "3", "den": "2"}, '
+        '{"exp": [1, 1], "num": "3", "den": "1"}, '
+        '{"exp": [0, 2], "num": "3", "den": "2"}]}')
+
+
+def test_pow_matches_repeated_product_and_stops_at_the_power(monkeypatch):
+    p = s_form(3) + X(3, 2) * Fraction(1, 2) - 2
+    degrees = []
+    mul = SparsePoly.__mul__
+
+    def recording_mul(a, b):
+        out = mul(a, b)
+        degrees.append(out.total_degree())
+        return out
+
+    monkeypatch.setattr(SparsePoly, "__mul__", recording_mul)
+    repeated = SparsePoly.constant(3, 1)
+    for e in range(6):
+        degrees.clear()
+        assert p ** e == repeated
+        # no square beyond p^e is built (it used to square once more)
+        assert max(degrees, default=0) <= e
+        repeated = mul(repeated, p)
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+_coeffs = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+
+
+@st.composite
+def _polys(draw, n, max_terms=5, max_exp=3):
+    """(n, SparsePoly) with mixed int, integral-Fraction and Fraction coefficients."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    return SparsePoly(n, draw(st.dictionaries(exps, _coeffs, max_size=max_terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_ring_ops_match_fraction_dict_oracle(data, n):
+    p, q = data.draw(_polys(n)), data.draw(_polys(n))
+    fp, fq = fraction_terms(p), fraction_terms(q)
+    c = data.draw(_coeffs)
+    e = data.draw(st.integers(0, 3))
+    r = data.draw(st.integers(1, n))
+    assert fraction_terms(p * q) == fraction_mul(fp, fq)
+    assert fraction_terms(p + q) == fraction_add(fp, fq)
+    assert fraction_terms(p - q) == fraction_add(fp, {k: -v for k, v in fq.items()})
+    assert fraction_terms(p * c) == fraction_mul(fp, {(0,) * n: Fraction(c)})
+    assert fraction_terms(p ** e) == fraction_pow(fp, n, e)
+    assert fraction_terms(p.partial(r)) == fraction_partial(fp, r)
+    for result in (p * q, p + q, p * c, p ** e, p.partial(r)):
+        assert all(v != 0 and (type(v) is int or v.denominator != 1)
+                   for v in result.terms.values())
+
+
+@st.composite
+def _linear_forms(draw, n):
+    coeffs = draw(st.lists(_coeffs, min_size=n, max_size=n).filter(any))
+    return SparsePoly(n, {tuple(int(i == j) for i in range(n)): c
+                          for j, c in enumerate(coeffs)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_divide_by_linear_matches_substitution_oracle(data, n):
+    s, q, p = data.draw(_linear_forms(n)), data.draw(_polys(n)), data.draw(_polys(n))
+    assert divide_by_linear(s * q, s) == q
+    res = divide_by_linear(p, s)
+    remainder = fraction_remainder(fraction_terms(p), fraction_terms(s), n)
+    if remainder:
+        assert isinstance(res, NotDivisible)
+        assert fraction_terms(res.remainder) == remainder
+    else:
+        assert fraction_terms(s * res) == fraction_terms(p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +417,24 @@ def test_unscaled_degree_cofactors_give_exactly_three_s_cubed():
             total = total + f_unscaled * p.partial(r)
         assert total == 3 * s ** 3
         assert total != s ** 3
+
+
+def test_s3_cofactors_satisfy_the_identity_in_fractions():
+    # verify_s3_decomposition checks the integer multiple 9(n-1) of this identity
+    for t in tree_corpus(8, 2, 9, seed0=500):
+        p = order3_form(t)
+        total = SparsePoly.zero(t.n)
+        for r, f in enumerate(s3_cofactors(t), start=1):
+            total = total + f * p.partial(r)
+        assert total == s_form(t.n) ** 3
+        assert verify_s3_decomposition(t)
+
+
+def test_order3_form_cache_follows_the_tree():
+    a, b = random_tree(6, 1), random_tree(6, 2)
+    assert order3_form(a) is order3_form(a)
+    assert order3_form(b) == steiner_form(build_steiner(b, 3))
+    assert order3_form(a) == steiner_form(build_steiner(a, 3)) != order3_form(b)
 
 
 def test_s3_cofactors_structure():
