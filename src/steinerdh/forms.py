@@ -463,24 +463,30 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     return grad[1:]
 
 
-def hessian_direct(t: Tree, k: int, point: Sequence) -> list[list]:
+def hessian_direct(t: Tree, k: int, point: Sequence):
     """Second partials of the order-k Steiner form at a numeric point.
 
     D_q D_r p = k(k-1) * sum_e (s^(k-2) - [q, r on one side of e] * side^(k-2)),
     side being the x-sum on the side of e that holds both q and r.
+
+    The number type follows the point: a complex128 numpy array gives a
+    complex128 n x n array, any other numeric point n lists of mpmath
+    complex numbers at the working precision.
     """
     n = t.n
     if len(point) != n:
         raise ValueError(f"point length {len(point)} != {n} vertices")
     if k < 2:
         raise ValueError("order must be >= 2")
-    coords = [_to_mpc(x) for x in point]
+    native = isinstance(point, np.ndarray) and point.dtype == np.complex128
+    coords = list(point) if native else [_to_mpc(x) for x in point]
     s = sum(coords)
-    acc = np.full((n, n), (n - 1) * s ** (k - 2), dtype=object)
+    acc = np.full((n, n), (n - 1) * s ** (k - 2), dtype=complex if native else object)
     for a, far in zip(t.far_sums(coords), t.far_sums(np.eye(n, dtype=bool))):
         for side, total in ((far, a), (~far, s - a)):
             acc[np.ix_(side, side)] -= total ** (k - 2)
-    return (k * (k - 1) * acc).tolist()
+    acc *= k * (k - 1)
+    return acc if native else acc.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ checks that this always agrees with gradient vanishing.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system
 over the reals with a unit-norm row appended, from seeded Philox restarts.
-It reports residuals only and never claims exactness.
+Points and gradient residuals stay at the working precision (128 bits by
+default); each correction is a float64 minimum-norm least-squares solve
+against that residual.  It reports residuals only and never claims exactness.
 """
 
 from __future__ import annotations
@@ -302,8 +304,19 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
 
 @dataclass(frozen=True)
 class SearchCandidate:
+    """One restart's best point, its residual, and why the restart stopped.
+
+    ``iterations`` counts the Gauss-Newton steps taken.  ``stop`` is ``tol``
+    (residual below ``tol``), ``precision_floor`` (below the working
+    precision's floor, when that lies above ``tol``), ``stalled`` (no 10%
+    gain in 8 iterations, or a step below the floor), ``singular`` (the step
+    could not be solved) or ``max_iter``.
+    """
+
     point: tuple[CFloat, ...]
     residual: float
+    iterations: int
+    stop: str
 
 
 def numeric_search(t: Tree, k: int, seed: int, restarts: int,
@@ -312,10 +325,13 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     """Gauss-Newton on the gradient system with a unit-norm constraint row.
 
     Each restart draws its start from an independent Philox stream keyed by
-    (seed, restart index).  Iteration stops once the residual drops below
-    ``tol`` (or the precision floor, or stalls).  Candidates come back sorted
-    by residual (max gradient magnitude at the unit-norm point); no exactness
-    is ever claimed.
+    (seed, restart index).  The iterate, the gradient residual and the
+    reported point are kept at ``prec`` bits; each correction is solved in
+    float64 against that residual (iterative refinement), so the residual
+    still falls to the ``prec``-bit floor.  Iteration stops once the residual
+    drops below ``tol`` (or the precision floor, or stalls).  Candidates come
+    back sorted by residual (max gradient magnitude at the unit-norm point);
+    no exactness is ever claimed.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
@@ -330,7 +346,8 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
             x = [mpmath.mpc(z.real, z.imag) for z in start]
             best_res, best_x = mpmath.inf, x
             floor = max(mpmath.mpf(2) ** (-prec + 24), mpmath.mpf(tol))
-            stalled = 0
+            stalled = steps = 0
+            stop = "max_iter"
             for _ in range(max_iter):
                 x = _normalized(x)
                 grads = gradient_direct(t, k, x)
@@ -341,58 +358,56 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
                     stalled += 1
                 if res < best_res:
                     best_res, best_x = res, x
-                if res < floor or stalled >= 8:
+                if res < floor:
+                    stop = "tol" if res < tol else "precision_floor"
                     break
-                hess = hessian_direct(t, k, x)
+                if stalled >= 8:
+                    stop = "stalled"
+                    break
+                hess = hessian_direct(t, k, np.array(x, dtype=complex))
                 step = _gauss_newton_step(x, grads, hess)
                 if step is None:
+                    stop = "singular"
                     break
+                steps += 1
                 x = [xi + di for xi, di in zip(x, step)]
-                if max(abs(d) for d in step) < floor:
+                if np.abs(step).max() < floor:
+                    stop = "stalled"
                     break
             final = _normalized(best_x)
             final_res = max((abs(g) for g in gradient_direct(t, k, final)),
                             default=mpmath.mpf(0))
             out.append(SearchCandidate(
                 point=tuple(CFloat.from_mpc(z, prec) for z in final),
-                residual=float(final_res)))
+                residual=float(final_res), iterations=steps, stop=stop))
     out.sort(key=lambda c: c.residual)
     return out
 
 
 def _normalized(x: list) -> list:
-    norm = mpmath.sqrt(mpmath.fsum([abs(z) ** 2 for z in x]))
+    norm = mpmath.norm(x)
     if norm == 0:
         return x
     return [z / norm for z in x]
 
 
-def _gauss_newton_step(x: list, grads: list, hess: list[list]):
+def _gauss_newton_step(x: list, grads: list, hess):
     """Least-squares Newton step for (gradient = 0, |x|^2 = 1) over the reals.
 
     The complex Jacobian H splits into [[Re H, -Im H], [Im H, Re H]] blocks by
-    the Cauchy-Riemann equations; the norm constraint adds one real row.
+    the Cauchy-Riemann equations; the norm constraint adds one real row.  The
+    system is solved in float64 for the minimum-norm step: at a nullvector
+    the phase direction i*x leaves it rank-deficient by one.
     """
-    n = len(x)
-    rows = 2 * n + 1
-    cols = 2 * n
-    A = mpmath.matrix(rows, cols)
-    b = mpmath.matrix(rows, 1)
-    for i in range(n):
-        for j in range(n):
-            h = hess[i][j]
-            A[i, j] = h.real
-            A[i, n + j] = -h.imag
-            A[n + i, j] = h.imag
-            A[n + i, n + j] = h.real
-        b[i] = -grads[i].real
-        b[n + i] = -grads[i].imag
-    for j in range(n):
-        A[2 * n, j] = 2 * x[j].real
-        A[2 * n, n + j] = 2 * x[j].imag
-    b[2 * n] = 1 - mpmath.fsum([abs(z) ** 2 for z in x])
+    h = np.asarray(hess, dtype=complex)
+    hh = np.hstack([h, 1j * h])
+    xf = np.array(x, dtype=complex)
+    g = np.array(grads, dtype=complex)
+    A = np.vstack([hh.real, hh.imag, 2 * np.concatenate([xf.real, xf.imag])])
+    defect = 1 - mpmath.fsum(x, absolute=True, squared=True)
+    b = np.concatenate([-g.real, -g.imag, [float(defect)]])
     try:
-        delta, _ = mpmath.qr_solve(A, b)
-    except (ZeroDivisionError, ValueError):
+        delta = np.linalg.lstsq(A, b, rcond=None)[0]
+    except np.linalg.LinAlgError:
         return None
-    return [mpmath.mpc(delta[j], delta[n + j]) for j in range(n)]
+    return delta[:len(x)] + 1j * delta[len(x):]

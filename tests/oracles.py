@@ -1,8 +1,9 @@
 """Slow second routes that check the fast ones in ``src``.
 
 Each oracle derives its object from per-multiset ``Tree.steiner`` queries (or,
-for linear systems, plain Gaussian elimination), sharing nothing with the
-edge-cut closed forms it checks.  Polynomial and matrix products are redone
+for linear systems, plain Gaussian elimination or mpmath's QR solver at the
+working precision), sharing nothing with the edge-cut closed forms or the
+float64 solves it checks.  Polynomial and matrix products are redone
 on plain ``{exponent tuple: Fraction}`` dicts and Fraction sums, with none of
 the integer fast paths of ``SparsePoly`` and ``RatMatrix``.
 """
@@ -78,6 +79,33 @@ def multiset_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
                 acc += weight * t.steiner(mu | {z, r}) * term
             hess[z - 1][r - 1] = k * (k - 1) * acc
     return hess
+
+
+def qr_gauss_newton_step(x: list, grads: list, hess: list[list]):
+    """The Gauss-Newton step for (gradient = 0, |x|^2 = 1), solved entirely
+    in mpmath at the working precision by ``mpmath.qr_solve`` (Householder,
+    unpivoted).  Returns None where the factorization breaks down."""
+    n = len(x)
+    A = mpmath.matrix(2 * n + 1, 2 * n)
+    b = mpmath.matrix(2 * n + 1, 1)
+    for i in range(n):
+        for j in range(n):
+            h = hess[i][j]
+            A[i, j] = h.real
+            A[i, n + j] = -h.imag
+            A[n + i, j] = h.imag
+            A[n + i, n + j] = h.real
+        b[i] = -grads[i].real
+        b[n + i] = -grads[i].imag
+    for j in range(n):
+        A[2 * n, j] = 2 * x[j].real
+        A[2 * n, n + j] = 2 * x[j].imag
+    b[2 * n] = 1 - mpmath.fsum([abs(z) ** 2 for z in x])
+    try:
+        delta, _ = mpmath.qr_solve(A, b)
+    except (ZeroDivisionError, ValueError):
+        return None
+    return [mpmath.mpc(delta[j], delta[n + j]) for j in range(n)]
 
 
 def multiset_hypermatrix(t: Tree, k: int) -> Hypermatrix:

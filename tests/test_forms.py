@@ -294,6 +294,22 @@ def test_numeric_gradient_and_hessian_match_multiset_oracle():
                                for q in range(n) for r in range(n)) < tol, (t, k)
 
 
+def test_hessian_direct_complex128_matches_mpc():
+    rng = np.random.default_rng(13)
+    with mpmath.workprec(128):
+        for n in range(1, 7):
+            for t in _oracle_trees(n):
+                for k in range(2, 7):
+                    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    z /= np.linalg.norm(z)
+                    hess = hessian_direct(t, k, z)
+                    assert isinstance(hess, np.ndarray) and hess.dtype == np.complex128
+                    want = np.array(hessian_direct(t, k, [mpmath.mpc(c) for c in z]),
+                                    dtype=complex)
+                    scale = max(np.abs(want).max(), 1.0)
+                    assert np.abs(hess - want).max() <= 1e-12 * scale, (t, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10 ** 6), st.integers(2, 4),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q != 0))

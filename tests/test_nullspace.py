@@ -3,17 +3,21 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        SparsePoly, TooSmall, Tree, ZeroVector, build_steiner,
                        canonical_odd_nullvector, complete_nullvector,
                        completion_quadratic, degenerate_nullvector,
-                       distance_quadratic, enumerate_trees, membership_sg,
-                       numeric_search, path_tree, random_tree,
-                       root_of_unity, star_tree, verify_form_nullvector,
-                       verify_nullvector, zero_degenerate)
+                       distance_quadratic, enumerate_trees, gradient_direct,
+                       hessian_direct, membership_sg, numeric_search,
+                       path_tree, random_tree, root_of_unity, star_tree,
+                       verify_form_nullvector, verify_nullvector,
+                       zero_degenerate)
+from steinerdh.nullspace import _gauss_newton_step
 from conftest import tree_corpus
+from oracles import qr_gauss_newton_step
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,55 @@ def test_search_order2_floor(path3):
 def test_search_k2_order4_floor(k2):
     cands = numeric_search(k2, 4, seed=5, restarts=6)
     assert cands[0].residual > 1e-6
+
+
+@pytest.mark.parametrize("t", [path_tree(3), star_tree(5), random_tree(6, 21)],
+                         ids=["path3", "star5", "random6"])
+def test_search_order2_floor_brackets_least_eigenvalue(t):
+    # At k = 2 the gradient is 2 D x, D the distance matrix, so on the unit
+    # sphere max|2 D x| >= 2 |lambda_min| / sqrt(n); the least eigenvector
+    # itself attains 2 |lambda_min| * max|v_min|.
+    n = t.n
+    d = np.array([[t.distance(i, j) for j in range(1, n + 1)]
+                  for i in range(1, n + 1)], dtype=float)
+    vals, vecs = np.linalg.eigh(d)
+    least = np.argmin(np.abs(vals))
+    lam, v = abs(vals[least]), vecs[:, least]
+    best = numeric_search(t, 2, seed=5, restarts=6)[0].residual
+    assert 2 * lam / np.sqrt(n) <= best <= 2 * lam * np.abs(v).max() + 1e-9
+
+
+def test_gauss_newton_step_matches_qr_oracle():
+    rng = np.random.default_rng(17)
+    with mpmath.workprec(128):
+        for n in range(2, 7):
+            for t in (path_tree(n), star_tree(n), random_tree(n, 60 + n)):
+                for k in range(3, 7):
+                    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    z /= np.linalg.norm(z)
+                    x = [mpmath.mpc(c) for c in z]
+                    grads = gradient_direct(t, k, x)
+                    want = qr_gauss_newton_step(x, grads, hessian_direct(t, k, x))
+                    got = _gauss_newton_step(x, grads, hessian_direct(t, k, z))
+                    want = np.array(want, dtype=complex)
+                    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (t, k)
+
+
+def test_search_tight_tol_reaches_precision_floor(path3):
+    # Near a nullvector the phase direction i*x leaves the step's system
+    # rank-deficient by one; the minimum-norm step still converges.
+    best = numeric_search(path3, 3, seed=11, restarts=8, tol=1e-30)[0]
+    assert best.residual < 1e-30
+    assert best.stop == "tol"
+
+
+def test_search_reports_stop_reason(path3, k2):
+    odd = numeric_search(path3, 3, seed=5, restarts=6)
+    assert odd[0].stop in ("tol", "precision_floor")
+    assert all(c.stop in ("tol", "precision_floor", "stalled", "singular", "max_iter")
+               and 0 < c.iterations <= 60 for c in odd)
+    even = numeric_search(k2, 4, seed=5, restarts=6)
+    assert all(c.stop in ("stalled", "max_iter") for c in even)
 
 
 def test_search_deterministic(path3):
