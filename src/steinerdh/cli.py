@@ -58,14 +58,18 @@ def _note(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _emit(args, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(args, text: str) -> None:
+    """Write to stdout, or to the ``--out`` file when one is named."""
     out = getattr(args, "out", None)
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(args, obj) -> None:
+    _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_tree(path: str) -> Tree:
@@ -81,12 +85,7 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     t = random_tree(args.n, args.seed)
-    text = format_tree(t)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args, format_tree(t))
     _note(args, f"generated tree on {args.n} vertices, seed {args.seed}")
     return EXIT_OK
 
@@ -95,11 +94,7 @@ def cmd_hypermatrix(args) -> int:
     t = _load_tree(args.tree)
     h = build_steiner(t, args.k)
     doc = export_json(h) if args.format == "json" else export_text(h)
-    if args.out in (None, "-"):
-        sys.stdout.write(doc if doc.endswith("\n") else doc + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc if doc.endswith("\n") else doc + "\n")
+    _write(args, doc if doc.endswith("\n") else doc + "\n")
     _note(args, f"order-{args.k} hypermatrix of a tree on {t.n} vertices")
     return EXIT_OK
 

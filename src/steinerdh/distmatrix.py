@@ -89,9 +89,7 @@ class RatMatrix:
 
 
 def distance_matrix(t: Tree) -> RatMatrix:
-    n = t.n
-    return RatMatrix([[Fraction(t.distance(i, j)) for j in range(1, n + 1)]
-                      for i in range(1, n + 1)])
+    return RatMatrix(t.distances().tolist())
 
 
 def determinant_exact(m: RatMatrix) -> Fraction:

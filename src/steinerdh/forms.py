@@ -418,15 +418,14 @@ def s_form(n: int) -> SparsePoly:
 def distance_quadratic(t: Tree) -> SparsePoly:
     """g = 3 * sum_{i<j} d_T(i,j) x_i x_j, the cofactor of s in the order-3 form."""
     n = t.n
+    d = t.distances().tolist()
     terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d = t.distance(i, j)
-            if d:
-                exp = [0] * n
-                exp[i - 1] = 1
-                exp[j - 1] = 1
-                terms[tuple(exp)] = 3 * d
+    for i in range(n):
+        for j in range(i + 1, n):
+            exp = [0] * n
+            exp[i] = 1
+            exp[j] = 1
+            terms[tuple(exp)] = 3 * d[i][j]
     return SparsePoly(n, terms)
 
 

@@ -202,17 +202,18 @@ def completion_quadratic(t: Tree, tail: Sequence) -> tuple[CycNum, CycNum, CycNu
     sigma = CycNum.zero(m)
     for x in a:
         sigma = sigma + x
-    A = CycNum.from_rational(t.distance(1, 2), m)
+    d = t.distances().tolist()
+    A = CycNum.from_rational(d[0][1], m)
     B = CycNum.zero(m)
     weighted2 = CycNum.zero(m)
-    for j in range(3, n + 1):
-        aj = a[j - 3]
-        B = B + (t.distance(1, 2) - t.distance(1, j) + t.distance(2, j)) * aj
-        weighted2 = weighted2 + t.distance(2, j) * aj
+    for j in range(2, n):
+        aj = a[j - 2]
+        B = B + (d[0][1] - d[0][j] + d[1][j]) * aj
+        weighted2 = weighted2 + d[1][j] * aj
     C = sigma * weighted2
-    for j in range(3, n + 1):
-        for kk in range(j + 1, n + 1):
-            C = C - t.distance(j, kk) * (a[j - 3] * a[kk - 3])
+    for j in range(2, n):
+        for kk in range(j + 1, n):
+            C = C - d[j][kk] * (a[j - 2] * a[kk - 2])
     return A, B, C, a, m
 
 

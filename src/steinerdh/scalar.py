@@ -47,15 +47,6 @@ def euler_phi(m: int) -> int:
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Divide by a monic integer polynomial; quotient and remainder are integral."""
     num = list(num)
@@ -457,8 +448,9 @@ def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:
 class CFloat:
     """Finite complex number with an mpmath mantissa of >= 64 bits.
 
-    Any operation producing a NaN or infinity raises immediately, so
-    non-finite values never escape.  Default precision is 128 bits.
+    Construction rejects NaN and infinity, so non-finite values never
+    escape.  Default precision is 128 bits.  Arithmetic happens on
+    ``mpmath.mpc`` values (``to_mpc``/``from_mpc``).
     """
 
     __slots__ = ("real", "imag", "prec")
@@ -486,43 +478,6 @@ class CFloat:
 
     def to_mpc(self):
         return mpmath.mpc(self.real, self.imag)
-
-    def _binary(self, other, op):
-        prec = self.prec
-        if isinstance(other, CFloat):
-            prec = max(prec, other.prec)
-            oz = other.to_mpc()
-        elif isinstance(other, (int, float, Fraction, mpmath.mpf, mpmath.mpc)):
-            oz = mpmath.mpmathify(other)
-        else:
-            return NotImplemented
-        with mpmath.workprec(prec):
-            return CFloat.from_mpc(op(self.to_mpc(), oz), prec=prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return CFloat(-self.real, -self.imag, prec=self.prec)
 
     def abs_value(self) -> mpmath.mpf:
         with mpmath.workprec(self.prec):

@@ -9,12 +9,12 @@ The Steiner distance of a vertex set is the number of edges whose removal
 separates it.  Every Steiner sum the package needs (hypermatrix entries,
 gradients, Hessians of the Steiner form) therefore reduces to per-edge sums
 over the two sides of each edge; ``Tree.far_sums`` computes them in one
-children-first pass over the BFS order from vertex 1.
+children-first pass over the BFS order from vertex 1.  Single queries
+(``Tree.steiner``, ``Tree.distance``) and the pairwise distance matrix
+(``Tree.distances``) count edge cuts the same way.
 
-A single Steiner query (``Tree.steiner``) uses the virtual-tree identity:
-sort the distinct vertices v1..vr by Euler-tour first-visit order and return
-(sum of cyclic consecutive pairwise distances) / 2.  A bitmask brute-force
-oracle over connected vertex subsets is provided for n <= 12.
+A bitmask brute force over connected vertex subsets, which shares nothing
+with the edge cuts, is provided as an oracle for n <= 12.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ BRUTE_FORCE_MAX_N = 12
 
 
 class Tree:
-    """Immutable labeled tree on vertices 1..n with O(1) LCA queries."""
+    """Immutable labeled tree on vertices 1..n."""
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_depth", "_first_visit", "_sparse",
         "_connected_masks_cache",
     )
 
@@ -63,14 +62,14 @@ class Tree:
         for lst in adjacency:
             lst.sort()
 
-        depth = [-1] * (n + 1)
-        depth[1] = 0
+        reached = [False] * (n + 1)
+        reached[1] = True
         parent = [0] * (n + 1)
         order = [1]
         for x in order:  # the BFS order doubles as the queue
             for y in adjacency[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
+                if not reached[y]:
+                    reached[y] = True
                     parent[y] = x
                     order.append(y)
         if len(order) != n:
@@ -83,63 +82,10 @@ class Tree:
                            (0,) + tuple(len(adjacency[v]) for v in range(1, n + 1)))
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "order", tuple(order))
-        object.__setattr__(self, "_depth", tuple(depth))
-        self._build_lca()
         object.__setattr__(self, "_connected_masks_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("Tree is immutable")
-
-    # -- LCA machinery -------------------------------------------------------
-
-    def _build_lca(self) -> None:
-        n = self.n
-        depth = self._depth
-        euler: list[int] = []
-        first_visit = [0] * (n + 1)
-        # iterative DFS from 1, re-appending the parent after each child
-        stack: list[tuple[int, int, int]] = [(1, 0, 0)]  # (vertex, parent, child index)
-        while stack:
-            v, parent, idx = stack.pop()
-            if idx == 0:
-                first_visit[v] = len(euler)
-                euler.append(v)
-            nxt = None
-            for j in range(idx, len(self.adjacency[v])):
-                w = self.adjacency[v][j]
-                if w != parent:
-                    nxt = (w, j)
-                    break
-            if nxt is not None:
-                w, j = nxt
-                stack.append((v, parent, j + 1))
-                stack.append((w, v, 0))
-                continue
-            if stack:
-                euler.append(stack[-1][0])
-
-        # sparse table of (depth, vertex) minima over the Euler walk
-        base = [(depth[v], v) for v in euler]
-        table = [base]
-        size = len(base)
-        j = 1
-        while (1 << j) <= size:
-            prev = table[-1]
-            half = 1 << (j - 1)
-            table.append([min(prev[i], prev[i + half])
-                          for i in range(size - (1 << j) + 1)])
-            j += 1
-        object.__setattr__(self, "_first_visit", tuple(first_visit))
-        object.__setattr__(self, "_sparse", tuple(tuple(level) for level in table))
-
-    def lca(self, u: int, v: int) -> int:
-        self._check_label(u)
-        self._check_label(v)
-        lo, hi = sorted((self._first_visit[u], self._first_visit[v]))
-        span = hi - lo + 1
-        j = span.bit_length() - 1
-        level = self._sparse[j]
-        return min(level[lo], level[hi - (1 << j) + 1])[1]
 
     def _check_label(self, v: int) -> None:
         if not (1 <= v <= self.n):
@@ -148,26 +94,32 @@ class Tree:
     # -- distances ------------------------------------------------------------
 
     def distance(self, u: int, v: int) -> int:
-        a = self.lca(u, v)
-        return self._depth[u] + self._depth[v] - 2 * self._depth[a]
-
-    def euler_rank(self, v: int) -> int:
-        self._check_label(v)
-        return self._first_visit[v]
+        """Edges on the u-v path.  O(n) per call; bulk callers use ``distances``."""
+        return self.steiner((u, v))
 
     def steiner(self, vertices: Iterable[int]) -> int:
-        distinct = sorted(set(vertices), key=lambda v: self._first_visit[v])
+        """Steiner distance of a vertex set: the number of edges whose far side
+        holds some, but not all, of the set.  O(n) per call."""
+        distinct = set(vertices)
         if not distinct:
             raise EmptySet("Steiner distance of the empty set is undefined")
+        indicator = [0] * self.n
         for v in distinct:
             self._check_label(v)
+            indicator[v - 1] = 1
         r = len(distinct)
-        if r == 1:
-            return 0
-        total = 0
-        for i in range(r):
-            total += self.distance(distinct[i], distinct[(i + 1) % r])
-        return total // 2
+        return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
+
+    def distances(self) -> np.ndarray:
+        """The n×n distance matrix D = Sᵀ(1-S) + (1-S)ᵀS as int64.
+
+        S is the (n-1)×n matrix of far-side indicators, so entry (u, v) counts
+        the edges with exactly one of u, v on the far side.
+        """
+        n = self.n
+        sides = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
+                         dtype=np.int64).reshape(n - 1, n)
+        return sides.T @ (1 - sides) + (1 - sides).T @ sides
 
     # -- edge cuts ---------------------------------------------------------------
 

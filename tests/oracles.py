@@ -1,11 +1,14 @@
 """Slow second routes that check the fast ones in ``src``.
 
-Each oracle derives its object from per-multiset ``Tree.steiner`` queries (or,
-for linear systems, plain Gaussian elimination or mpmath's QR solver at the
-working precision), sharing nothing with the edge-cut closed forms or the
-float64 solves it checks.  Polynomial and matrix products are redone
-on plain ``{exponent tuple: Fraction}`` dicts and Fraction sums, with none of
-the integer fast paths of ``SparsePoly`` and ``RatMatrix``.
+Each oracle derives its object from per-multiset queries to
+``steiner_distance_bruteforce`` (the smallest connected vertex set holding
+the multiset, so trees of n <= 12 vertices), or, for linear systems, from
+plain Gaussian elimination or mpmath's QR solver at the working precision.
+None shares the edge cuts behind ``Tree.steiner``, ``Tree.distances`` and
+the closed forms, or the float64 solves it checks.  Polynomial and matrix
+products are redone on plain ``{exponent tuple: Fraction}`` dicts and
+Fraction sums, with none of the integer fast paths of ``SparsePoly`` and
+``RatMatrix``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import Hypermatrix, RatMatrix, Tree
+from steinerdh import (Hypermatrix, RatMatrix, Tree,
+                       steiner_distance_bruteforce)
 
 
 def _weight(counts: Counter) -> int:
@@ -59,7 +63,7 @@ def multiset_gradient(t: Tree, k: int, point: Sequence) -> list:
     for z in range(1, t.n + 1):
         acc = one * 0
         for mu, weight, term in terms:
-            dist = t.steiner(mu | {z})
+            dist = steiner_distance_bruteforce(t, mu | {z})
             if dist:
                 acc = acc + weight * dist * term
         grad.append(k * acc)
@@ -76,7 +80,7 @@ def multiset_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
         for r in range(1, n + 1):
             acc = mpmath.mpc(0)
             for mu, weight, term in terms:
-                acc += weight * t.steiner(mu | {z, r}) * term
+                acc += weight * steiner_distance_bruteforce(t, mu | {z, r}) * term
             hess[z - 1][r - 1] = k * (k - 1) * acc
     return hess
 
@@ -112,7 +116,7 @@ def multiset_hypermatrix(t: Tree, k: int) -> Hypermatrix:
     """One Steiner query per index multiset, copied to all its permutations."""
     arr = np.zeros((t.n,) * k, dtype=np.int64)
     for combo in combinations_with_replacement(range(1, t.n + 1), k):
-        value = t.steiner(combo)
+        value = steiner_distance_bruteforce(t, combo)
         for perm in set(permutations(v - 1 for v in combo)):
             arr[perm] = value
     return Hypermatrix(k, t.n, arr)

@@ -21,7 +21,7 @@ import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import mpmath
@@ -217,11 +217,21 @@ def test_criterion_07_small_hyperdeterminants():
 
 
 def test_criterion_08_oracle_equivalence():
-    with criterion(8, "50 random trees n <= 9: fast Steiner distance == "
-                      "brute force on all <=4-vertex sets; triple identity"):
+    with criterion(8, "50 random trees n <= 9: Tree.steiner on all <=4-vertex "
+                      "sets, Tree.distances, distance_matrix and order-3 "
+                      "build_steiner entries == connected-subset brute force; "
+                      "triple identity"):
         for i in range(50):
             n = 2 + i % 8
             t = sd.random_tree(n, 80_000 + i)
+            d, dm = t.distances(), sd.distance_matrix(t)
+            for a, b in product(range(n), repeat=2):
+                want = sd.steiner_distance_bruteforce(t, (a + 1, b + 1))
+                assert d[a, b] == dm[a, b] == want, (i, a, b)
+            h = sd.build_steiner(t, 3)
+            for idx in product(range(n), repeat=3):
+                want = sd.steiner_distance_bruteforce(t, [v + 1 for v in idx])
+                assert h.entries[idx] == want, (i, idx)
             for size in (1, 2, 3, 4):
                 if size > n:
                     continue

@@ -31,6 +31,8 @@ def test_gen_deterministic(tmp_path, capsys):
     assert main(["gen", "--n", "8", "--seed", "42", "--out", str(a)]) == EXIT_OK
     assert main(["gen", "--n", "8", "--seed", "42", "--out", str(b)]) == EXIT_OK
     assert a.read_text() == b.read_text()
+    code, out = run(capsys, ["gen", "--n", "8", "--seed", "42"])
+    assert code == EXIT_OK and out == a.read_text()
     code, out = run(capsys, ["gen", "--n", "1"])
     assert code == EXIT_OK and out == "1\n"
 
@@ -50,6 +52,14 @@ def test_hypermatrix_json_and_text(tree_file, tmp_path, capsys):
                              "--format", "text"])
     assert code == EXIT_OK
     assert out.splitlines()[0] == "2 3"
+    for fmt in ("json", "text"):
+        dest = tmp_path / f"h.{fmt}"
+        argv = ["hypermatrix", "--tree", p3, "--k", "3", "--format", fmt]
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        assert main(argv + ["--out", str(dest)]) == EXIT_OK
+        assert dest.read_bytes() == out.encode()
+        assert capsys.readouterr().out == ""
 
 
 def test_hypermatrix_budget_exit(tree_file, monkeypatch):

@@ -172,11 +172,9 @@ def test_division():
 
 def test_cfloat_basics():
     a = CFloat(1.5, -2)
-    b = CFloat(0.25, 1)
-    s = a + b
-    assert float(s.real) == 1.75 and float(s.imag) == -1
-    q = a / b
-    assert abs((q * b - a).abs_value()) < mpmath.mpf(2) ** -100
+    assert float(a.real) == 1.5 and float(a.imag) == -2 and a.prec == 128
+    assert CFloat.from_mpc(a.to_mpc()) == a
+    assert a.abs_value() == abs(a) == mpmath.mpf("2.5")
     with pytest.raises(ValueError):
         CFloat(float("inf"), 0)
     with pytest.raises(ValueError):

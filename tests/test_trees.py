@@ -68,6 +68,12 @@ def test_pairwise_distance_examples(path3, star4):
     assert star4.distance(2, 3) == 2
     with pytest.raises(ValueError):
         path3.distance(0, 1)
+    with pytest.raises(ValueError):
+        path3.distance(1, 4)
+    assert Tree(1, []).distances().tolist() == [[0]]
+    assert path_tree(2).distances().tolist() == [[0, 1], [1, 0]]
+    assert star4.distances().tolist() == [[0, 1, 1, 1], [1, 0, 2, 2],
+                                          [1, 2, 0, 2], [1, 2, 2, 0]]
 
 
 def test_steiner_examples(path3, star4):
@@ -104,9 +110,12 @@ def test_steiner_matches_bruteforce_small_sets():
 
 def test_steiner_pairs_equal_pairwise():
     for t in tree_corpus(8, 3, 8):
+        d = t.distances()
+        assert d.shape == (t.n, t.n)
         for u in range(1, t.n + 1):
             for v in range(1, t.n + 1):
-                assert t.steiner([u, v]) == t.distance(u, v)
+                assert t.steiner([u, v]) == t.distance(u, v) == d[u - 1, v - 1] == \
+                    steiner_distance_bruteforce(t, [u, v])
 
 
 def test_triple_identity():
@@ -129,15 +138,16 @@ def test_far_sums_are_edge_cuts():
             assert (min(c, p), max(c, p)) in t.edges
             assert t.order.index(p) < t.order.index(c)
             # the far side of edge (c, p) is every vertex closer to c than to p
-            assert [bool(x) for x in side] == [t.distance(w, c) < t.distance(w, p)
-                                               for w in range(1, n + 1)]
+            assert [bool(x) for x in side] == [
+                steiner_distance_bruteforce(t, (w, c)) < steiner_distance_bruteforce(t, (w, p))
+                for w in range(1, n + 1)]
         assert t.far_sums(list(range(1, n + 1))) == [
             sum(w for w in range(1, n + 1) if side[w - 1]) for side in sides]
         # the edge-cut identity: a set's Steiner distance counts the edges it straddles
         for size in (1, 2, 3):
             for S in combinations(range(1, n + 1), size):
                 cut = sum(1 for side in sides if 0 < sum(side[v - 1] for v in S) < size)
-                assert t.steiner(S) == cut
+                assert steiner_distance_bruteforce(t, S) == cut
 
 
 @settings(max_examples=50, deadline=None)
