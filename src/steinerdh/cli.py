@@ -72,6 +72,11 @@ def _emit(args, obj) -> None:
     _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _check_order(k: int) -> None:
+    if k < 2:
+        raise _UsageError("--k must be >= 2")
+
+
 def _load_tree(path: str) -> Tree:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_tree(fh.read())
@@ -91,6 +96,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hypermatrix(args) -> int:
+    _check_order(args.k)
     t = _load_tree(args.tree)
     h = build_steiner(t, args.k)
     doc = export_json(h) if args.format == "json" else export_text(h)
@@ -101,8 +107,7 @@ def cmd_hypermatrix(args) -> int:
 
 def certify_case(t: Tree, k: int) -> tuple[dict, int]:
     """Certificate report and exit code for one (tree, order) pair."""
-    if k < 2:
-        raise _UsageError("--k must be >= 2")
+    _check_order(k)
     n = t.n
     if k == 2:
         if n == 1:
@@ -195,6 +200,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_order(args.k)
     t = _load_tree(args.tree)
     if args.restarts < 0:
         raise _UsageError("--restarts must be >= 0")
@@ -226,12 +232,14 @@ def cmd_campaign(args) -> int:
     ks = [int(x) for x in args.k.split(",") if x.strip()]
     if not ks:
         raise _UsageError("--k needs at least one order")
-    if any(k < 2 for k in ks):
-        raise _UsageError("orders must be >= 2")
+    for k in ks:
+        _check_order(k)
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= n-min <= n-max")
     if args.trees_per_n < 1:
         raise _UsageError("--trees-per-n must be >= 1")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
 
     cases = []

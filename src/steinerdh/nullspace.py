@@ -115,16 +115,13 @@ def verify_form_nullvector(h: Hypermatrix, point: Sequence) -> NullvectorReport:
     return _report(h.k, coords, gradient, tree=None)
 
 
-def _report(k: int, coords: list[CycNum], gradient: list, tree) -> NullvectorReport:
-    grad = []
-    for g in gradient:
-        grad.append(g if isinstance(g, CycNum) else CycNum.from_rational(g, coords[0].m))
-    exact = all(g.is_zero() for g in grad)
+def _report(k: int, coords: list[CycNum], gradient: list[CycNum], tree) -> NullvectorReport:
+    exact = all(g.is_zero() for g in gradient)
     if exact:
         residual = 0.0
     else:
-        residual = max(float(g.embed().abs_value()) for g in grad)
-    return NullvectorReport(k=k, point=tuple(coords), gradient=tuple(grad),
+        residual = max(float(g.embed().abs_value()) for g in gradient)
+    return NullvectorReport(k=k, point=tuple(coords), gradient=tuple(gradient),
                             exact_zero=exact, embedded_residual=residual, tree=tree)
 
 

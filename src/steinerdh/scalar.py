@@ -6,6 +6,15 @@ stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th
 cyclotomic polynomial, so equality and ``is_zero`` are exact field-element
 tests.  ``CFloat`` is a finite complex number with an mpmath mantissa of at
 least 64 bits (default 128), used only on the numeric side of the package.
+
+Every coefficient list, however long, is folded into that basis through one
+integer table of zeta^j mod Phi_m (``_reduction_table``).  A list longer than
+the table first wraps exponent j onto j mod m, since zeta^m = 1.  Lifting to
+Q(zeta_M), m | M, and the Galois automorphisms zeta -> zeta^j (gcd(j, m) = 1)
+are re-indexings of the coefficients (c_i to index i*M/m, or to i*j mod m)
+followed by that fold.  The inverse of an irrational x is the product of its
+other conjugates divided by its norm N(x) = x * that product, a nonzero
+rational; a rational x is inverted as a Fraction.
 """
 
 from __future__ import annotations
@@ -118,11 +127,11 @@ def _reduce_coeffs(m: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     phi = euler_phi(m)
     table = _reduction_table(m)
     if len(coeffs) > len(table):
-        # degrees beyond the cached table: long-divide by Phi_m directly
-        phim = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        _, rem = _rpoly_divmod(list(coeffs), phim)
-        rem += [Fraction(0)] * (phi - len(rem))
-        return tuple(rem)
+        # zeta^m = 1: exponent j folds onto j mod m, which the table covers
+        wrapped = [Fraction(0)] * m
+        for j, c in enumerate(coeffs):
+            wrapped[j % m] += c
+        coeffs = wrapped
     out = list(coeffs[:phi]) + [Fraction(0)] * max(0, phi - len(coeffs))
     for j in range(phi, len(coeffs)):
         c = coeffs[j]
@@ -132,62 +141,6 @@ def _reduce_coeffs(m: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
                 if row[i]:
                     out[i] += c * row[i]
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# rational polynomial xgcd, for field inversion
-# ---------------------------------------------------------------------------
-
-def _rpoly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _rpoly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    return quot, _rpoly_trim(num[:dd])
-
-
-def _rpoly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g mod b and g the (nonzero, constant here) gcd."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [Fraction(1)], []
-    while _rpoly_trim(r1[:]):
-        q, r = _rpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _rpoly_trim(_poly_mul_frac(q, s1)) if s1 else []
-        s0, s1 = s1, _rpoly_sub(s0, prod)
-    return _rpoly_trim(r0), s0
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _rpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _rpoly_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +219,18 @@ class CycNum:
             raise ConductorMismatch(f"{self.m} does not divide {big_m}")
         if big_m == self.m:
             return self
-        step = big_m // self.m
-        acc = CycNum.zero(big_m)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + root_of_unity(big_m, j * step) * c
-        return acc
+        return self._substitute(big_m, big_m // self.m)
+
+    def _substitute(self, big_m: int, step: int) -> "CycNum":
+        """The image under zeta_m -> zeta_{big_m}^step: c_i moves to index i*step mod big_m."""
+        out = [Fraction(0)] * big_m
+        for i, c in enumerate(self.coeffs):
+            out[i * step % big_m] += c
+        return CycNum(big_m, out)
+
+    def _conjugate(self, j: int) -> "CycNum":
+        """The Galois automorphism zeta -> zeta^j of Q(zeta_m); j must be prime to m."""
+        return self._substitute(self.m, j)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -328,13 +287,14 @@ class CycNum:
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        a = _rpoly_trim([c for c in self.coeffs])
-        phim = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        g, s = _rpoly_xgcd(a, phim)
-        if len(g) != 1:
-            raise AssertionError("cyclotomic polynomial is irreducible; gcd must be constant")
-        inv = [c / g[0] for c in s]
-        return CycNum(self.m, inv)
+        if self.is_rational():
+            return CycNum.from_rational(1 / self.coeffs[0], self.m)
+        # the other conjugates multiply x up to its norm, a nonzero rational
+        cofactor = CycNum.one(self.m)
+        for j in range(2, self.m):
+            if math.gcd(j, self.m) == 1:
+                cofactor = cofactor * self._conjugate(j)
+        return cofactor * (1 / (self * cofactor).as_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)

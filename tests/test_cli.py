@@ -188,6 +188,22 @@ def test_campaign_usage_errors(tmp_path):
                  "--out-dir", str(tmp_path / "y")]) == EXIT_INPUT
 
 
+def test_order_and_jobs_usage_errors(tree_file, tmp_path, capsys):
+    path = tree_file(path_tree(3))
+    for argv in (["certify", "--tree", path, "--k", "1"],
+                 ["hypermatrix", "--tree", path, "--k", "1"],
+                 ["search", "--tree", path, "--k", "1"],
+                 ["search", "--tree", path, "--k", "0", "--restarts", "0"],
+                 ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
+                  "--out-dir", str(tmp_path / "c"), "--jobs", "-2"],
+                 ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
+                  "--out-dir", str(tmp_path / "c"), "--jobs", "0"]):
+        assert main(argv) == EXIT_INPUT, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:"), argv
+    assert not (tmp_path / "c").exists()
+
+
 def test_input_errors(tmp_path, capsys):
     assert main(["certify", "--tree", str(tmp_path / "missing.txt"),
                  "--k", "3"]) == EXIT_INPUT

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and the numeric embedding."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -79,7 +80,7 @@ def cyc_elements(m: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 2, 3, 4, 6, 8, 12]).flatmap(
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20]).flatmap(
     lambda m: st.tuples(cyc_elements(m), cyc_elements(m), cyc_elements(m))))
 def test_field_axioms(abc):
     a, b, c = abc
@@ -127,14 +128,63 @@ def test_equality_across_moduli():
     assert CycNum.from_rational(3, 4) != CycNum.from_rational(2, 6)
 
 
-def test_lift_preserves_value():
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 3, 6), (2, 4, 8), (3, 6, 12), (4, 12, 24), (5, 10, 20),
+                        (5, 15, 30), (6, 12, 36), (8, 16, 32)]).flatmap(
+    lambda ms: st.tuples(st.just(ms), cyc_elements(ms[0]), cyc_elements(ms[0]))))
+def test_lift_preserves_value(case):
     i = root_of_unity(4)
     lifted = i.lift(8)
     assert lifted == root_of_unity(8, 2)
     assert (lifted ** 2) == root_of_unity(8, 4)
-    x = CycNum(4, [Fraction(2, 3), Fraction(-1, 5)])
-    y = x.lift(12)
-    assert abs(x.embed().to_mpc() - y.embed().to_mpc()) < mpmath.mpf(2) ** -100
+    (m, a, b), x, y = case
+    assert x.lift(m) is x
+    for big in (a, b):
+        # zeta_m lands on zeta_big^(big/m); sums, products and values are kept
+        assert root_of_unity(m, 1).lift(big) == root_of_unity(big, big // m)
+        assert (x + y).lift(big) == x.lift(big) + y.lift(big)
+        assert (x * y).lift(big) == x.lift(big) * y.lift(big)
+        with mpmath.workprec(200):
+            gap = x.embed().to_mpc() - x.lift(big).embed().to_mpc()
+            assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + x.embed().abs_value())
+    assert x.lift(a).lift(b) == x.lift(b)
+
+
+def _units(m):
+    return [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 16, 20]).flatmap(
+    lambda m: st.tuples(cyc_elements(m), cyc_elements(m), small_rat)))
+def test_conjugation_is_the_galois_action(case):
+    x, y, q = case
+    m = x.m
+    for j in _units(m):
+        sx, sy = x._conjugate(j), y._conjugate(j)
+        assert (x + y)._conjugate(j) == sx + sy
+        assert (x * y)._conjugate(j) == sx * sy
+        assert CycNum.from_rational(q, m)._conjugate(j) == q
+        assert root_of_unity(m, 1)._conjugate(j) == root_of_unity(m, j)
+        for i in _units(m):
+            assert sx._conjugate(i) == x._conjugate(i * j % m)
+    assert x._conjugate(1) == x and x._conjugate(m + 1) == x
+    # the norm, the product of all conjugates, is rational
+    norm = CycNum.one(m)
+    for j in _units(m):
+        norm = norm * x._conjugate(j)
+    assert norm.is_rational() and norm.is_zero() == x.is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(small_rat, max_size=3 * m))))
+def test_long_coefficient_lists_reduce_by_powers_of_zeta(case):
+    m, coeffs = case
+    expected = CycNum.zero(m)
+    for j, c in enumerate(coeffs):
+        expected = expected + c * root_of_unity(m, j)
+    assert CycNum(m, coeffs) == expected
 
 
 def test_unify_conductor():
