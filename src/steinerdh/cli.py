@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -72,9 +73,11 @@ def _emit(args, obj) -> None:
     _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _check_order(k: int) -> None:
-    if k < 2:
-        raise _UsageError("--k must be >= 2")
+def _check_order(k) -> int:
+    """The order as an int >= 2; any other value is a usage error."""
+    if not str(k).strip().isdigit() or int(k) < 2:
+        raise _UsageError(f"--k must be an integer >= 2, got {k!r}")
+    return int(k)
 
 
 def _load_tree(path: str) -> Tree:
@@ -204,6 +207,8 @@ def cmd_search(args) -> int:
     t = _load_tree(args.tree)
     if args.restarts < 0:
         raise _UsageError("--restarts must be >= 0")
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     candidates = numeric_search(t, args.k, args.seed, args.restarts, tol=args.tol)
     report = {
         "schema": SCHEMA, "n": t.n, "k": args.k, "seed": args.seed,
@@ -229,11 +234,9 @@ def _run_campaign_case(desc: tuple) -> dict:
 
 
 def cmd_campaign(args) -> int:
-    ks = [int(x) for x in args.k.split(",") if x.strip()]
+    ks = [_check_order(x) for x in args.k.split(",") if x.strip()]
     if not ks:
         raise _UsageError("--k needs at least one order")
-    for k in ks:
-        _check_order(k)
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= n-min <= n-max")
     if args.trees_per_n < 1:

@@ -8,9 +8,10 @@ closed form
     p(x) = sum_e ( s^k - a_e^k - b_e^k ),
 
 with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
-(``Tree.far_sums``).  Gradients take O(n) powers from it and Hessians one
-n x n block update per edge, never touching the n^k expansion; that is what
-makes exact high-order certificates cheap.
+(``Tree.far_sums``).  Gradients take O(n) powers from it and Hessians two
+products with the side matrix S (``Tree.sides``), never touching the n^k
+expansion; that is what makes exact high-order certificates cheap.  At
+k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 Polynomials are keyed by exponent vectors and store an integral coefficient
 as an ``int`` and any other as a ``Fraction``, so integer forms multiply at
@@ -201,22 +202,6 @@ class SparsePoly:
                 terms[tuple(new)] = c * e
         return SparsePoly._ring(self.n, terms)
 
-    def substitute(self, r: int, value: "SparsePoly") -> "SparsePoly":
-        """Replace x_r by another polynomial."""
-        if not (1 <= r <= self.n):
-            raise ValueError(f"variable index {r} outside 1..{self.n}")
-        i = r - 1
-        out = SparsePoly.zero(self.n)
-        powers: dict[int, SparsePoly] = {0: SparsePoly.constant(self.n, 1)}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e not in powers:
-                powers[e] = value ** e
-            base = list(exp)
-            base[i] = 0
-            out = out + SparsePoly(self.n, {tuple(base): c}) * powers[e]
-        return out
-
     # -- evaluation ------------------------------------------------------------------
 
     def evaluate(self, point: Sequence):
@@ -240,21 +225,6 @@ class SparsePoly:
                 if e:
                     term = pows[i][e] * term
             acc = acc + term
-        return acc
-
-    def evaluate_numeric(self, point: Sequence, prec: int = CFloat.DEFAULT_PREC):
-        """Value at an mpmath complex point, as mpmath.mpc."""
-        if len(point) != self.n:
-            raise ValueError(f"point length {len(point)} != {self.n} variables")
-        with mpmath.workprec(prec):
-            coords = [_to_mpc(x) for x in point]
-            acc = mpmath.mpc(0)
-            for exp, c in self.terms.items():
-                term = mpmath.mpf(c.numerator) / c.denominator
-                for i, e in enumerate(exp):
-                    if e:
-                        term *= coords[i] ** e
-                acc += term
         return acc
 
     # -- serialization -------------------------------------------------------------------
@@ -465,8 +435,9 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
 def hessian_direct(t: Tree, k: int, point: Sequence):
     """Second partials of the order-k Steiner form at a numeric point.
 
-    D_q D_r p = k(k-1) * sum_e (s^(k-2) - [q, r on one side of e] * side^(k-2)),
-    side being the x-sum on the side of e that holds both q and r.
+    D_q D_r (s^k - a^k - b^k) keeps a side's power only where q and r are
+    both on that side, so with S = ``t.sides()`` and far sums a = S x,
+    H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)].
 
     The number type follows the point: a complex128 numpy array gives a
     complex128 n x n array, any other numeric point n lists of mpmath
@@ -478,12 +449,13 @@ def hessian_direct(t: Tree, k: int, point: Sequence):
     if k < 2:
         raise ValueError("order must be >= 2")
     native = isinstance(point, np.ndarray) and point.dtype == np.complex128
-    coords = list(point) if native else [_to_mpc(x) for x in point]
-    s = sum(coords)
-    acc = np.full((n, n), (n - 1) * s ** (k - 2), dtype=complex if native else object)
-    for a, far in zip(t.far_sums(coords), t.far_sums(np.eye(n, dtype=bool))):
-        for side, total in ((far, a), (~far, s - a)):
-            acc[np.ix_(side, side)] -= total ** (k - 2)
+    x = point if native else np.array([_to_mpc(v) for v in point], dtype=object)
+    far = t.sides()
+    near = 1 - far
+    s = x.sum()
+    a = far @ x
+    acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
+        - (near.T * (s - a) ** (k - 2)) @ near
     acc *= k * (k - 1)
     return acc if native else acc.tolist()
 

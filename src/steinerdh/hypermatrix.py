@@ -5,10 +5,10 @@ A multiset's Steiner distance is the number of edges it straddles, so
 
     entries = (n-1) - sum_e (1_A^{(x)k} + 1_B^{(x)k})
 
-over the two sides A, B of every edge (``Tree.far_sums``).  The sum is one
-``np.einsum`` over the stacked side indicators, written straight into the
-output array, so no second n^k array is ever allocated.  The result is
-super-symmetric by construction.
+over the two sides A, B of every edge (the rows of ``Tree.sides`` and their
+complements).  The sum is one ``np.einsum`` over the stacked side
+indicators, written straight into the output array, so no second n^k array
+is ever allocated.  The result is super-symmetric by construction.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def build_steiner(t: Tree, k: int, budget: int | None = None) -> Hypermatrix:
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     arr = np.zeros((n,) * k, dtype=np.int64)
     if n > 1:
-        far = np.array(t.far_sums(np.eye(n, dtype=np.int64)))
+        far = t.sides()
         sides = np.concatenate([far, 1 - far])
         # entry (i1..ik) counts the sides holding all of i1..ik
         operands = []

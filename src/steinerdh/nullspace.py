@@ -14,8 +14,9 @@ families the package ships:
   solving one quadratic.
 
 For order 3 the nullvariety is cut out by s = sum x_r and the distance
-quadratic g, so membership reduces to two exact evaluations; the package
-checks that this always agrees with gradient vanishing.
+quadratic g = 3 sum_e a_e (s - a_e), a_e the far-side sums (``Tree.far_sums``).
+On s = 0, g = -3 sum_e a_e^2, so membership and the completion quadratic
+take O(n) field products; the tests check both against the expanded g.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system
 over the reals with a unit-norm row appended, from seeded Philox restarts.
@@ -36,8 +37,7 @@ import numpy as np
 
 from .errors import (EvenOrder, NotDegenerateZeroed, OrderTooLow, TooSmall,
                      ZeroVector)
-from .forms import (distance_quadratic, gradient_direct, hessian_direct,
-                    s_form, steiner_form)
+from .forms import gradient_direct, hessian_direct, steiner_form
 from .hypermatrix import Hypermatrix, has_nonzero_degenerate
 from .scalar import CFloat, CycNum, root_of_unity, unify_conductor
 from .trees import Tree, format_tree
@@ -142,13 +142,14 @@ def degenerate_nullvector(h: Hypermatrix) -> list[CycNum]:
 
 
 def membership_sg(t: Tree, point: Sequence) -> bool:
-    """Order-3 nullvariety membership: s and g both vanish exactly."""
+    """Order-3 nullvariety membership: s = 0, then g = -3 sum_e a_e^2 = 0."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    coords, _ = unify_conductor(list(point))
-    if not s_form(t.n).evaluate(coords).is_zero():
+    coords, m = unify_conductor(list(point))
+    zero = CycNum.zero(m)
+    if not sum(coords, zero).is_zero():
         return False
-    return distance_quadratic(t).evaluate(coords).is_zero()
+    return sum((a * a for a in t.far_sums(coords)), zero).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +182,19 @@ def completion_quadratic(t: Tree, tail: Sequence) -> tuple[CycNum, CycNum, CycNu
     coordinate when coordinates 3..n are fixed to ``tail`` and the second is
     -a1 - sum(tail).
 
-    Derived by substituting into g = 0:
-        A = d(1,2)
-        B = sum_{j>=3} (d(1,2) - d(1,j) + d(2,j)) a_j
-        C = sigma * sum_{j>=3} d(2,j) a_j  -  sum_{3<=j<k} d(j,k) a_j a_k
-    with sigma = sum(tail).
+    The point (a1, -a1 - sigma, tail), sigma = sum(tail), has s = 0, so
+    g = -3 sum_e a_e^2 over its far-side sums a_e = alpha_e + a1 beta_e,
+    alpha the far sums of (0, -sigma, tail) and beta those of
+    (1, -1, 0, ..., 0).  Hence -g/3 = A a1^2 + B a1 + C with
+        A = sum_e beta_e^2 = d(1,2),  B = 2 sum_e alpha_e beta_e,
+        C = sum_e alpha_e^2,
+    O(n) field products.  Also returns the tail lifted to Q(zeta_m), and m.
     """
+    return _completion(t, tail)[:5]
+
+
+def _completion(t: Tree, tail: Sequence):
+    """``completion_quadratic``'s values, and sigma = sum(tail) in Q(zeta_m)."""
     n = t.n
     if n < 3:
         raise TooSmall("completion needs at least three vertices")
@@ -195,23 +203,14 @@ def completion_quadratic(t: Tree, tail: Sequence) -> tuple[CycNum, CycNum, CycNu
     lifted, m_tail = unify_conductor(list(tail))
     m = math.lcm(4, m_tail)
     a = [x.lift(m) for x in lifted]
-
-    sigma = CycNum.zero(m)
-    for x in a:
-        sigma = sigma + x
-    d = t.distances().tolist()
-    A = CycNum.from_rational(d[0][1], m)
-    B = CycNum.zero(m)
-    weighted2 = CycNum.zero(m)
-    for j in range(2, n):
-        aj = a[j - 2]
-        B = B + (d[0][1] - d[0][j] + d[1][j]) * aj
-        weighted2 = weighted2 + d[1][j] * aj
-    C = sigma * weighted2
-    for j in range(2, n):
-        for kk in range(j + 1, n):
-            C = C - d[j][kk] * (a[j - 2] * a[kk - 2])
-    return A, B, C, a, m
+    zero = CycNum.zero(m)
+    sigma = sum(a, zero)
+    alpha = t.far_sums([zero, -sigma, *a])
+    beta = t.far_sums([1, -1] + [0] * (n - 2))
+    A = CycNum.from_rational(sum(b * b for b in beta), m)
+    B = 2 * sum((b * x for b, x in zip(beta, alpha) if b), zero)
+    C = sum((x * x for x in alpha), zero)
+    return A, B, C, a, m, sigma
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -249,7 +248,7 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
     come back numeric, flagged ``exact=False``, together with the exact
     quadratic coefficients.
     """
-    A, B, C, a, m = completion_quadratic(t, tail)
+    A, B, C, a, m, sigma = _completion(t, tail)
     disc = B * B - 4 * (A * C)
 
     sqrt_disc = _field_sqrt(disc)
@@ -259,9 +258,6 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
         roots = [(-B + sqrt_disc) * inv2a]
         if not disc.is_zero():
             roots.append((-B - sqrt_disc) * inv2a)
-        sigma = CycNum.zero(m)
-        for x in a:
-            sigma = sigma + x
         for a1 in roots:
             a2 = -a1 - sigma
             point = tuple([a1, a2] + list(a))
@@ -275,19 +271,15 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
     # root escapes the field: fall back to 128-bit numerics
     prec = CFloat.DEFAULT_PREC
     with mpmath.workprec(prec):
-        av, bv, cv = (x.embed(prec).to_mpc() for x in (A, B, C))
+        av, bv, cv, sv = (x.embed(prec).to_mpc() for x in (A, B, C, sigma))
         tail_num = [x.embed(prec).to_mpc() for x in a]
-        sigma_num = mpmath.fsum([z.real for z in tail_num]) + 1j * mpmath.fsum(
-            [z.imag for z in tail_num])
         sq = mpmath.sqrt(bv * bv - 4 * av * cv)
-        s_poly = s_form(t.n)
-        g_poly = distance_quadratic(t)
         for sign in (1, -1):
             a1 = (-bv + sign * sq) / (2 * av)
-            a2 = -a1 - sigma_num
-            coords = [a1, a2] + tail_num
-            res = max(abs(s_poly.evaluate_numeric(coords, prec)),
-                      abs(g_poly.evaluate_numeric(coords, prec)))
+            coords = [a1, -a1 - sv] + tail_num
+            s = mpmath.fsum(coords)
+            g = 3 * mpmath.fsum(f * (s - f) for f in t.far_sums(coords))
+            res = max(abs(s), abs(g))
             point = tuple(CFloat.from_mpc(z, prec) for z in coords)
             candidates.append(CompletionCandidate(
                 point=point, exact=False, trivial=False,

@@ -12,8 +12,8 @@ The same value is the discriminant of det(A0 + t*A1) as a quadratic in t
 Also here: the two-vertex nondegeneracy check for arbitrary order k.  For the
 tree on two vertices the gradient system forces x2 = zeta*x1 with
 zeta^(k-1) = 1 and then (1 + zeta)^(k-1) = 1; scanning every (k-1)-th root of
-unity in Q(zeta_{k-1}) and refuting each equation exactly (plus the symbolic
-x1 = 0 branch) certifies that the form has no nonzero singular point, i.e.
+unity in Q(zeta_{k-1}) and refuting each equation exactly (plus the x1 = 0
+branch) certifies that the form has no nonzero singular point, i.e.
 its discriminant -- the symmetric hyperdeterminant -- is nonzero.  For k >= 4
 that says nothing about the full hyperdeterminant of the order-k tensor
 (Oeding, Hyperdeterminants of polynomials, Adv. Math. 2012); only k = 2 (the
@@ -28,10 +28,10 @@ from fractions import Fraction
 
 from .distmatrix import determinant_exact, distance_matrix
 from .errors import WrongShape
-from .forms import SparsePoly
+from .forms import SparsePoly, gradient_direct
 from .hypermatrix import Hypermatrix
 from .scalar import root_of_unity
-from .trees import Tree
+from .trees import Tree, path_tree
 
 
 def cayley_222(h: Hypermatrix) -> int:
@@ -67,25 +67,18 @@ def two_vertex_form(k: int) -> SparsePoly:
 def verify_k2_no_nullvector(k: int) -> bool:
     """Certify that the two-vertex order-k form has no nonzero singular point.
 
-    Checks (1 + zeta)^(k-1) != 1 exactly for every (k-1)-th root of unity and
-    that the x1 = 0 branch of the gradient system collapses symbolically to
-    the zero vector.  True certifies a nonzero symmetric hyperdeterminant
-    (the discriminant of the form); for k >= 4 it does not settle the full
-    hyperdeterminant of the tensor.  False exactly when 6 | k-1, where
-    two_vertex_nullvector_witness returns the singular point.
+    Checks (1 + zeta)^(k-1) != 1 exactly for every (k-1)-th root of unity.
+    In the x1 = 0 branch, D_1 p(0, x2) is homogeneous of degree k-1 in x2
+    alone, so it is D_1 p(0, 1) * x2^(k-1) = k x2^(k-1), zero only at x2 = 0
+    (and symmetrically for x2 = 0).  True certifies a nonzero symmetric
+    hyperdeterminant (the discriminant of the form); for k >= 4 it does not
+    settle the full hyperdeterminant of the tensor.  False exactly when
+    6 | k-1, where two_vertex_nullvector_witness returns the singular point.
     """
     if two_vertex_nullvector_witness(k) is not None:
         return False
-
-    # x1 = 0 branch: D_1 restricted to x1 = 0 must be k * x2^(k-1), whose only
-    # zero is x2 = 0 (and symmetrically for x2 = 0).
-    p = two_vertex_form(k)
-    zero = SparsePoly.zero(2)
-    d1_at = p.partial(1).substitute(1, zero)
-    d2_at = p.partial(2).substitute(2, zero)
-    expected1 = SparsePoly(2, {(0, k - 1): Fraction(k)})
-    expected2 = SparsePoly(2, {(k - 1, 0): Fraction(k)})
-    return d1_at == expected1 and d2_at == expected2
+    t = path_tree(2)
+    return gradient_direct(t, k, [0, 1]) == [k, 0] == gradient_direct(t, k, [1, 0])[::-1]
 
 
 def two_vertex_nullvector_witness(k: int):

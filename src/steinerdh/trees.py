@@ -10,8 +10,9 @@ separates it.  Every Steiner sum the package needs (hypermatrix entries,
 gradients, Hessians of the Steiner form) therefore reduces to per-edge sums
 over the two sides of each edge; ``Tree.far_sums`` computes them in one
 children-first pass over the BFS order from vertex 1.  Single queries
-(``Tree.steiner``, ``Tree.distance``) and the pairwise distance matrix
-(``Tree.distances``) count edge cuts the same way.
+(``Tree.steiner``, ``Tree.distance``) count edge cuts the same way, and
+``Tree.sides`` stacks the side indicators into the matrix S behind the
+pairwise distances (``Tree.distances``), the hypermatrix and the Hessian.
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.
@@ -111,14 +112,11 @@ class Tree:
         return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
 
     def distances(self) -> np.ndarray:
-        """The n×n distance matrix D = Sᵀ(1-S) + (1-S)ᵀS as int64.
+        """The n×n distance matrix D = Sᵀ(1-S) + (1-S)ᵀS as int64, S = ``sides()``.
 
-        S is the (n-1)×n matrix of far-side indicators, so entry (u, v) counts
-        the edges with exactly one of u, v on the far side.
+        Entry (u, v) counts the edges with exactly one of u, v on the far side.
         """
-        n = self.n
-        sides = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
-                         dtype=np.int64).reshape(n - 1, n)
+        sides = self.sides()
         return sides.T @ (1 - sides) + (1 - sides).T @ sides
 
     # -- edge cuts ---------------------------------------------------------------
@@ -137,6 +135,13 @@ class Tree:
             p = self.parent[v]
             below[p] = below[p] + below[v]
         return [below[v] for v in self.order[1:]]
+
+    def sides(self) -> np.ndarray:
+        """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
+        order: S @ x is ``far_sums(x)``, and 1 - S holds the near sides."""
+        n = self.n
+        return np.array(self.far_sums(np.eye(n, dtype=np.int64)),
+                        dtype=np.int64).reshape(n - 1, n)
 
     # -- brute-force support ----------------------------------------------------
 

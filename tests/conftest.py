@@ -1,10 +1,30 @@
-"""Shared fixtures: small named trees and seeded random corpora."""
+"""Shared fixtures: small named trees, seeded random corpora, and the
+deterministic Hypothesis profile."""
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from steinerdh import Tree, path_tree, prufer_decode, random_tree, star_tree
+
+# Property tests draw the same examples on every machine and keep no example
+# database on disk; each test's own max_examples still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Hypothesis also caches the constants it reads from source files while
+    pytest collects; keep that cache in a temporary directory removed at exit,
+    not in .hypothesis/."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

@@ -9,6 +9,12 @@ the closed forms, or the float64 solves it checks.  Polynomial and matrix
 products are redone on plain ``{exponent tuple: Fraction}`` dicts and
 Fraction sums, with none of the integer fast paths of ``SparsePoly`` and
 ``RatMatrix``.
+
+Two polynomial routes live here because only tests need them:
+``substitute`` (replace one variable by a polynomial) and
+``evaluate_numeric`` (a form's value at an mpmath point, term by term).
+They check the completion quadratic, the x1 = 0 branch of the two-vertex
+scan and the numeric gradient and Hessian against the expanded form.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (Hypermatrix, RatMatrix, Tree,
+from steinerdh import (CFloat, Hypermatrix, RatMatrix, SparsePoly, Tree,
                        steiner_distance_bruteforce)
 
 
@@ -207,6 +213,30 @@ def fraction_remainder(p: Terms, s: Terms, n: int) -> Terms:
         rest = e[:r] + (0,) + e[r + 1:]
         out = fraction_add(out, fraction_mul({rest: c}, fraction_pow(root, n, e[r])))
     return out
+
+
+def substitute(p: SparsePoly, r: int, value: SparsePoly) -> SparsePoly:
+    """p with x_r (1-based) replaced by another polynomial."""
+    out = SparsePoly.zero(p.n)
+    for exp, c in p.terms.items():
+        rest = exp[:r - 1] + (0,) + exp[r:]
+        out = out + SparsePoly(p.n, {rest: c}) * value ** exp[r - 1]
+    return out
+
+
+def evaluate_numeric(p: SparsePoly, point: Sequence, prec: int = 128):
+    """p at a point of mpmath-convertible or CFloat coordinates, as mpmath.mpc,
+    summed term by term at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        coords = [x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
+                  for x in point]
+        acc = mpmath.mpc(0)
+        for exp, c in p.terms.items():
+            term = mpmath.mpf(c.numerator) / c.denominator
+            for x, e in zip(coords, exp):
+                term *= x ** e
+            acc += term
+    return acc
 
 
 def fraction_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:

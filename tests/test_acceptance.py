@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import steinerdh as sd
+from oracles import evaluate_numeric
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -162,8 +163,8 @@ def test_criterion_06_completion():
                     with mpmath.workprec(128):
                         coords = [p.to_mpc() for p in c.point]
                         res = max(
-                            abs(sd.s_form(n).evaluate_numeric(coords)),
-                            abs(sd.distance_quadratic(t).evaluate_numeric(coords)))
+                            abs(evaluate_numeric(sd.s_form(n), coords)),
+                            abs(evaluate_numeric(sd.distance_quadratic(t), coords)))
                         assert float(res) <= 1e-20, (i, float(res))
                     passing += 1
                     numeric_seen += 1

@@ -204,6 +204,30 @@ def test_order_and_jobs_usage_errors(tree_file, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def _assert_usage_error(capsys, argv):
+    assert main(argv) == EXIT_INPUT, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:"), argv
+
+
+def test_search_tol_usage_errors(tree_file, capsys):
+    # a tolerance that is not finite or is negative is refused before any work
+    path = tree_file(path_tree(3))
+    search = ["search", "--tree", path, "--k", "3", "--restarts", "1", "--tol"]
+    for tol in ("nan", "inf", "-inf", "-1", "-1e-300"):
+        _assert_usage_error(capsys, search + [tol])
+    code, out = run(capsys, search + ["0"])
+    assert code == EXIT_OK and json.loads(out)["tol"] == 0.0
+
+
+def test_campaign_order_list_usage_errors(tmp_path, capsys):
+    campaign = ["campaign", "--n-min", "3", "--n-max", "3",
+                "--out-dir", str(tmp_path / "c"), "--k"]
+    for orders in ("3,x", "3.5", "x", "3,1"):
+        _assert_usage_error(capsys, campaign + [orders])
+    assert not (tmp_path / "c").exists()
+
+
 def test_input_errors(tmp_path, capsys):
     assert main(["certify", "--tree", str(tmp_path / "missing.txt"),
                  "--k", "3"]) == EXIT_INPUT

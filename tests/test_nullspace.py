@@ -1,5 +1,6 @@
 """Nullvector certificates: canonical, degenerate, completion, membership, search."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -12,12 +13,12 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        completion_quadratic, degenerate_nullvector,
                        distance_quadratic, enumerate_trees, gradient_direct,
                        hessian_direct, membership_sg, numeric_search,
-                       path_tree, random_tree, root_of_unity, star_tree,
+                       path_tree, random_tree, root_of_unity, s_form, star_tree,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh.nullspace import _gauss_newton_step
 from conftest import tree_corpus
-from oracles import qr_gauss_newton_step
+from oracles import qr_gauss_newton_step, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,33 @@ def test_membership_equivalence_random_points():
     assert checked >= 30
 
 
+def test_membership_matches_exact_s_and_g():
+    # membership_sg reads g = -3 sum_e a_e^2 off the far-side sums; the oracle
+    # evaluates s and g = 3 sum_{i<j} d(i,j) x_i x_j exactly, on nullvectors,
+    # s = 0 points off g = 0, and g = 0 points off s = 0 (the unit vector e_1)
+    members = s_zero_outsiders = 0
+    for idx, t in enumerate(tree_corpus(15, 3, 8, seed0=70)):
+        n = t.n
+        y = canonical_odd_nullvector(t, 3)
+        shifted = [y[0] + Fraction(1, 2), y[1] - Fraction(1, 2)] + y[2:]
+        raw = [Fraction((idx + 3 * j) % 9 - 4, 1 + j % 3) for j in range(n)]
+        balanced = raw[:-1] + [-sum(raw[:-1], Fraction(0))]
+        unit = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        points = [y, [Fraction(-5, 3) * x for x in y], [y[0] + 1] + y[1:],
+                  shifted, raw, balanced, unit]
+        tail = _mixed_tail(n - 2, (1, 3, 4, 5, 8)[idx % 5], idx)
+        points += [list(c.point) for c in complete_nullvector(t, tail)
+                   if c.exact and not c.trivial]
+        s, g = s_form(n), distance_quadratic(t)
+        for point in points:
+            s_zero = s.evaluate(point) == 0
+            want = s_zero and g.evaluate(point) == 0
+            assert membership_sg(t, point) == want, (t, point)
+            members += want
+            s_zero_outsiders += s_zero and not want
+    assert members >= 30 and s_zero_outsiders >= 15
+
+
 def test_zero_sum_of_exact_nullvectors():
     for t in tree_corpus(6, 3, 6, seed0=41):
         y = canonical_odd_nullvector(t, 3)
@@ -202,29 +230,36 @@ def test_completion_star_tail_needs_numeric(star4):
     assert A == 1 and B.is_zero() and C == 2
 
 
+def _mixed_tail(count: int, m: int, shift: int) -> list:
+    """Rational entries, plus root-of-unity parts in Q(zeta_m) when m > 1."""
+    tail = [Fraction((shift + j) % 7 - 3, 1 + (j % 3)) for j in range(count)]
+    if m > 1:
+        tail = [x + Fraction((shift + j) % 4 - 1) * root_of_unity(m, j + 1)
+                for j, x in enumerate(tail)]
+    return tail
+
+
 def test_completion_quadratic_matches_direct_substitution():
-    # independent oracle: substitute a2 = -a1 - sigma into g and read off the
-    # quadratic's coefficients symbolically
-    for t in tree_corpus(8, 3, 7, seed0=60):
-        n = t.n
-        tail = [Fraction(j - 2, 1 + (j % 3)) for j in range(n - 2)]
-        A, B, C, lifted, m = completion_quadratic(t, tail)
-        g = distance_quadratic(t)
-        # build g(a1, -a1 - sigma, tail) as a univariate polynomial in a1
-        sigma = sum(tail, Fraction(0))
-        minus = SparsePoly(n, {tuple(1 if i == 0 else 0 for i in range(n)): -1,
-                               tuple([0] * n): -sigma})
-        sub = g.substitute(2, minus)
-        collapsed = sub
-        for j in range(3, n + 1):
-            collapsed = collapsed.substitute(j, SparsePoly.constant(n, tail[j - 3]))
-        # -g matches A a1^2 + B a1 + C
-        e2 = tuple(2 if i == 0 else 0 for i in range(n))
+    # independent oracle: substitute a2 = -a1 - (x3 + ... + xn) into
+    # g = 3 sum_{i<j} d(i,j) x_i x_j, then evaluate each a1-coefficient, a
+    # polynomial in the tail, exactly at the tail (rational or cyclotomic)
+    for idx, t in enumerate(tree_corpus(40, 3, 10, seed0=60)):
+        n, m = t.n, (1, 3, 4, 5, 8)[idx % 5]
+        tail = _mixed_tail(n - 2, m, idx)
+        A, B, C, lifted, field = completion_quadratic(t, tail)
+        assert field == math.lcm(4, m)
         e1 = tuple(1 if i == 0 else 0 for i in range(n))
-        e0 = tuple([0] * n)
-        assert A == -collapsed.coefficient(e2) / 3
-        assert B == -collapsed.coefficient(e1) / 3
-        assert C == -collapsed.coefficient(e0) / 3
+        minus = SparsePoly(n, {e1: -1})
+        for j in range(3, n + 1):
+            minus = minus - SparsePoly.variable(n, j)
+        layers: dict[int, dict] = {}
+        for exp, c in substitute(distance_quadratic(t), 2, minus).terms.items():
+            layers.setdefault(exp[0], {})[(0,) + exp[1:]] = c
+        point = [0, 0] + lifted
+        # -g/3 = A a1^2 + B a1 + C
+        for power, coeff in ((2, A), (1, B), (0, C)):
+            assert -3 * coeff == SparsePoly(n, layers.get(power, {})).evaluate(point), \
+                (idx, t, tail, power)
 
 
 def test_completion_totality_random_rational_tails():

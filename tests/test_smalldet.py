@@ -10,7 +10,8 @@ from steinerdh import (Hypermatrix, WrongShape, build_steiner, cayley_222,
                        random_tree, two_vertex_form,
                        two_vertex_nullvector_witness, verify_k2_no_nullvector,
                        verify_nullvector, zero_degenerate)
-from steinerdh.forms import steiner_form
+from steinerdh.forms import SparsePoly, steiner_form
+from oracles import substitute
 
 
 def slice_discriminant(h: Hypermatrix) -> int:
@@ -73,6 +74,16 @@ def test_k2_scan_small_orders():
     assert verify_k2_no_nullvector(2)
     assert verify_k2_no_nullvector(3)
     assert verify_k2_no_nullvector(5)
+
+
+def test_k2_scan_zero_branch_matches_substitution():
+    # the scan reads D_1 p(0, x2) = k x2^(k-1) off the gradient at (0, 1) by
+    # homogeneity; substituting x1 = 0 into the expanded partials checks it
+    zero = SparsePoly.zero(2)
+    for k in range(2, 14):
+        p = two_vertex_form(k)
+        assert substitute(p.partial(1), 1, zero) == SparsePoly(2, {(0, k - 1): k})
+        assert substitute(p.partial(2), 2, zero) == SparsePoly(2, {(k - 1, 0): k})
 
 
 def test_k2_scan_is_false_exactly_at_k_1_mod_6():
