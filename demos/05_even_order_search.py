@@ -1,7 +1,7 @@
 """Numeric probing of even orders, where no vanishing certificate is known.
 
 Gauss-Newton on the gradient system from seeded random starts, constrained to
-the unit sphere: 128-bit points and residuals, float64 steps.  At odd orders
+the unit sphere: float64 iterates, 128-bit reported points and residuals.  At odd orders
 the residual collapses to the working precision (nullvectors exist); at even
 orders every restart stalls at a residual floor far above zero.  The floors are evidence only -- the search
 never claims exactness or nonexistence.
@@ -17,7 +17,7 @@ def floor_of(t, k):
 
 
 def main():
-    print(f"{RESTARTS} restarts each, 128-bit residuals, float64 steps\n")
+    print(f"{RESTARTS} restarts each, float64 iterates, 128-bit residuals\n")
     rows = [
         ("path on 3, k=3 (certified zero)", path_tree(3), 3),
         ("path on 3, k=2 (det = 4 != 0)", path_tree(3), 2),

@@ -220,6 +220,9 @@ def cmd_search(args) -> int:
         ],
     }
     _emit(args, report)
+    for cand in candidates:
+        _note(args, f"candidate: residual {cand.residual:.3e}, "
+                    f"{cand.iterations} iterations, stop {cand.stop}")
     _note(args, f"search: best residual "
                 f"{report['best_residual'] if candidates else 'n/a'}")
     return EXIT_OK

@@ -256,17 +256,16 @@ def _int_if_integral(c: Coefficient) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-def _to_mpc(x):
-    return x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-
-
 def _coerce_point(point: Sequence) -> tuple[list, object]:
     """A point's coordinates in one number type, and that type's 1.
 
     CycNum entries must share one modulus (ConductorMismatch otherwise) and
     pull ints and Fractions into their field; an all-rational point becomes
-    Fractions; any other point becomes mpmath complex numbers.
+    Fractions; a complex128 array becomes Python complex numbers; any other
+    point becomes mpmath complex numbers.
     """
+    if isinstance(point, np.ndarray) and point.dtype == np.complex128:
+        return point.tolist(), 1 + 0j
     cyc_m = None
     for x in point:
         if isinstance(x, CycNum):
@@ -279,7 +278,8 @@ def _coerce_point(point: Sequence) -> tuple[list, object]:
                  for x in point], CycNum.one(cyc_m))
     if all(isinstance(x, (int, Fraction)) for x in point):
         return [Fraction(x) for x in point], Fraction(1)
-    return [_to_mpc(x) for x in point], mpmath.mpc(1)
+    return ([x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
+             for x in point], mpmath.mpc(1))
 
 
 def _power_table(coords, top: int, one):
@@ -413,7 +413,8 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     D_c = D_parent - k * (a_c^(k-1) - (s - a_c)^(k-1)).
 
     Accepts CycNum (one shared modulus), Fraction/int, or mpmath complex
-    coordinates; the return list matches the coordinate type.
+    coordinates, or a complex128 array; the return list matches the
+    coordinate type (Python complex for the array).
     """
     n = t.n
     if len(point) != n:
@@ -432,32 +433,29 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     return grad[1:]
 
 
-def hessian_direct(t: Tree, k: int, point: Sequence):
-    """Second partials of the order-k Steiner form at a numeric point.
+def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
+    """Second partials of the order-k Steiner form, in complex128.
 
     D_q D_r (s^k - a^k - b^k) keeps a side's power only where q and r are
     both on that side, so with S = ``t.sides()`` and far sums a = S x,
     H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)].
 
-    The number type follows the point: a complex128 numpy array gives a
-    complex128 n x n array, any other numeric point n lists of mpmath
-    complex numbers at the working precision.
+    The point is read as a complex128 array and the n x n result is
+    complex128: the Hessian only ever feeds float64 Gauss-Newton solves.
     """
     n = t.n
     if len(point) != n:
         raise ValueError(f"point length {len(point)} != {n} vertices")
     if k < 2:
         raise ValueError("order must be >= 2")
-    native = isinstance(point, np.ndarray) and point.dtype == np.complex128
-    x = point if native else np.array([_to_mpc(v) for v in point], dtype=object)
+    x = np.asarray(point, dtype=np.complex128)
     far = t.sides()
     near = 1 - far
     s = x.sum()
     a = far @ x
     acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
         - (near.T * (s - a) ** (k - 2)) @ near
-    acc *= k * (k - 1)
-    return acc if native else acc.tolist()
+    return k * (k - 1) * acc
 
 
 # ---------------------------------------------------------------------------

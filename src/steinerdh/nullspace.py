@@ -19,10 +19,11 @@ On s = 0, g = -3 sum_e a_e^2, so membership and the completion quadratic
 take O(n) field products; the tests check both against the expanded g.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system
-over the reals with a unit-norm row appended, from seeded Philox restarts.
-Points and gradient residuals stay at the working precision (128 bits by
-default); each correction is a float64 minimum-norm least-squares solve
-against that residual.  It reports residuals only and never claims exactness.
+over the reals with a unit-norm row appended, from seeded Philox restarts:
+complex128 iterates and float64 steps, a working-precision (128-bit default)
+refinement only where float64 runs out of digits, and every reported point
+and residual evaluated at the working precision.  It reports residuals only
+and never claims exactness.
 """
 
 from __future__ import annotations
@@ -296,11 +297,12 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
 class SearchCandidate:
     """One restart's best point, its residual, and why the restart stopped.
 
-    ``iterations`` counts the Gauss-Newton steps taken.  ``stop`` is ``tol``
-    (residual below ``tol``), ``precision_floor`` (below the working
-    precision's floor, when that lies above ``tol``), ``stalled`` (no 10%
-    gain in 8 iterations, or a step below the floor), ``singular`` (the step
-    could not be solved) or ``max_iter``.
+    ``residual`` is the max gradient magnitude at ``point``, evaluated at the
+    search's working precision.  ``iterations`` counts the Gauss-Newton steps
+    of both phases.  ``stop`` is ``tol`` (residual below ``tol``),
+    ``precision_floor`` (below the working precision's floor, when that lies
+    above ``tol``), ``stalled`` (no 10% gain in 8 iterations, or a step below
+    the floor), ``singular`` (the step could not be solved) or ``max_iter``.
     """
 
     point: tuple[CFloat, ...]
@@ -314,14 +316,15 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
                    max_iter: int = 60) -> list[SearchCandidate]:
     """Gauss-Newton on the gradient system with a unit-norm constraint row.
 
-    Each restart draws its start from an independent Philox stream keyed by
-    (seed, restart index).  The iterate, the gradient residual and the
-    reported point are kept at ``prec`` bits; each correction is solved in
-    float64 against that residual (iterative refinement), so the residual
-    still falls to the ``prec``-bit floor.  Iteration stops once the residual
-    drops below ``tol`` (or the precision floor, or stalls).  Candidates come
-    back sorted by residual (max gradient magnitude at the unit-norm point);
-    no exactness is ever claimed.
+    Each restart starts from an independent Philox stream keyed by (seed,
+    restart index) and iterates on a complex128 point with floor
+    max(2^-40, tol).  Its best point is lifted to ``prec`` bits and
+    normalized there, and the residual reported is evaluated at ``prec``.
+    A restart whose float64 loop reached its floor goes on at ``prec`` bits
+    (floor max(2^(24-prec), tol), the steps left of ``max_iter``, float64
+    steps against ``prec``-bit residuals), so a float64 ``tol`` stop stands
+    only if the ``prec``-bit residual is below ``tol`` too.  Candidates come
+    back sorted by residual; no exactness is ever claimed.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
@@ -332,70 +335,70 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
         rng = np.random.Generator(np.random.Philox(key=key))
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         start /= np.linalg.norm(start)
+        x, _, steps, stop = _descend(t, k, start, max(2.0 ** -40, tol), tol, max_iter)
+        refine = stop in ("tol", "precision_floor", "step_floor")
         with mpmath.workprec(prec):
-            x = [mpmath.mpc(z.real, z.imag) for z in start]
-            best_res, best_x = mpmath.inf, x
-            floor = max(mpmath.mpf(2) ** (-prec + 24), mpmath.mpf(tol))
-            stalled = steps = 0
-            stop = "max_iter"
-            for _ in range(max_iter):
-                x = _normalized(x)
-                grads = gradient_direct(t, k, x)
-                res = max((abs(g) for g in grads), default=mpmath.mpf(0))
-                if res < best_res * mpmath.mpf("0.9"):
-                    stalled = 0
-                else:
-                    stalled += 1
-                if res < best_res:
-                    best_res, best_x = res, x
-                if res < floor:
-                    stop = "tol" if res < tol else "precision_floor"
-                    break
-                if stalled >= 8:
-                    stop = "stalled"
-                    break
-                hess = hessian_direct(t, k, np.array(x, dtype=complex))
-                step = _gauss_newton_step(x, grads, hess)
-                if step is None:
-                    stop = "singular"
-                    break
-                steps += 1
-                x = [xi + di for xi, di in zip(x, step)]
-                if np.abs(step).max() < floor:
-                    stop = "stalled"
-                    break
-            final = _normalized(best_x)
-            final_res = max((abs(g) for g in gradient_direct(t, k, final)),
-                            default=mpmath.mpf(0))
-            out.append(SearchCandidate(
-                point=tuple(CFloat.from_mpc(z, prec) for z in final),
-                residual=float(final_res), iterations=steps, stop=stop))
+            lifted = np.array([mpmath.mpc(z) for z in x], dtype=object)
+            x, res, more, last = _descend(t, k, lifted, max(2.0 ** (24 - prec), tol),
+                                          tol, max_iter - steps if refine else 0)
+            point = tuple(CFloat.from_mpc(z, prec) for z in x)
+        stop = last if refine else stop
+        out.append(SearchCandidate(point=point, residual=float(res), iterations=steps + more,
+                                   stop="stalled" if stop == "step_floor" else stop))
     out.sort(key=lambda c: c.residual)
     return out
 
 
-def _normalized(x: list) -> list:
-    norm = mpmath.norm(x)
-    if norm == 0:
-        return x
-    return [z / norm for z in x]
+def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: int):
+    """Gauss-Newton from ``x``, a complex128 array or an object array of
+    mpmath complex numbers, in that number type.  Each pass normalizes x,
+    evaluates the gradient and stops on a residual below ``floor``, a last
+    step below ``floor`` (``step_floor``), 8 passes without a 10% gain or
+    ``budget`` steps; else it takes a float64 step.  Returns the best unit
+    point, its residual, the steps taken and the stop reason."""
+    best_res, best_x = math.inf, x
+    stalled = steps = 0
+    tiny = False
+    while True:
+        x = x / (abs(x) ** 2).sum() ** 0.5
+        grads = gradient_direct(t, k, x)
+        res = max(abs(g) for g in grads)
+        stalled = 0 if res < best_res * 0.9 else stalled + 1
+        if res < best_res:
+            best_res, best_x = res, x
+        if res < floor:
+            return best_x, best_res, steps, "tol" if res < tol else "precision_floor"
+        if tiny:
+            return best_x, best_res, steps, "step_floor"
+        if stalled >= 8:
+            return best_x, best_res, steps, "stalled"
+        if steps == budget:
+            return best_x, best_res, steps, "max_iter"
+        xf = np.asarray(x, dtype=np.complex128)
+        step = _gauss_newton_step(xf, np.array(grads, dtype=np.complex128),
+                                  hessian_direct(t, k, xf),
+                                  float(1 - (abs(x) ** 2).sum()))
+        if step is None:
+            return best_x, best_res, steps, "singular"
+        steps += 1
+        x = x + step
+        tiny = np.abs(step).max() < floor
 
 
-def _gauss_newton_step(x: list, grads: list, hess):
+def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray,
+                       defect: float):
     """Least-squares Newton step for (gradient = 0, |x|^2 = 1) over the reals.
 
-    The complex Jacobian H splits into [[Re H, -Im H], [Im H, Re H]] blocks by
-    the Cauchy-Riemann equations; the norm constraint adds one real row.  The
-    system is solved in float64 for the minimum-norm step: at a nullvector
-    the phase direction i*x leaves it rank-deficient by one.
+    ``x``, ``grads`` and ``hess`` are complex128 and ``defect`` is 1 - |x|^2
+    at the caller's precision.  The complex Jacobian H splits into
+    [[Re H, -Im H], [Im H, Re H]] blocks by the Cauchy-Riemann equations; the
+    norm constraint adds one real row.  The system is solved in float64 for
+    the minimum-norm step: at a nullvector the phase direction i*x leaves it
+    rank-deficient by one.
     """
-    h = np.asarray(hess, dtype=complex)
-    hh = np.hstack([h, 1j * h])
-    xf = np.array(x, dtype=complex)
-    g = np.array(grads, dtype=complex)
-    A = np.vstack([hh.real, hh.imag, 2 * np.concatenate([xf.real, xf.imag])])
-    defect = 1 - mpmath.fsum(x, absolute=True, squared=True)
-    b = np.concatenate([-g.real, -g.imag, [float(defect)]])
+    hh = np.hstack([hess, 1j * hess])
+    A = np.vstack([hh.real, hh.imag, 2 * np.concatenate([x.real, x.imag])])
+    b = np.concatenate([-grads.real, -grads.imag, [defect]])
     try:
         delta = np.linalg.lstsq(A, b, rcond=None)[0]
     except np.linalg.LinAlgError:

@@ -35,7 +35,7 @@ class Tree:
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_connected_masks_cache",
+        "_connected_masks_cache", "_sides_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -84,6 +84,7 @@ class Tree:
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_connected_masks_cache", None)
+        object.__setattr__(self, "_sides_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("Tree is immutable")
@@ -138,10 +139,15 @@ class Tree:
 
     def sides(self) -> np.ndarray:
         """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
-        order: S @ x is ``far_sums(x)``, and 1 - S holds the near sides."""
-        n = self.n
-        return np.array(self.far_sums(np.eye(n, dtype=np.int64)),
-                        dtype=np.int64).reshape(n - 1, n)
+        order: S @ x is ``far_sums(x)``, and 1 - S holds the near sides.
+        Built once per tree and shared, so read-only."""
+        if self._sides_cache is None:
+            n = self.n
+            sides = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
+                             dtype=np.int64).reshape(n - 1, n)
+            sides.flags.writeable = False
+            object.__setattr__(self, "_sides_cache", sides)
+        return self._sides_cache
 
     # -- brute-force support ----------------------------------------------------
 

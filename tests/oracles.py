@@ -10,6 +10,11 @@ products are redone on plain ``{exponent tuple: Fraction}`` dicts and
 Fraction sums, with none of the integer fast paths of ``SparsePoly`` and
 ``RatMatrix``.
 
+One oracle does share the closed form: ``edge_cut_hessian`` is the side
+matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
+mpmath numbers.  The multiset Hessian checks it to 128 bits, and it checks
+the complex128 fast path, which feeds only float64 solves.
+
 Two polynomial routes live here because only tests need them:
 ``substitute`` (replace one variable by a polynomial) and
 ``evaluate_numeric`` (a form's value at an mpmath point, term by term).
@@ -89,6 +94,21 @@ def multiset_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
                 acc += weight * steiner_distance_bruteforce(t, mu | {z, r}) * term
             hess[z - 1][r - 1] = k * (k - 1) * acc
     return hess
+
+
+def edge_cut_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
+    """The Hessian formula of ``forms.hessian_direct``,
+    H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)],
+    on an object array of mpmath complex numbers at the working precision."""
+    n = t.n
+    x = np.array([mpmath.mpmathify(v) for v in point], dtype=object)
+    far = t.sides()
+    near = 1 - far
+    s = x.sum()
+    a = far @ x
+    acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
+        - (near.T * (s - a) ** (k - 2)) @ near
+    return (k * (k - 1) * acc).tolist()
 
 
 def qr_gauss_newton_step(x: list, grads: list, hess: list[list]):

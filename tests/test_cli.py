@@ -156,6 +156,20 @@ def test_search_report(tree_file, capsys):
     assert doc["candidates"] == [] and doc["best_residual"] is None
 
 
+def test_search_verbose_lists_each_restart(tree_file, capsys):
+    path = tree_file(path_tree(4))
+    argv = ["search", "--tree", path, "--k", "3", "--seed", "2", "--restarts", "5"]
+    assert main(argv) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert main(argv + ["--verbose"]) == EXIT_OK
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    lines = [ln for ln in loud.err.splitlines() if ln.startswith("candidate:")]
+    stops = {"tol", "precision_floor", "stalled", "singular", "max_iter"}
+    assert len(lines) == 5
+    assert all(ln.rsplit(" ", 1)[1] in stops and "iterations" in ln for ln in lines)
+
+
 def test_campaign(tmp_path, capsys):
     out_dir = tmp_path / "camp"
     code, out = run(capsys, [

@@ -19,9 +19,10 @@ from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
                        verify_not_divisible, verify_product_decomposition,
                        verify_s3_decomposition)
 from conftest import tree_corpus
-from oracles import (evaluate_numeric, fraction_add, fraction_mul,
-                     fraction_partial, fraction_pow, fraction_remainder,
-                     fraction_terms, multiset_gradient, multiset_hessian)
+from oracles import (edge_cut_hessian, evaluate_numeric, fraction_add,
+                     fraction_mul, fraction_partial, fraction_pow,
+                     fraction_remainder, fraction_terms, multiset_gradient,
+                     multiset_hessian)
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -288,7 +289,7 @@ def test_numeric_gradient_and_hessian_match_multiset_oracle():
                     grad = gradient_direct(t, k, point)
                     want = multiset_gradient(t, k, point)
                     assert max(abs(g - w) for g, w in zip(grad, want)) < tol, (t, k)
-                    hess = hessian_direct(t, k, point)
+                    hess = edge_cut_hessian(t, k, point)
                     want_h = multiset_hessian(t, k, point)
                     assert max(abs(hess[q][r] - want_h[q][r])
                                for q in range(n) for r in range(n)) < tol, (t, k)
@@ -304,7 +305,7 @@ def test_hessian_direct_complex128_matches_mpc():
                     z /= np.linalg.norm(z)
                     hess = hessian_direct(t, k, z)
                     assert isinstance(hess, np.ndarray) and hess.dtype == np.complex128
-                    want = np.array(hessian_direct(t, k, [mpmath.mpc(c) for c in z]),
+                    want = np.array(edge_cut_hessian(t, k, [mpmath.mpc(c) for c in z]),
                                     dtype=complex)
                     scale = max(np.abs(want).max(), 1.0)
                     assert np.abs(hess - want).max() <= 1e-12 * scale, (t, k)
@@ -345,11 +346,13 @@ def test_hessian_direct_matches_polynomial_route():
     with mpmath.workprec(128):
         point = [mpmath.mpc(0.3, -0.2), mpmath.mpc(-1.1, 0.5),
                  mpmath.mpc(0.9, 0.1), mpmath.mpc(0.2, 1.4)]
-        hess = hessian_direct(t, k, point)
+        hess = edge_cut_hessian(t, k, point)
+        fast = hessian_direct(t, k, np.array(point, dtype=complex))
         for z in range(1, 5):
             for r in range(1, 5):
                 expected = evaluate_numeric(p.partial(z).partial(r), point)
                 assert abs(hess[z - 1][r - 1] - expected) < 1e-25
+                assert abs(fast[z - 1, r - 1] - expected) <= 1e-12 * max(abs(expected), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        path_tree, random_tree, root_of_unity, s_form, star_tree,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
+from steinerdh import nullspace
 from steinerdh.nullspace import _gauss_newton_step
 from conftest import tree_corpus
-from oracles import qr_gauss_newton_step, substitute
+from oracles import edge_cut_hessian, qr_gauss_newton_step, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +368,10 @@ def test_gauss_newton_step_matches_qr_oracle():
                     z /= np.linalg.norm(z)
                     x = [mpmath.mpc(c) for c in z]
                     grads = gradient_direct(t, k, x)
-                    want = qr_gauss_newton_step(x, grads, hessian_direct(t, k, x))
-                    got = _gauss_newton_step(x, grads, hessian_direct(t, k, z))
+                    want = qr_gauss_newton_step(x, grads, edge_cut_hessian(t, k, x))
+                    defect = float(1 - mpmath.fsum(x, absolute=True, squared=True))
+                    got = _gauss_newton_step(z, np.array(grads, dtype=complex),
+                                             hessian_direct(t, k, z), defect)
                     want = np.array(want, dtype=complex)
                     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (t, k)
 
@@ -408,3 +411,61 @@ def test_search_points_live_on_unit_sphere(path3):
         with mpmath.workprec(128):
             norm = mpmath.fsum([c_.abs_value() ** 2 for c_ in c.point])
             assert abs(norm - 1) < 1e-20
+
+
+SEARCH_TREES = [t for n in range(2, 8)
+                for t in (path_tree(n), star_tree(n), random_tree(n, 70 + n))]
+
+
+def _residual_at(t, k, point, prec):
+    """Max |gradient| at a reported CFloat point, evaluated at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        grads = gradient_direct(t, k, [z.to_mpc() for z in point])
+        return float(max(abs(g) for g in grads))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 200])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-30])
+def test_search_candidates_keep_their_contract(tol, prec):
+    # The float64 iterate is never what is reported: every residual is the
+    # prec-bit value at the reported point, and the stop reason agrees with it.
+    # A budget of 9 steps often runs out in the refinement phase.
+    floor = 2.0 ** (24 - prec)
+    for i, t in enumerate(SEARCH_TREES):
+        max_iter = 9 if i % 2 else 60
+        for k in range(2, 7):
+            (c,) = numeric_search(t, k, seed=i, restarts=1, tol=tol, prec=prec,
+                                  max_iter=max_iter)
+            assert all(z.prec == prec for z in c.point)
+            assert c.residual == _residual_at(t, k, c.point, prec), (t, k, c)
+            if c.stop == "tol":
+                assert c.residual < tol, (t, k, c)
+            if c.stop == "precision_floor":
+                assert tol <= c.residual < floor, (t, k, c)
+            assert 0 <= c.iterations <= max_iter, (t, k, c)
+
+
+def test_search_single_vertex():
+    (c,) = numeric_search(Tree(1, []), 4, seed=0, restarts=1)
+    assert (c.residual, c.iterations, c.stop) == (0.0, 0, "tol")
+
+
+def test_search_checks_a_float64_tol_stop_at_working_precision(monkeypatch, path3):
+    # A float64 gradient that reads 0 once the true residual is below 1e-6
+    # ends the float64 loop on "tol" far from the target.  The search must
+    # re-evaluate that point at 128 bits, refine it there, and report the
+    # 128-bit residual.
+    exact = nullspace.gradient_direct
+
+    def optimistic(t, k, x):
+        grads = exact(t, k, x)
+        if x.dtype == np.complex128 and max(abs(g) for g in grads) < 1e-6:
+            return [0j] * len(grads)
+        return grads
+
+    monkeypatch.setattr(nullspace, "gradient_direct", optimistic)
+    cands = numeric_search(path3, 3, seed=11, restarts=8, tol=1e-12)
+    assert sum(c.stop == "tol" for c in cands) >= 3
+    for c in cands:
+        assert c.residual == _residual_at(path3, 3, c.point, 128)
+        assert c.stop != "tol" or c.residual < 1e-12

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import (EmptySet, MalformedInput, NotATree, TooLarge, Tree,
-                       canonical_key, enumerate_trees, format_tree, parse_tree,
-                       path_tree, prufer_decode, prufer_encode, random_tree,
-                       star_tree, steiner_distance_bruteforce)
+                       build_steiner, canonical_key, enumerate_trees,
+                       format_tree, parse_tree, path_tree, prufer_decode,
+                       prufer_encode, random_tree, star_tree,
+                       steiner_distance_bruteforce)
 from conftest import tree_corpus
+from oracles import multiset_hypermatrix
 
 
 def test_parse_examples():
@@ -194,3 +196,17 @@ def test_tree_rejects_bad_shapes():
         Tree(3, [(1, 2), (1, 2)])
     with pytest.raises(NotATree):
         Tree(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
+
+
+def test_sides_cached_read_only():
+    for t in tree_corpus(8, 2, 7, seed0=640):
+        sides = t.sides()
+        assert t.sides() is sides
+        with pytest.raises(ValueError):
+            sides[0, 0] = 1 - sides[0, 0]
+        d = t.distances()
+        assert d.tolist() == [[steiner_distance_bruteforce(t, (u, v))
+                               for v in range(1, t.n + 1)] for u in range(1, t.n + 1)]
+        assert (t.distances() == d).all() and t.sides() is sides
+        for k in (2, 3):
+            assert build_steiner(t, k) == multiset_hypermatrix(t, k)
