@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConductorMismatch
 from .hypermatrix import Hypermatrix, build_steiner
-from .scalar import CFloat, CycNum
+from .scalar import CFloat, CycNum, _int_if_integral
 from .trees import Tree
 
 Coefficient = Union[int, Fraction]
@@ -252,10 +252,6 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
-def _int_if_integral(c: Coefficient) -> Coefficient:
-    return c.numerator if c.denominator == 1 else c
-
-
 def _coerce_point(point: Sequence) -> tuple[list, object]:
     """A point's coordinates in one number type, and that type's 1.
 
@@ -412,6 +408,11 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     its child c changes only edge c's term, so
     D_c = D_parent - k * (a_c^(k-1) - (s - a_c)^(k-1)).
 
+    At an exact point each distinct side sum is raised to the power k-1, and
+    each distinct step formed, only once: a support-3 certificate has a
+    handful of side sums.  Numeric points skip the memo, as hashing mpmath
+    numbers costs more than their powers.
+
     Accepts CycNum (one shared modulus), Fraction/int, or mpmath complex
     coordinates, or a complex128 array; the return list matches the
     coordinate type (Python complex for the array).
@@ -424,12 +425,18 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     coords, _ = _coerce_point(point)
     s = sum(coords)
     far = t.far_sums(coords)
-    far_pow = [a ** (k - 1) for a in far]
-    near_pow = [(s - a) ** (k - 1) for a in far]
+    near = [s - a for a in far]
+    if isinstance(s, (CycNum, Fraction)):
+        power = {v: v ** (k - 1) for v in {*far, *near}}
+        step = {a: k * (power[a] - power[s - a]) for a in set(far)}
+        near_pow, steps = [power[b] for b in near], [step[a] for a in far]
+    else:
+        near_pow = [b ** (k - 1) for b in near]
+        steps = [k * (a ** (k - 1) - b) for a, b in zip(far, near_pow)]
     grad = [None] * (n + 1)
     grad[1] = k * ((n - 1) * s ** (k - 1) - sum(near_pow))
-    for c, f, b in zip(t.order[1:], far_pow, near_pow):
-        grad[c] = grad[t.parent[c]] - k * (f - b)
+    for c, d in zip(t.order[1:], steps):
+        grad[c] = grad[t.parent[c]] - d
     return grad[1:]
 
 
@@ -449,8 +456,7 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     if k < 2:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
-    far = t.sides()
-    near = 1 - far
+    far, near = t.sides(), t.near_sides()
     s = x.sum()
     a = far @ x
     acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
@@ -494,7 +500,8 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
     forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
     since D_r g carries the factor 3 of g.  See tests for the exact
     3-s^3 pin of the unscaled variant.  9(n-1) * f_r = 3(2 - deg_r) s - 2 x_r
-    is integral; ``verify_s3_decomposition`` checks the identity in that form.
+    is integral; ``verify_s3_decomposition`` checks the identity in that form,
+    with the sum over r distributed.
     """
     n = t.n
     if n < 2:
@@ -513,17 +520,20 @@ def verify_s3_decomposition(t: Tree) -> bool:
     """s^3 lies in the gradient ideal, with the explicit degree-based cofactors.
 
     Checks s^3 = sum_r f_r * D_r p (``s3_cofactors``) with the denominators
-    cleared, all in integers: sum_r (3(2 - deg_r) s - 2 x_r) * D_r p = 9(n-1) s^3.
+    cleared and the sum distributed, all in integers with one product by s:
+    s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3.
     """
     n = t.n
     if n < 2:
         raise ValueError("needs at least two vertices")
     p = order3_form(t)
-    scale = 9 * (n - 1)
-    total = SparsePoly.zero(n)
-    for r, f in enumerate(s3_cofactors(t), start=1):
-        total = total + (f * scale) * p.partial(r)
-    return total == s_form(n) ** 3 * scale
+    by_degree = by_vertex = SparsePoly.zero(n)
+    for r in range(1, n + 1):
+        d_r = p.partial(r)
+        by_degree = by_degree + d_r * (3 * (2 - t.degrees[r]))
+        by_vertex = by_vertex + SparsePoly.variable(n, r) * d_r
+    s = s_form(n)
+    return s * by_degree - 2 * by_vertex == s ** 3 * (9 * (n - 1))
 
 
 def verify_not_divisible(t: Tree) -> bool:

@@ -88,8 +88,7 @@ def build_steiner(t: Tree, k: int, budget: int | None = None) -> Hypermatrix:
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     arr = np.zeros((n,) * k, dtype=np.int64)
     if n > 1:
-        far = t.sides()
-        sides = np.concatenate([far, 1 - far])
+        sides = np.concatenate([t.sides(), t.near_sides()])
         # entry (i1..ik) counts the sides holding all of i1..ik
         operands = []
         for axis in range(1, k + 1):

@@ -4,8 +4,11 @@ Rationals are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).  Cyclotomic numbers live in Q(zeta_m) and are
 stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th
 cyclotomic polynomial, so equality and ``is_zero`` are exact field-element
-tests.  ``CFloat`` is a finite complex number with an mpmath mantissa of at
-least 64 bits (default 128), used only on the numeric side of the package.
+tests.  An integral coefficient is stored as an ``int`` and any other as a
+``Fraction``, so the integer-valued certificates multiply at Python-int
+speed; ``as_rational`` still hands back a ``Fraction``.  ``CFloat`` is a
+finite complex number with an mpmath mantissa of at least 64 bits (default
+128), used only on the numeric side of the package.
 
 Every coefficient list, however long, is folded into that basis through one
 integer table of zeta^j mod Phi_m (``_reduction_table``).  A list longer than
@@ -123,16 +126,20 @@ def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_coeffs(m: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _int_if_integral(c: Fraction) -> RatLike:
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:
     phi = euler_phi(m)
     table = _reduction_table(m)
     if len(coeffs) > len(table):
         # zeta^m = 1: exponent j folds onto j mod m, which the table covers
-        wrapped = [Fraction(0)] * m
+        wrapped = [0] * m
         for j, c in enumerate(coeffs):
             wrapped[j % m] += c
         coeffs = wrapped
-    out = list(coeffs[:phi]) + [Fraction(0)] * max(0, phi - len(coeffs))
+    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
     for j in range(phi, len(coeffs)):
         c = coeffs[j]
         if c:
@@ -140,7 +147,7 @@ def _reduce_coeffs(m: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
             for i in range(phi):
                 if row[i]:
                     out[i] += c * row[i]
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +168,22 @@ class CycNum:
     def __init__(self, m: int, coeffs: Iterable[RatLike]):
         if m < 1:
             raise ValueError("modulus must be >= 1")
+        self._store(m, [c if type(c) is int else Fraction(c) for c in coeffs])
+
+    @classmethod
+    def _ring(cls, m: int, coeffs: list) -> "CycNum":
+        """A ring result: int/Fraction coefficients of a valid modulus."""
+        out = object.__new__(cls)
+        out._store(m, coeffs)
+        return out
+
+    def _store(self, m: int, coeffs: list) -> None:
+        """Fold into the power basis; integral values are kept as ints."""
+        if len(coeffs) != euler_phi(m):
+            coeffs = _reduce_coeffs(m, coeffs)
         object.__setattr__(self, "m", m)
-        raw = [Fraction(c) for c in coeffs]
-        phi = euler_phi(m)
-        if len(raw) > phi:
-            reduced = _reduce_coeffs(m, raw)
-        else:
-            reduced = tuple(raw) + (Fraction(0),) * (phi - len(raw))
-        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is int else _int_if_integral(c) for c in coeffs))
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("CycNum is immutable")
@@ -190,15 +205,15 @@ class CycNum:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     # -- coercion ----------------------------------------------------------
 
@@ -210,7 +225,7 @@ class CycNum:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(other, self.m)
+            return CycNum._ring(self.m, [other])
         return NotImplemented  # type: ignore[return-value]
 
     def lift(self, big_m: int) -> "CycNum":
@@ -223,10 +238,10 @@ class CycNum:
 
     def _substitute(self, big_m: int, step: int) -> "CycNum":
         """The image under zeta_m -> zeta_{big_m}^step: c_i moves to index i*step mod big_m."""
-        out = [Fraction(0)] * big_m
+        out = [0] * big_m
         for i, c in enumerate(self.coeffs):
             out[i * step % big_m] += c
-        return CycNum(big_m, out)
+        return CycNum._ring(big_m, out)
 
     def _conjugate(self, j: int) -> "CycNum":
         """The Galois automorphism zeta -> zeta^j of Q(zeta_m); j must be prime to m."""
@@ -238,18 +253,18 @@ class CycNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycNum(self.m, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return CycNum._ring(self.m, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.m, [-a for a in self.coeffs])
+        return CycNum._ring(self.m, [-a for a in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CycNum(self.m, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return CycNum._ring(self.m, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -262,13 +277,13 @@ class CycNum:
         if o is NotImplemented:
             return NotImplemented
         phi = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[i + j] += a * b
-        return CycNum(self.m, conv)
+        return CycNum._ring(self.m, conv)
 
     __rmul__ = __mul__
 
@@ -280,15 +295,16 @@ class CycNum:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return CycNum.from_rational(1 / self.coeffs[0], self.m)
+            return CycNum.from_rational(1 / self.as_rational(), self.m)
         # the other conjugates multiply x up to its norm, a nonzero rational
         cofactor = CycNum.one(self.m)
         for j in range(2, self.m):

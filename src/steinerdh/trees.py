@@ -117,8 +117,8 @@ class Tree:
 
         Entry (u, v) counts the edges with exactly one of u, v on the far side.
         """
-        sides = self.sides()
-        return sides.T @ (1 - sides) + (1 - sides).T @ sides
+        far, near = self.sides(), self.near_sides()
+        return far.T @ near + near.T @ far
 
     # -- edge cuts ---------------------------------------------------------------
 
@@ -139,15 +139,21 @@ class Tree:
 
     def sides(self) -> np.ndarray:
         """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
-        order: S @ x is ``far_sums(x)``, and 1 - S holds the near sides.
-        Built once per tree and shared, so read-only."""
+        order: S @ x is ``far_sums(x)``, and 1 - S (``near_sides``) holds the
+        near sides.  Both are built once per tree and shared, so read-only."""
         if self._sides_cache is None:
             n = self.n
-            sides = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
-                             dtype=np.int64).reshape(n - 1, n)
-            sides.flags.writeable = False
-            object.__setattr__(self, "_sides_cache", sides)
-        return self._sides_cache
+            far = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
+                           dtype=np.int64).reshape(n - 1, n)
+            near = 1 - far
+            far.flags.writeable = near.flags.writeable = False
+            object.__setattr__(self, "_sides_cache", (far, near))
+        return self._sides_cache[0]
+
+    def near_sides(self) -> np.ndarray:
+        """The near-side indicators 1 - ``sides()``, cached and read-only alike."""
+        self.sides()
+        return self._sides_cache[1]
 
     # -- brute-force support ----------------------------------------------------
 

@@ -8,7 +8,8 @@ None shares the edge cuts behind ``Tree.steiner``, ``Tree.distances`` and
 the closed forms, or the float64 solves it checks.  Polynomial and matrix
 products are redone on plain ``{exponent tuple: Fraction}`` dicts and
 Fraction sums, with none of the integer fast paths of ``SparsePoly`` and
-``RatMatrix``.
+``RatMatrix``; a ``CycNum`` product is redone as a Fraction convolution
+reduced by long division by Phi_m, not through the power table of ``scalar``.
 
 One oracle does share the closed form: ``edge_cut_hessian`` is the side
 matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
@@ -33,8 +34,8 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (CFloat, Hypermatrix, RatMatrix, SparsePoly, Tree,
-                       steiner_distance_bruteforce)
+from steinerdh import (CFloat, CycNum, Hypermatrix, RatMatrix, SparsePoly, Tree,
+                       cyclotomic_polynomial, steiner_distance_bruteforce)
 
 
 def _weight(counts: Counter) -> int:
@@ -233,6 +234,22 @@ def fraction_remainder(p: Terms, s: Terms, n: int) -> Terms:
         rest = e[:r] + (0,) + e[r + 1:]
         out = fraction_add(out, fraction_mul({rest: c}, fraction_pow(root, n, e[r])))
     return out
+
+
+def cyclotomic_product(x: CycNum, y: CycNum) -> list[Fraction]:
+    """Power-basis coefficients of x*y: the Fraction convolution of the two
+    coefficient lists, reduced by long division by Phi_m."""
+    conv = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            conv[i + j] += Fraction(a) * Fraction(b)
+    phim = cyclotomic_polynomial(x.m)
+    d = len(phim) - 1
+    for i in range(len(conv) - 1, d - 1, -1):
+        c = conv[i]
+        for j in range(d + 1):
+            conv[i - d + j] -= c * phim[j]
+    return conv[:d]
 
 
 def substitute(p: SparsePoly, r: int, value: SparsePoly) -> SparsePoly:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinerdh import forms
 from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
                        build_steiner, canonical_odd_nullvector,
                        distance_quadratic, divide_by_linear,
@@ -276,6 +277,25 @@ def test_gradient_direct_matches_multiset_oracle_cyclotomic():
             assert grad == multiset_gradient(t, k, point), (t, k, point)
 
 
+def test_gradient_direct_raises_each_distinct_side_sum_once(monkeypatch):
+    # the canonical certificate has support 3: s = 0, and every far sum is
+    # one of 0, 1, -1, zeta, -zeta, 1 + zeta, -1 - zeta
+    t, k = random_tree(40, 5), 9
+    point = canonical_odd_nullvector(t, k)
+    bases = []
+    real_pow = CycNum.__pow__
+
+    def recording_pow(x, e):
+        bases.append(x)
+        return real_pow(x, e)
+
+    monkeypatch.setattr(CycNum, "__pow__", recording_pow)
+    grad = gradient_direct(t, k, point)
+    assert all(g.is_zero() for g in grad) and len(grad) == t.n
+    # seven distinct side sums and s itself, not two powers for each of 39 edges
+    assert len(bases) <= 8 and len(set(bases[:-1])) == len(bases) - 1
+
+
 def test_numeric_gradient_and_hessian_match_multiset_oracle():
     rng = np.random.default_rng(9)
     with mpmath.workprec(128):
@@ -447,6 +467,16 @@ def test_s3_cofactors_satisfy_the_identity_in_fractions():
             total = total + f * p.partial(r)
         assert total == s_form(t.n) ** 3
         assert verify_s3_decomposition(t)
+
+
+def test_s3_decomposition_rejects_a_perturbed_form(monkeypatch):
+    # the distributed check is not vacuous: one stray cubic term breaks it
+    t = random_tree(7, 4)
+    p = order3_form(t)
+    stray = SparsePoly(t.n, {(1, 1, 1, 0, 0, 0, 0): 1})
+    assert verify_s3_decomposition(t)
+    monkeypatch.setattr(forms, "order3_form", lambda _t: p + stray)
+    assert not verify_s3_decomposition(t)
 
 
 def test_order3_form_cache_follows_the_tree():

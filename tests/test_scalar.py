@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from steinerdh import (CFloat, ConductorMismatch, CycNum, cyclotomic_polynomial,
                        euler_phi, root_of_unity, unify_conductor)
 
+from oracles import cyclotomic_product
+
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
     2: (1, 1),
@@ -218,6 +220,63 @@ def test_division():
     assert (w / z) * z == w
     with pytest.raises(ZeroDivisionError):
         w / CycNum.zero(8)
+
+
+def _stored_exactly(x: CycNum) -> bool:
+    """Every coefficient is an int if integral and a Fraction otherwise."""
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in x.coeffs)
+
+
+def test_coefficient_type_contract():
+    x = CycNum(12, [Fraction(4, 2), Fraction(1, 3), -2, Fraction(5, 5)])
+    y = CycNum(12, [Fraction(2, 3), 0, Fraction(3, 1), True])
+    half = CycNum.from_rational(Fraction(1, 2), 12)
+    assert [type(c) for c in x.coeffs] == [int, Fraction, int, int]
+    assert [type(c) for c in y.coeffs] == [Fraction, int, int, int]
+    results = [x + y, x - y, -x, x * y, x * 3, Fraction(3, 2) - x, x ** 3, x ** -2,
+               x.inverse(), x / y, x.lift(24), x._conjugate(5), half + half,
+               CycNum.from_json(x.to_json()), root_of_unity(12, 7)]
+    assert all(_stored_exactly(r) for r in results)
+    assert type((half + half).coeffs[0]) is int and type((y - y).coeffs[0]) is int
+    # a rational value reads back, and inverts, as a Fraction, never a float
+    two = CycNum.from_rational(2, 8)
+    assert type(two.coeffs[0]) is int and type(two.as_rational()) is Fraction
+    for inv in (two.inverse(), two ** -1, 1 / two):
+        assert type(inv.coeffs[0]) is Fraction and inv.as_rational() == Fraction(1, 2)
+    assert type(CycNum.one(8).inverse().as_rational()) is Fraction
+    assert type(CycNum.from_rational(-1, 3).inverse().coeffs[0]) is int
+
+
+def test_integral_fractions_equal_and_hash_like_ints():
+    # the gradient memo keys its powers by value, so equal numbers must hash alike
+    for m in (1, 4, 12):
+        a, b = CycNum(m, [Fraction(4, 2)]), CycNum(m, [2])
+        assert a == b and hash(a) == hash(b) == hash(2)
+    a = CycNum(12, [Fraction(4, 2), 1, Fraction(-6, 3)])
+    b = CycNum(12, [2, Fraction(1), -2])
+    assert a == b and hash(a) == hash(b) and a.coeffs == b.coeffs
+    assert {a: "power"}[b] == "power"
+
+
+def test_text_and_json_forms_unchanged():
+    x = CycNum(8, [Fraction(6, 2), Fraction(-1, 2), 0, 1])
+    assert str(x) == "3 + -1/2*z8 + 1*z8^3"
+    assert repr(x) == "CycNum(m=8, [3, Fraction(-1, 2), 0, 1])"
+    assert x.to_json() == {"m": 8, "coeffs": [["3", "1"], ["-1", "2"], ["0", "1"], ["1", "1"]]}
+    assert str(CycNum.zero(8)) == "0" and str(CycNum.from_rational(Fraction(-7, 2), 8)) == "-7/2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24]).flatmap(
+    lambda m: st.tuples(cyc_elements(m), cyc_elements(m))),
+    st.integers(-10 ** 12, 10 ** 12))
+def test_mul_matches_long_division_oracle(ab, big):
+    a, b = ab
+    for x, y in ((a, b), (a * big, b), (a, CycNum.from_rational(big, a.m))):
+        product = x * y
+        assert list(product.coeffs) == cyclotomic_product(x, y)
+        assert _stored_exactly(product)
 
 
 def test_cfloat_basics():
