@@ -13,22 +13,27 @@ products with the side matrix S (``Tree.sides``), never touching the n^k
 expansion; that is what makes exact high-order certificates cheap.  At
 k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
-Polynomials are keyed by exponent vectors and store an integral coefficient
-as an ``int`` and any other as a ``Fraction``, so integer forms multiply at
-Python-int speed; ``coefficient`` still hands back a ``Fraction``.  The
-canonical term order used for serialization and printing is graded
-lexicographic.
+Polynomials store each monomial as one Python int: variable x_i's exponent
+sits in its own 16-bit field, x_1's field highest, so integer order is
+lexicographic order and a monomial product is one integer addition.  An
+exponent above 65535 raises ``OverflowError`` rather than carry into the
+next field.  A polynomial stores an integral coefficient as an ``int`` and
+any other as a ``Fraction``, so integer forms multiply at Python-int speed;
+``coefficient`` still hands back a ``Fraction``, and ``terms`` hands back a
+fresh dict keyed by exponent tuples.  The canonical term order used for
+serialization and printing is graded lexicographic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
+import numbers
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add, index
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -41,6 +46,9 @@ from .trees import Tree
 
 Coefficient = Union[int, Fraction]
 
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
+
 
 def _multinomial(total: int, counts: Iterable[int]) -> int:
     out = math.factorial(total)
@@ -49,33 +57,64 @@ def _multinomial(total: int, counts: Iterable[int]) -> int:
     return out
 
 
-class SparsePoly:
-    """Multivariate polynomial over Q with sparse exponent-vector storage."""
+@lru_cache(maxsize=None)
+def _shifts(n: int) -> tuple[int, ...]:
+    """The bit offset of each variable's exponent field, x_1's highest."""
+    return tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
 
-    __slots__ = ("n", "terms")
+
+def _pack(exp: Iterable[int], shifts: tuple[int, ...]) -> int:
+    return sum(e << shift for e, shift in zip(exp, shifts))
+
+
+def _unpack(key: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
+
+
+def _rational(value) -> Coefficient:
+    """A coefficient as an int when integral and a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"coefficient {value!r} is not a rational number")
+    num, den = int(value.numerator), int(value.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
+class SparsePoly:
+    """Multivariate polynomial over Q with sparse packed-monomial storage."""
+
+    __slots__ = ("n", "_terms", "_top")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], Coefficient] | None = None):
         if n < 0:
             raise ValueError("variable count must be >= 0")
-        clean: dict[tuple[int, ...], Coefficient] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                if len(exp) != n or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp} for n={n}")
-                clean[tuple(exp)] = _int_if_integral(c)
+        clean: dict[int, Coefficient] = {}
+        top = 0
+        shifts = _shifts(n)
+        for exp, coeff in (terms or {}).items():
+            c = _rational(coeff)
+            if c == 0:
+                continue
+            if len(exp) != n or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent vector {exp} for n={n}")
+            top = max(top, *exp, 0)
+            if top > MAX_EXPONENT:
+                raise OverflowError(f"exponent {top} exceeds {MAX_EXPONENT}")
+            clean[_pack(map(index, exp), shifts)] = c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_top", top)
 
     @classmethod
-    def _ring(cls, n: int, terms: dict) -> "SparsePoly":
-        """A ring result: well-formed keys and int/Fraction values, zeros dropped."""
+    def _ring(cls, n: int, terms: dict[int, Coefficient], top: int) -> "SparsePoly":
+        """A ring result: packed keys, int/Fraction values, zeros dropped, and
+        ``top`` bounding every exponent."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "n", n)
-        object.__setattr__(poly, "terms", {e: c if type(c) is int else _int_if_integral(c)
-                                           for e, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", {e: c if type(c) is int else _int_if_integral(c)
+                                            for e, c in terms.items() if c})
+        object.__setattr__(poly, "_top", top)
         return poly
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -89,16 +128,20 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, n: int, value: Coefficient) -> "SparsePoly":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, r: int) -> "SparsePoly":
         """x_r, with r 1-based."""
         if not (1 <= r <= n):
             raise ValueError(f"variable index {r} outside 1..{n}")
-        exp = [0] * n
-        exp[r - 1] = 1
-        return cls(n, {tuple(exp): Fraction(1)})
+        return cls._ring(n, {1 << _shifts(n)[r - 1]: 1}, 1)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Coefficient]:
+        """The terms keyed by exponent tuples, as a fresh dict."""
+        shifts = _shifts(self.n)
+        return {_unpack(key, shifts): c for key, c in self._terms.items()}
 
     # -- ring operations -------------------------------------------------------
 
@@ -112,15 +155,16 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return SparsePoly._ring(self.n, terms)
+        terms = dict(self._terms)
+        get = terms.get
+        for key, c in other._terms.items():
+            terms[key] = get(key, 0) + c
+        return SparsePoly._ring(self.n, terms, max(self._top, other._top))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._ring(self.n, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._ring(self.n, {e: -c for e, c in self._terms.items()}, self._top)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,18 +179,12 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _int_if_integral(other)
-            return SparsePoly._ring(self.n, {e: c * other for e, c in self.terms.items()})
+            return SparsePoly._ring(self.n, {e: c * other for e, c in self._terms.items()},
+                                    self._top)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        terms: dict[tuple[int, ...], Coefficient] = {}
-        get, add = terms.get, operator.add
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
-                terms[key] = get(key, 0) + c1 * c2
-        return SparsePoly._ring(self.n, terms)
+        return _sum_of_products(self.n, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -165,7 +203,7 @@ class SparsePoly:
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == SparsePoly.constant(self.n, other)
         return NotImplemented
@@ -173,13 +211,21 @@ class SparsePoly:
     # -- queries -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        shifts = _shifts(self.n)
+        return max((sum(_unpack(key, shifts)) for key in self._terms), default=0)
+
+    def _degrees(self) -> list[int]:
+        """Each variable's largest exponent."""
+        return [max(((key >> shift) & MAX_EXPONENT for key in self._terms), default=0)
+                for shift in _shifts(self.n)]
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(tuple(exp), 0))
+        if len(exp) != self.n or not all(0 <= e <= MAX_EXPONENT for e in exp):
+            return Fraction(0)
+        return Fraction(self._terms.get(_pack(exp, _shifts(self.n)), 0))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         """Graded lexicographic order, highest first."""
@@ -192,15 +238,14 @@ class SparsePoly:
         """Formal partial derivative with respect to x_r (1-based)."""
         if not (1 <= r <= self.n):
             raise ValueError(f"variable index {r} outside 1..{self.n}")
-        i = r - 1
-        terms: dict[tuple[int, ...], Coefficient] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        shift = _shifts(self.n)[r - 1]
+        unit = 1 << shift
+        terms: dict[int, Coefficient] = {}
+        for key, c in self._terms.items():
+            e = (key >> shift) & MAX_EXPONENT
             if e:
-                new = list(exp)
-                new[i] = e - 1
-                terms[tuple(new)] = c * e
-        return SparsePoly._ring(self.n, terms)
+                terms[key - unit] = c * e
+        return SparsePoly._ring(self.n, terms, self._top)
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -218,7 +263,7 @@ class SparsePoly:
                 raise TypeError(f"cannot evaluate exactly at {type(x).__name__}")
         coords, one = _coerce_point(point)
         acc = one * 0
-        pows = _power_table(coords, max((max(e) for e in self.terms), default=0), one)
+        pows = _power_table(coords, max(self._degrees(), default=0), one)
         for exp, c in self.terms.items():
             term = c
             for i, e in enumerate(exp):
@@ -250,6 +295,34 @@ class SparsePoly:
                             for i, e in enumerate(exp) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "SparsePoly(" + " + ".join(bits) + ")"
+
+
+def _product_top(a: SparsePoly, b: SparsePoly) -> int:
+    """A bound on every exponent of a*b; OverflowError if some exponent of
+    a*b leaves its field.  The degree of a product in one variable is the
+    sum of the factors' degrees in it, so the exact check runs only when
+    the cheap bound fails."""
+    top = a._top + b._top
+    if top > MAX_EXPONENT:
+        top = max(map(add, a._degrees(), b._degrees()), default=0)
+        if top > MAX_EXPONENT:
+            raise OverflowError(f"exponent {top} exceeds {MAX_EXPONENT}")
+    return top
+
+
+def _sum_of_products(n: int, pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
+    """sum of a*b over the pairs, accumulated in one dict."""
+    terms: dict[int, Coefficient] = {}
+    get = terms.get
+    top = 0
+    for a, b in pairs:
+        top = max(top, _product_top(a, b))
+        right = list(b._terms.items())
+        for e1, c1 in a._terms.items():
+            for e2, c2 in right:
+                key = e1 + e2
+                terms[key] = get(key, 0) + c1 * c2
+    return SparsePoly._ring(n, terms, top)
 
 
 def _coerce_point(point: Sequence) -> tuple[list, object]:
@@ -313,27 +386,23 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     if s.is_zero() or s.total_degree() != 1 or s.coefficient((0,) * s.n) != 0:
         raise ValueError("divisor must be a nonzero homogeneous linear form")
     p._check(s)
-    pivot = None
-    for exp, c in s.terms.items():
-        idx = exp.index(1)
-        if pivot is None or idx > pivot[0]:
-            pivot = (idx, c)
-    r, a = pivot
+    # every key of s is one variable's unit; the smallest is x_r's
+    unit = min(s._terms)
+    a = s._terms[unit]
+    shift = unit.bit_length() - 1
     # rho = -(s - a*x_r)/a
-    rest_terms = {exp: c for exp, c in s.terms.items() if exp.index(1) != r}
-    rho = SparsePoly._ring(s.n, rest_terms) * Fraction(-1, a)
+    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items() if key != unit},
+                           1) * Fraction(-1, a)
 
     # coefficients of p as a polynomial in x_r
-    layers: dict[int, dict[tuple[int, ...], Coefficient]] = {}
-    for exp, c in p.terms.items():
-        e = exp[r]
-        flat = list(exp)
-        flat[r] = 0
-        layers.setdefault(e, {})[tuple(flat)] = c
+    layers: dict[int, dict[int, Coefficient]] = {}
+    clear = ~(MAX_EXPONENT << shift)
+    for key, c in p._terms.items():
+        layers.setdefault((key >> shift) & MAX_EXPONENT, {})[key & clear] = c
     if not layers:
         return SparsePoly.zero(p.n)
     top = max(layers)
-    coeffs = [SparsePoly._ring(p.n, layers.get(j, {})) for j in range(top + 1)]
+    coeffs = [SparsePoly._ring(p.n, layers.get(j, {}), p._top) for j in range(top + 1)]
 
     # synthetic division by (x_r - rho): b_{j} = c_{j+1} + rho*b_{j+1}
     quot_layers: list[SparsePoly] = [SparsePoly.zero(p.n)] * max(top, 1)
@@ -345,54 +414,47 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     if not remainder.is_zero():
         return NotDivisible(remainder)
 
-    xr = SparsePoly.variable(p.n, r + 1)
-    quotient = SparsePoly.zero(p.n)
-    power = SparsePoly.constant(p.n, 1)
-    for layer in quot_layers:
-        quotient = quotient + layer * power
-        power = power * xr
-    return quotient * Fraction(1, a)
+    # the layers are free of x_r: layer j's keys take x_r^j by one addition
+    inverse = _int_if_integral(Fraction(1, a))
+    quotient = {key + j * unit: c * inverse
+                for j, layer in enumerate(quot_layers) for key, c in layer._terms.items()}
+    return SparsePoly._ring(p.n, quotient, p._top)
 
 
 # ---------------------------------------------------------------------------
 # Steiner forms
 # ---------------------------------------------------------------------------
 
+def _units(n: int) -> list[int]:
+    """The packed key of each variable x_1..x_n."""
+    return [1 << shift for shift in _shifts(n)]
+
+
 def steiner_form(h: Hypermatrix) -> SparsePoly:
     """The k-form whose coefficients collect the hypermatrix over all index tuples."""
     n, k = h.n, h.k
-    terms: dict[tuple[int, ...], Fraction] = {}
+    units = _units(n)
+    terms: dict[int, Coefficient] = {}
     for combo in combinations_with_replacement(range(n), k):
         value = int(h.entries[combo])
         if value:
-            counts = Counter(combo)
-            exp = [0] * n
-            for v, c in counts.items():
-                exp[v] = c
-            weight = _multinomial(k, counts.values())
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + value * weight
-    return SparsePoly(n, terms)
+            weight = _multinomial(k, Counter(combo).values())
+            terms[sum(units[v] for v in combo)] = value * weight
+    return SparsePoly._ring(n, terms, k)
 
 
 def s_form(n: int) -> SparsePoly:
     """The all-ones linear form x_1 + ... + x_n."""
-    return SparsePoly(n, {tuple(1 if i == j else 0 for i in range(n)): 1
-                          for j in range(n)})
+    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1), 1)
 
 
 def distance_quadratic(t: Tree) -> SparsePoly:
     """g = 3 * sum_{i<j} d_T(i,j) x_i x_j, the cofactor of s in the order-3 form."""
     n = t.n
     d = t.distances().tolist()
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            exp = [0] * n
-            exp[i] = 1
-            exp[j] = 1
-            terms[tuple(exp)] = 3 * d[i][j]
-    return SparsePoly(n, terms)
+    units = _units(n)
+    return SparsePoly._ring(n, {units[i] + units[j]: 3 * d[i][j]
+                                for i in range(n) for j in range(i + 1, n)}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +549,8 @@ def verify_euler_identity(t: Tree) -> bool:
         raise ValueError("needs at least two vertices")
     n = t.n
     p = order3_form(t)
-    total = SparsePoly.zero(n)
-    for r in range(1, n + 1):
-        total = total + SparsePoly.variable(n, r) * p.partial(r)
+    total = _sum_of_products(n, [(SparsePoly.variable(n, r), p.partial(r))
+                                 for r in range(1, n + 1)])
     return total == 3 * s_form(n) * distance_quadratic(t)
 
 
@@ -527,11 +588,11 @@ def verify_s3_decomposition(t: Tree) -> bool:
     if n < 2:
         raise ValueError("needs at least two vertices")
     p = order3_form(t)
-    by_degree = by_vertex = SparsePoly.zero(n)
-    for r in range(1, n + 1):
-        d_r = p.partial(r)
-        by_degree = by_degree + d_r * (3 * (2 - t.degrees[r]))
-        by_vertex = by_vertex + SparsePoly.variable(n, r) * d_r
+    partials = [p.partial(r) for r in range(1, n + 1)]
+    by_degree = _sum_of_products(n, [(SparsePoly.constant(n, 3 * (2 - t.degrees[r])), d_r)
+                                     for r, d_r in enumerate(partials, start=1)])
+    by_vertex = _sum_of_products(n, [(SparsePoly.variable(n, r), d_r)
+                                     for r, d_r in enumerate(partials, start=1)])
     s = s_form(n)
     return s * by_degree - 2 * by_vertex == s ** 3 * (9 * (n - 1))
 

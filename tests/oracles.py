@@ -7,9 +7,11 @@ plain Gaussian elimination or mpmath's QR solver at the working precision.
 None shares the edge cuts behind ``Tree.steiner``, ``Tree.distances`` and
 the closed forms, or the float64 solves it checks.  Polynomial and matrix
 products are redone on plain ``{exponent tuple: Fraction}`` dicts and
-Fraction sums, with none of the integer fast paths of ``SparsePoly`` and
-``RatMatrix``; a ``CycNum`` product is redone as a Fraction convolution
-reduced by long division by Phi_m, not through the power table of ``scalar``.
+Fraction sums, with none of the packed monomial keys or integer fast paths
+of ``SparsePoly`` and ``RatMatrix``; ``index_tuple_form`` sums a Steiner form
+over every index tuple, with no multinomial weights.  A ``CycNum`` product
+is redone as a Fraction convolution reduced by long division by Phi_m, not
+through the power table of ``scalar``.
 
 One oracle does share the closed form: ``edge_cut_hessian`` is the side
 matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
 import mpmath
@@ -234,6 +236,21 @@ def fraction_remainder(p: Terms, s: Terms, n: int) -> Terms:
         rest = e[:r] + (0,) + e[r + 1:]
         out = fraction_add(out, fraction_mul({rest: c}, fraction_pow(root, n, e[r])))
     return out
+
+
+def index_tuple_form(h: Hypermatrix) -> Terms:
+    """The k-form of a hypermatrix summed entry by entry over all n^k index
+    tuples, with no multinomial weights and no symmetry assumed."""
+    out: Terms = {}
+    for idx in product(range(h.n), repeat=h.k):
+        value = int(h.entries[idx])
+        if value:
+            exp = [0] * h.n
+            for i in idx:
+                exp[i] += 1
+            key = tuple(exp)
+            out[key] = out.get(key, Fraction(0)) + value
+    return _nonzero(out)
 
 
 def cyclotomic_product(x: CycNum, y: CycNum) -> list[Fraction]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from steinerdh import forms
 from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
                        build_steiner, canonical_odd_nullvector,
-                       distance_quadratic, divide_by_linear,
+                       distance_quadratic, divide_by_linear, enumerate_trees,
                        gradient_direct, hessian_direct, order3_form,
                        path_tree, random_tree, root_of_unity, s3_cofactors,
                        s_form, star_tree, steiner_form, verify_euler_identity,
@@ -22,8 +22,8 @@ from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
 from conftest import tree_corpus
 from oracles import (edge_cut_hessian, evaluate_numeric, fraction_add,
                      fraction_mul, fraction_partial, fraction_pow,
-                     fraction_remainder, fraction_terms, multiset_gradient,
-                     multiset_hessian)
+                     fraction_remainder, fraction_terms, index_tuple_form,
+                     multiset_gradient, multiset_hessian)
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -95,6 +95,60 @@ def test_coefficient_type_contract():
     assert SparsePoly(3, {e: 3}) == SparsePoly(3, {e: Fraction(6, 2)}) * 1
 
 
+def test_coefficient_of_a_malformed_exponent_vector_is_zero():
+    # each probe below would alias onto a real monomial of p if it were
+    # packed without a range check: (1, -1) and (0, 2^16) onto the bit
+    # fields of (0, 65535) and (1, 0)
+    p = SparsePoly(2, {(1, 0): 3, (0, 65535): 5, (0, 0): 7})
+    for exp in ((1, -1), (0, 1 << 16), (-1, 0), (1,), (1, 0, 0), (), (0, 0, 0)):
+        assert type(p.coefficient(exp)) is Fraction and p.coefficient(exp) == 0, exp
+    assert p.coefficient((0, 65535)) == 5 and p.coefficient((1, 0)) == 3
+    assert SparsePoly.constant(0, 4).coefficient(()) == 4
+
+
+def test_terms_is_a_fresh_tuple_keyed_dict():
+    p = SparsePoly(3, {(2, 1, 0): 3, (0, 0, 1): Fraction(-8, 2), (0, 0, 0): Fraction(1, 3)})
+    q = SparsePoly.from_json(p.to_json())
+    terms = p.terms
+    assert all(type(e) is tuple and len(e) == 3 for e in terms)
+    assert terms == {(2, 1, 0): 3, (0, 0, 1): -4, (0, 0, 0): Fraction(1, 3)}
+    terms[(1, 1, 1)] = 9
+    terms[(2, 1, 0)] = 0
+    del terms[(0, 0, 1)]
+    assert p == q and p.terms == q.terms and p.coefficient((1, 1, 1)) == 0
+    for result in (p, p * p, p + X(3, 1), p.partial(1)):
+        assert all(type(e) is tuple for e in result.terms)
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                   for v in result.terms.values())
+
+
+def test_constructor_takes_rational_coefficients_only():
+    for bad in (0.1, 0.0, "1/3", 1 + 0j, None):
+        with pytest.raises(TypeError):
+            SparsePoly(1, {(1,): bad})
+    p = SparsePoly(2, {(1, 0): True, (0, 1): np.int64(-3), (0, 0): Fraction(4, 2)})
+    assert [type(v) for v in p.terms.values()] == [int, int, int]
+    assert p == X(2, 1) - 3 * X(2, 2) + 2
+
+
+def test_exponents_stop_at_the_field_width():
+    # a bit field holds exponents up to 2^16 - 1; one more must raise, never
+    # carry into the neighbouring variable
+    x1, x2 = X(2, 1), X(2, 2)
+    top = x1 ** 65535
+    assert top.terms == {(65535, 0): 1} and top.total_degree() == 65535
+    with pytest.raises(OverflowError):
+        x1 ** 65536
+    with pytest.raises(OverflowError):
+        top * x1
+    with pytest.raises(OverflowError):
+        SparsePoly(2, {(0, 65536): 1})
+    assert (top * x2).terms == {(65535, 1): 1}
+    # the guard looks at each variable, not at the total degree
+    assert (x1 ** 40000 * x2 ** 40000).terms == {(40000, 40000): 1}
+    assert ((top + x2) * x2 ** 65534).terms == {(65535, 65534): 1, (0, 65535): 1}
+
+
 def test_to_json_bytes_unchanged():
     integral = SparsePoly(3, {(2, 1, 0): 3, (0, 0, 1): -4, (0, 0, 0): 7})
     assert integral.to_json() == (
@@ -146,7 +200,7 @@ def _polys(draw, n, max_terms=5, max_exp=3):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 4))
+@given(st.data(), st.integers(1, 12))
 def test_ring_ops_match_fraction_dict_oracle(data, n):
     p, q = data.draw(_polys(n)), data.draw(_polys(n))
     fp, fq = fraction_terms(p), fraction_terms(q)
@@ -172,7 +226,7 @@ def _linear_forms(draw, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 4))
+@given(st.data(), st.integers(1, 12))
 def test_divide_by_linear_matches_substitution_oracle(data, n):
     s, q, p = data.draw(_linear_forms(n)), data.draw(_polys(n)), data.draw(_polys(n))
     assert divide_by_linear(s * q, s) == q
@@ -202,6 +256,14 @@ def test_two_vertex_closed_form_all_orders(k2):
     x1, x2 = X(2, 1), X(2, 2)
     for k in range(2, 8):
         assert steiner_form(build_steiner(k2, k)) == (x1 + x2) ** k - x1 ** k - x2 ** k
+
+
+def test_steiner_form_matches_the_sum_over_all_index_tuples():
+    cases = [(t, k) for n in range(1, 7) for t in enumerate_trees(n) for k in range(2, 6)]
+    cases.append((random_tree(16, 11), 3))
+    for t, k in cases:
+        h = build_steiner(t, k)
+        assert fraction_terms(steiner_form(h)) == index_tuple_form(h), (t, k)
 
 
 def test_steiner_form_zero_matrix(k2):
