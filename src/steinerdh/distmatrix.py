@@ -6,9 +6,12 @@ Covers the two classical closed forms this package leans on:
 * Graham-Lovász: the inverse distance matrix entrywise from vertex degrees
   and adjacency, d*_ij = (2-d_i)(2-d_j)/(2(n-1)) + (-d_i/2 if i=j else a_ij/2).
 
-Everything here is Fraction-exact; determinants use Bareiss fraction-free
-elimination (integer fast path when the matrix is integral), and products
-multiply integer numerators over each factor's common denominator.
+Everything here is exact and runs on integers.  A ``RatMatrix`` stores
+integer numerators over one canonical denominator (the lcm of its reduced
+entry denominators), so a product is one integer matrix product followed
+by a gcd reduction, and the determinant is det(num) / den^n with det(num)
+from Bareiss fraction-free elimination.  Fractions appear only at the edges
+(``rows``, indexing, JSON).
 """
 
 from __future__ import annotations
@@ -23,56 +26,68 @@ from .trees import Tree
 
 
 class RatMatrix:
-    """Immutable square matrix of Fractions."""
+    """Immutable square matrix of rationals: integer numerators over one denominator.
 
-    __slots__ = ("n", "rows")
+    ``den`` is the lcm of the reduced entry denominators, so equal matrices
+    store the same ``(num, den)`` pair however they were built.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, rows: Sequence[Sequence[Fraction | int]], den: int = 1):
+        """The matrix rows / den, for a positive integer den."""
         n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and nonempty")
+        if n == 0 or any(len(r) != n for r in rows) or den < 1:
+            raise ValueError("matrix must be square and nonempty, over a positive den")
+        if not all(type(x) is int for r in rows for x in r):
+            rows = [[Fraction(x) for x in r] for r in rows]
+            common = math.lcm(*(x.denominator for r in rows for x in r))
+            rows = [[x.numerator * (common // x.denominator) for x in r] for r in rows]
+            den *= common
+        g = math.gcd(den, *(x for r in rows for x in r))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows",
-                           tuple(tuple(Fraction(x) for x in r) for r in rows))
+        object.__setattr__(self, "num", tuple(tuple(x // g for x in r) for r in rows))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix) or other.n != self.n:
             raise ValueError("size mismatch")
-        (a, da), (b, db) = self._integral(), other._integral()
-        cols = list(zip(*b))
-        return RatMatrix([[Fraction(sum(map(operator.mul, row, col)), da * db)
-                           for col in cols] for row in a])
-
-    def _integral(self) -> tuple[list[list[int]], int]:
-        """Integer numerators over the common denominator of every entry."""
-        den = math.lcm(*(x.denominator for row in self.rows for x in row))
-        return [[x.numerator * (den // x.denominator) for x in row] for row in self.rows], den
+        cols = list(zip(*other.num))
+        return RatMatrix(
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.num],
+            self.den * other.den)
 
     def row_times(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """vec (row) times this matrix."""
-        n = self.n
-        if len(vec) != n:
+        if len(vec) != self.n:
             raise ValueError("size mismatch")
-        return [sum(Fraction(vec[i]) * self.rows[i][j] for i in range(n))
-                for j in range(n)]
+        vec = [Fraction(x) for x in vec]
+        vden = math.lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (vden // x.denominator) for x in vec]
+        den = vden * self.den
+        return [Fraction(sum(map(operator.mul, ints, col)), den) for col in zip(*self.num)]
 
     def is_identity(self) -> bool:
         return self == RatMatrix.identity(self.n)
 
     def __eq__(self, other):
         if isinstance(other, RatMatrix):
-            return self.rows == other.rows
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __repr__(self):
@@ -93,18 +108,8 @@ def distance_matrix(t: Tree) -> RatMatrix:
 
 
 def determinant_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = m.n
-    if all(x.denominator == 1 for row in m.rows for x in row):
-        return Fraction(_bareiss_int([[x.numerator for x in row] for row in m.rows]))
-    # scale each row integral, run the integer kernel, divide the scale back out
-    scale = Fraction(1)
-    rows = []
-    for row in m.rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        rows.append([int(x * lcm) for x in row])
-    return Fraction(_bareiss_int(rows)) / scale
+    """Exact determinant det(num) / den^n, by Bareiss fraction-free elimination."""
+    return Fraction(_bareiss_int([list(r) for r in m.num]), m.den ** m.n)
 
 
 def _bareiss_int(a: list[list[int]]) -> int:
@@ -137,24 +142,21 @@ def graham_pollak_value(n: int) -> Fraction:
 
 
 def gl_inverse(t: Tree) -> RatMatrix:
-    """Closed-form inverse of the distance matrix, from degrees and adjacency."""
+    """Closed-form inverse of the distance matrix, from degrees and adjacency.
+
+    2(n-1) * d*_ij = (2-d_i)(2-d_j) + (n-1) * (-d_i if i=j else a_ij).
+    """
     n = t.n
     if n < 2:
         raise ValueError("needs n >= 2")
-    adj = {frozenset(e) for e in t.edges}
-    deg = t.degrees
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            val = Fraction((2 - deg[i]) * (2 - deg[j]), 2 * (n - 1))
-            if i == j:
-                val -= Fraction(deg[i], 2)
-            elif frozenset((i, j)) in adj:
-                val += Fraction(1, 2)
-            row.append(val)
-        rows.append(row)
-    return RatMatrix(rows)
+    deg = t.degrees[1:]
+    num = [[(2 - di) * (2 - dj) for dj in deg] for di in deg]
+    for i, di in enumerate(deg):
+        num[i][i] -= (n - 1) * di
+    for u, v in t.edges:
+        num[u - 1][v - 1] += n - 1
+        num[v - 1][u - 1] += n - 1
+    return RatMatrix(num, 2 * (n - 1))
 
 
 def c_coefficients(t: Tree) -> list[Fraction]:

@@ -543,15 +543,28 @@ def verify_product_decomposition(t: Tree) -> bool:
     return order3_form(t) == s_form(t.n) * distance_quadratic(t)
 
 
+_PARTIALS: list = [None, None]   # the last form seen, and its derivatives
+
+
+def _order3_partials(p: SparsePoly) -> tuple[tuple[SparsePoly, ...], SparsePoly]:
+    """D_r p for every r and sum_r x_r D_r p, derived once per form object:
+    the cache holds the last form by identity, so another form (another tree,
+    or a stand-in for ``order3_form``) is derived afresh."""
+    if _PARTIALS[0] is not p:
+        n = p.n
+        partials = tuple(p.partial(r) for r in range(1, n + 1))
+        euler = _sum_of_products(n, [(SparsePoly.variable(n, r), d_r)
+                                     for r, d_r in enumerate(partials, start=1)])
+        _PARTIALS[:] = [p, (partials, euler)]
+    return _PARTIALS[1]
+
+
 def verify_euler_identity(t: Tree) -> bool:
     """sum_r x_r * D_r p = 3 * s * g for the order-3 form."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    n = t.n
-    p = order3_form(t)
-    total = _sum_of_products(n, [(SparsePoly.variable(n, r), p.partial(r))
-                                 for r in range(1, n + 1)])
-    return total == 3 * s_form(n) * distance_quadratic(t)
+    _, euler = _order3_partials(order3_form(t))
+    return euler == 3 * s_form(t.n) * distance_quadratic(t)
 
 
 def s3_cofactors(t: Tree) -> list[SparsePoly]:
@@ -587,23 +600,35 @@ def verify_s3_decomposition(t: Tree) -> bool:
     n = t.n
     if n < 2:
         raise ValueError("needs at least two vertices")
-    p = order3_form(t)
-    partials = [p.partial(r) for r in range(1, n + 1)]
+    partials, by_vertex = _order3_partials(order3_form(t))
     by_degree = _sum_of_products(n, [(SparsePoly.constant(n, 3 * (2 - t.degrees[r])), d_r)
-                                     for r, d_r in enumerate(partials, start=1)])
-    by_vertex = _sum_of_products(n, [(SparsePoly.variable(n, r), d_r)
                                      for r, d_r in enumerate(partials, start=1)])
     s = s_form(n)
     return s * by_degree - 2 * by_vertex == s ** 3 * (9 * (n - 1))
 
 
+def _value_at_e1_minus_e2(p: SparsePoly) -> Coefficient:
+    """p(e_1 - e_2), read off the packed keys: only monomials in x_1, x_2 survive,
+    each with sign (-1)^(exponent of x_2)."""
+    low = _shifts(p.n)[1]
+    rest = (1 << low) - 1
+    return sum(-c if (key >> low) & 1 else c for key, c in p._terms.items()
+               if not key & rest)
+
+
 def verify_not_divisible(t: Tree) -> bool:
-    """No partial derivative of the order-3 form is a multiple of s."""
+    """No partial derivative of the order-3 form is a multiple of s.
+
+    Every multiple of s vanishes at z = e_1 - e_2, so D_r p(z) != 0 proves
+    D_r p is not one; on a tree D_r p(z) = g(z) = -3 d(1, 2) for every r.
+    A partial that vanishes at z falls back to exact division by s.
+    """
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    p = order3_form(t)
+    partials, _ = _order3_partials(order3_form(t))
     s = s_form(t.n)
-    for r in range(1, t.n + 1):
-        if not isinstance(divide_by_linear(p.partial(r), s), NotDivisible):
+    for d_r in partials:
+        if _value_at_e1_minus_e2(d_r) == 0 and \
+                not isinstance(divide_by_linear(d_r, s), NotDivisible):
             return False
     return True

@@ -66,7 +66,7 @@ class Hypermatrix:
         return int(self.entries[idx])
 
     def flat(self) -> list[int]:
-        return [int(x) for x in self.entries.reshape(-1)]
+        return self.entries.reshape(-1).tolist()
 
     def __eq__(self, other):
         if isinstance(other, Hypermatrix):
@@ -125,21 +125,35 @@ def export_json(h: Hypermatrix) -> str:
     return json.dumps({"k": h.k, "n": h.n, "entries": h.flat()})
 
 
+def _from_flat(k, n, entries: list) -> Hypermatrix:
+    """Flat C-order integer entries as an order-k hypermatrix of dimension n."""
+    for name, value in (("k", k), ("n", n)):
+        if type(value) is not int or value < 0:
+            raise MalformedInput(f"{name} must be a nonnegative integer, got {value!r}")
+    count = len(entries)   # n >= 2 and k > bit_length(count) make n^k > count
+    if (n > 1 and k > count.bit_length()) or count != n ** k:
+        raise MalformedInput(f"expected {n}^{k} entries, got {count}")
+    try:
+        arr = np.array(entries, dtype=np.int64)
+    except OverflowError as exc:
+        raise MalformedInput(f"entry outside int64: {exc}") from exc
+    return Hypermatrix(k, n, arr.reshape((n,) * k))
+
+
 def import_json(text: str) -> Hypermatrix:
     try:
         obj = json.loads(text)
-        k, n, entries = int(obj["k"]), int(obj["n"]), obj["entries"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        k, n, entries = obj["k"], obj["n"], obj["entries"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
-    if len(entries) != n ** k:
-        raise MalformedInput(f"expected {n ** k} entries, got {len(entries)}")
-    arr = np.array([int(x) for x in entries], dtype=np.int64).reshape((n,) * k)
-    return Hypermatrix(k, n, arr)
+    if type(entries) is not list or not set(map(type, entries)) <= {int}:
+        raise MalformedInput("hypermatrix JSON entries must be a list of integers")
+    return _from_flat(k, n, entries)
 
 
 def export_text(h: Hypermatrix) -> str:
     lines = [f"{h.k} {h.n}"]
-    lines.extend(str(x) for x in h.flat())
+    lines.extend(map(str, h.flat()))
     return "\n".join(lines) + "\n"
 
 
@@ -155,7 +169,4 @@ def import_text(text: str) -> Hypermatrix:
         entries = [int(x) for x in lines[1:]]
     except ValueError as exc:
         raise MalformedInput(f"non-integer token: {exc}") from exc
-    if len(entries) != n ** k:
-        raise MalformedInput(f"expected {n ** k} entries, got {len(entries)}")
-    arr = np.array(entries, dtype=np.int64).reshape((n,) * k)
-    return Hypermatrix(k, n, arr)
+    return _from_flat(k, n, entries)

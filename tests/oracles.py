@@ -18,6 +18,11 @@ matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
 mpmath numbers.  The multiset Hessian checks it to 128 bits, and it checks
 the complex128 fast path, which feeds only float64 solves.
 
+``partials_not_divisible_by_division`` divides every partial of a form by
+s, with no point test, and ``gl_inverse_fractions`` builds the
+Graham-Lovász inverse entry by entry in Fractions, with no integer
+numerators.
+
 Two polynomial routes live here because only tests need them:
 ``substitute`` (replace one variable by a polynomial) and
 ``evaluate_numeric`` (a form's value at an mpmath point, term by term).
@@ -36,8 +41,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (CFloat, CycNum, Hypermatrix, RatMatrix, SparsePoly, Tree,
-                       cyclotomic_polynomial, steiner_distance_bruteforce)
+from steinerdh import (CFloat, CycNum, Hypermatrix, NotDivisible, RatMatrix, SparsePoly,
+                       Tree, cyclotomic_polynomial, divide_by_linear, s_form,
+                       steiner_distance_bruteforce)
 
 
 def _weight(counts: Counter) -> int:
@@ -298,3 +304,30 @@ def fraction_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
     n = a.n
     return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
              for j in range(n)] for i in range(n)]
+
+
+def partials_not_divisible_by_division(p: SparsePoly) -> bool:
+    """No D_r p is a multiple of s = x_1 + ... + x_n, by one exact division
+    per partial, with no point test."""
+    s = s_form(p.n)
+    return all(isinstance(divide_by_linear(p.partial(r), s), NotDivisible)
+               for r in range(1, p.n + 1))
+
+
+def gl_inverse_fractions(t: Tree) -> list[list[Fraction]]:
+    """The Graham-Lovasz inverse entry by entry in Fractions:
+    (2-d_i)(2-d_j)/(2(n-1)) + (-d_i/2 if i = j else a_ij/2)."""
+    n, deg = t.n, t.degrees
+    adj = {frozenset(e) for e in t.edges}
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            val = Fraction((2 - deg[i]) * (2 - deg[j]), 2 * (n - 1))
+            if i == j:
+                val -= Fraction(deg[i], 2)
+            elif frozenset((i, j)) in adj:
+                val += Fraction(1, 2)
+            row.append(val)
+        rows.append(row)
+    return rows

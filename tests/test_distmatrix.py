@@ -1,15 +1,19 @@
 """Distance-matrix algebra: exact determinants, closed-form inverse, c vector."""
 
+import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steinerdh import (RatMatrix, c_coefficients, determinant_exact,
-                       distance_matrix, gl_inverse, graham_pollak_value,
-                       random_tree, star_tree)
+from steinerdh import (RatMatrix, Tree, c_coefficients, canonical_key,
+                       determinant_exact, distance_matrix, gl_inverse,
+                       graham_pollak_value, random_tree, star_tree)
 from conftest import tree_corpus
-from oracles import fraction_matmul, solve_row_system
+from oracles import fraction_matmul, gl_inverse_fractions, solve_row_system
 
 
 def naive_determinant(m: RatMatrix) -> Fraction:
@@ -132,3 +136,79 @@ def test_guards():
         graham_pollak_value(1)
     with pytest.raises(ValueError):
         solve_row_system(RatMatrix([[0, 0], [0, 0]]), [1, 1])
+
+
+_entries = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+def _square(n):
+    return st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _canonical_den(rows) -> int:
+    return math.lcm(*(x.denominator for row in rows for x in row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_ratmatrix_matches_fraction_oracles(data, n):
+    a_rows, b_rows = data.draw(_square(n)), data.draw(_square(n))
+    vec = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    a, b = RatMatrix(a_rows), RatMatrix(b_rows)
+    assert a.rows == tuple(map(tuple, a_rows))
+    assert a.den == _canonical_den(a_rows)
+    assert [[a[i, j] for j in range(n)] for i in range(n)] == a_rows
+    product = fraction_matmul(a, b)
+    assert (a @ b).rows == tuple(map(tuple, product))
+    assert a @ b == RatMatrix(product)
+    assert (a @ b).den == _canonical_den(product)
+    assert a.row_times(vec) == [sum((vec[i] * a_rows[i][j] for i in range(n)), Fraction(0))
+                                for j in range(n)]
+    assert a.is_identity() is (a_rows == [[int(i == j) for j in range(n)]
+                                          for i in range(n)])
+    assert determinant_exact(a) == naive_determinant(a)
+    assert a.to_json() == json.dumps([[[str(x.numerator), str(x.denominator)] for x in row]
+                                      for row in a_rows])
+    assert repr(a) == f"RatMatrix({[list(map(str, row)) for row in a_rows]})"
+    assert RatMatrix.from_json(a.to_json()) == a
+    assert a @ RatMatrix.identity(n) == a == RatMatrix.identity(n) @ a
+
+
+def test_equal_ratmatrices_compare_equal_however_built():
+    assert RatMatrix([[Fraction(2, 4)]]) == RatMatrix([[Fraction(1, 2)]])
+    assert RatMatrix([[Fraction(6, 3), 0], [1, Fraction(4, 4)]]) == RatMatrix([[2, 0], [1, 1]])
+    halves = RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    integral = halves @ RatMatrix([[2, 0], [0, 3]])
+    assert integral == RatMatrix.identity(2) and integral.den == 1
+    assert integral.is_identity()
+    assert RatMatrix([[Fraction(1, 2)]]) != RatMatrix([[Fraction(1, 3)]])
+    assert RatMatrix([[1, 0], [0, 1]]) != RatMatrix([[1]])
+    assert RatMatrix.from_json('[[["2", "4"]]]') == RatMatrix([[Fraction(1, 2)]])
+    for t in tree_corpus(6, 2, 9, seed0=40):
+        assert gl_inverse(t) @ distance_matrix(t) == RatMatrix.identity(t.n)
+        assert distance_matrix(t) @ gl_inverse(t) == RatMatrix.identity(t.n)
+
+
+def _tree_classes(n_max: int) -> list[Tree]:
+    """One tree per isomorphism class on 2..n_max vertices.  Every tree on n
+    vertices is a tree on n - 1 vertices plus a leaf, so extending each class
+    by a leaf at every vertex reaches every class."""
+    level = [Tree(2, [(1, 2)])]
+    out = list(level)
+    for n in range(3, n_max + 1):
+        found: dict[str, Tree] = {}
+        for t in level:
+            for v in range(1, n):
+                grown = Tree(n, t.edges + ((v, n),))
+                found.setdefault(canonical_key(grown), grown)
+        level = list(found.values())
+        out += level
+    return out
+
+
+def test_gl_inverse_matches_the_fraction_closed_form_on_every_small_tree_class():
+    classes = _tree_classes(8)
+    # unlabeled trees on 2..8 vertices (OEIS A000055)
+    assert len(classes) == 1 + 1 + 2 + 3 + 6 + 11 + 23
+    for t in classes:
+        assert gl_inverse(t).rows == tuple(map(tuple, gl_inverse_fractions(t)))

@@ -23,7 +23,8 @@ from conftest import tree_corpus
 from oracles import (edge_cut_hessian, evaluate_numeric, fraction_add,
                      fraction_mul, fraction_partial, fraction_pow,
                      fraction_remainder, fraction_terms, index_tuple_form,
-                     multiset_gradient, multiset_hessian)
+                     multiset_gradient, multiset_hessian,
+                     partials_not_divisible_by_division, substitute)
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -539,6 +540,80 @@ def test_s3_decomposition_rejects_a_perturbed_form(monkeypatch):
     assert verify_s3_decomposition(t)
     monkeypatch.setattr(forms, "order3_form", lambda _t: p + stray)
     assert not verify_s3_decomposition(t)
+
+
+def _recording_division(monkeypatch) -> list:
+    """Patch forms.divide_by_linear to record the polynomial of each call."""
+    calls, divide = [], forms.divide_by_linear
+
+    def recording(p, s):
+        calls.append(p)
+        return divide(p, s)
+
+    monkeypatch.setattr(forms, "divide_by_linear", recording)
+    return calls
+
+
+def test_not_divisible_point_test_matches_division_on_every_small_tree(monkeypatch):
+    # D_r p(e1 - e2) = g(e1 - e2) = -3 d(1, 2) on a tree, so no partial reaches
+    # the division fallback
+    calls = _recording_division(monkeypatch)
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            assert verify_not_divisible(t) is partials_not_divisible_by_division(order3_form(t))
+            assert verify_not_divisible(t)
+    assert calls == []
+
+
+def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s(monkeypatch):
+    t = random_tree(6, 3)
+    mutant = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
+    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    assert not partials_not_divisible_by_division(mutant)
+    assert not verify_not_divisible(t)
+
+
+def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_point(
+        monkeypatch):
+    # adding d(1,2) x1^3 cancels D_1 p at e1 - e2 without making D_1 p a multiple of s
+    t = random_tree(6, 3)
+    mutant = order3_form(t) + t.distance(1, 2) * X(6, 1) ** 3
+    assert forms._value_at_e1_minus_e2(mutant.partial(1)) == 0
+    assert partials_not_divisible_by_division(mutant)
+    calls = _recording_division(monkeypatch)
+    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    assert verify_not_divisible(t)
+    assert calls == [mutant.partial(1)]
+
+
+def test_not_divisible_finds_one_divisible_partial_among_the_others(monkeypatch):
+    # g_n (g with x_n replaced by x_n - s) is free of x_n and equals g mod s, so
+    # p' = p - x_n g_n has D_n p' = g + s D_n g - g_n divisible by s, while every
+    # other partial is still g = -3 d(1, 2) at e1 - e2
+    t = random_tree(6, 3)
+    n = t.n
+    g_n = substitute(distance_quadratic(t), n, X(n, n) - s_form(n))
+    mutant = order3_form(t) - X(n, n) * g_n
+    partials = [mutant.partial(r) for r in range(1, n + 1)]
+    assert [isinstance(divide_by_linear(d, s_form(n)), NotDivisible)
+            for d in partials] == [True] * (n - 1) + [False]
+    calls = _recording_division(monkeypatch)
+    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    assert not verify_not_divisible(t)
+    assert calls == [partials[-1]]
+
+
+def test_euler_identity_rejects_a_perturbed_form(monkeypatch):
+    # the cached partials follow the form object, not the tree
+    t = random_tree(7, 4)
+    p = order3_form(t)
+    mutant = p + SparsePoly(t.n, {(1, 1, 1, 0, 0, 0, 0): 1})
+    assert verify_euler_identity(t)
+    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    assert not verify_euler_identity(t)
+    assert not verify_s3_decomposition(t)
+    monkeypatch.setattr(forms, "order3_form", lambda _t: p)
+    assert verify_euler_identity(t) and verify_s3_decomposition(t)
 
 
 def test_order3_form_cache_follows_the_tree():

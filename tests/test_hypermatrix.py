@@ -101,6 +101,45 @@ def test_import_rejects_garbage():
         import_text("")
 
 
+@pytest.mark.parametrize("entry", ["1.5", '"1"', "true"])
+def test_import_json_rejects_non_integer_entries(entry):
+    with pytest.raises(MalformedInput):
+        import_json(f'{{"k": 2, "n": 2, "entries": [0, {entry}, 1, 0]}}')
+    with pytest.raises(MalformedInput):
+        import_json('{"k": 2, "n": 2, "entries": "0110"}')
+
+
+@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+def test_import_rejects_entries_outside_int64(entry):
+    with pytest.raises(MalformedInput):
+        import_json(f'{{"k": 2, "n": 2, "entries": [0, {entry}, 1, 0]}}')
+    with pytest.raises(MalformedInput):
+        import_text(f"2 2\n0\n{entry}\n1\n0\n")
+    # the int64 limits themselves still import
+    for edge in (2 ** 63 - 1, -2 ** 63):
+        assert import_json(f'{{"k": 2, "n": 2, "entries": [0, {edge}, 1, 0]}}').entry((1, 2)) \
+            == edge
+        assert import_text(f"2 2\n0\n{edge}\n1\n0\n").entry((1, 2)) == edge
+
+
+@pytest.mark.parametrize("k, n", [("2", "-2"), ("2.7", "2"), ("2", "2.0"), ("true", "2"),
+                                  ('"2"', "2")])
+def test_import_rejects_negative_or_non_integer_k_or_n(k, n):
+    with pytest.raises(MalformedInput):
+        import_json(f'{{"k": {k}, "n": {n}, "entries": [0, 1, 1, 0]}}')
+    if '"' not in k and k != "true":
+        with pytest.raises(MalformedInput):
+            import_text(f"{k} {n}\n0\n1\n1\n0\n")
+
+
+def test_import_rejects_an_entry_count_too_long_to_print():
+    # 3^100000 has more decimal digits than int-to-str conversion allows
+    with pytest.raises(MalformedInput):
+        import_json('{"k": 100000, "n": 3, "entries": [0]}')
+    with pytest.raises(MalformedInput):
+        import_text("100000 3\n0\n")
+
+
 def test_budget(monkeypatch, path3):
     with pytest.raises(BudgetExceeded):
         build_steiner(path3, 3, budget=10)
