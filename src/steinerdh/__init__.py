@@ -15,7 +15,7 @@ from .errors import (BudgetExceeded, ConductorMismatch, EmptySet, EvenOrder,
                      MalformedInput, NotATree, NotDegenerateZeroed,
                      OrderTooLow, SteinerError, TooLarge, TooSmall, WrongShape,
                      ZeroVector)
-from .scalar import (CFloat, CycNum, Rat, cyclotomic_polynomial, euler_phi,
+from .scalar import (CFloat, CycNum, cyclotomic_polynomial, euler_phi,
                      root_of_unity, unify_conductor)
 from .trees import (Tree, canonical_key, enumerate_trees, format_tree,
                     parse_tree, path_tree, prufer_decode, prufer_encode,

@@ -74,10 +74,11 @@ def _emit(args, obj) -> None:
 
 
 def _check_order(k) -> int:
-    """The order as an int >= 2; any other value is a usage error."""
-    if not str(k).strip().isdigit() or int(k) < 2:
+    """The order as an int >= 2 in ASCII digits; any other value is a usage error."""
+    text = str(k).strip()
+    if not (text.isascii() and text.isdigit()) or int(text) < 2:
         raise _UsageError(f"--k must be an integer >= 2, got {k!r}")
-    return int(k)
+    return int(text)
 
 
 def _load_tree(path: str) -> Tree:

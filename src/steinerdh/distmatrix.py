@@ -22,6 +22,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import MalformedInput
+from .scalar import _fraction_from_json
 from .trees import Tree
 
 
@@ -99,8 +101,10 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "RatMatrix":
-        data = json.loads(text)
-        return cls([[Fraction(int(n_), int(d_)) for n_, d_ in row] for row in data])
+        try:
+            return cls([[_fraction_from_json(x) for x in row] for row in json.loads(text)])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"bad matrix JSON: {exc!r}") from exc
 
 
 def distance_matrix(t: Tree) -> RatMatrix:

@@ -39,9 +39,9 @@ from typing import Iterable, Sequence, Union
 import mpmath
 import numpy as np
 
-from .errors import ConductorMismatch
+from .errors import ConductorMismatch, MalformedInput
 from .hypermatrix import Hypermatrix, build_steiner
-from .scalar import CFloat, CycNum, _int_if_integral
+from .scalar import CycNum, _fraction_from_json, _int_if_integral
 from .trees import Tree
 
 Coefficient = Union[int, Fraction]
@@ -281,10 +281,13 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, text: str) -> "SparsePoly":
-        obj = json.loads(text)
-        terms = {tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-                 for t in obj["terms"]}
-        return cls(int(obj["n"]), terms)
+        try:
+            obj = json.loads(text)
+            terms = {tuple(t["exp"]): _fraction_from_json([t["num"], t["den"]])
+                     for t in obj["terms"]}
+            return cls(index(obj["n"]), terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"bad polynomial JSON: {exc!r}") from exc
 
     def __repr__(self):
         if self.is_zero():
@@ -347,8 +350,7 @@ def _coerce_point(point: Sequence) -> tuple[list, object]:
                  for x in point], CycNum.one(cyc_m))
     if all(isinstance(x, (int, Fraction)) for x in point):
         return [Fraction(x) for x in point], Fraction(1)
-    return ([x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-             for x in point], mpmath.mpc(1))
+    return [mpmath.mpmathify(x) for x in point], mpmath.mpc(1)
 
 
 def _power_table(coords, top: int, one):

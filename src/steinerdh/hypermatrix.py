@@ -78,12 +78,12 @@ class Hypermatrix:
         return f"Hypermatrix(k={self.k}, n={self.n})"
 
 
-def build_steiner(t: Tree, k: int, budget: int | None = None) -> Hypermatrix:
+def build_steiner(t: Tree, k: int) -> Hypermatrix:
     """The order-k Steiner distance hypermatrix of a tree."""
     if k < 2:
         raise WrongShape("order must be >= 2")
     n = t.n
-    limit = entry_budget() if budget is None else budget
+    limit = entry_budget()
     if n ** k > limit:
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     arr = np.zeros((n,) * k, dtype=np.int64)
@@ -162,8 +162,11 @@ def import_text(text: str) -> Hypermatrix:
     if not lines:
         raise MalformedInput("empty hypermatrix document")
     head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedInput(f"header must be 'k n', got {lines[0]!r}")
+    # int() would also read signs, underscores and other scripts' digits
+    if len(head) != 2 or not all(x.isascii() and x.isdigit() for x in head):
+        raise MalformedInput(f"header must be 'k n' in ASCII digits, got {lines[0]!r}")
+    if not all(x.isascii() and x.removeprefix("-").isdigit() for x in lines[1:]):
+        raise MalformedInput("entries must be integers in ASCII digits, one a line")
     try:
         k, n = int(head[0]), int(head[1])
         entries = [int(x) for x in lines[1:]]

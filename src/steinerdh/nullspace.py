@@ -20,9 +20,9 @@ take O(n) field products; the tests check both against the expanded g.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system
 over the reals with a unit-norm row appended, from seeded Philox restarts:
-complex128 iterates and float64 steps, a working-precision (128-bit default)
+complex128 iterates and float64 steps, a ``WORKING_PREC``-bit (128-bit)
 refinement only where float64 runs out of digits, and every reported point
-and residual evaluated at the working precision.  It reports residuals only
+and residual evaluated at that precision.  It reports residuals only
 and never claims exactness.
 """
 
@@ -40,7 +40,7 @@ from .errors import (EvenOrder, NotDegenerateZeroed, OrderTooLow, TooSmall,
                      ZeroVector)
 from .forms import gradient_direct, hessian_direct, steiner_form
 from .hypermatrix import Hypermatrix, has_nonzero_degenerate
-from .scalar import CFloat, CycNum, root_of_unity, unify_conductor
+from .scalar import WORKING_PREC, CFloat, CycNum, root_of_unity, unify_conductor
 from .trees import Tree, format_tree
 
 
@@ -121,7 +121,8 @@ def _report(k: int, coords: list[CycNum], gradient: list[CycNum], tree) -> Nullv
     if exact:
         residual = 0.0
     else:
-        residual = max(float(g.embed().abs_value()) for g in gradient)
+        with mpmath.workprec(WORKING_PREC):
+            residual = max(float(abs(g.embed())) for g in gradient)
     return NullvectorReport(k=k, point=tuple(coords), gradient=tuple(gradient),
                             exact_zero=exact, embedded_residual=residual, tree=tree)
 
@@ -163,8 +164,8 @@ class CompletionCandidate:
 
     ``exact`` is True when the root lies in the working cyclotomic field; the
     point is then a CycNum vector and ``residual`` is 0.0 on success.  When the
-    root escapes the field the point is numeric (CFloat) and ``residual`` is
-    max(|s|, |g|) at 128-bit precision.
+    root escapes the field the point is numeric, CFloat values rounded to
+    ``WORKING_PREC`` bits, and ``residual`` is max(|s|, |g|) at that precision.
     """
 
     point: tuple
@@ -269,11 +270,10 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
                 quadratic=(A, B, C), residual=0.0, verified=verified))
         return candidates
 
-    # root escapes the field: fall back to 128-bit numerics
-    prec = CFloat.DEFAULT_PREC
-    with mpmath.workprec(prec):
-        av, bv, cv, sv = (x.embed(prec).to_mpc() for x in (A, B, C, sigma))
-        tail_num = [x.embed(prec).to_mpc() for x in a]
+    # root escapes the field: WORKING_PREC numerics (+x rounds x to them)
+    with mpmath.workprec(WORKING_PREC):
+        av, bv, cv, sv = (+x.embed() for x in (A, B, C, sigma))
+        tail_num = [+x.embed() for x in a]
         sq = mpmath.sqrt(bv * bv - 4 * av * cv)
         for sign in (1, -1):
             a1 = (-bv + sign * sq) / (2 * av)
@@ -281,7 +281,7 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
             s = mpmath.fsum(coords)
             g = 3 * mpmath.fsum(f * (s - f) for f in t.far_sums(coords))
             res = max(abs(s), abs(g))
-            point = tuple(CFloat.from_mpc(z, prec) for z in coords)
+            point = tuple(CFloat(z) for z in coords)
             candidates.append(CompletionCandidate(
                 point=point, exact=False, trivial=False,
                 quadratic=(A, B, C), residual=float(res),
@@ -311,20 +311,23 @@ class SearchCandidate:
     stop: str
 
 
+MAX_STEPS = 60
+
+
 def numeric_search(t: Tree, k: int, seed: int, restarts: int,
-                   tol: float = 1e-12, prec: int = CFloat.DEFAULT_PREC,
-                   max_iter: int = 60) -> list[SearchCandidate]:
+                   tol: float = 1e-12) -> list[SearchCandidate]:
     """Gauss-Newton on the gradient system with a unit-norm constraint row.
 
     Each restart starts from an independent Philox stream keyed by (seed,
     restart index) and iterates on a complex128 point with floor
-    max(2^-40, tol).  Its best point is lifted to ``prec`` bits and
-    normalized there, and the residual reported is evaluated at ``prec``.
-    A restart whose float64 loop reached its floor goes on at ``prec`` bits
-    (floor max(2^(24-prec), tol), the steps left of ``max_iter``, float64
-    steps against ``prec``-bit residuals), so a float64 ``tol`` stop stands
-    only if the ``prec``-bit residual is below ``tol`` too.  Candidates come
-    back sorted by residual; no exactness is ever claimed.
+    max(2^-40, tol), for at most ``MAX_STEPS`` steps in all.  Its best point
+    is lifted to ``WORKING_PREC`` bits and normalized there, and the residual
+    reported is evaluated at that precision.  A restart whose float64 loop
+    reached its floor goes on at ``WORKING_PREC`` bits (floor
+    max(2^(24 - WORKING_PREC), tol), the steps left of ``MAX_STEPS``, float64
+    steps against working-precision residuals), so a float64 ``tol`` stop
+    stands only if the working-precision residual is below ``tol`` too.
+    Candidates come back sorted by residual; no exactness is ever claimed.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
@@ -335,13 +338,13 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
         rng = np.random.Generator(np.random.Philox(key=key))
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         start /= np.linalg.norm(start)
-        x, _, steps, stop = _descend(t, k, start, max(2.0 ** -40, tol), tol, max_iter)
+        x, _, steps, stop = _descend(t, k, start, max(2.0 ** -40, tol), tol, MAX_STEPS)
         refine = stop in ("tol", "precision_floor", "step_floor")
-        with mpmath.workprec(prec):
+        with mpmath.workprec(WORKING_PREC):
             lifted = np.array([mpmath.mpc(z) for z in x], dtype=object)
-            x, res, more, last = _descend(t, k, lifted, max(2.0 ** (24 - prec), tol),
-                                          tol, max_iter - steps if refine else 0)
-            point = tuple(CFloat.from_mpc(z, prec) for z in x)
+            x, res, more, last = _descend(t, k, lifted, max(2.0 ** (24 - WORKING_PREC), tol),
+                                          tol, MAX_STEPS - steps if refine else 0)
+            point = tuple(CFloat(z) for z in x)
         stop = last if refine else stop
         out.append(SearchCandidate(point=point, residual=float(res), iterations=steps + more,
                                    stop="stalled" if stop == "step_floor" else stop))

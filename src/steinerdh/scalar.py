@@ -6,9 +6,9 @@ stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th
 cyclotomic polynomial, so equality and ``is_zero`` are exact field-element
 tests.  An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer-valued certificates multiply at Python-int
-speed; ``as_rational`` still hands back a ``Fraction``.  ``CFloat`` is a
-finite complex number with an mpmath mantissa of at least 64 bits (default
-128), used only on the numeric side of the package.
+speed; ``as_rational`` still hands back a ``Fraction``.  ``CFloat`` is an
+``mpmath.mpc`` that is known to be finite; the numeric side of the package
+works at one precision, ``WORKING_PREC`` bits.
 
 Every coefficient list, however long, is folded into that basis through one
 integer table of zeta^j mod Phi_m (``_reduction_table``).  A list longer than
@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .errors import ConductorMismatch
+from .errors import ConductorMismatch, MalformedInput
 
-Rat = Fraction
+WORKING_PREC = 128
 
 RatLike = Union[int, Fraction]
 
@@ -128,6 +129,16 @@ def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
 
 def _int_if_integral(c: Fraction) -> RatLike:
     return c.numerator if c.denominator == 1 else c
+
+
+def _fraction_from_json(pair) -> Fraction:
+    """A [numerator, denominator] pair of decimal strings, as the to_json
+    methods write it, as a Fraction.  ValueError on any other shape or string
+    (int() would read '+1' and '1_0'), ZeroDivisionError on a zero denominator."""
+    if type(pair) is not list or len(pair) != 2 or not all(
+            type(x) is str and x.isascii() and x.removeprefix("-").isdigit() for x in pair):
+        raise ValueError(f"expected a pair of decimal strings, got {pair!r}")
+    return Fraction(int(pair[0]), int(pair[1]))
 
 
 def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:
@@ -345,17 +356,16 @@ class CycNum:
 
     # -- embedding ----------------------------------------------------------
 
-    def embed(self, precision_bits: int = 128) -> "CFloat":
-        """Numeric value under zeta_m -> exp(2*pi*i/m)."""
-        if precision_bits < 53:
-            raise ValueError("need at least 53 mantissa bits")
-        with mpmath.workprec(precision_bits + 16):
+    def embed(self) -> "CFloat":
+        """Numeric value under zeta_m -> exp(2*pi*i/m), summed and kept at
+        WORKING_PREC + 16 bits."""
+        with mpmath.workprec(WORKING_PREC + 16):
             total = mpmath.mpc(0)
             for j, c in enumerate(self.coeffs):
                 if c:
                     w = mpmath.expjpi(mpmath.mpf(2 * j) / self.m)
                     total += mpmath.mpf(c.numerator) / c.denominator * w
-        return CFloat(total.real, total.imag, prec=precision_bits)
+            return CFloat(total)
 
     # -- serialization ------------------------------------------------------
 
@@ -367,7 +377,10 @@ class CycNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycNum":
-        return cls(int(obj["m"]), [Fraction(int(n), int(d)) for n, d in obj["coeffs"]])
+        try:
+            return cls(index(obj["m"]), [_fraction_from_json(c) for c in obj["coeffs"]])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"bad cyclotomic JSON: {exc!r}") from exc
 
     def __repr__(self):
         return f"CycNum(m={self.m}, {list(self.coeffs)!r})"
@@ -421,54 +434,18 @@ def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:
 # CFloat
 # ---------------------------------------------------------------------------
 
-class CFloat:
-    """Finite complex number with an mpmath mantissa of >= 64 bits.
+class CFloat(mpmath.mpc):
+    """An ``mpmath.mpc`` that is finite: construction rejects NaN and infinity.
 
-    Construction rejects NaN and infinity, so non-finite values never
-    escape.  Default precision is 128 bits.  Arithmetic happens on
-    ``mpmath.mpc`` values (``to_mpc``/``from_mpc``).
+    Both parts are rounded at the precision in force when the value is
+    built.  Arithmetic on a CFloat gives plain ``mpmath.mpc`` values.
     """
 
-    __slots__ = ("real", "imag", "prec")
-
-    DEFAULT_PREC = 128
-
-    def __init__(self, real=0, imag=0, prec: int = DEFAULT_PREC):
-        if prec < 64:
-            raise ValueError("CFloat needs a mantissa of at least 64 bits")
-        with mpmath.workprec(prec):
-            re = real if isinstance(real, mpmath.mpf) else mpmath.mpf(mpmath.mpmathify(real))
-            im = imag if isinstance(imag, mpmath.mpf) else mpmath.mpf(mpmath.mpmathify(imag))
-        if not (mpmath.isfinite(re) and mpmath.isfinite(im)):
+    def __new__(cls, real=0, imag=0):
+        z = super().__new__(cls, real, imag)
+        if not mpmath.isfinite(z):
             raise ValueError("CFloat must be finite")
-        object.__setattr__(self, "real", re)
-        object.__setattr__(self, "imag", im)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *_):  # pragma: no cover - immutability guard
-        raise AttributeError("CFloat is immutable")
-
-    @classmethod
-    def from_mpc(cls, z, prec: int = DEFAULT_PREC) -> "CFloat":
-        return cls(mpmath.mpf(z.real), mpmath.mpf(z.imag), prec=prec)
-
-    def to_mpc(self):
-        return mpmath.mpc(self.real, self.imag)
-
-    def abs_value(self) -> mpmath.mpf:
-        with mpmath.workprec(self.prec):
-            return mpmath.hypot(self.real, self.imag)
-
-    def __abs__(self):
-        return self.abs_value()
-
-    def __eq__(self, other):
-        if isinstance(other, CFloat):
-            return self.real == other.real and self.imag == other.imag
-        return NotImplemented
-
-    def __repr__(self):
-        return f"CFloat({self.real!r}, {self.imag!r}, prec={self.prec})"
+        return z
 
     def to_json(self) -> list[str]:
         return [mpmath.nstr(self.real, 40), mpmath.nstr(self.imag, 40)]

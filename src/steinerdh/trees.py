@@ -214,6 +214,9 @@ def parse_tree(text: str) -> Tree:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise MalformedInput("empty document")
+    # int() would also read signs, underscores and other scripts' digits
+    if not all(x.isascii() and x.isdigit() for ln in lines for x in ln.split()):
+        raise MalformedInput("the vertex count and labels must be ASCII digits")
     try:
         n = int(lines[0])
     except ValueError as exc:

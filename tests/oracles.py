@@ -41,7 +41,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (CFloat, CycNum, Hypermatrix, NotDivisible, RatMatrix, SparsePoly,
+from steinerdh import (CycNum, Hypermatrix, NotDivisible, RatMatrix, SparsePoly,
                        Tree, cyclotomic_polynomial, divide_by_linear, s_form,
                        steiner_distance_bruteforce)
 
@@ -285,11 +285,10 @@ def substitute(p: SparsePoly, r: int, value: SparsePoly) -> SparsePoly:
 
 
 def evaluate_numeric(p: SparsePoly, point: Sequence, prec: int = 128):
-    """p at a point of mpmath-convertible or CFloat coordinates, as mpmath.mpc,
+    """p at a point of mpmath-convertible coordinates, as mpmath.mpc,
     summed term by term at ``prec`` bits."""
     with mpmath.workprec(prec):
-        coords = [x.to_mpc() if isinstance(x, CFloat) else mpmath.mpmathify(x)
-                  for x in point]
+        coords = [mpmath.mpmathify(x) for x in point]
         acc = mpmath.mpc(0)
         for exp, c in p.terms.items():
             term = mpmath.mpf(c.numerator) / c.denominator

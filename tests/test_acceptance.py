@@ -162,10 +162,9 @@ def test_criterion_06_completion():
                         exact_seen += 1
                 else:
                     with mpmath.workprec(128):
-                        coords = [p.to_mpc() for p in c.point]
                         res = max(
-                            abs(evaluate_numeric(sd.s_form(n), coords)),
-                            abs(evaluate_numeric(sd.distance_quadratic(t), coords)))
+                            abs(evaluate_numeric(sd.s_form(n), c.point)),
+                            abs(evaluate_numeric(sd.distance_quadratic(t), c.point)))
                         assert float(res) <= 1e-20, (i, float(res))
                     passing += 1
                     numeric_seen += 1

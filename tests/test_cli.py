@@ -237,7 +237,9 @@ def test_search_tol_usage_errors(tree_file, capsys):
 def test_campaign_order_list_usage_errors(tmp_path, capsys):
     campaign = ["campaign", "--n-min", "3", "--n-max", "3",
                 "--out-dir", str(tmp_path / "c"), "--k"]
-    for orders in ("3,x", "3.5", "x", "3,1"):
+    # only ASCII digits: int() would fail on a superscript two (an uncaught
+    # ValueError) and read an Arabic-Indic three as 3, running order 3 twice
+    for orders in ("3,x", "3.5", "x", "3,1", "\u00b2", "3,\u0663"):
         _assert_usage_error(capsys, campaign + [orders])
     assert not (tmp_path / "c").exists()
 

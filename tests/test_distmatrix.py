@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerdh import (RatMatrix, Tree, c_coefficients, canonical_key,
+from steinerdh import (MalformedInput, RatMatrix, Tree, c_coefficients, canonical_key,
                        determinant_exact, distance_matrix, gl_inverse,
                        graham_pollak_value, random_tree, star_tree)
 from conftest import tree_corpus
@@ -212,3 +212,20 @@ def test_gl_inverse_matches_the_fraction_closed_form_on_every_small_tree_class()
     assert len(classes) == 1 + 1 + 2 + 3 + 6 + 11 + 23
     for t in classes:
         assert gl_inverse(t).rows == tuple(map(tuple, gl_inverse_fractions(t)))
+
+
+@pytest.mark.parametrize("text", [
+    '[[["1", "0"]]]',                        # zero denominator
+    '[[["1", "2"], ["3"]]]',                 # short pair
+    '[[["1", "2"], ["3", "4"]]]',            # not square
+    '[[["1_0", "2"]]]',                      # Python literal, not decimal
+    '[[[" 1", "2"]]]',
+    '[[[1, 2]]]',
+    '["12"]',
+    '[]',
+    '5',
+    'not json',
+])
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(MalformedInput):
+        RatMatrix.from_json(text)

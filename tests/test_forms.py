@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import forms
-from steinerdh import (ConductorMismatch, CycNum, NotDivisible, SparsePoly,
+from steinerdh import (ConductorMismatch, CycNum, MalformedInput, NotDivisible, SparsePoly,
                        build_steiner, canonical_odd_nullvector,
                        distance_quadratic, divide_by_linear, enumerate_trees,
                        gradient_direct, hessian_direct, order3_form,
@@ -80,6 +80,24 @@ def test_json_round_trip_canonical():
     # graded-lex: degree-2 terms first, then the constant
     exps = [t["exp"] for t in json.loads(p.to_json())["terms"]]
     assert exps == [[2, 0], [1, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "terms": [{"exp": [1], "num": "1", "den": "0"}]}',   # zero denominator
+    '{"n": 1, "terms": [{"exp": [1], "num": "1"}]}',               # missing key
+    '{"terms": []}',
+    '{"n": 1}',
+    '{"n": 1, "terms": [{"exp": [1, 2], "num": "1", "den": "1"}]}',  # wrong shape
+    '{"n": 1, "terms": [{"exp": ["1"], "num": "1", "den": "1"}]}',
+    '{"n": "1", "terms": []}',
+    '{"n": 1, "terms": [{"exp": [1], "num": "1_0", "den": "1"}]}',  # not decimal
+    '{"n": 1, "terms": [{"exp": [1], "num": "+1", "den": "1"}]}',
+    '[]',
+    'not json',
+])
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(MalformedInput):
+        SparsePoly.from_json(text)
 
 
 def test_coefficient_type_contract():

@@ -101,6 +101,20 @@ def test_import_rejects_garbage():
         import_text("")
 
 
+@pytest.mark.parametrize("text", [
+    "2 2\n0\n1_0\n+1\n0\n",          # Python literals as entries
+    "2 2\n0\n+1\n1\n0\n",
+    "2 2\n0\n1 1\n0\n",
+    "2 2\n0\n\u0661\n1\n0\n",       # Arabic-Indic one
+    "2 +2\n0\n1\n1\n0\n",            # signed header
+    "2 0_2\n0\n1\n1\n0\n",
+    "\u00b2 2\n0\n1\n1\n0\n",       # superscript two
+])
+def test_import_text_reads_only_ascii_integers(text):
+    with pytest.raises(MalformedInput):
+        import_text(text)
+
+
 @pytest.mark.parametrize("entry", ["1.5", '"1"', "true"])
 def test_import_json_rejects_non_integer_entries(entry):
     with pytest.raises(MalformedInput):
@@ -141,8 +155,8 @@ def test_import_rejects_an_entry_count_too_long_to_print():
 
 
 def test_budget(monkeypatch, path3):
-    with pytest.raises(BudgetExceeded):
-        build_steiner(path3, 3, budget=10)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "27")
+    assert build_steiner(path3, 3).n == 3
     monkeypatch.setenv(BUDGET_ENV_VAR, "10")
     assert entry_budget() == 10
     with pytest.raises(BudgetExceeded):

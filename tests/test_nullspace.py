@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
+from steinerdh import (CFloat, CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        SparsePoly, TooSmall, Tree, ZeroVector, build_steiner,
                        canonical_odd_nullvector, complete_nullvector,
                        completion_quadratic, degenerate_nullvector,
@@ -18,6 +18,7 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        zero_degenerate)
 from steinerdh import nullspace
 from steinerdh.nullspace import _gauss_newton_step
+from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
 from oracles import edge_cut_hessian, qr_gauss_newton_step, substitute
 
@@ -409,7 +410,7 @@ def test_search_points_live_on_unit_sphere(path3):
     cands = numeric_search(path3, 3, seed=2, restarts=3)
     for c in cands:
         with mpmath.workprec(128):
-            norm = mpmath.fsum([c_.abs_value() ** 2 for c_ in c.point])
+            norm = mpmath.fsum([abs(c_) ** 2 for c_ in c.point])
             assert abs(norm - 1) < 1e-20
 
 
@@ -420,23 +421,28 @@ SEARCH_TREES = [t for n in range(2, 8)
 def _residual_at(t, k, point, prec):
     """Max |gradient| at a reported CFloat point, evaluated at ``prec`` bits."""
     with mpmath.workprec(prec):
-        grads = gradient_direct(t, k, [z.to_mpc() for z in point])
+        grads = gradient_direct(t, k, point)
         return float(max(abs(g) for g in grads))
 
 
-@pytest.mark.parametrize("prec", [64, 128, 200])
+@pytest.mark.parametrize("prec", [64, WORKING_PREC, 200])
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-30])
-def test_search_candidates_keep_their_contract(tol, prec):
+def test_search_candidates_keep_their_contract(tol, prec, monkeypatch):
     # The float64 iterate is never what is reported: every residual is the
-    # prec-bit value at the reported point, and the stop reason agrees with it.
-    # A budget of 9 steps often runs out in the refinement phase.
+    # working-precision value at the reported point, and the stop reason
+    # agrees with it.  Nothing in the search is tied to 128 bits, so the
+    # contract holds with the constants patched too: other working
+    # precisions, and a budget of 9 steps, which often runs out in the
+    # refinement phase.
+    monkeypatch.setattr(nullspace, "WORKING_PREC", prec)
     floor = 2.0 ** (24 - prec)
     for i, t in enumerate(SEARCH_TREES):
         max_iter = 9 if i % 2 else 60
+        monkeypatch.setattr(nullspace, "MAX_STEPS", max_iter)
         for k in range(2, 7):
-            (c,) = numeric_search(t, k, seed=i, restarts=1, tol=tol, prec=prec,
-                                  max_iter=max_iter)
-            assert all(z.prec == prec for z in c.point)
+            (c,) = numeric_search(t, k, seed=i, restarts=1, tol=tol)
+            with mpmath.workprec(prec):
+                assert all(isinstance(z, CFloat) and +z == z for z in c.point)
             assert c.residual == _residual_at(t, k, c.point, prec), (t, k, c)
             if c.stop == "tol":
                 assert c.residual < tol, (t, k, c)

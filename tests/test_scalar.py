@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerdh import (CFloat, ConductorMismatch, CycNum, cyclotomic_polynomial,
-                       euler_phi, root_of_unity, unify_conductor)
+from steinerdh import (CFloat, ConductorMismatch, CycNum, MalformedInput,
+                       cyclotomic_polynomial, euler_phi, root_of_unity, unify_conductor)
+from steinerdh.scalar import WORKING_PREC
 
 from oracles import cyclotomic_product
 
@@ -68,11 +69,6 @@ def test_embed_examples():
         assert abs(e3.imag - half_sqrt2) < mpmath.mpf(10) ** -30
 
 
-def test_embed_requires_53_bits():
-    with pytest.raises(ValueError):
-        root_of_unity(4).embed(precision_bits=40)
-
-
 small_rat = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -100,9 +96,9 @@ def test_embed_is_ring_homomorphism(ab):
     a, b = ab
     with mpmath.workprec(200):
         tol = mpmath.mpf(2) ** -90
-        scale = 1 + a.embed().abs_value() + b.embed().abs_value()
-        prod = (a * b).embed().to_mpc() - a.embed().to_mpc() * b.embed().to_mpc()
-        add = (a + b).embed().to_mpc() - (a.embed().to_mpc() + b.embed().to_mpc())
+        scale = 1 + abs(a.embed()) + abs(b.embed())
+        prod = (a * b).embed() - a.embed() * b.embed()
+        add = (a + b).embed() - (a.embed() + b.embed())
         assert abs(prod) <= tol * scale * scale
         assert abs(add) <= tol * scale
 
@@ -147,8 +143,8 @@ def test_lift_preserves_value(case):
         assert (x + y).lift(big) == x.lift(big) + y.lift(big)
         assert (x * y).lift(big) == x.lift(big) * y.lift(big)
         with mpmath.workprec(200):
-            gap = x.embed().to_mpc() - x.lift(big).embed().to_mpc()
-            assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + x.embed().abs_value())
+            gap = x.embed() - x.lift(big).embed()
+            assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + abs(x.embed()))
     assert x.lift(a).lift(b) == x.lift(b)
 
 
@@ -201,6 +197,24 @@ def test_json_round_trip():
     obj = x.to_json()
     assert obj["m"] == 8 and obj["coeffs"][0] == ["-3", "7"]
     assert CycNum.from_json(obj) == x
+
+
+@pytest.mark.parametrize("obj", [
+    {"m": 4, "coeffs": [["1", "0"]]},          # zero denominator
+    {"m": 4},                                  # missing key
+    {"coeffs": [["1", "2"]]},
+    {"m": 4, "coeffs": [["1", "2"], ["3"]]},   # short pair
+    {"m": 4, "coeffs": ["12"]},
+    {"m": 4, "coeffs": [["1_0", "2"]]},        # Python literal, not decimal
+    {"m": 4, "coeffs": [["+1", "2"]]},
+    {"m": 4, "coeffs": [[1, 2]]},
+    {"m": "4", "coeffs": []},
+    {"m": 0, "coeffs": []},
+    None,
+])
+def test_from_json_rejects_malformed_documents(obj):
+    with pytest.raises(MalformedInput):
+        CycNum.from_json(obj)
 
 
 def test_rational_interop_and_equality():
@@ -281,10 +295,28 @@ def test_mul_matches_long_division_oracle(ab, big):
 
 def test_cfloat_basics():
     a = CFloat(1.5, -2)
-    assert float(a.real) == 1.5 and float(a.imag) == -2 and a.prec == 128
-    assert CFloat.from_mpc(a.to_mpc()) == a
-    assert a.abs_value() == abs(a) == mpmath.mpf("2.5")
+    assert isinstance(a, mpmath.mpc)
+    assert float(a.real) == 1.5 and float(a.imag) == -2
+    assert CFloat(mpmath.mpc(1.5, -2)) == a == CFloat(1.5 - 2j)
+    assert abs(a) == mpmath.mpf("2.5")
+    assert a.to_json() == ["1.5", "-2.0"]
     with pytest.raises(ValueError):
         CFloat(float("inf"), 0)
     with pytest.raises(ValueError):
-        CFloat(1, 0, prec=32)
+        CFloat(mpmath.mpc(1, mpmath.nan))
+
+
+def test_cfloat_rounds_at_the_precision_in_force():
+    with mpmath.workprec(200):
+        third = mpmath.mpf(1) / 3
+        assert CFloat(third).real == third
+        assert CFloat(mpmath.mpc(0, third)).imag == third
+    with mpmath.workprec(128):
+        assert CFloat(third).real == +third != third
+        assert CFloat(mpmath.mpc(0, third)).imag == +third
+    # embed builds its value inside its own WORKING_PREC + 16 bit block
+    e = root_of_unity(3).embed()
+    with mpmath.workprec(WORKING_PREC + 16):
+        assert +e == e
+    with mpmath.workprec(WORKING_PREC):
+        assert +e != e

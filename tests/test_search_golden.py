@@ -1,0 +1,99 @@
+"""Golden output of the numeric layer: ``search`` bytes, embeddings, completions.
+
+``tests/data/search_golden.json`` holds, for fixed random trees with
+n in {1, 2, 3, 5, 8} and for ``star_tree(20)``, at orders k in {3, 4, 5, 7},
+the exact stdout and ``--verbose`` stderr of ``steinerdh search`` with 2 to 4
+restarts, so the points, residuals, iteration counts and stop reasons are all
+pinned.  Each case runs at the default ``--tol``, at ``--tol 1e-30`` and at
+``--tol 0``, which runs into the precision floor.  The file also holds
+``CycNum.embed().to_json()`` for a few roots of unity and a sum of them, and
+the numeric points of ``complete_nullvector`` for tails whose completing root
+escapes the working field.  The test only reads the file.  To rewrite it
+deliberately (after a change that is meant to alter the output), run
+``PYTHONPATH=src python tests/test_search_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from steinerdh import CycNum, complete_nullvector, root_of_unity
+from steinerdh.cli import main
+from steinerdh.trees import format_tree, path_tree, random_tree, star_tree
+
+GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
+SIZES = (1, 2, 3, 5, 8)
+ORDERS = (3, 4, 5, 7)
+TOLS = (None, "1e-30", "0")
+
+
+def _search(tree_path: str, k: int, restarts: int, tol) -> tuple[str, str]:
+    argv = ["search", "--tree", tree_path, "--k", str(k), "--seed", str(k),
+            "--restarts", str(restarts), "--verbose"]
+    if tol is not None:
+        argv += ["--tol", tol]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    return out.getvalue(), err.getvalue()
+
+
+def _trees() -> list[tuple[str, object]]:
+    return ([(f"random_tree({n}, {2000 + n})", random_tree(n, 2000 + n)) for n in SIZES]
+            + [("star_tree(20)", star_tree(20))])
+
+
+def compute() -> dict:
+    """Every golden value, recomputed by the library on the import path."""
+    searches = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, t) in enumerate(_trees()):
+            path = os.path.join(tmp, f"tree{i}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_tree(t))
+            for j, k in enumerate(ORDERS):
+                restarts = 2 + (i + j) % 3
+                for tol in TOLS:
+                    out, err = _search(path, k, restarts, tol)
+                    searches.append({"tree": name, "k": k, "restarts": restarts,
+                                     "tol": tol, "stdout": out, "stderr": err})
+    embeds = {f"zeta_{m}^{j}": root_of_unity(m, j).embed().to_json()
+              for m, j in ((1, 0), (3, 1), (5, 2), (7, 3), (12, 5), (24, 7))}
+    embeds["zeta_5 + 2/3 zeta_5^3"] = (root_of_unity(5) + root_of_unity(5, 3) * 2 / 3
+                                       ).embed().to_json()
+    completions = []
+    one = CycNum.one()
+    for t, tail in ((path_tree(4), [one, one]), (star_tree(5), [one, 2 * one, 3 * one]),
+                    (random_tree(6, 7), [root_of_unity(3), one, -2 * one, 0 * one])):
+        cands = complete_nullvector(t, tail)
+        assert not any(c.exact for c in cands)
+        completions.append({
+            "tree": format_tree(t), "tail": [x.to_json() for x in tail],
+            "candidates": [{"point": [z.to_json() for z in c.point],
+                            "residual": c.residual, "verified": c.verified}
+                           for c in cands]})
+    return {"search": searches, "embed": embeds, "completion": completions}
+
+
+def test_numeric_layer_matches_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    fresh = compute()
+    assert len(fresh["search"]) == len(golden["search"]) == 6 * len(ORDERS) * len(TOLS)
+    for got, want in zip(fresh["search"], golden["search"]):
+        assert got == want, (want["tree"], want["k"], want["tol"])
+    assert fresh["embed"] == golden["embed"]
+    assert fresh["completion"] == golden["completion"]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(compute(), fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

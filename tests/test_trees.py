@@ -40,6 +40,20 @@ def test_parse_malformed():
         parse_tree("3\n1 2\n4 5")
 
 
+@pytest.mark.parametrize("text", [
+    "1_0\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 10)),   # Python literal count
+    "+3\n1 2\n2 3\n",
+    "-1\n",
+    "3\n1 2\n2 +3\n",                 # signed label
+    "3\n1 2\n2 0x3\n",
+    "3\n1 2\n2 \u0663\n",             # Arabic-Indic three
+    "\u00b3\n1 2\n2 3\n",             # superscript three
+])
+def test_parse_reads_only_ascii_digits(text):
+    with pytest.raises(MalformedInput):
+        parse_tree(text)
+
+
 def test_format_round_trip():
     for seed in range(10):
         t = random_tree(9, seed)
