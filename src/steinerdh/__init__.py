@@ -29,8 +29,8 @@ from .forms import (NotDivisible, SparsePoly, distance_quadratic,
                     verify_product_decomposition, verify_s3_decomposition)
 from .distmatrix import (RatMatrix, c_coefficients, determinant_exact,
                          distance_matrix, gl_inverse, graham_pollak_value)
-from .smalldet import (cayley_222, det_order2, two_vertex_form,
-                       two_vertex_nullvector_witness, verify_k2_no_nullvector)
+from .smalldet import (cayley_222, det_order2, two_vertex_nullvector_witness,
+                       verify_k2_no_nullvector)
 from .nullspace import (CompletionCandidate, NullvectorReport, SearchCandidate,
                         canonical_odd_nullvector, complete_nullvector,
                         completion_quadratic, degenerate_nullvector,

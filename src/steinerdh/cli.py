@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .distmatrix import (c_coefficients, distance_matrix, gl_inverse,
                          graham_pollak_value)
-from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError)
+from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
+                     ascii_int)
 from .forms import (NotDivisible, divide_by_linear, order3_form, s_form,
                     verify_euler_identity, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
@@ -75,10 +76,17 @@ def _emit(args, obj) -> None:
 
 def _check_order(k) -> int:
     """The order as an int >= 2 in ASCII digits; any other value is a usage error."""
-    text = str(k).strip()
-    if not (text.isascii() and text.isdigit()) or int(text) < 2:
+    try:
+        order = ascii_int(str(k))
+    except ValueError:
+        order = 0
+    if order < 2:
         raise _UsageError(f"--k must be an integer >= 2, got {k!r}")
-    return int(text)
+    return order
+
+
+def _signed_int(text: str) -> int:
+    return ascii_int(text, signed=True)
 
 
 def _load_tree(path: str) -> Tree:
@@ -206,8 +214,6 @@ def cmd_identities(args) -> int:
 def cmd_search(args) -> int:
     _check_order(args.k)
     t = _load_tree(args.tree)
-    if args.restarts < 0:
-        raise _UsageError("--restarts must be >= 0")
     if not math.isfinite(args.tol) or args.tol < 0:
         raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     candidates = numeric_search(t, args.k, args.seed, args.restarts, tol=args.tol)
@@ -238,7 +244,7 @@ def _run_campaign_case(desc: tuple) -> dict:
 
 
 def cmd_campaign(args) -> int:
-    ks = [_check_order(x) for x in args.k.split(",") if x.strip()]
+    ks = [_check_order(x.strip()) for x in args.k.split(",") if x.strip()]
     if not ks:
         raise _UsageError("--k needs at least one order")
     if args.n_min < 1 or args.n_max < args.n_min:
@@ -304,21 +310,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="write a seeded random tree")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=ascii_int, required=True)
+    p.add_argument("--seed", type=_signed_int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hypermatrix", help="build and export a Steiner hypermatrix")
     common(p)
     p.add_argument("--tree", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_hypermatrix)
 
     p = sub.add_parser("certify", help="emit a hyperdeterminant certificate")
     common(p)
     p.add_argument("--tree", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=ascii_int, required=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("identities", help="run the order-3 and matrix identity suite")
@@ -329,21 +335,21 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="numeric nullvector search (evidence only)")
     common(p)
     p.add_argument("--tree", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--k", type=ascii_int, required=True)
+    p.add_argument("--seed", type=_signed_int, default=0)
+    p.add_argument("--restarts", type=ascii_int, default=20)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("campaign", help="batch certificates over random trees")
     common(p)
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-min", type=ascii_int, required=True)
+    p.add_argument("--n-max", type=ascii_int, required=True)
     p.add_argument("--k", required=True, help="comma-separated orders, e.g. 3,5")
-    p.add_argument("--trees-per-n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trees-per-n", type=ascii_int, default=10)
+    p.add_argument("--seed", type=_signed_int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=ascii_int, default=1)
     p.set_defaults(func=cmd_campaign)
 
     return parser

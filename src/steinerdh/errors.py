@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-input rule."""
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """A decimal integer in ASCII digits, with a leading '-' only when signed.
+    ValueError on anything else (int() would read '+1', '1_0', ' 1', '٣')."""
+    if type(text) is str:
+        digits = text[1:] if signed and text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
 
 
 class SteinerError(Exception):

@@ -1,9 +1,10 @@
 """Steiner k-forms, their gradients, and exact sparse multivariate polynomials.
 
 The Steiner k-form of a hypermatrix M is sum over all index tuples of
-M[i1..ik] * x_{i1}...x_{ik}.  For the Steiner hypermatrix of a tree, a
-multiset's entry counts the edges it straddles, which gives the edge-cut
-closed form
+M[i1..ik] * x_{i1}...x_{ik}; ``steiner_form`` sums exactly that, with no
+symmetry assumed, so it is the form of any hypermatrix.  For the Steiner
+hypermatrix of a tree, a multiset's entry counts the edges it straddles,
+which gives the edge-cut closed form
 
     p(x) = sum_e ( s^k - a_e^k - b_e^k ),
 
@@ -27,12 +28,9 @@ serialization and printing is graded lexicographic.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import add, index
 from typing import Iterable, Sequence, Union
 
@@ -48,13 +46,6 @@ Coefficient = Union[int, Fraction]
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << FIELD_BITS) - 1
-
-
-def _multinomial(total: int, counts: Iterable[int]) -> int:
-    out = math.factorial(total)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +277,7 @@ class SparsePoly:
             terms = {tuple(t["exp"]): _fraction_from_json([t["num"], t["den"]])
                      for t in obj["terms"]}
             return cls(index(obj["n"]), terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise MalformedInput(f"bad polynomial JSON: {exc!r}") from exc
 
     def __repr__(self):
@@ -433,16 +424,20 @@ def _units(n: int) -> list[int]:
 
 
 def steiner_form(h: Hypermatrix) -> SparsePoly:
-    """The k-form whose coefficients collect the hypermatrix over all index tuples."""
+    """sum over all index tuples of h[i1..ik] * x_{i1}...x_{ik}, assuming no
+    symmetry: each nonzero entry's tuple is sorted into its multiset, and equal
+    multisets are summed in Python ints, so no int64 sum can wrap."""
     n, k = h.n, h.k
+    tuples = np.argwhere(h.entries)
+    values = h.entries[tuple(tuples.T)].astype(object)
+    tuples.sort(axis=1)
+    _, first, group = np.unique(np.ravel_multi_index(tuples.T, (n,) * k),
+                                return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=object)
+    np.add.at(sums, group, values)
     units = _units(n)
-    terms: dict[int, Coefficient] = {}
-    for combo in combinations_with_replacement(range(n), k):
-        value = int(h.entries[combo])
-        if value:
-            weight = _multinomial(k, Counter(combo).values())
-            terms[sum(units[v] for v in combo)] = value * weight
-    return SparsePoly._ring(n, terms, k)
+    return SparsePoly._ring(n, {sum(units[i] for i in multiset): c for multiset, c
+                                in zip(tuples[first].tolist(), sums.tolist())}, k)
 
 
 def s_form(n: int) -> SparsePoly:

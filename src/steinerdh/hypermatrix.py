@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceeded, MalformedInput, WrongShape
+from .errors import BudgetExceeded, MalformedInput, WrongShape, ascii_int
 from .trees import Tree
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
@@ -31,7 +31,7 @@ def entry_budget() -> int:
     if raw is None:
         return DEFAULT_ENTRY_BUDGET
     try:
-        value = int(raw)
+        value = ascii_int(raw)
     except ValueError as exc:
         raise MalformedInput(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 1:
@@ -100,11 +100,11 @@ def build_steiner(t: Tree, k: int) -> Hypermatrix:
 
 def _repeated_index_mask(n: int, k: int) -> np.ndarray:
     """True where an index tuple of the (n,)*k array repeats a label."""
-    idx = np.indices((n,) * k)
+    label = [np.arange(n).reshape((n,) + (1,) * (k - 1 - a)) for a in range(k)]  # along axis a
     repeated = np.zeros((n,) * k, dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):
-            repeated |= idx[a] == idx[b]
+            repeated |= label[a] == label[b]   # broadcast: an n x n comparison
     return repeated
 
 
@@ -161,15 +161,9 @@ def import_text(text: str) -> Hypermatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedInput("empty hypermatrix document")
-    head = lines[0].split()
-    # int() would also read signs, underscores and other scripts' digits
-    if len(head) != 2 or not all(x.isascii() and x.isdigit() for x in head):
-        raise MalformedInput(f"header must be 'k n' in ASCII digits, got {lines[0]!r}")
-    if not all(x.isascii() and x.removeprefix("-").isdigit() for x in lines[1:]):
-        raise MalformedInput("entries must be integers in ASCII digits, one a line")
     try:
-        k, n = int(head[0]), int(head[1])
-        entries = [int(x) for x in lines[1:]]
+        k, n = map(ascii_int, lines[0].split())   # the header 'k n'
+        entries = [ascii_int(x, signed=True) for x in lines[1:]]
     except ValueError as exc:
-        raise MalformedInput(f"non-integer token: {exc}") from exc
+        raise MalformedInput(f"bad hypermatrix text: {exc}") from exc
     return _from_flat(k, n, entries)

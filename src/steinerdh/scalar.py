@@ -30,7 +30,7 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 
-from .errors import ConductorMismatch, MalformedInput
+from .errors import ConductorMismatch, MalformedInput, ascii_int
 
 WORKING_PREC = 128
 
@@ -134,11 +134,10 @@ def _int_if_integral(c: Fraction) -> RatLike:
 def _fraction_from_json(pair) -> Fraction:
     """A [numerator, denominator] pair of decimal strings, as the to_json
     methods write it, as a Fraction.  ValueError on any other shape or string
-    (int() would read '+1' and '1_0'), ZeroDivisionError on a zero denominator."""
-    if type(pair) is not list or len(pair) != 2 or not all(
-            type(x) is str and x.isascii() and x.removeprefix("-").isdigit() for x in pair):
+    (``ascii_int``), ZeroDivisionError on a zero denominator."""
+    if type(pair) is not list or len(pair) != 2:
         raise ValueError(f"expected a pair of decimal strings, got {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    return Fraction(ascii_int(pair[0], signed=True), ascii_int(pair[1], signed=True))
 
 
 def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:

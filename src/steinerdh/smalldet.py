@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .distmatrix import determinant_exact, distance_matrix
 from .errors import WrongShape
-from .forms import SparsePoly, gradient_direct
+from .forms import gradient_direct
 from .hypermatrix import Hypermatrix
 from .scalar import root_of_unity
 from .trees import Tree, path_tree
@@ -53,15 +53,6 @@ def cayley_222(h: Hypermatrix) -> int:
     quads = (a(0, 0, 0) * a(0, 1, 1) * a(1, 0, 1) * a(1, 1, 0)
              + a(0, 0, 1) * a(0, 1, 0) * a(1, 0, 0) * a(1, 1, 1))
     return square_sum - 2 * cross_sum + 4 * quads
-
-
-def two_vertex_form(k: int) -> SparsePoly:
-    """The order-k Steiner form of the two-vertex tree: (x1+x2)^k - x1^k - x2^k."""
-    if k < 2:
-        raise ValueError("order must be >= 2")
-    x1 = SparsePoly.variable(2, 1)
-    x2 = SparsePoly.variable(2, 2)
-    return (x1 + x2) ** k - x1 ** k - x2 ** k
 
 
 def verify_k2_no_nullvector(k: int) -> bool:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySet, MalformedInput, NotATree, TooLarge
+from .errors import EmptySet, MalformedInput, NotATree, TooLarge, ascii_int
 
 BRUTE_FORCE_MAX_N = 12
 
@@ -214,11 +214,8 @@ def parse_tree(text: str) -> Tree:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise MalformedInput("empty document")
-    # int() would also read signs, underscores and other scripts' digits
-    if not all(x.isascii() and x.isdigit() for ln in lines for x in ln.split()):
-        raise MalformedInput("the vertex count and labels must be ASCII digits")
     try:
-        n = int(lines[0])
+        n = ascii_int(lines[0])
     except ValueError as exc:
         raise MalformedInput(f"first line must be the vertex count: {lines[0]!r}") from exc
     if n < 1:
@@ -227,13 +224,10 @@ def parse_tree(text: str) -> Tree:
         raise MalformedInput(f"expected {n - 1} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedInput(f"edge line must hold two labels: {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(ascii_int, ln.split())
         except ValueError as exc:
-            raise MalformedInput(f"non-integer label in {ln!r}") from exc
+            raise MalformedInput(f"edge line must hold two ASCII-digit labels: {ln!r}") from exc
         edges.append((u, v))
     return Tree(n, edges)
 

@@ -23,11 +23,12 @@ s, with no point test, and ``gl_inverse_fractions`` builds the
 Graham-Lovász inverse entry by entry in Fractions, with no integer
 numerators.
 
-Two polynomial routes live here because only tests need them:
-``substitute`` (replace one variable by a polynomial) and
-``evaluate_numeric`` (a form's value at an mpmath point, term by term).
-They check the completion quadratic, the x1 = 0 branch of the two-vertex
-scan and the numeric gradient and Hessian against the expanded form.
+Three polynomial routes live here because only tests need them:
+``two_vertex_form`` (the n = 2 form by symbolic expansion), ``substitute``
+(replace one variable by a polynomial) and ``evaluate_numeric`` (a form's
+value at an mpmath point, term by term).  They check the completion
+quadratic, the x1 = 0 branch of the two-vertex scan and the numeric
+gradient and Hessian against the expanded form.
 """
 
 from __future__ import annotations
@@ -273,6 +274,16 @@ def cyclotomic_product(x: CycNum, y: CycNum) -> list[Fraction]:
         for j in range(d + 1):
             conv[i - d + j] -= c * phim[j]
     return conv[:d]
+
+
+def two_vertex_form(k: int) -> SparsePoly:
+    """The order-k Steiner form of the two-vertex tree, (x1+x2)^k - x1^k - x2^k,
+    expanded by ``SparsePoly`` ring operations."""
+    if k < 2:
+        raise ValueError("order must be >= 2")
+    x1 = SparsePoly.variable(2, 1)
+    x2 = SparsePoly.variable(2, 2)
+    return (x1 + x2) ** k - x1 ** k - x2 ** k
 
 
 def substitute(p: SparsePoly, r: int, value: SparsePoly) -> SparsePoly:

@@ -244,6 +244,36 @@ def test_campaign_order_list_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "1_1"],       # int() reads 11
+    ["certify", "--k", "\u0663"],    # an Arabic-Indic three
+    ["certify", "--k", "+3"],
+    ["search", "--k", "3", "--seed", "1_0"],
+    ["search", "--k", "3", "--restarts", "-1"],
+    ["hypermatrix", "--k", " 3"],
+])
+def test_integer_options_take_only_ascii_digits(tree_file, capsys, argv):
+    _assert_usage_error(capsys, argv[:1] + ["--tree", tree_file(path_tree(3))] + argv[1:])
+
+
+def test_gen_n_takes_only_ascii_digits(capsys):
+    _assert_usage_error(capsys, ["gen", "--n", "\u0665"])   # an Arabic-Indic five
+
+
+def test_negative_seed_still_reads(capsys):
+    code, out = run(capsys, ["gen", "--n", "5", "--seed", "-1"])
+    assert code == EXIT_OK and out.startswith("5\n")
+
+
+@pytest.mark.parametrize("budget", ["1_0", "\u0663\u0660", "+100", "100 "])
+def test_hypermatrix_rejects_a_budget_not_in_ascii_digits(tree_file, monkeypatch, capsys,
+                                                          budget):
+    # int() reads 1_0 as 10 and the Arabic-Indic digits as 30
+    monkeypatch.setenv("STEINER_MEM_BUDGET", budget)
+    assert main(["hypermatrix", "--tree", tree_file(path_tree(3)), "--k", "3"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_input_errors(tmp_path, capsys):
     assert main(["certify", "--tree", str(tmp_path / "missing.txt"),
                  "--k", "3"]) == EXIT_INPUT

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import forms
-from steinerdh import (ConductorMismatch, CycNum, MalformedInput, NotDivisible, SparsePoly,
-                       build_steiner, canonical_odd_nullvector,
+from steinerdh import (ConductorMismatch, CycNum, Hypermatrix, MalformedInput,
+                       NotDivisible, SparsePoly, build_steiner, canonical_odd_nullvector,
                        distance_quadratic, divide_by_linear, enumerate_trees,
                        gradient_direct, hessian_direct, order3_form,
                        path_tree, random_tree, root_of_unity, s3_cofactors,
@@ -98,6 +98,15 @@ def test_json_round_trip_canonical():
 def test_from_json_rejects_malformed_documents(text):
     with pytest.raises(MalformedInput):
         SparsePoly.from_json(text)
+
+
+def test_from_json_names_the_exponent_limit():
+    # the constructor's OverflowError becomes MalformedInput in the loader
+    text = '{"n": 1, "terms": [{"exp": [70000], "num": "1", "den": "1"}]}'
+    with pytest.raises(MalformedInput, match="65535"):
+        SparsePoly.from_json(text)
+    with pytest.raises(OverflowError):
+        SparsePoly(1, {(70000,): 1})
 
 
 def test_coefficient_type_contract():
@@ -283,6 +292,20 @@ def test_steiner_form_matches_the_sum_over_all_index_tuples():
     for t, k in cases:
         h = build_steiner(t, k)
         assert fraction_terms(steiner_form(h)) == index_tuple_form(h), (t, k)
+    # any hypermatrix, symmetric or not: random integer tensors, the zero
+    # tensor, n = 1, and entries of +-2^62 whose multiset sums leave int64
+    rng = np.random.default_rng(14)
+    tensors = [np.zeros((3,) * 3, dtype=np.int64), np.full((1,) * 4, 7)]
+    for n in range(1, 5):
+        for k in range(2, 5):
+            tensors.append(rng.integers(-9, 10, size=(n,) * k))
+            tensors.append(rng.choice([0, 2 ** 62, -2 ** 62, 3], size=(n,) * k))
+    for arr in tensors:
+        h = Hypermatrix(arr.ndim, arr.shape[0], arr)
+        assert fraction_terms(steiner_form(h)) == index_tuple_form(h), arr
+    assert steiner_form(Hypermatrix(3, 2, np.full((2,) * 3, 2 ** 62))) \
+        == SparsePoly(2, {(3, 0): 2 ** 62, (2, 1): 3 * 2 ** 62, (1, 2): 3 * 2 ** 62,
+                          (0, 3): 2 ** 62})
 
 
 def test_steiner_form_zero_matrix(k2):

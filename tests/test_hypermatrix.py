@@ -9,7 +9,7 @@ from steinerdh import (BudgetExceeded, MalformedInput, WrongShape,
                        build_steiner, enumerate_trees, export_json, export_text,
                        import_json, import_text, random_tree,
                        steiner_distance_bruteforce, zero_degenerate)
-from steinerdh.hypermatrix import BUDGET_ENV_VAR, entry_budget
+from steinerdh.hypermatrix import BUDGET_ENV_VAR, _repeated_index_mask, entry_budget
 from oracles import multiset_hypermatrix
 
 
@@ -56,6 +56,14 @@ def test_build_matches_multiset_oracle_on_every_small_tree_class():
         for t in enumerate_trees(n):
             for k in range(2, 6):
                 assert build_steiner(t, k) == multiset_hypermatrix(t, k), (t, k)
+
+
+def test_repeated_index_mask_matches_per_tuple_sets():
+    for n, k in [(1, 2), (1, 4), (2, 2), (3, 2), (3, 3), (2, 5), (4, 4), (5, 3)]:
+        mask = _repeated_index_mask(n, k)
+        assert mask.shape == (n,) * k and mask.dtype == bool
+        for idx in product(range(n), repeat=k):
+            assert mask[idx] == (len(set(idx)) < k), (n, k, idx)
 
 
 def test_zero_degenerate(k2, path3):

@@ -12,7 +12,7 @@ from steinerdh import (CFloat, CycNum, EvenOrder, NotDegenerateZeroed, OrderTooL
                        canonical_odd_nullvector, complete_nullvector,
                        completion_quadratic, degenerate_nullvector,
                        distance_quadratic, enumerate_trees, gradient_direct,
-                       hessian_direct, membership_sg, numeric_search,
+                       hessian_direct, import_json, membership_sg, numeric_search,
                        path_tree, random_tree, root_of_unity, s_form, star_tree,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
@@ -118,6 +118,15 @@ def test_degenerate_random_orders():
             hz = zero_degenerate(build_steiner(t, k))
             rep = verify_form_nullvector(hz, degenerate_nullvector(hz))
             assert rep.exact_zero
+
+
+def test_form_nullvector_reads_every_index_tuple():
+    # the one nonzero entry sits at (0, 1, 0), so the form is x1^2 x2 with
+    # gradient (2, 1) at (1, 1); the entry at the sorted tuple (0, 0, 1) is 0
+    h = import_json('{"k": 3, "n": 2, "entries": [0, 0, 1, 0, 0, 0, 0, 0]}')
+    rep = verify_form_nullvector(h, [1, 1])
+    assert not rep.exact_zero
+    assert [g.as_rational() for g in rep.gradient] == [2, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import pytest
 
 from steinerdh import (Hypermatrix, WrongShape, build_steiner, cayley_222,
                        det_order2, graham_pollak_value, prufer_decode,
-                       random_tree, two_vertex_form,
-                       two_vertex_nullvector_witness, verify_k2_no_nullvector,
-                       verify_nullvector, zero_degenerate)
-from steinerdh.forms import SparsePoly, steiner_form
-from oracles import substitute
+                       random_tree, two_vertex_nullvector_witness,
+                       verify_k2_no_nullvector, verify_nullvector,
+                       zero_degenerate)
+from steinerdh.forms import SparsePoly
+from oracles import substitute, two_vertex_form
 
 
 def slice_discriminant(h: Hypermatrix) -> int:
@@ -63,11 +63,6 @@ def test_cayley_vanishes_exactly_on_degenerate_unit_direction(k2):
     assert cayley_222(hz) == 0
     # and the true Steiner matrix is not: -3 != 0 matches the two-vertex scan
     assert verify_k2_no_nullvector(3)
-
-
-def test_two_vertex_form_matches_built_matrix(k2):
-    for k in range(2, 8):
-        assert two_vertex_form(k) == steiner_form(build_steiner(k2, k))
 
 
 def test_k2_scan_small_orders():
