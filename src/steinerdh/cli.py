@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +25,7 @@ from . import __version__
 from .distmatrix import (c_coefficients, distance_matrix, gl_inverse,
                          graham_pollak_value)
 from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
-                     ascii_int)
+                     ascii_decimal, ascii_int)
 from .forms import (NotDivisible, divide_by_linear, order3_form, s_form,
                     verify_euler_identity, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
@@ -214,8 +213,6 @@ def cmd_identities(args) -> int:
 def cmd_search(args) -> int:
     _check_order(args.k)
     t = _load_tree(args.tree)
-    if not math.isfinite(args.tol) or args.tol < 0:
-        raise _UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     candidates = numeric_search(t, args.k, args.seed, args.restarts, tol=args.tol)
     report = {
         "schema": SCHEMA, "n": t.n, "k": args.k, "seed": args.seed,
@@ -338,7 +335,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=ascii_int, required=True)
     p.add_argument("--seed", type=_signed_int, default=0)
     p.add_argument("--restarts", type=ascii_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=ascii_decimal, default=1e-12)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("campaign", help="batch certificates over random trees")

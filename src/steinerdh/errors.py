@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the one integer-input rule."""
+"""Exception types shared across the package, and the ASCII number rules."""
+
+import math
+import re
+
+_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
 def ascii_int(text: str, signed: bool = False) -> int:
@@ -9,6 +14,16 @@ def ascii_int(text: str, signed: bool = False) -> int:
         if digits.isascii() and digits.isdigit():
             return int(text)
     raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+
+
+def ascii_decimal(text: str) -> float:
+    """A finite decimal >= 0 in ASCII digits, with optional '.digits' and exponent.
+    ValueError on anything else (float() would read '1_0', ' 1', '+1', '٣', 'nan')."""
+    if type(text) is str and _DECIMAL.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"expected a finite ASCII decimal, got {text!r}")
 
 
 class SteinerError(Exception):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConductorMismatch, MalformedInput
 from .hypermatrix import Hypermatrix, build_steiner
-from .scalar import CycNum, _fraction_from_json, _int_if_integral
+from .scalar import CycNum, _fraction_from_json, _int_if_integral, _json_int
 from .trees import Tree
 
 Coefficient = Union[int, Fraction]
@@ -274,9 +274,9 @@ class SparsePoly:
     def from_json(cls, text: str) -> "SparsePoly":
         try:
             obj = json.loads(text)
-            terms = {tuple(t["exp"]): _fraction_from_json([t["num"], t["den"]])
+            terms = {tuple(map(_json_int, t["exp"])): _fraction_from_json([t["num"], t["den"]])
                      for t in obj["terms"]}
-            return cls(index(obj["n"]), terms)
+            return cls(_json_int(obj["n"]), terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise MalformedInput(f"bad polynomial JSON: {exc!r}") from exc
 

@@ -10,11 +10,11 @@ speed; ``as_rational`` still hands back a ``Fraction``.  ``CFloat`` is an
 ``mpmath.mpc`` that is known to be finite; the numeric side of the package
 works at one precision, ``WORKING_PREC`` bits.
 
-Every coefficient list, however long, is folded into that basis through one
-integer table of zeta^j mod Phi_m (``_reduction_table``).  A list longer than
-the table first wraps exponent j onto j mod m, since zeta^m = 1.  Lifting to
-Q(zeta_M), m | M, and the Galois automorphisms zeta -> zeta^j (gcd(j, m) = 1)
-are re-indexings of the coefficients (c_i to index i*M/m, or to i*j mod m)
+Every coefficient list, however long, is read as the polynomial sum c_j x^j
+and stored as its remainder on division by Phi_m, folded from the top
+coefficient down through Phi_m's nonzero lower terms.  Lifting to Q(zeta_M),
+m | M, and the Galois automorphisms zeta -> zeta^j (gcd(j, m) = 1) are
+re-indexings of the coefficients (c_i to index i*M/m, or to i*j mod m)
 followed by that fold.  The inverse of an irrational x is the product of its
 other conjugates divided by its norm N(x) = x * that product, a nonzero
 rational; a rational x is inverted as a Fraction.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -61,11 +60,10 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic integer polynomial; quotient and remainder are integral."""
+    """Divide by a monic integer polynomial: the quotient and the deg(den)
+    low coefficients of the remainder, both integral."""
     num = list(num)
     dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
     quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -73,10 +71,7 @@ def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int
             quot[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return quot, num[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -96,35 +91,16 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod_monic(num, cyclotomic_polynomial(d))
-            if rem:
+            if any(rem):
                 raise AssertionError(f"x^{m}-1 not divisible by Phi_{d}")
     assert len(num) - 1 == euler_phi(m)
     return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """x^j mod Phi_m for every j up to max(m - 1, 2*phi(m) - 2).
-
-    Phi_m is monic integral, so the rows are integer vectors of length phi(m).
-    Row j >= phi(m) is what a product/power reduction folds back into the basis.
-    """
-    phi = euler_phi(m)
-    phim = cyclotomic_polynomial(m)
-    top = max(m - 1, 2 * phi - 2)
-    rows: list[tuple[int, ...]] = []
-    current = [0] * phi
-    if phi > 0:
-        current[0] = 1
-    for j in range(top + 1):
-        rows.append(tuple(current))
-        # multiply by x, fold the overflow coefficient through Phi_m
-        overflow = current[phi - 1]
-        current = [0] + current[:-1]
-        if overflow:
-            for i in range(phi):
-                current[i] -= overflow * phim[i]
-    return tuple(rows)
+def _phi_tail(m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (i, a_i), i < phi(m), of Phi_m = x^phi(m) + sum a_i x^i."""
+    return tuple((i, a) for i, a in enumerate(cyclotomic_polynomial(m)[:-1]) if a)
 
 
 def _int_if_integral(c: Fraction) -> RatLike:
@@ -140,23 +116,25 @@ def _fraction_from_json(pair) -> Fraction:
     return Fraction(ascii_int(pair[0], signed=True), ascii_int(pair[1], signed=True))
 
 
+def _json_int(value) -> int:
+    """A JSON integer field; ValueError on anything else, true and false included."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:
+    """The phi(m) coefficients of (sum c_j x^j) mod Phi_m."""
     phi = euler_phi(m)
-    table = _reduction_table(m)
-    if len(coeffs) > len(table):
-        # zeta^m = 1: exponent j folds onto j mod m, which the table covers
-        wrapped = [0] * m
-        for j, c in enumerate(coeffs):
-            wrapped[j % m] += c
-        coeffs = wrapped
-    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
-    for j in range(phi, len(coeffs)):
-        c = coeffs[j]
+    out = list(coeffs) + [0] * (phi - len(coeffs))
+    tail = _phi_tail(m)
+    for base in range(len(out) - phi - 1, -1, -1):
+        c = out[base + phi]
         if c:
-            row = table[j]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
+            # x^(base + phi) = x^base * (x^phi - Phi_m) = -x^base * sum a_i x^i
+            for i, a in tail:
+                out[base + i] -= c * a
+    del out[phi:]
     return out
 
 
@@ -377,7 +355,7 @@ class CycNum:
     @classmethod
     def from_json(cls, obj: dict) -> "CycNum":
         try:
-            return cls(index(obj["m"]), [_fraction_from_json(c) for c in obj["coeffs"]])
+            return cls(_json_int(obj["m"]), [_fraction_from_json(c) for c in obj["coeffs"]])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad cyclotomic JSON: {exc!r}") from exc
 
@@ -404,9 +382,7 @@ def root_of_unity(m: int, power: int = 1) -> CycNum:
     """zeta_m^power, reduced into the power basis of Q(zeta_m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    j = power % m
-    row = _reduction_table(m)[j]
-    return CycNum(m, row)
+    return CycNum(m, [0] * (power % m) + [1])
 
 
 def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:

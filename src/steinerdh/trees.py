@@ -380,26 +380,18 @@ def canonical_key(t: Tree) -> str:
 def enumerate_trees(n: int) -> list[Tree]:
     """One representative labeled tree per isomorphism class on n vertices.
 
-    Enumerates all n^(n-2) Prüfer sequences and deduplicates by canonical key;
-    practical for n <= 7.
+    Every tree on m vertices is a tree on m - 1 vertices plus a leaf, so the
+    classes on m come from hanging vertex m off each vertex of each class on
+    m - 1, deduplicated by canonical key.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= 2:
-        return [prufer_decode(n, [])]
-    found: dict[str, Tree] = {}
-    seq = [1] * (n - 2)
-    while True:
-        t = prufer_decode(n, seq)
-        key = canonical_key(t)
-        if key not in found:
-            found[key] = t
-        # odometer increment
-        i = len(seq) - 1
-        while i >= 0 and seq[i] == n:
-            seq[i] = 1
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
-    return list(found.values())
+    classes = [Tree(1, [])]
+    for m in range(2, n + 1):
+        found: dict[str, Tree] = {}
+        for t in classes:
+            for v in range(1, m):
+                grown = Tree(m, t.edges + ((v, m),))
+                found.setdefault(canonical_key(grown), grown)
+        classes = list(found.values())
+    return classes

@@ -225,13 +225,17 @@ def _assert_usage_error(capsys, argv):
 
 
 def test_search_tol_usage_errors(tree_file, capsys):
-    # a tolerance that is not finite or is negative is refused before any work
+    # a tolerance that is not finite, is negative or is not a plain ASCII
+    # decimal is refused before any work; float() would read the Python
+    # literal 1_0 as 10, an Arabic-Indic three as 3 and 1e999 as infinity
     path = tree_file(path_tree(3))
     search = ["search", "--tree", path, "--k", "3", "--restarts", "1", "--tol"]
-    for tol in ("nan", "inf", "-inf", "-1", "-1e-300"):
+    for tol in ("nan", "inf", "-inf", "-1", "-1e-300",
+                "1_0", "\u0663", "+1e-3", " 1e-3", "1e999"):
         _assert_usage_error(capsys, search + [tol])
-    code, out = run(capsys, search + ["0"])
-    assert code == EXIT_OK and json.loads(out)["tol"] == 0.0
+    for tol, value in (("0", 0.0), ("1e-30", 1e-30), ("2.5E-12", 2.5e-12)):
+        code, out = run(capsys, search + [tol])
+        assert code == EXIT_OK and json.loads(out)["tol"] == value
 
 
 def test_campaign_order_list_usage_errors(tmp_path, capsys):

@@ -90,6 +90,10 @@ def test_json_round_trip_canonical():
     '{"n": 1, "terms": [{"exp": [1, 2], "num": "1", "den": "1"}]}',  # wrong shape
     '{"n": 1, "terms": [{"exp": ["1"], "num": "1", "den": "1"}]}',
     '{"n": "1", "terms": []}',
+    '{"n": true, "terms": [{"exp": [true], "num": "1", "den": "1"}]}',  # booleans
+    '{"n": 1, "terms": [{"exp": [true], "num": "1", "den": "1"}]}',
+    '{"n": 2, "terms": [{"exp": [false, true], "num": "1", "den": "1"}]}',
+    '{"n": 1, "terms": [{"exp": [1.0], "num": "1", "den": "1"}]}',
     '{"n": 1, "terms": [{"exp": [1], "num": "1_0", "den": "1"}]}',  # not decimal
     '{"n": 1, "terms": [{"exp": [1], "num": "+1", "den": "1"}]}',
     '[]',

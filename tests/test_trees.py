@@ -185,11 +185,13 @@ def test_random_tree_is_valid(n, seed):
 
 
 def test_enumerate_trees_counts_and_distinct_keys():
-    counts = {n: len(enumerate_trees(n)) for n in range(1, 8)}
-    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
-    reps = enumerate_trees(6)
-    keys = {canonical_key(t) for t in reps}
-    assert len(keys) == 6
+    # OEIS A000055: unlabeled trees on n vertices
+    reps = {n: enumerate_trees(n) for n in range(1, 11)}
+    assert {n: len(r) for n, r in reps.items()} == {
+        1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+    for n, r in reps.items():
+        assert all(t.n == n for t in r)
+        assert len({canonical_key(t) for t in r}) == len(r)
 
 
 def test_canonical_key_is_isomorphism_invariant():
