@@ -30,8 +30,7 @@ from .forms import (NotDivisible, divide_by_linear, order3_form, s_form,
                     verify_euler_identity, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .hypermatrix import build_steiner, export_json, export_text
-from .nullspace import (canonical_odd_nullvector, numeric_search,
-                        verify_form_nullvector, verify_nullvector)
+from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
 from .smalldet import (det_order2, two_vertex_nullvector_witness,
                        verify_k2_no_nullvector)
 from .trees import Tree, format_tree, parse_tree, random_tree
@@ -133,30 +132,24 @@ def certify_case(t: Tree, k: int) -> tuple[dict, int]:
         }
         return report, EXIT_OK if ok else EXIT_VERIFICATION
     if n == 1:
-        rep = verify_form_nullvector(build_steiner(t, k), [1])
-        report = {"schema": SCHEMA, "kind": "single_vertex", "n": 1, "k": k,
-                  "certificate": rep.to_json(), "verified": rep.exact_zero}
-        return report, EXIT_OK if rep.exact_zero else EXIT_VERIFICATION
-    if n == 2:
+        kind, point = "single_vertex", [1]
+    elif n == 2:
         if verify_k2_no_nullvector(k):
             report = {"schema": SCHEMA, "kind": "two_vertex_nonvanishing",
                       "n": 2, "k": k, "verified": True}
             return report, EXIT_OK
         # the scan found a surviving root of unity: certify vanishing instead
-        witness = two_vertex_nullvector_witness(k)
-        rep = verify_nullvector(t, k, witness)
-        report = {"schema": SCHEMA, "kind": "two_vertex_nullvector", "n": 2,
-                  "k": k, "certificate": rep.to_json(), "verified": rep.exact_zero}
-        return report, EXIT_OK if rep.exact_zero else EXIT_VERIFICATION
-    if k % 2 == 1:
-        point = canonical_odd_nullvector(t, k)
-        rep = verify_nullvector(t, k, point)
-        report = {"schema": SCHEMA, "kind": "nullvector_certificate", "n": n,
-                  "k": k, "certificate": rep.to_json(), "verified": rep.exact_zero}
-        return report, EXIT_OK if rep.exact_zero else EXIT_VERIFICATION
-    report = {"schema": SCHEMA, "kind": "no_certificate", "n": n, "k": k,
-              "message": "no certificate available; see search"}
-    return report, EXIT_NO_CERTIFICATE
+        kind, point = "two_vertex_nullvector", two_vertex_nullvector_witness(k)
+    elif k % 2 == 1:
+        kind, point = "nullvector_certificate", canonical_odd_nullvector(t, k)
+    else:
+        report = {"schema": SCHEMA, "kind": "no_certificate", "n": n, "k": k,
+                  "message": "no certificate available; see search"}
+        return report, EXIT_NO_CERTIFICATE
+    rep = verify_nullvector(t, k, point)
+    report = {"schema": SCHEMA, "kind": kind, "n": n, "k": k,
+              "certificate": rep.to_json(), "verified": rep.exact_zero}
+    return report, EXIT_OK if rep.exact_zero else EXIT_VERIFICATION
 
 
 def cmd_certify(args) -> int:

@@ -9,10 +9,10 @@ which gives the edge-cut closed form
     p(x) = sum_e ( s^k - a_e^k - b_e^k ),
 
 with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
-(``Tree.far_sums``).  Gradients take O(n) powers from it and Hessians two
-products with the side matrix S (``Tree.sides``), never touching the n^k
-expansion; that is what makes exact high-order certificates cheap.  At
-k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
+(``Tree.far_sums``).  Gradients take two powers per nonzero far sum from it,
+and Hessians two products with the side matrix S (``Tree.sides``); neither
+touches the n^k expansion, which is what makes exact high-order certificates
+cheap.  At k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 Polynomials store each monomial as one Python int: variable x_i's exponent
 sits in its own 16-bit field, x_1's field highest, so integer order is
@@ -467,10 +467,10 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     its child c changes only edge c's term, so
     D_c = D_parent - k * (a_c^(k-1) - (s - a_c)^(k-1)).
 
-    At an exact point each distinct side sum is raised to the power k-1, and
-    each distinct step formed, only once: a support-3 certificate has a
-    handful of side sums.  Numeric points skip the memo, as hashing mpmath
-    numbers costs more than their powers.
+    An edge whose far sum is zero adds nothing to D_1, and all such edges
+    share the step -k * s^(k-1); a zero step copies the parent's entry.  A
+    support-3 certificate has s = 0 and two nonzero far sums, so it takes
+    five powers and no subtraction in the parent pass, whatever n is.
 
     Accepts CycNum (one shared modulus), Fraction/int, or mpmath complex
     coordinates, or a complex128 array; the return list matches the
@@ -483,19 +483,19 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         raise ValueError("order must be >= 2")
     coords, _ = _coerce_point(point)
     s = sum(coords)
-    far = t.far_sums(coords)
-    near = [s - a for a in far]
-    if isinstance(s, (CycNum, Fraction)):
-        power = {v: v ** (k - 1) for v in {*far, *near}}
-        step = {a: k * (power[a] - power[s - a]) for a in set(far)}
-        near_pow, steps = [power[b] for b in near], [step[a] for a in far]
-    else:
-        near_pow = [b ** (k - 1) for b in near]
-        steps = [k * (a ** (k - 1) - b) for a, b in zip(far, near_pow)]
+    top = s ** (k - 1)
+    zero_step = -k * top
+    near_pow, steps = [], []
+    for a in t.far_sums(coords):
+        if a != 0:
+            near_pow.append((s - a) ** (k - 1))
+            steps.append(k * (a ** (k - 1) - near_pow[-1]))
+        else:
+            steps.append(zero_step)
     grad = [None] * (n + 1)
-    grad[1] = k * ((n - 1) * s ** (k - 1) - sum(near_pow))
+    grad[1] = k * (len(near_pow) * top - sum(near_pow))
     for c, d in zip(t.order[1:], steps):
-        grad[c] = grad[t.parent[c]] - d
+        grad[c] = grad[t.parent[c]] - d if d != 0 else grad[t.parent[c]]
     return grad[1:]
 
 

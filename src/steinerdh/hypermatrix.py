@@ -78,13 +78,18 @@ class Hypermatrix:
         return f"Hypermatrix(k={self.k}, n={self.n})"
 
 
+def _exceeds(n: int, k: int, limit: int) -> bool:
+    """n^k > limit; for n >= 2, k > bit_length(limit) decides it without n^k."""
+    return (n > 1 and k > limit.bit_length()) or n ** k > limit
+
+
 def build_steiner(t: Tree, k: int) -> Hypermatrix:
     """The order-k Steiner distance hypermatrix of a tree."""
     if k < 2:
         raise WrongShape("order must be >= 2")
     n = t.n
     limit = entry_budget()
-    if n ** k > limit:
+    if _exceeds(n, k, limit):
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     arr = np.zeros((n,) * k, dtype=np.int64)
     if n > 1:
@@ -127,11 +132,11 @@ def export_json(h: Hypermatrix) -> str:
 
 def _from_flat(k, n, entries: list) -> Hypermatrix:
     """Flat C-order integer entries as an order-k hypermatrix of dimension n."""
-    for name, value in (("k", k), ("n", n)):
-        if type(value) is not int or value < 0:
-            raise MalformedInput(f"{name} must be a nonnegative integer, got {value!r}")
-    count = len(entries)   # n >= 2 and k > bit_length(count) make n^k > count
-    if (n > 1 and k > count.bit_length()) or count != n ** k:
+    for name, value, low in (("k", k, 2), ("n", n, 1)):
+        if type(value) is not int or value < low:
+            raise MalformedInput(f"{name} must be an integer >= {low}, got {value!r}")
+    count = len(entries)
+    if _exceeds(n, k, count) or count != n ** k:
         raise MalformedInput(f"expected {n}^{k} entries, got {count}")
     try:
         arr = np.array(entries, dtype=np.int64)

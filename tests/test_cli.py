@@ -112,7 +112,11 @@ def test_certify_single_vertex(tree_file, capsys):
     path = tree_file(prufer_decode(1, []))
     code, out = run(capsys, ["certify", "--tree", path, "--k", "3"])
     assert code == EXIT_OK
-    assert json.loads(out)["kind"] == "single_vertex"
+    doc = json.loads(out)
+    assert doc["kind"] == "single_vertex" and doc["verified"]
+    # the tree gradient of the zero form: the report names the tree it certifies
+    assert doc["certificate"]["tree"] == "1\n"
+    assert doc["certificate"]["exact_zero"]
     # k = 2 on a single vertex: 1x1 zero matrix, determinant 0
     code, out = run(capsys, ["certify", "--tree", path, "--k", "2"])
     assert code == EXIT_OK

@@ -385,23 +385,78 @@ def test_gradient_direct_matches_multiset_oracle_cyclotomic():
             assert grad == multiset_gradient(t, k, point), (t, k, point)
 
 
-def test_gradient_direct_raises_each_distinct_side_sum_once(monkeypatch):
-    # the canonical certificate has support 3: s = 0, and every far sum is
-    # one of 0, 1, -1, zeta, -zeta, 1 + zeta, -1 - zeta
-    t, k = random_tree(40, 5), 9
-    point = canonical_odd_nullvector(t, k)
-    bases = []
-    real_pow = CycNum.__pow__
+def _zero_rich_points(n: int, k: int, rng) -> list:
+    """Points whose far sums are often exactly zero: Fraction unit vectors
+    (s = 1), sparse Q(zeta_m) points with s = 0 and with s != 0, and
+    complex128 arrays with exact-zero coordinates."""
+    m = 2 * k - 2
+    zeta = root_of_unity(m)
+    points = [[Fraction(int(v == r)) for v in range(n)] for r in range(n)]
+    for values in ([1, -1 - zeta, zeta], [zeta, -zeta], [2, zeta - 1]):
+        support = rng.choice(n, size=min(n, len(values)), replace=False)
+        point = [CycNum.zero(m)] * n
+        for v, value in zip(support, values):
+            point[v] = value
+        points.append(point)
+    for _ in range(2):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z[rng.random(n) < 0.5] = 0
+        points.append(z)
+    return points
 
-    def recording_pow(x, e):
-        bases.append(x)
+
+def test_gradient_direct_matches_multiset_oracle_at_zero_rich_points():
+    rng = np.random.default_rng(11)
+    with mpmath.workprec(128):
+        tol = mpmath.mpf(10) ** -30
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                for k in range(2, 8):
+                    for point in _zero_rich_points(n, k, rng):
+                        grad = gradient_direct(t, k, point)
+                        if not isinstance(point, np.ndarray):
+                            assert grad == multiset_gradient(t, k, point), (t, k, point)
+                            continue
+                        exact = [mpmath.mpc(c) for c in point]
+                        want = multiset_gradient(t, k, exact)
+                        assert all(type(g) is complex for g in grad)
+                        scale = max(1, max(abs(w) for w in want))
+                        assert max(abs(g - w) for g, w in zip(grad, want)) \
+                            <= 1e-12 * scale, (t, k, point)
+                        got = gradient_direct(t, k, exact)
+                        assert max(abs(g - w) for g, w in zip(got, want)) < tol, (t, k)
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
+        monkeypatch, k):
+    # the canonical certificate has s = 0 and two nonzero far sums, so the
+    # powers and the parent-pass subtractions are the same at every n
+    powers, subtractions = [], []
+    real_pow, real_sub = CycNum.__pow__, CycNum.__sub__
+
+    def counting_pow(x, e):
+        powers.append(x)
         return real_pow(x, e)
 
-    monkeypatch.setattr(CycNum, "__pow__", recording_pow)
-    grad = gradient_direct(t, k, point)
-    assert all(g.is_zero() for g in grad) and len(grad) == t.n
-    # seven distinct side sums and s itself, not two powers for each of 39 edges
-    assert len(bases) <= 8 and len(set(bases[:-1])) == len(bases) - 1
+    def counting_sub(x, y):
+        subtractions.append(x)
+        return real_sub(x, y)
+
+    monkeypatch.setattr(CycNum, "__pow__", counting_pow)
+    monkeypatch.setattr(CycNum, "__sub__", counting_sub)
+    counts = set()
+    for n in (40, 2000):
+        for t in (path_tree(n), star_tree(n), random_tree(n, 5)):
+            point = canonical_odd_nullvector(t, k)
+            powers.clear()
+            subtractions.clear()
+            grad = gradient_direct(t, k, point)
+            assert len(grad) == n and all(g.is_zero() for g in grad)
+            counts.add((len(powers), len(subtractions)))
+    assert len(counts) == 1, counts
+    power_count, subtraction_count = counts.pop()
+    assert power_count <= 5 and subtraction_count <= 5
 
 
 def test_numeric_gradient_and_hessian_match_multiset_oracle():

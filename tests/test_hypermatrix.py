@@ -107,6 +107,15 @@ def test_import_rejects_garbage():
         import_text("2 2\n1\n2\n3")
     with pytest.raises(MalformedInput):
         import_text("")
+    # headers no hypermatrix has: order below 2, dimension below 1
+    with pytest.raises(MalformedInput):
+        import_json('{"k": 1, "n": 3, "entries": [0, 0, 0]}')
+    with pytest.raises(MalformedInput):
+        import_json('{"k": 2, "n": 0, "entries": []}')
+    with pytest.raises(MalformedInput):
+        import_text("2 0\n")
+    with pytest.raises(MalformedInput):
+        import_text("1 3\n0\n0\n0\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -172,6 +181,21 @@ def test_budget(monkeypatch, path3):
     monkeypatch.setenv(BUDGET_ENV_VAR, "junk")
     with pytest.raises(MalformedInput):
         entry_budget()
+
+
+class _Order(int):
+    """An order whose power n ** k fails the test instead of being formed."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"formed {base} ** {int(self)}")
+
+
+@pytest.mark.parametrize("k", [28, 10 ** 7, 10 ** 18])
+def test_budget_refuses_a_huge_order_without_forming_its_power(monkeypatch, path3, k):
+    # the default budget 10^8 has 27 bits, so n >= 2 and k >= 28 exceed it
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with pytest.raises(BudgetExceeded):
+        build_steiner(path3, _Order(k))
 
 
 def test_hypermatrix_is_immutable(path3):
