@@ -25,7 +25,7 @@ from .hypermatrix import (Hypermatrix, build_steiner, export_json, export_text,
 from .forms import (NotDivisible, SparsePoly, distance_quadratic,
                     divide_by_linear, gradient_direct, hessian_direct,
                     order3_form, s3_cofactors, s_form, steiner_form,
-                    verify_euler_identity, verify_not_divisible,
+                    verify_euler_identity, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .distmatrix import (RatMatrix, c_coefficients, determinant_exact,
                          distance_matrix, gl_inverse, graham_pollak_value)

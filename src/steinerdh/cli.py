@@ -22,12 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .distmatrix import (c_coefficients, distance_matrix, gl_inverse,
-                         graham_pollak_value)
+from .distmatrix import gl_inverse, graham_pollak_value
 from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
                      ascii_decimal, ascii_int)
-from .forms import (NotDivisible, divide_by_linear, order3_form, s_form,
-                    verify_euler_identity, verify_not_divisible,
+from .forms import (verify_euler_identity, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .hypermatrix import build_steiner, export_json, export_text
 from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
@@ -177,13 +175,13 @@ def identity_rows(t: Tree) -> list[dict]:
     add("euler_identity", verify_euler_identity(t))
     add("s3_decomposition", verify_s3_decomposition(t))
     add("partials_not_divisible", verify_not_divisible(t))
-    add("form_divisible_by_s",
-        not isinstance(divide_by_linear(order3_form(t), s_form(t.n)), NotDivisible))
-    D = distance_matrix(t)
-    add("gl_inverse", (gl_inverse(t) @ D).is_identity())
-    c = c_coefficients(t)
-    add("ones_row", D.row_times(c) == [Fraction(1)] * t.n)
-    add("c_sum", sum(c) == Fraction(2, t.n - 1))
+    add("form_divisible_by_s", verify_form_divisible(t))
+    D = t.distances()
+    inverse = gl_inverse(t)   # |num| < 2n^2, so num @ D stays below 2n^4 in int64
+    add("gl_inverse", np.array_equal(np.array(inverse.num) @ D, np.diag([inverse.den] * t.n)))
+    tau = 2 - np.array(t.degrees[1:])   # c_r = tau_r / (n - 1) solves c D = 1
+    add("ones_row", bool((tau @ D == t.n - 1).all()))
+    add("c_sum", int(tau.sum()) == 2)
     return rows
 
 

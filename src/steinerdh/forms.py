@@ -14,6 +14,10 @@ and Hessians two products with the side matrix S (``Tree.sides``); neither
 touches the n^k expansion, which is what makes exact high-order certificates
 cheap.  At k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
+The order-3 identity suite checks that factorisation and its consequences
+as int64 tensor equations in ``order3_tensor`` (6x the symmetric tensor of
+p), with no polynomial arithmetic; divisibility by s is vanishing on s = 0.
+
 Polynomials store each monomial as one Python int: variable x_i's exponent
 sits in its own 16-bit field, x_1's field highest, so integer order is
 lexicographic order and a monomial product is one integer addition.  An
@@ -175,7 +179,15 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        return _sum_of_products(self.n, [(self, other)])
+        top = _product_top(self, other)
+        terms: dict[int, Coefficient] = {}
+        get = terms.get
+        right = list(other._terms.items())
+        for e1, c1 in self._terms.items():
+            for e2, c2 in right:
+                key = e1 + e2
+                terms[key] = get(key, 0) + c1 * c2
+        return SparsePoly._ring(self.n, terms, top)
 
     __rmul__ = __mul__
 
@@ -302,21 +314,6 @@ def _product_top(a: SparsePoly, b: SparsePoly) -> int:
         if top > MAX_EXPONENT:
             raise OverflowError(f"exponent {top} exceeds {MAX_EXPONENT}")
     return top
-
-
-def _sum_of_products(n: int, pairs: Iterable[tuple[SparsePoly, SparsePoly]]) -> SparsePoly:
-    """sum of a*b over the pairs, accumulated in one dict."""
-    terms: dict[int, Coefficient] = {}
-    get = terms.get
-    top = 0
-    for a, b in pairs:
-        top = max(top, _product_top(a, b))
-        right = list(b._terms.items())
-        for e1, c1 in a._terms.items():
-            for e2, c2 in right:
-                key = e1 + e2
-                terms[key] = get(key, 0) + c1 * c2
-    return SparsePoly._ring(n, terms, top)
 
 
 def _coerce_point(point: Sequence) -> tuple[list, object]:
@@ -524,44 +521,63 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# order-3 identity suite
+# order-3 identity suite, on integer tensors
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
 def order3_form(t: Tree) -> SparsePoly:
-    """The order-3 Steiner form, via the hypermatrix; one identity suite reuses it."""
+    """The order-3 Steiner form, via the hypermatrix, as a polynomial."""
     return steiner_form(build_steiner(t, 3))
 
 
-def verify_product_decomposition(t: Tree) -> bool:
-    """Order-3 form equals s * g exactly."""
+@lru_cache(maxsize=1)
+def order3_tensor(t: Tree) -> np.ndarray:
+    """P, the sum of the six axis permutations of the order-3 hypermatrix H:
+    6x the symmetric tensor of p for any H, so D_r p is the quadratic P[r]/2.
+
+    With h = max|H| and sum_r |2 - deg_r| < 2n, the suite's int64 values stay
+    within |P| <= 6h, |E| <= 18h, |M| <= 36nh, |L(1, M) - 2E| <= 126nh and 48h
+    on s = 0.  A tree has h <= n - 1 (under 3 * 10^7 at the order-3 entry
+    budget, n <= 464); an H that would push 126nh past 2^62 raises
+    ``OverflowError`` rather than wrap."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    return order3_form(t) == s_form(t.n) * distance_quadratic(t)
+    h = build_steiner(t, 3).entries
+    if 126 * t.n * max(int(h.max()), -int(h.min())) > 1 << 62:
+        raise OverflowError("hypermatrix entries too large for the int64 identity suite")
+    pair = h + h.transpose(0, 2, 1)
+    p = pair + pair.transpose(1, 0, 2) + pair.transpose(2, 1, 0)
+    p.flags.writeable = False   # cached and shared by every row, so read-only
+    return p
 
 
-_PARTIALS: list = [None, None]   # the last form seen, and its derivatives
+def _linear_times(q: np.ndarray) -> np.ndarray:
+    """L(1, Q)_ijk = Q_jk + Q_ik + Q_ij: the tensor of s times the quadratic Q/2."""
+    return q + q[:, None, :] + q[:, :, None]
 
 
-def _order3_partials(p: SparsePoly) -> tuple[tuple[SparsePoly, ...], SparsePoly]:
-    """D_r p for every r and sum_r x_r D_r p, derived once per form object:
-    the cache holds the last form by identity, so another form (another tree,
-    or a stand-in for ``order3_form``) is derived afresh."""
-    if _PARTIALS[0] is not p:
-        n = p.n
-        partials = tuple(p.partial(r) for r in range(1, n + 1))
-        euler = _sum_of_products(n, [(SparsePoly.variable(n, r), d_r)
-                                     for r, d_r in enumerate(partials, start=1)])
-        _PARTIALS[:] = [p, (partials, euler)]
-    return _PARTIALS[1]
+def _on_s_zero(x: np.ndarray) -> np.ndarray:
+    """x contracted with A = [I_(n-1); -1ᵀ] on every axis: the form restricted
+    to the hyperplane s = 0.  A form is a multiple of s iff this is zero."""
+    for _ in range(x.ndim):
+        x = np.moveaxis(x[:-1] - x[-1:], 0, -1)
+    return x
+
+
+def _euler(p: np.ndarray) -> np.ndarray:
+    """E_ijk = P_ijk + P_jik + P_kij, the tensor of sum_r x_r D_r p."""
+    return p + p.transpose(1, 0, 2) + p.transpose(1, 2, 0)
+
+
+def verify_product_decomposition(t: Tree) -> bool:
+    """Order-3 form equals s * g exactly: P == L(1, 3D)."""
+    return np.array_equal(order3_tensor(t), _linear_times(3 * t.distances()))
 
 
 def verify_euler_identity(t: Tree) -> bool:
-    """sum_r x_r * D_r p = 3 * s * g for the order-3 form."""
-    if t.n < 2:
-        raise ValueError("needs at least two vertices")
-    _, euler = _order3_partials(order3_form(t))
-    return euler == 3 * s_form(t.n) * distance_quadratic(t)
+    """sum_r x_r * D_r p = 3 * s * g for the order-3 form: x_r D_r p has tensor
+    L(e_r, P[r]), whose sum over r is E, so E == 3 L(1, 3D)."""
+    return np.array_equal(_euler(order3_tensor(t)), 3 * _linear_times(3 * t.distances()))
 
 
 def s3_cofactors(t: Tree) -> list[SparsePoly]:
@@ -571,8 +587,7 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
     forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
     since D_r g carries the factor 3 of g.  See tests for the exact
     3-s^3 pin of the unscaled variant.  9(n-1) * f_r = 3(2 - deg_r) s - 2 x_r
-    is integral; ``verify_s3_decomposition`` checks the identity in that form,
-    with the sum over r distributed.
+    is integral; ``verify_s3_decomposition`` checks the identity in that form.
     """
     n = t.n
     if n < 2:
@@ -588,44 +603,26 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
 
 
 def verify_s3_decomposition(t: Tree) -> bool:
-    """s^3 lies in the gradient ideal, with the explicit degree-based cofactors.
-
-    Checks s^3 = sum_r f_r * D_r p (``s3_cofactors``) with the denominators
-    cleared and the sum distributed, all in integers with one product by s:
-    s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3.
-    """
-    n = t.n
-    if n < 2:
-        raise ValueError("needs at least two vertices")
-    partials, by_vertex = _order3_partials(order3_form(t))
-    by_degree = _sum_of_products(n, [(SparsePoly.constant(n, 3 * (2 - t.degrees[r])), d_r)
-                                     for r, d_r in enumerate(partials, start=1)])
-    s = s_form(n)
-    return s * by_degree - 2 * by_vertex == s ** 3 * (9 * (n - 1))
-
-
-def _value_at_e1_minus_e2(p: SparsePoly) -> Coefficient:
-    """p(e_1 - e_2), read off the packed keys: only monomials in x_1, x_2 survive,
-    each with sign (-1)^(exponent of x_2)."""
-    low = _shifts(p.n)[1]
-    rest = (1 << low) - 1
-    return sum(-c if (key >> low) & 1 else c for key, c in p._terms.items()
-               if not key & rest)
+    """s^3 = sum_r f_r * D_r p (``s3_cofactors``), denominators cleared:
+    s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3, on tensors
+    L(1, M) - 2E == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J all ones."""
+    p = order3_tensor(t)
+    m = np.tensordot(3 * (2 - np.array(t.degrees[1:])), p, axes=1)
+    return bool((_linear_times(m) - 2 * _euler(p) == 54 * (t.n - 1)).all())
 
 
 def verify_not_divisible(t: Tree) -> bool:
     """No partial derivative of the order-3 form is a multiple of s.
 
-    Every multiple of s vanishes at z = e_1 - e_2, so D_r p(z) != 0 proves
-    D_r p is not one; on a tree D_r p(z) = g(z) = -3 d(1, 2) for every r.
-    A partial that vanishes at z falls back to exact division by s.
+    Every multiple of s vanishes at z = e_1 - e_2, so zᵀP[r]z != 0 proves
+    D_r p is not one; on a tree zᵀP[r]z = -6 d(1, 2) for every r.  A partial
+    that vanishes at z falls back to its restriction to s = 0.
     """
-    if t.n < 2:
-        raise ValueError("needs at least two vertices")
-    partials, _ = _order3_partials(order3_form(t))
-    s = s_form(t.n)
-    for d_r in partials:
-        if _value_at_e1_minus_e2(d_r) == 0 and \
-                not isinstance(divide_by_linear(d_r, s), NotDivisible):
-            return False
-    return True
+    p = order3_tensor(t)
+    at_z = p[:, 0, 0] - p[:, 0, 1] - p[:, 1, 0] + p[:, 1, 1]
+    return all(_on_s_zero(p[r]).any() for r in np.flatnonzero(at_z == 0))
+
+
+def verify_form_divisible(t: Tree) -> bool:
+    """The order-3 form is a multiple of s: it vanishes on s = 0."""
+    return not _on_s_zero(order3_tensor(t)).any()

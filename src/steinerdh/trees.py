@@ -113,12 +113,16 @@ class Tree:
         return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
 
     def distances(self) -> np.ndarray:
-        """The n×n distance matrix D = Sᵀ(1-S) + (1-S)ᵀS as int64, S = ``sides()``.
-
-        Entry (u, v) counts the edges with exactly one of u, v on the far side.
-        """
-        far, near = self.sides(), self.near_sides()
-        return far.T @ near + near.T @ far
+        """The n×n int64 distance matrix, row by row down the BFS order: vertex
+        1's row holds the depths, the column sums of S = ``sides()``, and a
+        child c is one edge nearer the far side S_c of its edge and one edge
+        further from the rest, so D[c] = D[parent c] + 1 - 2 S_c."""
+        far = self.sides()
+        d = np.empty((self.n, self.n), dtype=np.int64)
+        d[0] = far.sum(axis=0)
+        for c, step in zip(self.order[1:], 1 - 2 * far):
+            np.add(d[self.parent[c] - 1], step, out=d[c - 1])
+        return d
 
     # -- edge cuts ---------------------------------------------------------------
 

@@ -13,15 +13,21 @@ over every index tuple, with no multinomial weights.  A ``CycNum`` product
 is redone as a Fraction convolution reduced by long division by Phi_m, not
 through the power table of ``scalar``.
 
-One oracle does share the closed form: ``edge_cut_hessian`` is the side
+Two oracles do share the side matrix S.  ``edge_cut_hessian`` is the side
 matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
 mpmath numbers.  The multiset Hessian checks it to 128 bits, and it checks
 the complex128 fast path, which feeds only float64 solves.
+``side_distances`` is the distance matrix as the two products
+Sᵀ(1-S) + (1-S)ᵀS, not the parent recurrence of ``Tree.distances``; the
+brute force checks it on small trees, and it checks the recurrence up to
+n = 200 and gives the suite oracle its g.
 
 ``partials_not_divisible_by_division`` divides every partial of a form by
 s, with no point test, and ``gl_inverse_fractions`` builds the
 Graham-Lovász inverse entry by entry in Fractions, with no integer
-numerators.
+numerators.  ``order3_rows_by_polynomials`` is the order-3 identity suite
+redone by ``SparsePoly`` ring arithmetic (products, formal partials and
+``divide_by_linear``), with none of the integer tensors of ``forms``.
 
 Three polynomial routes live here because only tests need them:
 ``two_vertex_form`` (the n = 2 form by symbolic expansion), ``substitute``
@@ -341,3 +347,32 @@ def gl_inverse_fractions(t: Tree) -> list[list[Fraction]]:
             row.append(val)
         rows.append(row)
     return rows
+
+
+def order3_rows_by_polynomials(t: Tree, p: SparsePoly) -> list[bool]:
+    """The five order-3 rows of ``cli.identity_rows`` for the cubic form p, by
+    ``SparsePoly`` ring arithmetic: p = s*g, sum_r x_r D_r p = 3sg,
+    s * sum_r 3(2 - deg_r) D_r p - 2 sum_r x_r D_r p = 9(n-1) s^3, no D_r p
+    divisible by s, and p divisible by s."""
+    n = t.n
+    d = side_distances(t)
+    s = s_form(n)
+    g = SparsePoly(n, {tuple(int(v in (i, j)) for v in range(n)): 3 * int(d[i, j])
+                       for i in range(n) for j in range(i + 1, n)})
+    euler = by_degree = SparsePoly.zero(n)
+    for r in range(1, n + 1):
+        d_r = p.partial(r)
+        euler = euler + SparsePoly.variable(n, r) * d_r
+        by_degree = by_degree + 3 * (2 - t.degrees[r]) * d_r
+    return [p == s * g,
+            euler == 3 * s * g,
+            s * by_degree - 2 * euler == 9 * (n - 1) * s ** 3,
+            partials_not_divisible_by_division(p),
+            not isinstance(divide_by_linear(p, s), NotDivisible)]
+
+
+def side_distances(t: Tree) -> np.ndarray:
+    """D = Sᵀ(1-S) + (1-S)ᵀS: entry (u, v) counts the edges with exactly one
+    of u, v on the far side."""
+    far = t.sides()
+    return far.T @ (1 - far) + (1 - far).T @ far

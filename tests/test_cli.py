@@ -6,8 +6,9 @@ import os
 import pytest
 
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
-                           EXIT_OK, SCHEMA, main)
-from steinerdh.trees import format_tree, path_tree, prufer_decode, star_tree
+                           EXIT_OK, SCHEMA, identity_rows, main)
+from steinerdh.trees import (enumerate_trees, format_tree, path_tree, prufer_decode,
+                             star_tree)
 
 
 @pytest.fixture
@@ -143,6 +144,13 @@ def test_identities_pass_and_skip(tree_file, capsys):
     code, out = run(capsys, ["identities", "--tree", single])
     assert code == EXIT_OK
     assert all(row["status"] == "skipped" for row in json.loads(out)["checks"])
+
+
+def test_identity_rows_pass_on_every_small_tree_class():
+    # the int64 matrix rows against the classes the golden trees do not reach
+    for n in range(2, 9):
+        for t in enumerate_trees(n):
+            assert {row["status"] for row in identity_rows(t)} == {"pass"}, t
 
 
 def test_search_report(tree_file, capsys):

@@ -1,6 +1,7 @@
 """Sparse polynomial engine, Steiner forms, gradients, and the order-3 identities."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import json
 
@@ -17,13 +18,13 @@ from steinerdh import (ConductorMismatch, CycNum, Hypermatrix, MalformedInput,
                        gradient_direct, hessian_direct, order3_form,
                        path_tree, random_tree, root_of_unity, s3_cofactors,
                        s_form, star_tree, steiner_form, verify_euler_identity,
-                       verify_not_divisible, verify_product_decomposition,
-                       verify_s3_decomposition)
+                       verify_form_divisible, verify_not_divisible,
+                       verify_product_decomposition, verify_s3_decomposition)
 from conftest import tree_corpus
 from oracles import (edge_cut_hessian, evaluate_numeric, fraction_add,
                      fraction_mul, fraction_partial, fraction_pow,
                      fraction_remainder, fraction_terms, index_tuple_form,
-                     multiset_gradient, multiset_hessian,
+                     multiset_gradient, multiset_hessian, order3_rows_by_polynomials,
                      partials_not_divisible_by_division, substitute)
 
 X = lambda n, r: SparsePoly.variable(n, r)
@@ -588,20 +589,66 @@ def test_divide_round_trip_random(n, seed):
 # order-3 identity suite
 # ---------------------------------------------------------------------------
 
+SUITE = (verify_product_decomposition, verify_euler_identity, verify_s3_decomposition,
+         verify_not_divisible, verify_form_divisible)
+
+
+def suite_rows(t) -> list[bool]:
+    return [row(t) for row in SUITE]
+
+
+def hypermatrix_of(p: SparsePoly) -> np.ndarray:
+    """Entries of an order-3 hypermatrix whose form is the cubic p: each
+    coefficient on its monomial's sorted index tuple, every other entry 0."""
+    entries = np.zeros((p.n,) * 3, dtype=np.int64)
+    for exp, c in p.terms.items():
+        entries[tuple(i for i, e in enumerate(exp) for _ in range(e))] = c
+    return entries
+
+
+@pytest.fixture
+def inject(monkeypatch):
+    """Hand the order-3 suite stand-in hypermatrix entries: ``order3_tensor``
+    builds its one cached tensor from them until the test ends, and no cache
+    keeps a stand-in afterwards."""
+    def use(entries):
+        monkeypatch.setattr(forms, "build_steiner",
+                            lambda t, k: Hypermatrix(k, t.n, entries))
+        forms.order3_tensor.cache_clear()
+
+    yield use
+    forms.order3_tensor.cache_clear()
+    forms.order3_form.cache_clear()
+
+
+def _recording_restriction(monkeypatch) -> list:
+    """Patch forms._on_s_zero to record each tensor it restricts."""
+    calls, restrict = [], forms._on_s_zero
+
+    def recording(x):
+        calls.append(x.copy())
+        return restrict(x)
+
+    monkeypatch.setattr(forms, "_on_s_zero", recording)
+    return calls
+
+
 def test_identities_on_named_trees(path3, star4):
     for t in (path3, star4, star_tree(5), random_tree(7, 3)):
-        assert verify_product_decomposition(t)
-        assert verify_euler_identity(t)
-        assert verify_s3_decomposition(t)
-        assert verify_not_divisible(t)
+        assert suite_rows(t) == [True, True, True, True, True]
 
 
 def test_identities_on_corpus():
     for t in tree_corpus(15, 2, 8, seed0=300):
-        assert verify_product_decomposition(t)
-        assert verify_euler_identity(t)
-        assert verify_s3_decomposition(t)
-        assert verify_not_divisible(t)
+        assert suite_rows(t) == [True, True, True, True, True]
+
+
+def test_tensor_rows_match_the_polynomial_oracle():
+    trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
+    trees += [random_tree(2 + i % 29, 700 + i) for i in range(50)]
+    for t in trees:
+        p = steiner_form(build_steiner(t, 3))
+        assert suite_rows(t) == order3_rows_by_polynomials(t, p) == [True] * 5, t
 
 
 def test_unscaled_degree_cofactors_give_exactly_three_s_cubed():
@@ -632,32 +679,40 @@ def test_s3_cofactors_satisfy_the_identity_in_fractions():
         assert verify_s3_decomposition(t)
 
 
-def test_s3_decomposition_rejects_a_perturbed_form(monkeypatch):
+def test_suite_needs_two_vertices():
+    for row in SUITE:
+        with pytest.raises(ValueError):
+            row(path_tree(1))
+
+
+def test_every_row_has_a_mutant_that_fails_it(inject):
+    # one stray x1 x2 x3 breaks p = s*g and everything derived from it; a form
+    # whose partials are all multiples of s breaks the non-divisibility row
+    t = random_tree(6, 3)
+    p = order3_form(t)
+    stray = p + X(6, 1) * X(6, 2) * X(6, 3)
+    all_divisible = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
+    for row, mutant in enumerate([stray, stray, stray, all_divisible, stray]):
+        inject(hypermatrix_of(mutant))
+        rows = suite_rows(t)
+        assert rows == order3_rows_by_polynomials(t, mutant)
+        assert not rows[row], (row, rows)
+
+
+def test_s3_decomposition_rejects_a_perturbed_form(inject):
     # the distributed check is not vacuous: one stray cubic term breaks it
     t = random_tree(7, 4)
-    p = order3_form(t)
-    stray = SparsePoly(t.n, {(1, 1, 1, 0, 0, 0, 0): 1})
+    entries = build_steiner(t, 3).entries.copy()
     assert verify_s3_decomposition(t)
-    monkeypatch.setattr(forms, "order3_form", lambda _t: p + stray)
+    entries[0, 1, 2] += 1
+    inject(entries)
     assert not verify_s3_decomposition(t)
 
 
-def _recording_division(monkeypatch) -> list:
-    """Patch forms.divide_by_linear to record the polynomial of each call."""
-    calls, divide = [], forms.divide_by_linear
-
-    def recording(p, s):
-        calls.append(p)
-        return divide(p, s)
-
-    monkeypatch.setattr(forms, "divide_by_linear", recording)
-    return calls
-
-
 def test_not_divisible_point_test_matches_division_on_every_small_tree(monkeypatch):
-    # D_r p(e1 - e2) = g(e1 - e2) = -3 d(1, 2) on a tree, so no partial reaches
-    # the division fallback
-    calls = _recording_division(monkeypatch)
+    # zᵀP[r]z = -6 d(1, 2) at z = e1 - e2 on a tree, so no partial reaches the
+    # restriction to s = 0
+    calls = _recording_restriction(monkeypatch)
     for n in range(2, 8):
         for t in enumerate_trees(n):
             assert verify_not_divisible(t) is partials_not_divisible_by_division(order3_form(t))
@@ -665,28 +720,31 @@ def test_not_divisible_point_test_matches_division_on_every_small_tree(monkeypat
     assert calls == []
 
 
-def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s(monkeypatch):
+def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s(inject):
     t = random_tree(6, 3)
     mutant = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
-    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    inject(hypermatrix_of(mutant))
     assert not partials_not_divisible_by_division(mutant)
     assert not verify_not_divisible(t)
+    assert verify_form_divisible(t)
 
 
 def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_point(
-        monkeypatch):
+        monkeypatch, inject):
     # adding d(1,2) x1^3 cancels D_1 p at e1 - e2 without making D_1 p a multiple of s
     t = random_tree(6, 3)
+    entries = build_steiner(t, 3).entries.copy()
+    entries[0, 0, 0] += t.distance(1, 2)
     mutant = order3_form(t) + t.distance(1, 2) * X(6, 1) ** 3
-    assert forms._value_at_e1_minus_e2(mutant.partial(1)) == 0
+    assert mutant.partial(1).evaluate([1, -1, 0, 0, 0, 0]) == 0
     assert partials_not_divisible_by_division(mutant)
-    calls = _recording_division(monkeypatch)
-    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    inject(entries)
+    calls = _recording_restriction(monkeypatch)
     assert verify_not_divisible(t)
-    assert calls == [mutant.partial(1)]
+    assert len(calls) == 1 and np.array_equal(calls[0], forms.order3_tensor(t)[0])
 
 
-def test_not_divisible_finds_one_divisible_partial_among_the_others(monkeypatch):
+def test_not_divisible_finds_one_divisible_partial_among_the_others(monkeypatch, inject):
     # g_n (g with x_n replaced by x_n - s) is free of x_n and equals g mod s, so
     # p' = p - x_n g_n has D_n p' = g + s D_n g - g_n divisible by s, while every
     # other partial is still g = -3 d(1, 2) at e1 - e2
@@ -697,22 +755,23 @@ def test_not_divisible_finds_one_divisible_partial_among_the_others(monkeypatch)
     partials = [mutant.partial(r) for r in range(1, n + 1)]
     assert [isinstance(divide_by_linear(d, s_form(n)), NotDivisible)
             for d in partials] == [True] * (n - 1) + [False]
-    calls = _recording_division(monkeypatch)
-    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    inject(hypermatrix_of(mutant))
+    calls = _recording_restriction(monkeypatch)
     assert not verify_not_divisible(t)
-    assert calls == [partials[-1]]
+    assert len(calls) == 1 and np.array_equal(calls[0], forms.order3_tensor(t)[n - 1])
 
 
-def test_euler_identity_rejects_a_perturbed_form(monkeypatch):
-    # the cached partials follow the form object, not the tree
+def test_euler_identity_rejects_a_perturbed_form(inject):
+    # the cached tensor follows the hypermatrix it was built from
     t = random_tree(7, 4)
-    p = order3_form(t)
-    mutant = p + SparsePoly(t.n, {(1, 1, 1, 0, 0, 0, 0): 1})
+    entries = build_steiner(t, 3).entries
+    mutant = entries.copy()
+    mutant[0, 1, 2] += 1
     assert verify_euler_identity(t)
-    monkeypatch.setattr(forms, "order3_form", lambda _t: mutant)
+    inject(mutant)
     assert not verify_euler_identity(t)
     assert not verify_s3_decomposition(t)
-    monkeypatch.setattr(forms, "order3_form", lambda _t: p)
+    inject(entries)
     assert verify_euler_identity(t) and verify_s3_decomposition(t)
 
 
@@ -721,6 +780,28 @@ def test_order3_form_cache_follows_the_tree():
     assert order3_form(a) is order3_form(a)
     assert order3_form(b) == steiner_form(build_steiner(b, 3))
     assert order3_form(a) == steiner_form(build_steiner(a, 3)) != order3_form(b)
+
+
+def test_order3_tensor_is_the_permutation_sum_and_follows_the_tree():
+    a, b = random_tree(6, 1), random_tree(6, 2)
+    assert forms.order3_tensor(a) is forms.order3_tensor(a)
+    assert not forms.order3_tensor(a).flags.writeable
+    for t in (b, a):
+        h = build_steiner(t, 3).entries
+        assert np.array_equal(forms.order3_tensor(t),
+                              sum(h.transpose(axes) for axes in permutations(range(3))))
+        assert np.array_equal(forms.order3_tensor(t), 6 * h)
+
+
+def test_order3_tensor_refuses_entries_that_could_wrap(inject):
+    t = random_tree(3, 1)
+    for huge in (1 << 58, -(1 << 58), np.iinfo(np.int64).min):
+        inject(np.full((3, 3, 3), huge, dtype=np.int64))
+        with pytest.raises(OverflowError):
+            verify_product_decomposition(t)
+    # within the bound the rows run: c * s^3 and all its partials are multiples of s
+    inject(np.full((3, 3, 3), 1 << 50, dtype=np.int64))
+    assert suite_rows(t) == [False, False, False, False, True]
 
 
 def test_s3_cofactors_structure():

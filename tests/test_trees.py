@@ -13,7 +13,7 @@ from steinerdh import (EmptySet, MalformedInput, NotATree, TooLarge, Tree,
                        prufer_encode, random_tree, star_tree,
                        steiner_distance_bruteforce)
 from conftest import tree_corpus
-from oracles import multiset_hypermatrix
+from oracles import multiset_hypermatrix, side_distances
 
 
 def test_parse_examples():
@@ -132,6 +132,22 @@ def test_steiner_pairs_equal_pairwise():
             for v in range(1, t.n + 1):
                 assert t.steiner([u, v]) == t.distance(u, v) == d[u - 1, v - 1] == \
                     steiner_distance_bruteforce(t, [u, v])
+
+
+def test_distances_recurrence_matches_side_products_and_bruteforce():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            d = t.distances()
+            assert d.dtype == np.int64
+            assert np.array_equal(d, side_distances(t))
+            assert d.tolist() == [[steiner_distance_bruteforce(t, (u, v))
+                                   for v in range(1, n + 1)] for u in range(1, n + 1)]
+    for n in (8, 13, 31, 64, 120, 200):
+        for seed in range(3):
+            t = random_tree(n, 900 + seed)
+            assert np.array_equal(t.distances(), side_distances(t)), (n, seed)
+    assert np.array_equal(path_tree(200).distances(), side_distances(path_tree(200)))
+    assert np.array_equal(star_tree(200, 7).distances(), side_distances(star_tree(200, 7)))
 
 
 def test_triple_identity():
