@@ -181,7 +181,7 @@ def identity_rows(t: Tree) -> list[dict]:
     add("gl_inverse", np.array_equal(np.array(inverse.num) @ D, np.diag([inverse.den] * t.n)))
     tau = 2 - np.array(t.degrees[1:])   # c_r = tau_r / (n - 1) solves c D = 1
     add("ones_row", bool((tau @ D == t.n - 1).all()))
-    add("c_sum", int(tau.sum()) == 2)
+    add("c_sum", int(tau.sum()) == 2)   # cannot fail: the handshake lemma
     return rows
 
 

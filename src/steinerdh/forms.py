@@ -512,11 +512,11 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     if k < 2:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
-    far, near = t.sides(), t.near_sides()
+    far = t.sides()
     s = x.sum()
     a = far @ x
     acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
-        - (near.T * (s - a) ** (k - 2)) @ near
+        - ((1 - far).T * (s - a) ** (k - 2)) @ (1 - far)
     return k * (k - 1) * acc
 
 
@@ -576,7 +576,8 @@ def verify_product_decomposition(t: Tree) -> bool:
 
 def verify_euler_identity(t: Tree) -> bool:
     """sum_r x_r * D_r p = 3 * s * g for the order-3 form: x_r D_r p has tensor
-    L(e_r, P[r]), whose sum over r is E, so E == 3 L(1, 3D)."""
+    L(e_r, P[r]), whose sum over r is E, so E == 3 L(1, 3D).  P is symmetric, so
+    E = 3P (Euler's theorem for a cubic): this row fails only with the product row."""
     return np.array_equal(_euler(order3_tensor(t)), 3 * _linear_times(3 * t.distances()))
 
 

@@ -1,14 +1,10 @@
 """Order-k Steiner distance hypermatrices: construction, degenerate zeroing, I/O.
 
-Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order.
-A multiset's Steiner distance is the number of edges it straddles, so
-
-    entries = (n-1) - sum_e (1_A^{(x)k} + 1_B^{(x)k})
-
-over the two sides A, B of every edge (the rows of ``Tree.sides`` and their
-complements).  The sum is one ``np.einsum`` over the stacked side
-indicators, written straight into the output array, so no second n^k array
-is ever allocated.  The result is super-symmetric by construction.
+Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order,
+filled by the tree's parent recurrence (``Tree.distances`` is its k = 2 case)
+in O(n^k) steps of n^(k-1) entries each, so no second n^k array is allocated.
+The result is super-symmetric because a Steiner distance depends only on the
+index set.
 """
 
 from __future__ import annotations
@@ -61,9 +57,11 @@ class Hypermatrix:
         raise AttributeError("Hypermatrix is immutable")
 
     def entry(self, index: Iterable[int]) -> int:
-        """Entry at a 1-based index tuple."""
-        idx = tuple(i - 1 for i in index)
-        return int(self.entries[idx])
+        """Entry at a tuple of k labels in 1..n."""
+        idx = tuple(index)
+        if len(idx) != self.k or not all(1 <= i <= self.n for i in idx):
+            raise ValueError(f"index {idx} is not {self.k} labels in 1..{self.n}")
+        return int(self.entries[tuple(i - 1 for i in idx)])
 
     def flat(self) -> list[int]:
         return self.entries.reshape(-1).tolist()
@@ -91,16 +89,7 @@ def build_steiner(t: Tree, k: int) -> Hypermatrix:
     limit = entry_budget()
     if _exceeds(n, k, limit):
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
-    arr = np.zeros((n,) * k, dtype=np.int64)
-    if n > 1:
-        sides = np.concatenate([t.sides(), t.near_sides()])
-        # entry (i1..ik) counts the sides holding all of i1..ik
-        operands = []
-        for axis in range(1, k + 1):
-            operands += [sides, [0, axis]]
-        np.einsum(*operands, list(range(1, k + 1)), out=arr)
-        np.subtract(n - 1, arr, out=arr)
-    return Hypermatrix(k, n, arr)
+    return Hypermatrix(k, n, t._steiner_array(k))
 
 
 def _repeated_index_mask(n: int, k: int) -> np.ndarray:

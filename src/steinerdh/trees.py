@@ -6,13 +6,13 @@ keyed by the 64-bit seed), so the same (n, seed) pair yields the same tree
 on every platform.
 
 The Steiner distance of a vertex set is the number of edges whose removal
-separates it.  Every Steiner sum the package needs (hypermatrix entries,
-gradients, Hessians of the Steiner form) therefore reduces to per-edge sums
-over the two sides of each edge; ``Tree.far_sums`` computes them in one
-children-first pass over the BFS order from vertex 1.  Single queries
+separates it.  Every Steiner sum the package needs therefore reduces to
+per-edge sums over the two sides of each edge; ``Tree.far_sums`` computes them
+in one children-first pass over the BFS order from vertex 1.  Single queries
 (``Tree.steiner``, ``Tree.distance``) count edge cuts the same way, and
-``Tree.sides`` stacks the side indicators into the matrix S behind the
-pairwise distances (``Tree.distances``), the hypermatrix and the Hessian.
+``Tree.sides`` stacks the far-side indicators into the matrix S behind the
+Hessian and the Steiner arrays of every order, which one parent recurrence
+fills (``Tree.distances`` at k = 2, the hypermatrix above it).
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.
@@ -21,6 +21,7 @@ with the edge cuts, is provided as an oracle for n <= 12.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,16 +114,31 @@ class Tree:
         return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
 
     def distances(self) -> np.ndarray:
-        """The n×n int64 distance matrix, row by row down the BFS order: vertex
-        1's row holds the depths, the column sums of S = ``sides()``, and a
-        child c is one edge nearer the far side S_c of its edge and one edge
-        further from the rest, so D[c] = D[parent c] + 1 - 2 S_c."""
-        far = self.sides()
-        d = np.empty((self.n, self.n), dtype=np.int64)
-        d[0] = far.sum(axis=0)
-        for c, step in zip(self.order[1:], 1 - 2 * far):
-            np.add(d[self.parent[c] - 1], step, out=d[c - 1])
-        return d
+        """The n×n int64 distance matrix, the order-2 Steiner array."""
+        return self._steiner_array(2)
+
+    def _steiner_array(self, k: int) -> np.ndarray:
+        """The order-k Steiner distances as an int64 array of shape (n,)*k, one
+        leading-index row per vertex down the BFS order.  With S_e the far side
+        of edge e (a row of ``sides()``), N_e = 1 - S_e and ^m the m-fold outer
+        power, row 1 is (n-1) - sum_e N_e^(k-1).  Moving the leading index from
+        p across edge c to c changes only edge c's cut: +1 if the other k - 1
+        indices all lie on the near side, -1 if all on the far side, so row c =
+        row p + N_c^(k-1) - S_c^(k-1) (D[c] = D[p] + 1 - 2 S_c at k = 2)."""
+        n, far = self.n, self.sides()
+        near = 1 - far
+        out = np.empty((n,) * k, dtype=np.int64)
+        if k == 2:   # all n - 1 steps fit in one (n-1)×n array
+            out[0] = n - 1 - near.sum(axis=0)
+            steps = near - far
+        else:
+            def power(v):
+                return reduce(np.multiply.outer, (v,) * (k - 1))
+            out[0] = n - 1 - sum(map(power, near))
+            steps = (power(m) - power(f) for f, m in zip(far, near))
+        for c, step in zip(self.order[1:], steps):
+            np.add(out[self.parent[c] - 1], step, out=out[c - 1])
+        return out
 
     # -- edge cuts ---------------------------------------------------------------
 
@@ -143,21 +159,14 @@ class Tree:
 
     def sides(self) -> np.ndarray:
         """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
-        order: S @ x is ``far_sums(x)``, and 1 - S (``near_sides``) holds the
-        near sides.  Both are built once per tree and shared, so read-only."""
+        order, so S @ x is ``far_sums(x)``.  Built once per tree and shared,
+        so read-only."""
         if self._sides_cache is None:
-            n = self.n
-            far = np.array(self.far_sums(np.eye(n, dtype=np.int64)),
-                           dtype=np.int64).reshape(n - 1, n)
-            near = 1 - far
-            far.flags.writeable = near.flags.writeable = False
-            object.__setattr__(self, "_sides_cache", (far, near))
-        return self._sides_cache[0]
-
-    def near_sides(self) -> np.ndarray:
-        """The near-side indicators 1 - ``sides()``, cached and read-only alike."""
-        self.sides()
-        return self._sides_cache[1]
+            far = np.array(self.far_sums(np.eye(self.n, dtype=np.int64)),
+                           dtype=np.int64).reshape(-1, self.n)
+            far.flags.writeable = False
+            object.__setattr__(self, "_sides_cache", far)
+        return self._sides_cache
 
     # -- brute-force support ----------------------------------------------------
 

@@ -17,10 +17,12 @@ Two oracles do share the side matrix S.  ``edge_cut_hessian`` is the side
 matrix Hessian of ``forms.hessian_direct`` kept at the working precision on
 mpmath numbers.  The multiset Hessian checks it to 128 bits, and it checks
 the complex128 fast path, which feeds only float64 solves.
-``side_distances`` is the distance matrix as the two products
-Sᵀ(1-S) + (1-S)ᵀS, not the parent recurrence of ``Tree.distances``; the
-brute force checks it on small trees, and it checks the recurrence up to
-n = 200 and gives the suite oracle its g.
+``side_distances`` is the order-k Steiner array as one ``np.einsum`` over
+the stacked side rows, (n-1) - sum_e (S_e^k + N_e^k) with N = 1 - S
+(Sᵀ(1-S) + (1-S)ᵀS at k = 2), not the parent recurrence of
+``Tree.distances`` and ``build_steiner``; the brute force checks it on small
+trees, and it checks the recurrence past brute-force reach (n = 200 at k = 2,
+n = 60 at k = 3) and gives the suite oracle its g.
 
 ``partials_not_divisible_by_division`` divides every partial of a form by
 s, with no point test, and ``gl_inverse_fractions`` builds the
@@ -371,8 +373,14 @@ def order3_rows_by_polynomials(t: Tree, p: SparsePoly) -> list[bool]:
             not isinstance(divide_by_linear(p, s), NotDivisible)]
 
 
-def side_distances(t: Tree) -> np.ndarray:
-    """D = Sᵀ(1-S) + (1-S)ᵀS: entry (u, v) counts the edges with exactly one
-    of u, v on the far side."""
+def side_distances(t: Tree, k: int = 2) -> np.ndarray:
+    """The order-k Steiner array (n-1) - sum_e (S_e^k + N_e^k), S_e the far
+    and N_e = 1 - S_e the near side of edge e: an index tuple misses edge e
+    exactly when it lies on one side.  One ``np.einsum`` over the 2(n-1)
+    stacked side rows, O(n^(k+1)); at k = 2 it is Sᵀ(1-S) + (1-S)ᵀS."""
     far = t.sides()
-    return far.T @ (1 - far) + (1 - far).T @ far
+    sides = np.concatenate([far, 1 - far])
+    operands = []
+    for axis in range(1, k + 1):
+        operands += [sides, [0, axis]]
+    return t.n - 1 - np.einsum(*operands, list(range(1, k + 1)))

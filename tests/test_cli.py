@@ -207,6 +207,23 @@ def test_campaign_deterministic(tmp_path):
         assert (d1 / name).read_text() == (d2 / name).read_text()
 
 
+def test_campaign_jobs_2_matches_jobs_1(tmp_path, capsys):
+    # the worker pool must not change a byte: same stdout summary, same case files
+    args = ["campaign", "--n-min", "3", "--n-max", "6", "--k", "3,2",
+            "--trees-per-n", "1", "--seed", "4"]
+    outs, dirs = [], []
+    for jobs in ("1", "2"):
+        dirs.append(tmp_path / f"jobs{jobs}")
+        code, out = run(capsys, args + ["--out-dir", str(dirs[-1]), "--jobs", jobs])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["cases"] == 8
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1])) and len(names) == 9
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
 def test_campaign_usage_errors(tmp_path):
     assert main(["campaign", "--n-min", "3", "--n-max", "4", "--k", ",",
                  "--trees-per-n", "2", "--out-dir", str(tmp_path / "x")]) == EXIT_INPUT

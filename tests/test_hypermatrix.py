@@ -1,5 +1,6 @@
 """Hypermatrix construction, degenerate zeroing, and I/O round trips."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 
 from steinerdh import (BudgetExceeded, MalformedInput, WrongShape,
                        build_steiner, enumerate_trees, export_json, export_text,
-                       import_json, import_text, random_tree,
-                       steiner_distance_bruteforce, zero_degenerate)
+                       import_json, import_text, path_tree, random_tree,
+                       star_tree, steiner_distance_bruteforce, zero_degenerate)
 from steinerdh.hypermatrix import BUDGET_ENV_VAR, _repeated_index_mask, entry_budget
-from oracles import multiset_hypermatrix
+from oracles import multiset_hypermatrix, side_distances
 
 
 def test_build_examples(k2, path3):
@@ -55,7 +56,40 @@ def test_build_matches_multiset_oracle_on_every_small_tree_class():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             for k in range(2, 6):
-                assert build_steiner(t, k) == multiset_hypermatrix(t, k), (t, k)
+                h = build_steiner(t, k)
+                assert h == multiset_hypermatrix(t, k), (t, k)
+                assert np.array_equal(h.entries, side_distances(t, k)), (t, k)
+
+
+def test_build_matches_the_side_einsum_past_brute_force_reach():
+    for seed in range(30):
+        t = random_tree(7 + seed % 10, 4100 + seed)
+        k = 2 + seed % 4
+        assert np.array_equal(build_steiner(t, k).entries, side_distances(t, k)), (t, k)
+    for t in (random_tree(60, 4200), random_tree(60, 4201), path_tree(60), star_tree(60, 9)):
+        assert np.array_equal(build_steiner(t, 3).entries, side_distances(t, 3)), t
+
+
+def test_build_forms_no_second_full_size_array():
+    # each recurrence step is one n^(k-1) row, so the peak stays near the result
+    for n, k in ((30, 4), (12, 6)):
+        t = random_tree(n, 77)
+        t.sides()
+        tracemalloc.start()
+        try:
+            h = build_steiner(t, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h.entries.nbytes, (n, k, peak / h.entries.nbytes)
+
+
+def test_entry_rejects_a_wrong_length_or_an_out_of_range_label(path3):
+    h = build_steiner(path3, 3)
+    assert h.entry((3, 1, 3)) == 2 and h.entry([1, 2, 2]) == 1
+    for idx in ((0, 1, 3), (1, 4, 2), (-1, 1, 1), (1, 2), (1, 2, 3, 1), ()):
+        with pytest.raises(ValueError, match=r"labels in 1\.\.3"):
+            h.entry(idx)
 
 
 def test_repeated_index_mask_matches_per_tuple_sets():
