@@ -16,7 +16,9 @@ cheap.  At k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 The order-3 identity suite checks that factorisation and its consequences
 as int64 tensor equations in ``order3_tensor`` (6x the symmetric tensor of
-p), with no polynomial arithmetic; divisibility by s is vanishing on s = 0.
+p), with no polynomial arithmetic: divisibility by s is vanishing on s = 0,
+and the Euler row is the product row by Euler's theorem.  No check in the
+package runs on polynomials; the functions returning them serve callers.
 
 Polynomials store each monomial as one Python int: variable x_i's exponent
 sits in its own 16-bit field, x_1's field highest, so integer order is
@@ -250,31 +252,6 @@ class SparsePoly:
                 terms[key - unit] = c * e
         return SparsePoly._ring(self.n, terms, self._top)
 
-    # -- evaluation ------------------------------------------------------------------
-
-    def evaluate(self, point: Sequence):
-        """Exact value at a point of CycNum/Fraction/int entries.
-
-        All CycNum entries must share one modulus (ConductorMismatch
-        otherwise); rationals are coerced into that field.  A purely
-        rational point gives a Fraction back.
-        """
-        if len(point) != self.n:
-            raise ValueError(f"point length {len(point)} != {self.n} variables")
-        for x in point:
-            if not isinstance(x, (CycNum, int, Fraction)):
-                raise TypeError(f"cannot evaluate exactly at {type(x).__name__}")
-        coords, one = _coerce_point(point)
-        acc = one * 0
-        pows = _power_table(coords, max(self._degrees(), default=0), one)
-        for exp, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exp):
-                if e:
-                    term = pows[i][e] * term
-            acc = acc + term
-        return acc
-
     # -- serialization -------------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -316,39 +293,25 @@ def _product_top(a: SparsePoly, b: SparsePoly) -> int:
     return top
 
 
-def _coerce_point(point: Sequence) -> tuple[list, object]:
-    """A point's coordinates in one number type, and that type's 1.
+def _coerce_point(point: Sequence) -> list:
+    """A point's coordinates in one number type.
 
     CycNum entries must share one modulus (ConductorMismatch otherwise) and
     pull ints and Fractions into their field; an all-rational point becomes
     Fractions; a complex128 array becomes Python complex numbers; any other
-    point becomes mpmath complex numbers.
+    point becomes mpmath numbers.
     """
     if isinstance(point, np.ndarray) and point.dtype == np.complex128:
-        return point.tolist(), 1 + 0j
-    cyc_m = None
-    for x in point:
-        if isinstance(x, CycNum):
-            if cyc_m is None:
-                cyc_m = x.m
-            elif x.m != cyc_m:
-                raise ConductorMismatch(f"point mixes Q(zeta_{cyc_m}) and Q(zeta_{x.m})")
-    if cyc_m is not None:
-        return ([x if isinstance(x, CycNum) else CycNum.from_rational(x, cyc_m)
-                 for x in point], CycNum.one(cyc_m))
+        return point.tolist()
+    moduli = sorted({x.m for x in point if isinstance(x, CycNum)})
+    if len(moduli) > 1:
+        raise ConductorMismatch(f"point mixes Q(zeta_{moduli[0]}) and Q(zeta_{moduli[1]})")
+    if moduli:
+        return [x if isinstance(x, CycNum) else CycNum.from_rational(x, moduli[0])
+                for x in point]
     if all(isinstance(x, (int, Fraction)) for x in point):
-        return [Fraction(x) for x in point], Fraction(1)
-    return [mpmath.mpmathify(x) for x in point], mpmath.mpc(1)
-
-
-def _power_table(coords, top: int, one):
-    pows = []
-    for x in coords:
-        row = [one, x]
-        for _ in range(2, top + 1):
-            row.append(row[-1] * x)
-        pows.append(row)
-    return pows
+        return [Fraction(x) for x in point]
+    return [mpmath.mpmathify(x) for x in point]
 
 
 class NotDivisible:
@@ -478,7 +441,7 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         raise ValueError(f"point length {len(point)} != {n} vertices")
     if k < 2:
         raise ValueError("order must be >= 2")
-    coords, _ = _coerce_point(point)
+    coords = _coerce_point(point)
     s = sum(coords)
     top = s ** (k - 1)
     zero_step = -k * top
@@ -513,10 +476,11 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
     far = t.sides()
+    near = 1 - far
     s = x.sum()
     a = far @ x
     acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \
-        - ((1 - far).T * (s - a) ** (k - 2)) @ (1 - far)
+        - (near.T * (s - a) ** (k - 2)) @ near
     return k * (k - 1) * acc
 
 
@@ -524,7 +488,6 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
 # order-3 identity suite, on integer tensors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def order3_form(t: Tree) -> SparsePoly:
     """The order-3 Steiner form, via the hypermatrix, as a polynomial."""
     return steiner_form(build_steiner(t, 3))
@@ -536,10 +499,10 @@ def order3_tensor(t: Tree) -> np.ndarray:
     6x the symmetric tensor of p for any H, so D_r p is the quadratic P[r]/2.
 
     With h = max|H| and sum_r |2 - deg_r| < 2n, the suite's int64 values stay
-    within |P| <= 6h, |E| <= 18h, |M| <= 36nh, |L(1, M) - 2E| <= 126nh and 48h
-    on s = 0.  A tree has h <= n - 1 (under 3 * 10^7 at the order-3 entry
-    budget, n <= 464); an H that would push 126nh past 2^62 raises
-    ``OverflowError`` rather than wrap."""
+    within |P| <= 6h, |M| <= 36nh, |L(1, M) - 6P| <= 126nh and 48h on s = 0.
+    A tree has h <= n - 1 (under 3 * 10^7 at the order-3 entry budget,
+    n <= 464); an H that would push 126nh past 2^62 raises ``OverflowError``
+    rather than wrap."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
     h = build_steiner(t, 3).entries
@@ -557,16 +520,10 @@ def _linear_times(q: np.ndarray) -> np.ndarray:
 
 
 def _on_s_zero(x: np.ndarray) -> np.ndarray:
-    """x contracted with A = [I_(n-1); -1ᵀ] on every axis: the form restricted
-    to the hyperplane s = 0.  A form is a multiple of s iff this is zero."""
-    for _ in range(x.ndim):
-        x = np.moveaxis(x[:-1] - x[-1:], 0, -1)
-    return x
-
-
-def _euler(p: np.ndarray) -> np.ndarray:
-    """E_ijk = P_ijk + P_jik + P_kij, the tensor of sum_r x_r D_r p."""
-    return p + p.transpose(1, 0, 2) + p.transpose(1, 2, 0)
+    """x contracted with A = [I_(n-1); -1ᵀ] on its last two axes: each
+    symmetric x[..., :, :] as a quadratic restricted to the hyperplane s = 0.
+    A form is a multiple of s iff its restriction is zero."""
+    return x[..., :-1, :-1] - x[..., :-1, -1:] - x[..., -1:, :-1] + x[..., -1:, -1:]
 
 
 def verify_product_decomposition(t: Tree) -> bool:
@@ -575,10 +532,11 @@ def verify_product_decomposition(t: Tree) -> bool:
 
 
 def verify_euler_identity(t: Tree) -> bool:
-    """sum_r x_r * D_r p = 3 * s * g for the order-3 form: x_r D_r p has tensor
-    L(e_r, P[r]), whose sum over r is E, so E == 3 L(1, 3D).  P is symmetric, so
-    E = 3P (Euler's theorem for a cubic): this row fails only with the product row."""
-    return np.array_equal(_euler(order3_tensor(t)), 3 * _linear_times(3 * t.distances()))
+    """sum_r x_r * D_r p = 3 * s * g for the order-3 form.  By Euler's theorem
+    the left side is 3p (x_r D_r p has tensor L(e_r, P[r]), and their sum is
+    P + P^(jik) + P^(kij) = 3P as P is symmetric), so this row is the product
+    row."""
+    return verify_product_decomposition(t)
 
 
 def s3_cofactors(t: Tree) -> list[SparsePoly]:
@@ -594,36 +552,28 @@ def s3_cofactors(t: Tree) -> list[SparsePoly]:
     if n < 2:
         raise ValueError("needs at least two vertices")
     s = s_form(n)
-    out = []
-    for r in range(1, n + 1):
-        d_r = t.degrees[r]
-        f = (s * Fraction(2 - d_r) - SparsePoly.variable(n, r) * Fraction(2, 3)) \
-            * Fraction(1, 3 * (n - 1))
-        out.append(f)
-    return out
+    return [(s * Fraction(2 - t.degrees[r]) - SparsePoly.variable(n, r) * Fraction(2, 3))
+            * Fraction(1, 3 * (n - 1)) for r in range(1, n + 1)]
 
 
 def verify_s3_decomposition(t: Tree) -> bool:
     """s^3 = sum_r f_r * D_r p (``s3_cofactors``), denominators cleared:
     s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3, on tensors
-    L(1, M) - 2E == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J all ones."""
+    L(1, M) - 6P == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J all ones
+    (sum_r x_r D_r p = 3p has tensor 3P)."""
     p = order3_tensor(t)
     m = np.tensordot(3 * (2 - np.array(t.degrees[1:])), p, axes=1)
-    return bool((_linear_times(m) - 2 * _euler(p) == 54 * (t.n - 1)).all())
+    return bool((_linear_times(m) - 6 * p == 54 * (t.n - 1)).all())
 
 
 def verify_not_divisible(t: Tree) -> bool:
-    """No partial derivative of the order-3 form is a multiple of s.
-
-    Every multiple of s vanishes at z = e_1 - e_2, so zᵀP[r]z != 0 proves
-    D_r p is not one; on a tree zᵀP[r]z = -6 d(1, 2) for every r.  A partial
-    that vanishes at z falls back to its restriction to s = 0.
-    """
-    p = order3_tensor(t)
-    at_z = p[:, 0, 0] - p[:, 0, 1] - p[:, 1, 0] + p[:, 1, 1]
-    return all(_on_s_zero(p[r]).any() for r in np.flatnonzero(at_z == 0))
+    """No partial derivative of the order-3 form is a multiple of s: each
+    D_r p, the quadratic P[r]/2, is nonzero on s = 0."""
+    return bool(_on_s_zero(order3_tensor(t)).reshape(t.n, -1).any(axis=1).all())
 
 
 def verify_form_divisible(t: Tree) -> bool:
-    """The order-3 form is a multiple of s: it vanishes on s = 0."""
-    return not _on_s_zero(order3_tensor(t)).any()
+    """The order-3 form is a multiple of s: it vanishes on s = 0, so P
+    restricted on its last two axes and then on its first is zero."""
+    q = _on_s_zero(order3_tensor(t))
+    return not (q[:-1] - q[-1:]).any()

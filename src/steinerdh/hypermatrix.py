@@ -4,7 +4,8 @@ Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order,
 filled by the tree's parent recurrence (``Tree.distances`` is its k = 2 case)
 in O(n^k) steps of n^(k-1) entries each, so no second n^k array is allocated.
 The result is super-symmetric because a Steiner distance depends only on the
-index set.
+index set.  An order above numpy's axis limit ``MAXDIMS`` is refused before
+any array is formed: ``BudgetExceeded`` on build, ``MalformedInput`` on import.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, MalformedInput, WrongShape, ascii_int
 from .trees import Tree
+
+try:
+    from numpy._core.multiarray import MAXDIMS as _MAX_AXES
+except ImportError:   # numpy 1.x
+    from numpy.core.multiarray import MAXDIMS as _MAX_AXES
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
@@ -89,6 +95,8 @@ def build_steiner(t: Tree, k: int) -> Hypermatrix:
     limit = entry_budget()
     if _exceeds(n, k, limit):
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
+    if k > _MAX_AXES:
+        raise BudgetExceeded(f"order {k} exceeds numpy's {_MAX_AXES} array axes")
     return Hypermatrix(k, n, t._steiner_array(k))
 
 
@@ -127,6 +135,8 @@ def _from_flat(k, n, entries: list) -> Hypermatrix:
     count = len(entries)
     if _exceeds(n, k, count) or count != n ** k:
         raise MalformedInput(f"expected {n}^{k} entries, got {count}")
+    if k > _MAX_AXES:
+        raise MalformedInput(f"order {k} exceeds numpy's {_MAX_AXES} array axes")
     try:
         arr = np.array(entries, dtype=np.int64)
     except OverflowError as exc:

@@ -13,6 +13,10 @@ families the package ships:
 * order-3 completions: any n-2 coordinates extend to a full nullvector by
   solving one quadratic.
 
+Certificates are checked exactly with no polynomial arithmetic:
+``verify_nullvector`` reads a tree's gradient off its edge cuts, and
+``verify_form_nullvector`` contracts any hypermatrix with the point.
+
 For order 3 the nullvariety is cut out by s = sum x_r and the distance
 quadratic g = 3 sum_e a_e (s - a_e), a_e the far-side sums (``Tree.far_sums``).
 On s = 0, g = -3 sum_e a_e^2, so membership and the completion quadratic
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import (EvenOrder, NotDegenerateZeroed, OrderTooLow, TooSmall,
                      ZeroVector)
-from .forms import gradient_direct, hessian_direct, steiner_form
+from .forms import gradient_direct, hessian_direct
 from .hypermatrix import Hypermatrix, has_nonzero_degenerate
 from .scalar import WORKING_PREC, CFloat, CycNum, root_of_unity, unify_conductor
 from .trees import Tree, format_tree
@@ -107,13 +111,26 @@ def verify_nullvector(t: Tree, k: int, point: Sequence) -> NullvectorReport:
 
 
 def verify_form_nullvector(h: Hypermatrix, point: Sequence) -> NullvectorReport:
-    """Exact gradient check against the form of an explicit hypermatrix."""
+    """Exact gradient check against the form of an explicit hypermatrix, which
+    sums h over every index tuple: D_r p is the sum over the axes a of h
+    contracted with the point's nonzero coordinates on every axis but a, read
+    at r, so no symmetry of h is assumed."""
     coords, _ = unify_conductor(list(point))
-    if all(x.is_zero() for x in coords):
+    if len(coords) != h.n:
+        raise ValueError(f"point length {len(coords)} != {h.n} variables")
+    support = [i for i, x in enumerate(coords) if not x.is_zero()]
+    if not support:
         raise ZeroVector("the zero vector certifies nothing")
-    form = steiner_form(h)
-    gradient = [form.partial(r).evaluate(coords) for r in range(1, h.n + 1)]
-    return _report(h.k, coords, gradient, tree=None)
+    xs = np.array([coords[i] for i in support], dtype=object)
+    gradient = 0
+    for a in range(h.k):
+        axes = [support] * h.k
+        axes[a] = range(h.n)
+        part = np.moveaxis(h.entries[np.ix_(*axes)], a, 0).astype(object)
+        for _ in range(h.k - 1):
+            part = part @ xs
+        gradient = gradient + part
+    return _report(h.k, coords, gradient.tolist(), tree=None)
 
 
 def _report(k: int, coords: list[CycNum], gradient: list[CycNum], tree) -> NullvectorReport:

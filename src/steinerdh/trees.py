@@ -36,7 +36,7 @@ class Tree:
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_connected_masks_cache", "_sides_cache",
+        "_connected_masks_cache", "_sides_cache", "_distances_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -86,6 +86,7 @@ class Tree:
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_connected_masks_cache", None)
         object.__setattr__(self, "_sides_cache", None)
+        object.__setattr__(self, "_distances_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("Tree is immutable")
@@ -114,8 +115,13 @@ class Tree:
         return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
 
     def distances(self) -> np.ndarray:
-        """The n×n int64 distance matrix, the order-2 Steiner array."""
-        return self._steiner_array(2)
+        """The n×n int64 distance matrix, the order-2 Steiner array.  Built
+        once per tree and shared, so read-only."""
+        if self._distances_cache is None:
+            d = self._steiner_array(2)
+            d.flags.writeable = False
+            object.__setattr__(self, "_distances_cache", d)
+        return self._distances_cache
 
     def _steiner_array(self, k: int) -> np.ndarray:
         """The order-k Steiner distances as an int64 array of shape (n,)*k, one

@@ -25,7 +25,7 @@ trees, and it checks the recurrence past brute-force reach (n = 200 at k = 2,
 n = 60 at k = 3) and gives the suite oracle its g.
 
 ``partials_not_divisible_by_division`` divides every partial of a form by
-s, with no point test, and ``gl_inverse_fractions`` builds the
+s, with no restriction to s = 0, and ``gl_inverse_fractions`` builds the
 Graham-Lovász inverse entry by entry in Fractions, with no integer
 numerators.  ``order3_rows_by_polynomials`` is the order-3 identity suite
 redone by ``SparsePoly`` ring arithmetic (products, formal partials and
@@ -33,10 +33,11 @@ redone by ``SparsePoly`` ring arithmetic (products, formal partials and
 
 Three polynomial routes live here because only tests need them:
 ``two_vertex_form`` (the n = 2 form by symbolic expansion), ``substitute``
-(replace one variable by a polynomial) and ``evaluate_numeric`` (a form's
-value at an mpmath point, term by term).  They check the completion
-quadratic, the x1 = 0 branch of the two-vertex scan and the numeric
-gradient and Hessian against the expanded form.
+(replace one variable by a polynomial) and ``evaluate`` (a form's value,
+term by term: exact at a cyclotomic or rational point, 128-bit at an
+mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
+two-vertex scan, the exact gradient and the numeric gradient and Hessian
+against the expanded form.
 """
 
 from __future__ import annotations
@@ -303,17 +304,20 @@ def substitute(p: SparsePoly, r: int, value: SparsePoly) -> SparsePoly:
     return out
 
 
-def evaluate_numeric(p: SparsePoly, point: Sequence, prec: int = 128):
-    """p at a point of mpmath-convertible coordinates, as mpmath.mpc,
-    summed term by term at ``prec`` bits."""
+def evaluate(p: SparsePoly, point: Sequence, prec: int = 128):
+    """p at a point, summed term by term in the point's own arithmetic: exact
+    at CycNum (one modulus), Fraction and int coordinates, and otherwise as
+    mpmath numbers at ``prec`` bits."""
+    exact = all(isinstance(x, (CycNum, int, Fraction)) for x in point)
     with mpmath.workprec(prec):
-        coords = [mpmath.mpmathify(x) for x in point]
-        acc = mpmath.mpc(0)
+        coords = list(point) if exact else [mpmath.mpmathify(x) for x in point]
+        acc = 0
         for exp, c in p.terms.items():
-            term = mpmath.mpf(c.numerator) / c.denominator
+            term = c if exact else mpmath.mpf(c.numerator) / c.denominator
             for x, e in zip(coords, exp):
-                term *= x ** e
-            acc += term
+                if e:
+                    term = term * x ** e
+            acc = acc + term
     return acc
 
 
@@ -326,7 +330,7 @@ def fraction_matmul(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
 
 def partials_not_divisible_by_division(p: SparsePoly) -> bool:
     """No D_r p is a multiple of s = x_1 + ... + x_n, by one exact division
-    per partial, with no point test."""
+    per partial, with no restriction to s = 0."""
     s = s_form(p.n)
     return all(isinstance(divide_by_linear(p.partial(r), s), NotDivisible)
                for r in range(1, p.n + 1))

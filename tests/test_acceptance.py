@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 import steinerdh as sd
-from oracles import evaluate_numeric
+from oracles import evaluate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -163,8 +163,8 @@ def test_criterion_06_completion():
                 else:
                     with mpmath.workprec(128):
                         res = max(
-                            abs(evaluate_numeric(sd.s_form(n), c.point)),
-                            abs(evaluate_numeric(sd.distance_quadratic(t), c.point)))
+                            abs(evaluate(sd.s_form(n), c.point)),
+                            abs(evaluate(sd.distance_quadratic(t), c.point)))
                         assert float(res) <= 1e-20, (i, float(res))
                     passing += 1
                     numeric_seen += 1

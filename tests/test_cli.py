@@ -7,8 +7,9 @@ import pytest
 
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
                            EXIT_OK, SCHEMA, identity_rows, main)
-from steinerdh.trees import (enumerate_trees, format_tree, path_tree, prufer_decode,
-                             star_tree)
+from steinerdh.hypermatrix import _MAX_AXES
+from steinerdh.trees import (Tree, enumerate_trees, format_tree, path_tree,
+                             prufer_decode, random_tree, star_tree)
 
 
 @pytest.fixture
@@ -67,6 +68,14 @@ def test_hypermatrix_budget_exit(tree_file, monkeypatch):
     path = tree_file(path_tree(3))
     monkeypatch.setenv("STEINER_MEM_BUDGET", "5")
     assert main(["hypermatrix", "--tree", path, "--k", "3"]) == EXIT_BUDGET
+
+
+def test_hypermatrix_refuses_an_order_past_numpys_axis_limit(tree_file, capsys):
+    path = tree_file(path_tree(1))
+    code, out = run(capsys, ["hypermatrix", "--tree", path, "--k", str(_MAX_AXES)])
+    assert code == EXIT_OK and json.loads(out)["k"] == _MAX_AXES
+    assert main(["hypermatrix", "--tree", path, "--k", str(_MAX_AXES + 1)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded:")
 
 
 def test_certify_odd_order(tree_file, capsys):
@@ -151,6 +160,25 @@ def test_identity_rows_pass_on_every_small_tree_class():
     for n in range(2, 9):
         for t in enumerate_trees(n):
             assert {row["status"] for row in identity_rows(t)} == {"pass"}, t
+
+
+def test_identity_rows_builds_the_distance_matrix_once(monkeypatch):
+    # the product, Euler and matrix rows all read the one cached D
+    orders, steiner_array = [], Tree._steiner_array
+
+    def recording(self, k):
+        orders.append(k)
+        return steiner_array(self, k)
+
+    monkeypatch.setattr(Tree, "_steiner_array", recording)
+    t = random_tree(16, 5)
+    assert {row["status"] for row in identity_rows(t)} == {"pass"}
+    assert orders.count(2) == 1
+    d = t.distances()
+    assert t.distances() is d and not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 1] = 0
+    assert orders.count(2) == 1
 
 
 def test_search_report(tree_file, capsys):

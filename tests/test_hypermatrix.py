@@ -10,7 +10,8 @@ from steinerdh import (BudgetExceeded, MalformedInput, WrongShape,
                        build_steiner, enumerate_trees, export_json, export_text,
                        import_json, import_text, path_tree, random_tree,
                        star_tree, steiner_distance_bruteforce, zero_degenerate)
-from steinerdh.hypermatrix import BUDGET_ENV_VAR, _repeated_index_mask, entry_budget
+from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
+                                   entry_budget)
 from oracles import multiset_hypermatrix, side_distances
 
 
@@ -230,6 +231,25 @@ def test_budget_refuses_a_huge_order_without_forming_its_power(monkeypatch, path
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     with pytest.raises(BudgetExceeded):
         build_steiner(path3, _Order(k))
+
+
+def test_orders_past_numpys_axis_limit_are_refused_before_any_array(monkeypatch):
+    # numpy 2 allows 64 axes and numpy 1 allows 32; n = 1 keeps n^k at one entry
+    assert _MAX_AXES in (32, 64)
+    k = _MAX_AXES
+    assert build_steiner(path_tree(1), k).entries.ndim == k
+    assert import_json(f'{{"k": {k}, "n": 1, "entries": [0]}}').k == k
+    assert import_text(f"{k} 1\n0\n").k == k
+    with pytest.raises(BudgetExceeded):
+        build_steiner(path_tree(1), k + 1)
+    with pytest.raises(MalformedInput):
+        import_json(f'{{"k": {k + 1}, "n": 1, "entries": [0]}}')
+    with pytest.raises(MalformedInput):
+        import_text(f"{k + 1} 1\n0\n")
+    # a raised budget admits 2^(k+1) entries, but not the axes
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(1 << 80))
+    with pytest.raises(BudgetExceeded):
+        build_steiner(path_tree(2), k + 1)
 
 
 def test_hypermatrix_is_immutable(path3):

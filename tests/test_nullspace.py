@@ -20,7 +20,7 @@ from steinerdh import nullspace
 from steinerdh.nullspace import _gauss_newton_step
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
-from oracles import edge_cut_hessian, qr_gauss_newton_step, substitute
+from oracles import edge_cut_hessian, evaluate, qr_gauss_newton_step, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,36 @@ def test_form_nullvector_reads_every_index_tuple():
     assert [g.as_rational() for g in rep.gradient] == [2, 1]
 
 
+def test_form_nullvector_contraction_matches_the_edge_cut_gradient():
+    # the tensor contraction and the edge-cut gradient share no derivation;
+    # they agree exactly at certificates, unit vectors and random sparse points
+    rng = np.random.default_rng(12)
+    zeta = root_of_unity(12)
+
+    def sparse_point(n):
+        point = [CycNum.zero(12)] * n
+        for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+            a, b, c = (int(x) for x in rng.integers(-3, 4, size=3))
+            point[v] = (a or 1) + b * zeta + c * zeta ** 5
+        return point
+
+    checked = 0
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            for k in (3, 4, 5):
+                h = build_steiner(t, k)
+                points = [[0] * (n - 1) + [1], sparse_point(n), sparse_point(n)]
+                if k % 2 and n >= 3:
+                    points.append(canonical_odd_nullvector(t, k))
+                for x in points:
+                    want = verify_nullvector(t, k, x)
+                    got = verify_form_nullvector(h, x)
+                    assert got.gradient == want.gradient, (t, k, x)
+                    assert got.exact_zero == want.exact_zero
+                    checked += 1
+    assert checked == 3 * 3 * 14 + 2 * 12
+
+
 # ---------------------------------------------------------------------------
 # membership in <s, g>
 # ---------------------------------------------------------------------------
@@ -140,7 +170,7 @@ def test_membership_examples(path3):
     # s = 0 but g = -3 != 0
     assert not membership_sg(path3, [1, -1, 0])
     g = distance_quadratic(path3)
-    assert g.evaluate([1, -1, 0]) == -3
+    assert evaluate(g, [1, -1, 0]) == -3
 
 
 def test_membership_equivalence_random_points():
@@ -188,8 +218,8 @@ def test_membership_matches_exact_s_and_g():
                    if c.exact and not c.trivial]
         s, g = s_form(n), distance_quadratic(t)
         for point in points:
-            s_zero = s.evaluate(point) == 0
-            want = s_zero and g.evaluate(point) == 0
+            s_zero = evaluate(s, point) == 0
+            want = s_zero and evaluate(g, point) == 0
             assert membership_sg(t, point) == want, (t, point)
             members += want
             s_zero_outsiders += s_zero and not want
@@ -269,7 +299,7 @@ def test_completion_quadratic_matches_direct_substitution():
         point = [0, 0] + lifted
         # -g/3 = A a1^2 + B a1 + C
         for power, coeff in ((2, A), (1, B), (0, C)):
-            assert -3 * coeff == SparsePoly(n, layers.get(power, {})).evaluate(point), \
+            assert -3 * coeff == evaluate(SparsePoly(n, layers.get(power, {})), point), \
                 (idx, t, tail, power)
 
 
