@@ -11,7 +11,8 @@ integer numerators over one canonical denominator (the lcm of its reduced
 entry denominators), so a product is one integer matrix product followed
 by a gcd reduction, and the determinant is det(num) / den^n with det(num)
 from Bareiss fraction-free elimination.  Fractions appear only at the edges
-(``rows``, indexing, JSON).
+(``rows``, indexing, JSON).  Entries are read by ``scalar._rational``, so an
+int64 matrix cannot wrap in Bareiss and a float raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MalformedInput
-from .scalar import _fraction_from_json
+from .scalar import _fraction_from_json, _rational
 from .trees import Tree
 
 
@@ -42,7 +43,7 @@ class RatMatrix:
         if n == 0 or any(len(r) != n for r in rows) or den < 1:
             raise ValueError("matrix must be square and nonempty, over a positive den")
         if not all(type(x) is int for r in rows for x in r):
-            rows = [[Fraction(x) for x in r] for r in rows]
+            rows = [[_rational(x) for x in r] for r in rows]
             common = math.lcm(*(x.denominator for r in rows for x in r))
             rows = [[x.numerator * (common // x.denominator) for x in r] for r in rows]
             den *= common
@@ -78,7 +79,7 @@ class RatMatrix:
         """vec (row) times this matrix."""
         if len(vec) != self.n:
             raise ValueError("size mismatch")
-        vec = [Fraction(x) for x in vec]
+        vec = [_rational(x) for x in vec]
         vden = math.lcm(*(x.denominator for x in vec))
         ints = [x.numerator * (vden // x.denominator) for x in vec]
         den = vden * self.den

@@ -10,9 +10,10 @@ which gives the edge-cut closed form
 
 with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
 (``Tree.far_sums``).  Gradients take two powers per nonzero far sum from it,
-and Hessians two products with the side matrix S (``Tree.sides``); neither
-touches the n^k expansion, which is what makes exact high-order certificates
-cheap.  At k = 3, s^3 - a^3 - b^3 = 3abs, so p = s*g with g = 3 sum_e a_e b_e.
+in the point's own number type, and Hessians two products with the side
+matrix S (``Tree.sides``); neither touches the n^k expansion, which is what
+makes exact high-order certificates cheap.  At k = 3, s^3 - a^3 - b^3 =
+3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 The order-3 identity suite checks that factorisation and its consequences
 as int64 tensor equations in ``order3_tensor`` (6x the symmetric tensor of
@@ -24,28 +25,27 @@ Polynomials store each monomial as one Python int: variable x_i's exponent
 sits in its own 16-bit field, x_1's field highest, so integer order is
 lexicographic order and a monomial product is one integer addition.  An
 exponent above 65535 raises ``OverflowError`` rather than carry into the
-next field.  A polynomial stores an integral coefficient as an ``int`` and
-any other as a ``Fraction``, so integer forms multiply at Python-int speed;
-``coefficient`` still hands back a ``Fraction``, and ``terms`` hands back a
-fresh dict keyed by exponent tuples.  The canonical term order used for
-serialization and printing is graded lexicographic.
+next field.  A polynomial reads its coefficients with ``scalar._rational``
+and stores an integral one as an ``int`` and any other as a ``Fraction``, so
+integer forms multiply at Python-int speed; ``coefficient`` still hands back
+a ``Fraction``, and ``terms`` hands back a fresh dict keyed by exponent
+tuples.  The canonical term order used for serialization and printing is
+graded lexicographic.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, index
 from typing import Iterable, Sequence, Union
 
-import mpmath
 import numpy as np
 
-from .errors import ConductorMismatch, MalformedInput
+from .errors import MalformedInput
 from .hypermatrix import Hypermatrix, build_steiner
-from .scalar import CycNum, _fraction_from_json, _int_if_integral, _json_int
+from .scalar import _fraction_from_json, _int_if_integral, _json_int, _rational
 from .trees import Tree
 
 Coefficient = Union[int, Fraction]
@@ -66,16 +66,6 @@ def _pack(exp: Iterable[int], shifts: tuple[int, ...]) -> int:
 
 def _unpack(key: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
-
-
-def _rational(value) -> Coefficient:
-    """A coefficient as an int when integral and a Fraction otherwise."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, numbers.Rational):
-        raise TypeError(f"coefficient {value!r} is not a rational number")
-    num, den = int(value.numerator), int(value.denominator)
-    return num if den == 1 else Fraction(num, den)
 
 
 class SparsePoly:
@@ -293,27 +283,6 @@ def _product_top(a: SparsePoly, b: SparsePoly) -> int:
     return top
 
 
-def _coerce_point(point: Sequence) -> list:
-    """A point's coordinates in one number type.
-
-    CycNum entries must share one modulus (ConductorMismatch otherwise) and
-    pull ints and Fractions into their field; an all-rational point becomes
-    Fractions; a complex128 array becomes Python complex numbers; any other
-    point becomes mpmath numbers.
-    """
-    if isinstance(point, np.ndarray) and point.dtype == np.complex128:
-        return point.tolist()
-    moduli = sorted({x.m for x in point if isinstance(x, CycNum)})
-    if len(moduli) > 1:
-        raise ConductorMismatch(f"point mixes Q(zeta_{moduli[0]}) and Q(zeta_{moduli[1]})")
-    if moduli:
-        return [x if isinstance(x, CycNum) else CycNum.from_rational(x, moduli[0])
-                for x in point]
-    if all(isinstance(x, (int, Fraction)) for x in point):
-        return [Fraction(x) for x in point]
-    return [mpmath.mpmathify(x) for x in point]
-
-
 class NotDivisible:
     """Witness that a polynomial is not a multiple of the divisor."""
 
@@ -432,16 +401,13 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     support-3 certificate has s = 0 and two nonzero far sums, so it takes
     five powers and no subtraction in the parent pass, whatever n is.
 
-    Accepts CycNum (one shared modulus), Fraction/int, or mpmath complex
-    coordinates, or a complex128 array; the return list matches the
-    coordinate type (Python complex for the array).
+    Computes in the point's own number type, where CycNum, int and Fraction
+    mix (two moduli raise ConductorMismatch).  A numpy array is read with
+    ``.tolist()``: Python ints for an integer array, complex for complex128.
     """
-    n = t.n
-    if len(point) != n:
-        raise ValueError(f"point length {len(point)} != {n} vertices")
     if k < 2:
         raise ValueError("order must be >= 2")
-    coords = _coerce_point(point)
+    coords = point.tolist() if isinstance(point, np.ndarray) else point
     s = sum(coords)
     top = s ** (k - 1)
     zero_step = -k * top
@@ -452,7 +418,7 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
             steps.append(k * (a ** (k - 1) - near_pow[-1]))
         else:
             steps.append(zero_step)
-    grad = [None] * (n + 1)
+    grad = [None] * (t.n + 1)
     grad[1] = k * (len(near_pow) * top - sum(near_pow))
     for c, d in zip(t.order[1:], steps):
         grad[c] = grad[t.parent[c]] - d if d != 0 else grad[t.parent[c]]

@@ -6,7 +6,9 @@ stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th
 cyclotomic polynomial, so equality and ``is_zero`` are exact field-element
 tests.  An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer-valued certificates multiply at Python-int
-speed; ``as_rational`` still hands back a ``Fraction``.  ``CFloat`` is an
+speed; ``as_rational`` still hands back a ``Fraction``.  Every exact number
+from outside the package is read by ``_rational``: numpy integers become
+``int``s, and a float or a string raises ``TypeError``.  ``CFloat`` is an
 ``mpmath.mpc`` that is known to be finite; the numeric side of the package
 works at one precision, ``WORKING_PREC`` bits.
 
@@ -23,6 +25,7 @@ rational; a rational x is inverted as a Fraction.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -107,6 +110,18 @@ def _int_if_integral(c: Fraction) -> RatLike:
     return c.numerator if c.denominator == 1 else c
 
 
+def _rational(value) -> RatLike:
+    """An exact number from outside as an int when integral and a Fraction
+    otherwise.  Anything ``numbers.Rational`` is read, numpy integers
+    included; anything else (a float, a string) raises TypeError."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"{value!r} is not a rational number")
+    num, den = int(value.numerator), int(value.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
 def _fraction_from_json(pair) -> Fraction:
     """A [numerator, denominator] pair of decimal strings, as the to_json
     methods write it, as a Fraction.  ValueError on any other shape or string
@@ -156,7 +171,7 @@ class CycNum:
     def __init__(self, m: int, coeffs: Iterable[RatLike]):
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        self._store(m, [c if type(c) is int else Fraction(c) for c in coeffs])
+        self._store(m, [_rational(c) for c in coeffs])
 
     @classmethod
     def _ring(cls, m: int, coeffs: list) -> "CycNum":
@@ -188,7 +203,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, value: RatLike, m: int = 1) -> "CycNum":
-        return cls(m, [Fraction(value)])
+        return cls(m, [value])
 
     # -- predicates --------------------------------------------------------
 
@@ -386,9 +401,10 @@ def root_of_unity(m: int, power: int = 1) -> CycNum:
 
 
 def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:
-    """Lift a mixed list of CycNum/int/Fraction into one common field.
+    """Lift a mixed list of CycNum and rational numbers into one common field.
 
-    The common modulus is the lcm of the CycNum moduli present (1 if none).
+    The common modulus is the lcm of the CycNum moduli present (1 if none);
+    any other value is read by ``_rational``, so a float raises TypeError.
     """
     m = 1
     for v in values:
@@ -396,12 +412,7 @@ def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:
             m = math.lcm(m, v.m)
     out = []
     for v in values:
-        if isinstance(v, CycNum):
-            out.append(v.lift(m))
-        elif isinstance(v, (int, Fraction)):
-            out.append(CycNum.from_rational(v, m))
-        else:
-            raise TypeError(f"cannot place {type(v).__name__} in a cyclotomic field")
+        out.append(v.lift(m) if isinstance(v, CycNum) else CycNum.from_rational(v, m))
     return out, m
 
 

@@ -155,8 +155,11 @@ class Tree:
         ``order[j + 1]`` to its parent; its far side is the subtree below
         ``order[j + 1]``, the side without vertex 1.  One children-first pass,
         so the values need only support ``+``: numbers give side sums, the rows
-        of an identity matrix give side indicators.
+        of an identity matrix give side indicators.  ValueError unless there
+        is one value per vertex.
         """
+        if len(values) != self.n:
+            raise ValueError(f"{len(values)} values for {self.n} vertices")
         below = [None, *values]
         for v in reversed(self.order[1:]):
             p = self.parent[v]

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,24 @@ def test_graham_pollak_on_random_trees():
         for seed in range(4):
             t = random_tree(n, seed)
             assert determinant_exact(distance_matrix(t)) == graham_pollak_value(n)
+
+
+def test_int64_entries_are_read_exactly():
+    # at these sizes Bareiss on int64 entries would wrap
+    for n in (40, 70):
+        t = random_tree(n, 1)
+        assert determinant_exact(RatMatrix(t.distances())) == graham_pollak_value(n)
+    m = RatMatrix([[np.int64(2 ** 62), Fraction(1, 2)], [0, 1]])
+    assert m[0, 0] == 2 ** 62 and m[0, 1] == Fraction(1, 2)
+    assert RatMatrix([[2, 0], [0, 1]]).row_times([np.int64(2 ** 62), 0]) == [2 ** 63, 0]
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1/2", np.float64(1.0)])
+def test_floats_and_strings_are_refused(bad):
+    with pytest.raises(TypeError):
+        RatMatrix([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        RatMatrix.identity(2).row_times([1, bad])
 
 
 def test_gl_inverse_examples(path3, k2):

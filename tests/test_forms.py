@@ -331,6 +331,15 @@ def test_gradient_examples(k2, path3):
     assert all(g == 0 for g in zeros)
 
 
+def test_gradient_of_an_integer_array_is_exact():
+    # Python ints throughout: the values pass 2^53 and 2^63
+    for t, k, point in ((path_tree(3), 5, [2 ** 40, 1, 0]),
+                        (random_tree(7, 3), 7, [3 ** 20, -5, 0, 7, 2 ** 33, -1, 0])):
+        grads = gradient_direct(t, k, np.array(point))
+        assert grads == gradient_direct(t, k, point) == multiset_gradient(t, k, point)
+        assert all(type(g) is int for g in grads)
+
+
 def test_gradient_direct_matches_polynomial_route():
     import numpy as np
     rng = np.random.default_rng(2024)

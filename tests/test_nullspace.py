@@ -169,6 +169,9 @@ def test_membership_examples(path3):
     assert not membership_sg(path3, [1, 1, 1])
     # s = 0 but g = -3 != 0
     assert not membership_sg(path3, [1, -1, 0])
+    # s = 0 and g = 0 on the first three coordinates; a fourth has no vertex
+    with pytest.raises(ValueError):
+        membership_sg(path3, [5, 0, 0, -5])
     g = distance_quadratic(path3)
     assert evaluate(g, [1, -1, 0]) == -3
 

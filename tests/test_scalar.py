@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,25 @@ def test_unify_conductor():
     assert m == 12
     assert vals[1] == Fraction(1, 2)
     assert vals[0] ** 4 == 1 and vals[2] ** 6 == 1
+    vals, m = unify_conductor([np.int64(3), root_of_unity(4), np.int32(-1)])
+    assert m == 4 and vals[0] == 3 and vals[2] == -1
+
+
+def test_numpy_integers_are_read_exactly():
+    big = np.int64(2 ** 62)
+    for x in (CycNum(4, [big]), CycNum.from_rational(big, 4)):
+        assert type(x.coeffs[0]) is int
+        assert x * 4 == 2 ** 64
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1/2", np.float64(1.0)])
+def test_floats_and_strings_are_refused(bad):
+    with pytest.raises(TypeError):
+        CycNum(4, [1, bad])
+    with pytest.raises(TypeError):
+        CycNum.from_rational(bad, 4)
+    with pytest.raises(TypeError):
+        unify_conductor([root_of_unity(4), bad])
 
 
 def test_json_round_trip():

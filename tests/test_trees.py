@@ -182,6 +182,13 @@ def test_far_sums_are_edge_cuts():
                 assert steiner_distance_bruteforce(t, S) == cut
 
 
+def test_far_sums_need_one_value_per_vertex():
+    t = path_tree(3)
+    for values in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError):
+            t.far_sums(values)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=10 ** 9),
        st.data())
