@@ -10,9 +10,12 @@ Everything here is exact and runs on integers.  A ``RatMatrix`` stores
 integer numerators over one canonical denominator (the lcm of its reduced
 entry denominators), so a product is one integer matrix product followed
 by a gcd reduction, and the determinant is det(num) / den^n with det(num)
-from Bareiss fraction-free elimination.  Fractions appear only at the edges
-(``rows``, indexing, JSON).  Entries are read by ``scalar._rational``, so an
-int64 matrix cannot wrap in Bareiss and a float raises ``TypeError``.
+from Bareiss fraction-free elimination.  That is the general ``RatMatrix``
+determinant; the order-2 certificate does not use it, but reads det D off
+the cut-basis arrowhead (``smalldet.det_order2``).  Fractions appear only at
+the edges (``rows``, indexing, JSON).  Entries are read by
+``scalar._rational``, so an int64 matrix cannot wrap in Bareiss and a float
+raises ``TypeError``.
 """
 
 from __future__ import annotations

@@ -404,10 +404,15 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     Computes in the point's own number type, where CycNum, int and Fraction
     mix (two moduli raise ConductorMismatch).  A numpy array is read with
     ``.tolist()``: Python ints for an integer array, complex for complex128.
+    A numpy integer inside a list is read by ``_rational``, so int64 entries
+    cannot wrap.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
-    coords = point.tolist() if isinstance(point, np.ndarray) else point
+    if isinstance(point, np.ndarray):
+        coords = point.tolist()
+    else:
+        coords = [_rational(x) if isinstance(x, np.integer) else x for x in point]
     s = sum(coords)
     top = s ** (k - 1)
     zero_step = -k * top

@@ -1,5 +1,17 @@
 """Directly computable hyperdeterminants: order 2, and Cayley's 2x2x2 formula.
 
+The order-2 hyperdeterminant det D is read through the cut basis, as in the
+Graham-Pollak proof (Graham & Pollak, On the addressing problem for loop
+switching, 1971), run as a check.  Let E be the unit lower-triangular
+operation "row c -= row parent(c)" down the BFS order after vertex 1, so
+det E = 1.  Because D[c] - D[parent c] = 1 - 2 S_c (S_c the far side of
+edge c), every tree gives the same arrowhead M = E D E^T: M_11 = 0,
+M_1c = M_c1 = 1, M_cc = -2, and 0 elsewhere.  Forming M is two
+parent-differencing passes over the int64 D and checking it is O(n^2); a D
+not congruent to the arrowhead raises SteinerError instead of a determinant.
+Bareiss elimination remains only as ``distmatrix.determinant_exact``, the
+general ``RatMatrix`` determinant.
+
 The 2x2x2 hyperdeterminant is Cayley's degree-4 polynomial in the eight
 entries.  Writing P1..P4 for the products over the four complementary index
 pairs {000,111}, {001,110}, {010,101}, {011,100}, it reads
@@ -24,12 +36,14 @@ is a singular point, which does make the full hyperdeterminant vanish.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .distmatrix import determinant_exact, distance_matrix
-from .errors import WrongShape
+import numpy as np
+
+from .errors import BudgetExceeded, SteinerError, WrongShape
 from .forms import gradient_direct
-from .hypermatrix import Hypermatrix
+from .hypermatrix import Hypermatrix, entry_budget
 from .scalar import root_of_unity
 from .trees import Tree, path_tree
 
@@ -92,8 +106,41 @@ def two_vertex_nullvector_witness(k: int):
     return None
 
 
+def _parent_differences(a: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """E a: row c minus row parent(c) for every vertex c != 1; row 0 (vertex 1) kept."""
+    out = a[up]
+    np.subtract(a, out, out=out)
+    out[0] = a[0]
+    return out
+
+
 def det_order2(t: Tree) -> Fraction:
-    """The order-2 hyperdeterminant: the distance-matrix determinant."""
-    if t.n < 2:
+    """The order-2 hyperdeterminant: det D, read off the arrowhead M = E D E^T.
+
+    The column pass runs on rows of the transpose, so the array checked is
+    M^T, the same arrowhead.  det M = prod d_c * (M_11 - sum M_1c M_c1 / d_c)
+    over c != 1, in Python ints.  BudgetExceeded before D is built when its
+    n^2 entries exceed ``entry_budget()``; SteinerError when M is not the
+    arrowhead, i.e. D is not the tree's distance matrix.
+    """
+    n = t.n
+    if n < 2:
         raise ValueError("needs n >= 2")
-    return determinant_exact(distance_matrix(t))
+    limit = entry_budget()
+    if n * n > limit:
+        raise BudgetExceeded(f"{n}^2 distance-matrix entries exceed the budget of {limit}")
+    up = np.array(t.parent[1:]) - 1
+    up[0] = 0   # vertex 1 has no parent; _parent_differences keeps its row
+    m = np.ascontiguousarray(_parent_differences(t.distances(), up).T)   # (E D)^T
+    m = _parent_differences(m, up)                                     # E (E D)^T = M^T
+    top, arms_out, arms_in = int(m[0, 0]), m[0, 1:].tolist(), m[1:, 0].tolist()
+    diag = m.diagonal()[1:].tolist()
+    m[0] = m[:, 0] = 0
+    np.fill_diagonal(m, 0)   # what is left must be all zero
+    ones = [1] * (n - 1)
+    if top != 0 or arms_out != ones or arms_in != ones or diag != [-2] * (n - 1) or m.any():
+        raise SteinerError("distance matrix is not congruent to the Graham-Pollak "
+                           "arrowhead: it is not the distance matrix of this tree")
+    scale = math.prod(diag)
+    return Fraction(scale * top - sum(a * b * (scale // c)
+                                      for a, b, c in zip(arms_out, arms_in, diag)))

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
-                           EXIT_OK, SCHEMA, identity_rows, main)
+                           EXIT_OK, EXIT_VERIFICATION, SCHEMA, identity_rows, main)
 from steinerdh.hypermatrix import _MAX_AXES
 from steinerdh.trees import (Tree, enumerate_trees, format_tree, path_tree,
                              prufer_decode, random_tree, star_tree)
@@ -96,6 +96,30 @@ def test_certify_order2(tree_file, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "determinant"
     assert doc["determinant"] == "4" and doc["predicted"] == "4"
+
+
+def test_certify_order2_keeps_the_entry_budget(tree_file, monkeypatch, capsys):
+    path = tree_file(random_tree(50, 1))
+    monkeypatch.setenv("STEINER_MEM_BUDGET", "100")
+    assert main(["hypermatrix", "--tree", path, "--k", "2"]) == EXIT_BUDGET
+    capsys.readouterr()
+    code, out = run(capsys, ["certify", "--tree", path, "--k", "2"])
+    assert code == EXIT_BUDGET and out == ""
+
+
+@pytest.mark.parametrize("mutate", ["pair", "swap"])
+def test_certify_order2_refuses_a_wrong_distance_matrix(tree_file, monkeypatch, capsys,
+                                                         mutate):
+    t = random_tree(12, 4)
+    bad = t.distances().copy()
+    if mutate == "pair":
+        bad[2, 9] += 1
+        bad[9, 2] += 1
+    else:
+        bad[[3, 7]] = bad[[7, 3]]
+    monkeypatch.setattr(Tree, "distances", lambda self: bad)
+    code, out = run(capsys, ["certify", "--tree", tree_file(t), "--k", "2"])
+    assert code == EXIT_VERIFICATION and out == ""
 
 
 def test_certify_even_order_no_certificate(tree_file, capsys):

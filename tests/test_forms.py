@@ -340,6 +340,15 @@ def test_gradient_of_an_integer_array_is_exact():
         assert all(type(g) is int for g in grads)
 
 
+def test_gradient_of_a_list_of_numpy_integers_is_exact():
+    # a plain list of int64 entries is read exactly, not multiplied in int64
+    t = path_tree(3)
+    grads = gradient_direct(t, 5, [np.int64(2 ** 40), 1, 0])
+    assert grads[0] == 26584559915734585232664602071080632325
+    assert grads == gradient_direct(t, 5, [2 ** 40, 1, 0])
+    assert all(type(g) is int for g in grads)
+
+
 def test_gradient_direct_matches_polynomial_route():
     import numpy as np
     rng = np.random.default_rng(2024)

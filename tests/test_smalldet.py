@@ -1,15 +1,17 @@
 """Cayley's 2x2x2 hyperdeterminant and the two-vertex analysis for general order."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from steinerdh import (Hypermatrix, WrongShape, build_steiner, cayley_222,
-                       det_order2, graham_pollak_value, prufer_decode,
-                       random_tree, two_vertex_nullvector_witness,
-                       verify_k2_no_nullvector, verify_nullvector,
-                       zero_degenerate)
+from steinerdh import (BudgetExceeded, Hypermatrix, SteinerError, Tree, WrongShape,
+                       build_steiner, cayley_222, det_order2, determinant_exact,
+                       distance_matrix, enumerate_trees, graham_pollak_value,
+                       path_tree, prufer_decode, random_tree, star_tree,
+                       two_vertex_nullvector_witness, verify_k2_no_nullvector,
+                       verify_nullvector, zero_degenerate)
 from steinerdh.forms import SparsePoly
 from oracles import substitute, two_vertex_form
 
@@ -102,6 +104,58 @@ def test_det_order2_examples(k2, path3):
     assert det_order2(path3) == 4
     t = random_tree(10, 3)
     assert det_order2(t) == Fraction(-2304) == graham_pollak_value(10)
+
+
+def test_det_order2_equals_bareiss():
+    trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
+    trees += [random_tree(n, n) for n in range(2, 61)]
+    for t in trees:
+        assert det_order2(t) == determinant_exact(distance_matrix(t)), t
+
+
+def test_det_order2_at_n_2000():
+    start = time.process_time()
+    for t in (path_tree(2000), star_tree(2000), random_tree(2000, 1)):
+        assert det_order2(t) == graham_pollak_value(2000)
+    assert time.process_time() - start < 2
+
+
+def distance_mutants(t: Tree) -> list[np.ndarray]:
+    """Every symmetric off-by-one pair and every two-row swap of D."""
+    d = t.distances()
+    out = []
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            for delta in (1, -1):
+                bad = d.copy()
+                bad[i, j] += delta
+                bad[j, i] += delta
+                out.append(bad)
+            bad = d.copy()
+            bad[[i, j]] = bad[[j, i]]
+            out.append(bad)
+    return out
+
+
+def test_det_order2_reads_d(monkeypatch):
+    # the route computes det D: a D that is not the tree's is refused,
+    # never answered with the closed form
+    for t in (random_tree(7, 2), star_tree(5), path_tree(2)):
+        for bad in distance_mutants(t):
+            monkeypatch.setattr(Tree, "distances", lambda self, bad=bad: bad)
+            with pytest.raises(SteinerError):
+                det_order2(t)
+            monkeypatch.undo()
+
+
+def test_det_order2_checks_the_budget_before_building_d(monkeypatch):
+    t = random_tree(50, 1)
+    monkeypatch.setenv("STEINER_MEM_BUDGET", "2499")
+    with pytest.raises(BudgetExceeded):
+        det_order2(t)
+    assert t._distances_cache is None
+    monkeypatch.setenv("STEINER_MEM_BUDGET", "2500")
+    assert det_order2(t) == graham_pollak_value(50)
 
 
 def test_cayley_nonzero_agrees_with_search_floor(k2):
