@@ -6,28 +6,28 @@ The punch line: det(D) depends on the tree only through its vertex count.
 
 from fractions import Fraction
 
-from steinerdh import (c_coefficients, determinant_exact, distance_matrix,
-                       gl_inverse, graham_pollak_value, path_tree, random_tree,
-                       star_tree)
+from steinerdh import (RatMatrix, det_order2, gl_inverse, graham_pollak_value,
+                       path_tree, random_tree, star_tree)
 
 
 def show(t, name):
-    D = distance_matrix(t)
-    det = determinant_exact(D)
+    D = t.distances().tolist()
+    det = det_order2(t)
     predicted = graham_pollak_value(t.n)
     print(f"{name} (n={t.n})")
-    for row in D.rows:
-        print("   ", [int(x) for x in row])
+    for row in D:
+        print("   ", row)
     print(f"    det = {det}, closed form -(n-1)(-2)^(n-2) = {predicted}",
           "OK" if det == predicted else "MISMATCH")
 
     inv = gl_inverse(t)
     print("    degree/adjacency inverse * D == I:",
-          (inv @ D).is_identity())
+          (inv @ RatMatrix(D)).is_identity())
 
-    c = c_coefficients(t)
+    c = [Fraction(2 - t.degrees[r], t.n - 1) for r in range(1, t.n + 1)]
     print(f"    c = {[str(x) for x in c]}")
-    print("    c * D == all-ones row:", D.row_times(c) == [Fraction(1)] * t.n,
+    print("    c * D == all-ones row:",
+          [sum(ci * row[j] for ci, row in zip(c, D)) for j in range(t.n)] == [1] * t.n,
           f"; sum(c) = {sum(c)} = 2/(n-1)")
     print()
 
@@ -41,7 +41,7 @@ def main():
     print("same n, different shapes, same determinant:")
     for seed in range(4):
         t = random_tree(9, seed)
-        det = determinant_exact(distance_matrix(t))
+        det = det_order2(t)
         degs = sorted(t.degrees[1:], reverse=True)
         print(f"    seed {seed}: degree sequence {degs}  det = {det}")
     print(f"    closed form for n=9: {graham_pollak_value(9)}")

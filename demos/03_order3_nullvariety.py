@@ -4,19 +4,22 @@ is cut out by those two polynomials.
 Walk-through on one tree:
   * p = s * g with s = sum x_r and g = 3 * sum d(i,j) x_i x_j;
   * Euler-type identity sum_r x_r D_r p = 3 s g;
-  * s^3 = sum_r f_r D_r p with explicit degree-based cofactors, so any point
-    killing the gradient also kills s -- coordinates of nullvectors sum to 0;
+  * s^3 = sum_r f_r D_r p with the degree-based cofactors
+    f_r = ((2 - deg_r) s - (2/3) x_r) / (3(n-1)), so any point killing the
+    gradient also kills s -- coordinates of nullvectors sum to 0;
   * no single D_r p is divisible by s;
   * membership (s = 0 and g = 0) is equivalent to gradient vanishing;
   * any n-2 coordinates extend to a nullvector by solving one quadratic.
+
+The identities are checked exactly on integer tensors of the cubic.
 """
 
 from fractions import Fraction
 
-from steinerdh import (SparsePoly, complete_nullvector, distance_quadratic,
-                       divide_by_linear, membership_sg, order3_form,
-                       random_tree, s3_cofactors, s_form, verify_nullvector,
-                       verify_not_divisible, verify_s3_decomposition)
+from steinerdh import (build_steiner, complete_nullvector, membership_sg,
+                       random_tree, steiner_form, verify_euler_identity,
+                       verify_form_divisible, verify_not_divisible, verify_nullvector,
+                       verify_product_decomposition, verify_s3_decomposition)
 
 
 def main():
@@ -24,23 +27,13 @@ def main():
     n = t.n
     print("tree edges:", list(t.edges))
 
-    p = order3_form(t)
-    s = s_form(n)
-    g = distance_quadratic(t)
-    print(f"\nSteiner cubic has {len(p.terms)} terms")
-    print("p == s * g:", p == s * g)
-    print("p / s recovers g:", divide_by_linear(p, s) == g)
-
-    euler = SparsePoly.zero(n)
-    for r in range(1, n + 1):
-        euler = euler + SparsePoly.variable(n, r) * p.partial(r)
-    print("sum_r x_r D_r p == 3 s g:", euler == 3 * s * g)
-
-    total = SparsePoly.zero(n)
-    for r, f in enumerate(s3_cofactors(t), start=1):
-        total = total + f * p.partial(r)
-    print("s^3 == sum_r f_r D_r p:", total == s ** 3,
-          "| helper:", verify_s3_decomposition(t))
+    p = steiner_form(build_steiner(t, 3))
+    print(f"\nSteiner cubic has {len(p.terms)} terms:")
+    print(" ", repr(p)[:150], "...")
+    print("p == s * g:", verify_product_decomposition(t))
+    print("p divisible by s:", verify_form_divisible(t))
+    print("sum_r x_r D_r p == 3 s g:", verify_euler_identity(t))
+    print("s^3 == sum_r f_r D_r p:", verify_s3_decomposition(t))
     print("no D_r p divisible by s:", verify_not_divisible(t))
 
     print("\ncompletion: fix coordinates 3..n, solve a quadratic for the rest")

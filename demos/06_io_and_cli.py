@@ -8,8 +8,8 @@ reports.  The same operations are scriptable through the `steinerdh` CLI.
 import json
 
 from steinerdh import (SparsePoly, build_steiner, export_json, export_text,
-                       format_tree, import_json, import_text, order3_form,
-                       parse_tree, prufer_encode, random_tree,
+                       format_tree, import_json, import_text, parse_tree,
+                       prufer_encode, random_tree, steiner_form,
                        verify_nullvector, canonical_odd_nullvector)
 from steinerdh.cli import main as cli_main
 
@@ -29,7 +29,7 @@ def main():
           f"flat text ({len(as_text)} bytes); round trips:",
           import_json(as_json) == h and import_text(as_text) == h)
 
-    p = order3_form(t)
+    p = steiner_form(h)
     print("\npolynomial JSON (first 160 chars):")
     print(p.to_json()[:160], "...")
     assert SparsePoly.from_json(p.to_json()) == p

@@ -9,13 +9,14 @@ Covers the two classical closed forms this package leans on:
 Everything here is exact and runs on integers.  A ``RatMatrix`` stores
 integer numerators over one canonical denominator (the lcm of its reduced
 entry denominators), so a product is one integer matrix product followed
-by a gcd reduction, and the determinant is det(num) / den^n with det(num)
-from Bareiss fraction-free elimination.  That is the general ``RatMatrix``
-determinant; the order-2 certificate does not use it, but reads det D off
-the cut-basis arrowhead (``smalldet.det_order2``).  Fractions appear only at
-the edges (``rows``, indexing, JSON).  Entries are read by
-``scalar._rational``, so an int64 matrix cannot wrap in Bareiss and a float
-raises ``TypeError``.
+by a gcd reduction.  Fractions appear only at the edges (``rows``,
+indexing, JSON), and entries are read by ``scalar._rational``, so int64
+entries cannot wrap and a float raises ``TypeError``.  ``RatMatrix`` stays
+because ``gl_inverse`` returns it and the benchmark's tracer binds its
+``__matmul__``.  The order-2 certificate reads det D off the cut-basis
+arrowhead (``smalldet.det_order2``); the Bareiss determinant, the distance
+matrix as a ``RatMatrix`` and the row vector c with c D = 1 are test
+oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -111,37 +112,6 @@ class RatMatrix:
             raise MalformedInput(f"bad matrix JSON: {exc!r}") from exc
 
 
-def distance_matrix(t: Tree) -> RatMatrix:
-    return RatMatrix(t.distances().tolist())
-
-
-def determinant_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant det(num) / den^n, by Bareiss fraction-free elimination."""
-    return Fraction(_bareiss_int([list(r) for r in m.num]), m.den ** m.n)
-
-
-def _bareiss_int(a: list[list[int]]) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def graham_pollak_value(n: int) -> Fraction:
     """-(n-1)(-2)^(n-2): the tree distance-matrix determinant for n >= 2."""
     if n < 2:
@@ -165,12 +135,4 @@ def gl_inverse(t: Tree) -> RatMatrix:
         num[u - 1][v - 1] += n - 1
         num[v - 1][u - 1] += n - 1
     return RatMatrix(num, 2 * (n - 1))
-
-
-def c_coefficients(t: Tree) -> list[Fraction]:
-    """The row vector c with c * D = all-ones: c_r = (2 - deg_r)/(n - 1)."""
-    n = t.n
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    return [Fraction(2 - t.degrees[r], n - 1) for r in range(1, n + 1)]
 

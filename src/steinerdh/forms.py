@@ -19,7 +19,10 @@ The order-3 identity suite checks that factorisation and its consequences
 as int64 tensor equations in ``order3_tensor`` (6x the symmetric tensor of
 p), with no polynomial arithmetic: divisibility by s is vanishing on s = 0,
 and the Euler row is the product row by Euler's theorem.  No check in the
-package runs on polynomials; the functions returning them serve callers.
+package runs on polynomials.  ``SparsePoly`` and ``steiner_form`` stay as
+the polynomial of any hypermatrix, and because the benchmark's tracer binds
+``SparsePoly.__mul__``/``__rmul__``; division by a linear form, s, g and the
+s^3 cofactors are test oracles (``tests/oracles.py``).
 
 Polynomials store each monomial as one Python int: variable x_i's exponent
 sits in its own 16-bit field, x_1's field highest, so integer order is
@@ -283,66 +286,6 @@ def _product_top(a: SparsePoly, b: SparsePoly) -> int:
     return top
 
 
-class NotDivisible:
-    """Witness that a polynomial is not a multiple of the divisor."""
-
-    __slots__ = ("remainder",)
-
-    def __init__(self, remainder: SparsePoly):
-        object.__setattr__(self, "remainder", remainder)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("NotDivisible is immutable")
-
-    def __repr__(self):
-        return f"NotDivisible(remainder={self.remainder!r})"
-
-
-def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
-    """Exact division of p by a nonzero linear form s.
-
-    Returns q with p = s*q, or a NotDivisible carrying the nonzero remainder.
-    Pivot on the highest-index variable of s: write s = a*(x_r - rho) with rho
-    free of x_r, synthetic-divide p by (x_r - rho), and divide the quotient by a.
-    """
-    if s.is_zero() or s.total_degree() != 1 or s.coefficient((0,) * s.n) != 0:
-        raise ValueError("divisor must be a nonzero homogeneous linear form")
-    p._check(s)
-    # every key of s is one variable's unit; the smallest is x_r's
-    unit = min(s._terms)
-    a = s._terms[unit]
-    shift = unit.bit_length() - 1
-    # rho = -(s - a*x_r)/a
-    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items() if key != unit},
-                           1) * Fraction(-1, a)
-
-    # coefficients of p as a polynomial in x_r
-    layers: dict[int, dict[int, Coefficient]] = {}
-    clear = ~(MAX_EXPONENT << shift)
-    for key, c in p._terms.items():
-        layers.setdefault((key >> shift) & MAX_EXPONENT, {})[key & clear] = c
-    if not layers:
-        return SparsePoly.zero(p.n)
-    top = max(layers)
-    coeffs = [SparsePoly._ring(p.n, layers.get(j, {}), p._top) for j in range(top + 1)]
-
-    # synthetic division by (x_r - rho): b_{j} = c_{j+1} + rho*b_{j+1}
-    quot_layers: list[SparsePoly] = [SparsePoly.zero(p.n)] * max(top, 1)
-    carry = SparsePoly.zero(p.n)
-    for j in range(top, 0, -1):
-        carry = coeffs[j] + rho * carry
-        quot_layers[j - 1] = carry
-    remainder = coeffs[0] + rho * carry
-    if not remainder.is_zero():
-        return NotDivisible(remainder)
-
-    # the layers are free of x_r: layer j's keys take x_r^j by one addition
-    inverse = _int_if_integral(Fraction(1, a))
-    quotient = {key + j * unit: c * inverse
-                for j, layer in enumerate(quot_layers) for key, c in layer._terms.items()}
-    return SparsePoly._ring(p.n, quotient, p._top)
-
-
 # ---------------------------------------------------------------------------
 # Steiner forms
 # ---------------------------------------------------------------------------
@@ -367,20 +310,6 @@ def steiner_form(h: Hypermatrix) -> SparsePoly:
     units = _units(n)
     return SparsePoly._ring(n, {sum(units[i] for i in multiset): c for multiset, c
                                 in zip(tuples[first].tolist(), sums.tolist())}, k)
-
-
-def s_form(n: int) -> SparsePoly:
-    """The all-ones linear form x_1 + ... + x_n."""
-    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1), 1)
-
-
-def distance_quadratic(t: Tree) -> SparsePoly:
-    """g = 3 * sum_{i<j} d_T(i,j) x_i x_j, the cofactor of s in the order-3 form."""
-    n = t.n
-    d = t.distances().tolist()
-    units = _units(n)
-    return SparsePoly._ring(n, {units[i] + units[j]: 3 * d[i][j]
-                                for i in range(n) for j in range(i + 1, n)}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +388,6 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
 # order-3 identity suite, on integer tensors
 # ---------------------------------------------------------------------------
 
-def order3_form(t: Tree) -> SparsePoly:
-    """The order-3 Steiner form, via the hypermatrix, as a polynomial."""
-    return steiner_form(build_steiner(t, 3))
-
-
 @lru_cache(maxsize=1)
 def order3_tensor(t: Tree) -> np.ndarray:
     """P, the sum of the six axis permutations of the order-3 hypermatrix H:
@@ -510,28 +434,14 @@ def verify_euler_identity(t: Tree) -> bool:
     return verify_product_decomposition(t)
 
 
-def s3_cofactors(t: Tree) -> list[SparsePoly]:
-    """Cofactors f_r with s^3 = sum_r f_r * D_r p for the order-3 form.
-
-    f_r = ((2 - deg_r) * s - (2/3) x_r) / (3(n-1)).  The leading 1/3 is
-    forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
-    since D_r g carries the factor 3 of g.  See tests for the exact
-    3-s^3 pin of the unscaled variant.  9(n-1) * f_r = 3(2 - deg_r) s - 2 x_r
-    is integral; ``verify_s3_decomposition`` checks the identity in that form.
-    """
-    n = t.n
-    if n < 2:
-        raise ValueError("needs at least two vertices")
-    s = s_form(n)
-    return [(s * Fraction(2 - t.degrees[r]) - SparsePoly.variable(n, r) * Fraction(2, 3))
-            * Fraction(1, 3 * (n - 1)) for r in range(1, n + 1)]
-
-
 def verify_s3_decomposition(t: Tree) -> bool:
-    """s^3 = sum_r f_r * D_r p (``s3_cofactors``), denominators cleared:
-    s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3, on tensors
-    L(1, M) - 6P == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J all ones
-    (sum_r x_r D_r p = 3p has tensor 3P)."""
+    """s^3 = sum_r f_r * D_r p for the order-3 form, with the degree-based
+    cofactors f_r = ((2 - deg_r) s - (2/3) x_r) / (3(n-1)).  The leading 1/3
+    is forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
+    since D_r g carries the factor 3 of g.  Denominators cleared,
+    s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3, which on
+    tensors is L(1, M) - 6P == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J
+    all ones (sum_r x_r D_r p = 3p has tensor 3P)."""
     p = order3_tensor(t)
     m = np.tensordot(3 * (2 - np.array(t.degrees[1:])), p, axes=1)
     return bool((_linear_times(m) - 6 * p == 54 * (t.n - 1)).all())

@@ -9,8 +9,8 @@ edge c), every tree gives the same arrowhead M = E D E^T: M_11 = 0,
 M_1c = M_c1 = 1, M_cc = -2, and 0 elsewhere.  Forming M is two
 parent-differencing passes over the int64 D and checking it is O(n^2); a D
 not congruent to the arrowhead raises SteinerError instead of a determinant.
-Bareiss elimination remains only as ``distmatrix.determinant_exact``, the
-general ``RatMatrix`` determinant.
+The package has no general determinant; the tests check this route against
+Bareiss elimination (``tests/oracles.py``).
 
 The 2x2x2 hyperdeterminant is Cayley's degree-4 polynomial in the eight
 entries.  Writing P1..P4 for the products over the four complementary index

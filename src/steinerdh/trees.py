@@ -8,14 +8,16 @@ on every platform.
 The Steiner distance of a vertex set is the number of edges whose removal
 separates it.  Every Steiner sum the package needs therefore reduces to
 per-edge sums over the two sides of each edge; ``Tree.far_sums`` computes them
-in one children-first pass over the BFS order from vertex 1.  Single queries
-(``Tree.steiner``, ``Tree.distance``) count edge cuts the same way, and
+in one children-first pass over the BFS order from vertex 1.  A single
+query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` stacks the far-side indicators into the matrix S behind the
 Hessian and the Steiner arrays of every order, which one parent recurrence
 fills (``Tree.distances`` at k = 2, the hypermatrix above it).
 
 A bitmask brute force over connected vertex subsets, which shares nothing
-with the edge cuts, is provided as an oracle for n <= 12.
+with the edge cuts, is provided as an oracle for n <= 12.  It and
+``Tree.steiner`` stay here, though no package code calls them: the
+benchmark's self-tests import the first and its tracer binds the second.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class Tree:
 
     # -- distances ------------------------------------------------------------
 
-    def distance(self, u: int, v: int) -> int:
-        """Edges on the u-v path.  O(n) per call; bulk callers use ``distances``."""
-        return self.steiner((u, v))
-
     def steiner(self, vertices: Iterable[int]) -> int:
         """Steiner distance of a vertex set: the number of edges whose far side
         holds some, but not all, of the set.  O(n) per call."""
@@ -130,14 +128,18 @@ class Tree:
         power, row 1 is (n-1) - sum_e N_e^(k-1).  Moving the leading index from
         p across edge c to c changes only edge c's cut: +1 if the other k - 1
         indices all lie on the near side, -1 if all on the far side, so row c =
-        row p + N_c^(k-1) - S_c^(k-1) (D[c] = D[p] + 1 - 2 S_c at k = 2)."""
+        row p + N_c^(k-1) - S_c^(k-1).  At k = 2 row 1 is sum_e S_e and
+        D[c] = D[p] + 1 - 2 S_c: all n - 1 steps are one (n-1)×n array built in
+        place, so S, D and that array are all the build holds."""
         n, far = self.n, self.sides()
-        near = 1 - far
         out = np.empty((n,) * k, dtype=np.int64)
-        if k == 2:   # all n - 1 steps fit in one (n-1)×n array
-            out[0] = n - 1 - near.sum(axis=0)
-            steps = near - far
+        if k == 2:
+            out[0] = far.sum(axis=0)
+            steps = np.multiply(far, -2)
+            steps += 1
         else:
+            near = 1 - far
+
             def power(v):
                 return reduce(np.multiply.outer, (v,) * (k - 1))
             out[0] = n - 1 - sum(map(power, near))

@@ -1,11 +1,11 @@
 """Slow second routes that check the fast ones in ``src``.
 
-Each oracle derives its object from per-multiset queries to
+Most oracles derive their object from per-multiset queries to
 ``steiner_distance_bruteforce`` (the smallest connected vertex set holding
 the multiset, so trees of n <= 12 vertices), or, for linear systems, from
 plain Gaussian elimination or mpmath's QR solver at the working precision.
-None shares the edge cuts behind ``Tree.steiner``, ``Tree.distances`` and
-the closed forms, or the float64 solves it checks.  Polynomial and matrix
+These share none of the edge cuts behind ``Tree.steiner``,
+``Tree.distances`` and the closed forms, or the float64 solves they check.  Polynomial and matrix
 products are redone on plain ``{exponent tuple: Fraction}`` dicts and
 Fraction sums, with none of the packed monomial keys or integer fast paths
 of ``SparsePoly`` and ``RatMatrix``; ``index_tuple_form`` sums a Steiner form
@@ -38,6 +38,24 @@ term by term: exact at a cyclotomic or rational point, 128-bit at an
 mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
+
+The last two sections hold routes that left ``steinerdh`` when no package
+code called them any more; their code is unchanged, so they share what they
+always shared.
+- The order-2 oracle: ``determinant_exact`` runs Bareiss fraction-free
+  elimination on a ``RatMatrix``'s integer numerators, and
+  ``distance_matrix`` is ``Tree.distances`` as a ``RatMatrix``.  It shares
+  D with ``smalldet.det_order2`` but not its cut-basis arrowhead, and a
+  Leibniz expansion in the tests checks it in turn.  ``c_coefficients`` is
+  the closed form c_r = (2 - deg_r)/(n-1) of c D = 1, which
+  ``solve_row_system`` checks.
+- The order-3 polynomials: ``s_form`` (s), ``distance_quadratic`` (g, read
+  from ``Tree.distances``), ``order3_form`` (``steiner_form`` of the built
+  hypermatrix), ``s3_cofactors`` (the cofactors of
+  ``forms.verify_s3_decomposition``) and ``divide_by_linear`` (synthetic
+  division).  They share ``SparsePoly``'s packed monomial keys and ring
+  operations, which the Fraction-dict routes above check, and none of the
+  int64 tensors of ``forms``.
 """
 
 from __future__ import annotations
@@ -51,9 +69,11 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (CycNum, Hypermatrix, NotDivisible, RatMatrix, SparsePoly,
-                       Tree, cyclotomic_polynomial, divide_by_linear, s_form,
-                       steiner_distance_bruteforce)
+from steinerdh import (CycNum, Hypermatrix, RatMatrix, SparsePoly, Tree,
+                       build_steiner, cyclotomic_polynomial, steiner_distance_bruteforce,
+                       steiner_form)
+from steinerdh.forms import MAX_EXPONENT, _units
+from steinerdh.scalar import _int_if_integral
 
 
 def _weight(counts: Counter) -> int:
@@ -388,3 +408,144 @@ def side_distances(t: Tree, k: int = 2) -> np.ndarray:
     for axis in range(1, k + 1):
         operands += [sides, [0, axis]]
     return t.n - 1 - np.einsum(*operands, list(range(1, k + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Order-3 polynomial identities by SparsePoly ring arithmetic
+# ---------------------------------------------------------------------------
+
+class NotDivisible:
+    """Witness that a polynomial is not a multiple of the divisor."""
+
+    __slots__ = ("remainder",)
+
+    def __init__(self, remainder: SparsePoly):
+        object.__setattr__(self, "remainder", remainder)
+
+    def __setattr__(self, *_):  # pragma: no cover
+        raise AttributeError("NotDivisible is immutable")
+
+    def __repr__(self):
+        return f"NotDivisible(remainder={self.remainder!r})"
+
+
+def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
+    """Exact division of p by a nonzero linear form s.
+
+    Returns q with p = s*q, or a NotDivisible carrying the nonzero remainder.
+    Pivot on the highest-index variable of s: write s = a*(x_r - rho) with rho
+    free of x_r, synthetic-divide p by (x_r - rho), and divide the quotient by a.
+    """
+    if s.is_zero() or s.total_degree() != 1 or s.coefficient((0,) * s.n) != 0:
+        raise ValueError("divisor must be a nonzero homogeneous linear form")
+    p._check(s)
+    # every key of s is one variable's unit; the smallest is x_r's
+    unit = min(s._terms)
+    a = s._terms[unit]
+    shift = unit.bit_length() - 1
+    # rho = -(s - a*x_r)/a
+    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items() if key != unit},
+                           1) * Fraction(-1, a)
+
+    # coefficients of p as a polynomial in x_r
+    layers: dict[int, dict[int, int | Fraction]] = {}
+    clear = ~(MAX_EXPONENT << shift)
+    for key, c in p._terms.items():
+        layers.setdefault((key >> shift) & MAX_EXPONENT, {})[key & clear] = c
+    if not layers:
+        return SparsePoly.zero(p.n)
+    top = max(layers)
+    coeffs = [SparsePoly._ring(p.n, layers.get(j, {}), p._top) for j in range(top + 1)]
+
+    # synthetic division by (x_r - rho): b_{j} = c_{j+1} + rho*b_{j+1}
+    quot_layers: list[SparsePoly] = [SparsePoly.zero(p.n)] * max(top, 1)
+    carry = SparsePoly.zero(p.n)
+    for j in range(top, 0, -1):
+        carry = coeffs[j] + rho * carry
+        quot_layers[j - 1] = carry
+    remainder = coeffs[0] + rho * carry
+    if not remainder.is_zero():
+        return NotDivisible(remainder)
+
+    # the layers are free of x_r: layer j's keys take x_r^j by one addition
+    inverse = _int_if_integral(Fraction(1, a))
+    quotient = {key + j * unit: c * inverse
+                for j, layer in enumerate(quot_layers) for key, c in layer._terms.items()}
+    return SparsePoly._ring(p.n, quotient, p._top)
+
+
+def s_form(n: int) -> SparsePoly:
+    """The all-ones linear form x_1 + ... + x_n."""
+    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1), 1)
+
+
+def distance_quadratic(t: Tree) -> SparsePoly:
+    """g = 3 * sum_{i<j} d_T(i,j) x_i x_j, the cofactor of s in the order-3 form."""
+    n = t.n
+    d = t.distances().tolist()
+    units = _units(n)
+    return SparsePoly._ring(n, {units[i] + units[j]: 3 * d[i][j]
+                                for i in range(n) for j in range(i + 1, n)}, 1)
+
+
+def order3_form(t: Tree) -> SparsePoly:
+    """The order-3 Steiner form, via the hypermatrix, as a polynomial."""
+    return steiner_form(build_steiner(t, 3))
+
+
+def s3_cofactors(t: Tree) -> list[SparsePoly]:
+    """Cofactors f_r with s^3 = sum_r f_r * D_r p for the order-3 form.
+
+    f_r = ((2 - deg_r) * s - (2/3) x_r) / (3(n-1)), the cofactors of
+    ``forms.verify_s3_decomposition``, which checks the identity with
+    denominators cleared.
+    """
+    n = t.n
+    if n < 2:
+        raise ValueError("needs at least two vertices")
+    s = s_form(n)
+    return [(s * Fraction(2 - t.degrees[r]) - SparsePoly.variable(n, r) * Fraction(2, 3))
+            * Fraction(1, 3 * (n - 1)) for r in range(1, n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Order-2 oracle: the distance matrix as a RatMatrix, and Bareiss elimination
+# ---------------------------------------------------------------------------
+
+def distance_matrix(t: Tree) -> RatMatrix:
+    return RatMatrix(t.distances().tolist())
+
+
+def determinant_exact(m: RatMatrix) -> Fraction:
+    """Exact determinant det(num) / den^n, by Bareiss fraction-free elimination."""
+    return Fraction(_bareiss_int([list(r) for r in m.num]), m.den ** m.n)
+
+
+def _bareiss_int(a: list[list[int]]) -> int:
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def c_coefficients(t: Tree) -> list[Fraction]:
+    """The row vector c with c * D = all-ones: c_r = (2 - deg_r)/(n - 1)."""
+    n = t.n
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    return [Fraction(2 - t.degrees[r], n - 1) for r in range(1, n + 1)]

@@ -4,7 +4,9 @@ The benchmark's tracer wraps these attributes by name (``Tree.steiner``,
 ``CycNum.__mul__``, ...) and its workloads call the CLI helpers directly.
 The tier-1 suite does not run ``perfbench/``, so without this test a change
 that drops or renames one of them would break ``perfbench/run.py --trace 1``
-unnoticed.
+unnoticed.  The class bindings are checked by a real round trip through the
+tracer: ``instrument`` fails on any attribute it cannot find, and ``restore``
+must put every original back.
 
 The tracer names a module-level function ``<layer>.<name>`` after the module
 that defines it, and its per-layer metrics read those names back; a renamed
@@ -13,9 +15,13 @@ and 0 s.
 """
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import steinerdh
-from steinerdh import CycNum, RatMatrix, SparsePoly, Tree, cli, numeric_search, path_tree
+from steinerdh import cli, errors, numeric_search, path_tree
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # every "<layer>.<function>" the per-layer metrics, leaf set, namers and
 # counters of perfbench/tracing.py look up
@@ -23,22 +29,44 @@ TRACED_FUNCTIONS = (
     "trees.random_tree", "trees.prufer_decode",
     "scalar.euler_phi",
     "forms.gradient_direct", "forms.hessian_direct", "forms.steiner_form",
-    "forms.divide_by_linear",
     "nullspace.numeric_search", "nullspace.verify_nullvector",
     "nullspace.verify_form_nullvector",
     "hypermatrix.build_steiner", "hypermatrix.export_json", "hypermatrix.import_json",
-    "distmatrix.determinant_exact", "distmatrix.gl_inverse",
+    "distmatrix.gl_inverse",
     "smalldet.verify_k2_no_nullvector", "smalldet.two_vertex_nullvector_witness",
 )
 
 
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _binding(owner, attr):
+    """What the tracer replaces: a class's own attribute, or a module's."""
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
 def test_benchmark_bindings_resolve():
-    for owner, attrs in ((Tree, ("__init__", "steiner")),
-                         (RatMatrix, ("__matmul__",)),
-                         (CycNum, ("__mul__", "__rmul__")),
-                         (SparsePoly, ("__mul__", "__rmul__"))):
-        for attr in attrs:
-            assert callable(owner.__dict__[attr]), (owner.__name__, attr)
+    tracing = _load_tracing()
+    modules = (steinerdh, errors, *tracing.LAYERS.values())
+    namespaces = [(module, dict(vars(module))) for module in modules]
+    methods = [(owner, attr, _binding(owner, attr)) for owner, attr, *_ in tracing._METHODS]
+    try:
+        restore = tracing.instrument(tracing.Tracer())
+        wrapped = [_binding(owner, attr) is not original for owner, attr, original in methods]
+        restore()
+        back = [_binding(owner, attr) is original for owner, attr, original in methods]
+        back += [vars(module).get(attr) is obj
+                 for module, names in namespaces for attr, obj in names.items()]
+    finally:   # a failed round trip must not leave wrappers for later tests
+        for module, names in namespaces:
+            vars(module).update(names)
+        for owner, attr, original in methods:
+            setattr(owner, attr, original)
+    assert all(wrapped) and all(back)
     for attr in ("certify_case", "identity_rows"):
         assert callable(getattr(cli, attr)), attr
     assert isinstance(cli.SCHEMA, str) and cli.EXIT_OK == 0

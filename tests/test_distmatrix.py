@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerdh import (MalformedInput, RatMatrix, Tree, c_coefficients, canonical_key,
-                       determinant_exact, distance_matrix, gl_inverse,
+from steinerdh import (MalformedInput, RatMatrix, Tree, canonical_key, gl_inverse,
                        graham_pollak_value, random_tree, star_tree)
 from conftest import tree_corpus
-from oracles import fraction_matmul, gl_inverse_fractions, solve_row_system
+from oracles import (c_coefficients, determinant_exact, distance_matrix,
+                     fraction_matmul, gl_inverse_fractions, solve_row_system)
 
 
 def naive_determinant(m: RatMatrix) -> Fraction:

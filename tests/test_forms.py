@@ -13,19 +13,20 @@ from hypothesis import strategies as st
 
 from steinerdh import forms
 from steinerdh import (ConductorMismatch, CycNum, Hypermatrix, MalformedInput,
-                       NotDivisible, SparsePoly, build_steiner, canonical_odd_nullvector,
-                       distance_quadratic, divide_by_linear, enumerate_trees,
-                       gradient_direct, hessian_direct, order3_form,
-                       path_tree, random_tree, root_of_unity, s3_cofactors,
-                       s_form, star_tree, steiner_form, verify_euler_identity,
+                       SparsePoly, build_steiner, canonical_odd_nullvector,
+                       enumerate_trees, gradient_direct, hessian_direct,
+                       path_tree, random_tree, root_of_unity, star_tree,
+                       steiner_form, verify_euler_identity,
                        verify_form_divisible, verify_not_divisible,
                        verify_product_decomposition, verify_s3_decomposition)
 from conftest import tree_corpus
-from oracles import (edge_cut_hessian, evaluate, fraction_add,
+from oracles import (NotDivisible, distance_quadratic, divide_by_linear,
+                     edge_cut_hessian, evaluate, fraction_add,
                      fraction_mul, fraction_partial, fraction_pow,
                      fraction_remainder, fraction_terms, index_tuple_form,
-                     multiset_gradient, multiset_hessian, order3_rows_by_polynomials,
-                     partials_not_divisible_by_division, substitute)
+                     multiset_gradient, multiset_hessian, order3_form,
+                     order3_rows_by_polynomials, partials_not_divisible_by_division,
+                     s3_cofactors, s_form, substitute)
 
 X = lambda n, r: SparsePoly.variable(n, r)
 
@@ -735,8 +736,8 @@ def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_poi
     # multiple of s, so a point test alone could not decide this form
     t = random_tree(6, 3)
     entries = build_steiner(t, 3).entries.copy()
-    entries[0, 0, 0] += t.distance(1, 2)
-    mutant = order3_form(t) + t.distance(1, 2) * X(6, 1) ** 3
+    entries[0, 0, 0] += t.steiner((1, 2))
+    mutant = order3_form(t) + t.steiner((1, 2)) * X(6, 1) ** 3
     assert evaluate(mutant.partial(1), [1, -1, 0, 0, 0, 0]) == 0
     assert partials_not_divisible_by_division(mutant)
     inject(entries)

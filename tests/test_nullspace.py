@@ -11,16 +11,17 @@ from steinerdh import (CFloat, CycNum, EvenOrder, NotDegenerateZeroed, OrderTooL
                        SparsePoly, TooSmall, Tree, ZeroVector, build_steiner,
                        canonical_odd_nullvector, complete_nullvector,
                        completion_quadratic, degenerate_nullvector,
-                       distance_quadratic, enumerate_trees, gradient_direct,
+                       enumerate_trees, gradient_direct,
                        hessian_direct, import_json, membership_sg, numeric_search,
-                       path_tree, random_tree, root_of_unity, s_form, star_tree,
+                       path_tree, random_tree, root_of_unity, star_tree,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh import nullspace
 from steinerdh.nullspace import _gauss_newton_step
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
-from oracles import edge_cut_hessian, evaluate, qr_gauss_newton_step, substitute
+from oracles import (distance_quadratic, edge_cut_hessian, evaluate,
+                     qr_gauss_newton_step, s_form, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def test_search_order2_floor_brackets_least_eigenvalue(t):
     # sphere max|2 D x| >= 2 |lambda_min| / sqrt(n); the least eigenvector
     # itself attains 2 |lambda_min| * max|v_min|.
     n = t.n
-    d = np.array([[t.distance(i, j) for j in range(1, n + 1)]
+    d = np.array([[t.steiner((i, j)) for j in range(1, n + 1)]
                   for i in range(1, n + 1)], dtype=float)
     vals, vecs = np.linalg.eigh(d)
     least = np.argmin(np.abs(vals))

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from steinerdh import (BudgetExceeded, Hypermatrix, SteinerError, Tree, WrongShape,
-                       build_steiner, cayley_222, det_order2, determinant_exact,
-                       distance_matrix, enumerate_trees, graham_pollak_value,
+                       build_steiner, cayley_222, det_order2,
+                       enumerate_trees, graham_pollak_value,
                        path_tree, prufer_decode, random_tree, star_tree,
                        two_vertex_nullvector_witness, verify_k2_no_nullvector,
                        verify_nullvector, zero_degenerate)
 from steinerdh.forms import SparsePoly
-from oracles import substitute, two_vertex_form
+from oracles import determinant_exact, distance_matrix, substitute, two_vertex_form
 
 
 def slice_discriminant(h: Hypermatrix) -> int:

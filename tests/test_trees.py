@@ -1,5 +1,6 @@
 """Tree parsing, Prüfer machinery, and the two Steiner distance routes."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -79,13 +80,13 @@ def test_prufer_round_trips():
 
 
 def test_pairwise_distance_examples(path3, star4):
-    assert path3.distance(1, 3) == 2
-    assert path3.distance(2, 2) == 0
-    assert star4.distance(2, 3) == 2
+    assert path3.steiner((1, 3)) == 2
+    assert path3.steiner((2, 2)) == 0
+    assert star4.steiner((2, 3)) == 2
     with pytest.raises(ValueError):
-        path3.distance(0, 1)
+        path3.steiner((0, 1))
     with pytest.raises(ValueError):
-        path3.distance(1, 4)
+        path3.steiner((1, 4))
     assert Tree(1, []).distances().tolist() == [[0]]
     assert path_tree(2).distances().tolist() == [[0, 1], [1, 0]]
     assert star4.distances().tolist() == [[0, 1, 1, 1], [1, 0, 2, 2],
@@ -130,7 +131,7 @@ def test_steiner_pairs_equal_pairwise():
         assert d.shape == (t.n, t.n)
         for u in range(1, t.n + 1):
             for v in range(1, t.n + 1):
-                assert t.steiner([u, v]) == t.distance(u, v) == d[u - 1, v - 1] == \
+                assert t.steiner([u, v]) == d[u - 1, v - 1] == \
                     steiner_distance_bruteforce(t, [u, v])
 
 
@@ -150,13 +151,27 @@ def test_distances_recurrence_matches_side_products_and_bruteforce():
     assert np.array_equal(star_tree(200, 7).distances(), side_distances(star_tree(200, 7)))
 
 
+def test_order2_build_holds_distances_and_one_step_array():
+    # S is built and cached first; beyond D itself the build may hold only the
+    # (n-1)×n step array 1 - 2S, not the near sides 1 - S as well
+    t = random_tree(600, 17)
+    t.sides()
+    tracemalloc.start()
+    try:
+        d = t.distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * d.nbytes, peak / d.nbytes
+
+
 def test_triple_identity():
     # 2*d(i,j,k) = d(i,j) + d(i,k) + d(j,k) for distinct triples
     for t in tree_corpus(10, 3, 9, seed0=7):
         for S in combinations(range(1, t.n + 1), 3):
             i, j, k = S
             lhs = 2 * t.steiner(S)
-            assert lhs == t.distance(i, j) + t.distance(i, k) + t.distance(j, k)
+            assert lhs == t.steiner((i, j)) + t.steiner((i, k)) + t.steiner((j, k))
 
 
 def test_far_sums_are_edge_cuts():
