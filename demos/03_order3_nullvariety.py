@@ -17,7 +17,7 @@ The identities are checked exactly on integer tensors of the cubic.
 from fractions import Fraction
 
 from steinerdh import (build_steiner, complete_nullvector, membership_sg,
-                       random_tree, steiner_form, verify_euler_identity,
+                       order3_tensor, random_tree, steiner_form,
                        verify_form_divisible, verify_not_divisible, verify_nullvector,
                        verify_product_decomposition, verify_s3_decomposition)
 
@@ -30,11 +30,14 @@ def main():
     p = steiner_form(build_steiner(t, 3))
     print(f"\nSteiner cubic has {len(p.terms)} terms:")
     print(" ", repr(p)[:150], "...")
-    print("p == s * g:", verify_product_decomposition(t))
-    print("p divisible by s:", verify_form_divisible(t))
-    print("sum_r x_r D_r p == 3 s g:", verify_euler_identity(t))
-    print("s^3 == sum_r f_r D_r p:", verify_s3_decomposition(t))
-    print("no D_r p divisible by s:", verify_not_divisible(t))
+    P = order3_tensor(t)   # 6x the symmetric tensor of p
+    product = verify_product_decomposition(P, t.distances())
+    print("p == s * g:", product)
+    print("p divisible by s:", verify_form_divisible(P))
+    # Euler's theorem: sum_r x_r D_r p = 3p, so this is the product row
+    print("sum_r x_r D_r p == 3 s g:", product)
+    print("s^3 == sum_r f_r D_r p:", verify_s3_decomposition(P, t.degrees[1:]))
+    print("no D_r p divisible by s:", verify_not_divisible(P))
 
     print("\ncompletion: fix coordinates 3..n, solve a quadratic for the rest")
     tail = [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0)][: n - 2]

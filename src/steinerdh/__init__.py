@@ -22,8 +22,8 @@ from .trees import (Tree, canonical_key, enumerate_trees, format_tree,
                     random_tree, star_tree, steiner_distance_bruteforce)
 from .hypermatrix import (Hypermatrix, build_steiner, export_json, export_text,
                           import_json, import_text, zero_degenerate)
-from .forms import (SparsePoly, gradient_direct, hessian_direct, steiner_form,
-                    verify_euler_identity, verify_form_divisible, verify_not_divisible,
+from .forms import (SparsePoly, gradient_direct, hessian_direct, order3_tensor,
+                    steiner_form, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .distmatrix import RatMatrix, gl_inverse, graham_pollak_value
 from .smalldet import (cayley_222, det_order2, two_vertex_nullvector_witness,

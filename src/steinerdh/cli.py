@@ -25,7 +25,7 @@ from . import __version__
 from .distmatrix import gl_inverse, graham_pollak_value
 from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
                      ascii_decimal, ascii_int)
-from .forms import (verify_euler_identity, verify_form_divisible, verify_not_divisible,
+from .forms import (order3_tensor, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .hypermatrix import build_steiner, export_json, export_text
 from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
@@ -158,31 +158,27 @@ def cmd_certify(args) -> int:
     return code
 
 
+IDENTITY_ROWS = ("product_decomposition", "euler_identity", "s3_decomposition",
+                 "partials_not_divisible", "form_divisible_by_s",
+                 "gl_inverse", "ones_row", "c_sum")
+
+
 def identity_rows(t: Tree) -> list[dict]:
     if t.n == 1:
-        names = ["product_decomposition", "euler_identity", "s3_decomposition",
-                 "partials_not_divisible", "form_divisible_by_s",
-                 "gl_inverse", "ones_row", "c_sum"]
         return [{"name": nm, "status": "skipped",
                  "reason": "single-vertex tree: order-3 form and matrix algebra are void"}
-                for nm in names]
-    rows = []
-
-    def add(name: str, ok: bool) -> None:
-        rows.append({"name": name, "status": "pass" if ok else "fail"})
-
-    add("product_decomposition", verify_product_decomposition(t))
-    add("euler_identity", verify_euler_identity(t))
-    add("s3_decomposition", verify_s3_decomposition(t))
-    add("partials_not_divisible", verify_not_divisible(t))
-    add("form_divisible_by_s", verify_form_divisible(t))
-    D = t.distances()
-    inverse = gl_inverse(t)   # |num| < 2n^2, so num @ D stays below 2n^4 in int64
-    add("gl_inverse", np.array_equal(np.array(inverse.num) @ D, np.diag([inverse.den] * t.n)))
-    tau = 2 - np.array(t.degrees[1:])   # c_r = tau_r / (n - 1) solves c D = 1
-    add("ones_row", bool((tau @ D == t.n - 1).all()))
-    add("c_sum", int(tau.sum()) == 2)   # cannot fail: the handshake lemma
-    return rows
+                for nm in IDENTITY_ROWS]
+    P, D, degrees = order3_tensor(t), t.distances(), t.degrees[1:]
+    num, den = gl_inverse(t)   # |num| < 2n^2, so num @ D stays below 2n^4 in int64
+    tau = 2 - np.array(degrees)   # c_r = tau_r / (n - 1) solves c D = 1
+    product = verify_product_decomposition(P, D)
+    # euler_identity, sum_r x_r D_r p = 3sg, is the product row: its left side is 3p
+    # by Euler's theorem; c_sum cannot fail, by the handshake lemma
+    checks = (product, product, verify_s3_decomposition(P, degrees), verify_not_divisible(P),
+              verify_form_divisible(P), np.array_equal(num @ D, np.diag([den] * t.n)),
+              bool((tau @ D == t.n - 1).all()), int(tau.sum()) == 2)
+    return [{"name": nm, "status": "pass" if ok else "fail"}
+            for nm, ok in zip(IDENTITY_ROWS, checks)]
 
 
 def cmd_identities(args) -> int:

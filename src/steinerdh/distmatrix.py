@@ -6,17 +6,18 @@ Covers the two classical closed forms this package leans on:
 * Graham-Lovász: the inverse distance matrix entrywise from vertex degrees
   and adjacency, d*_ij = (2-d_i)(2-d_j)/(2(n-1)) + (-d_i/2 if i=j else a_ij/2).
 
-Everything here is exact and runs on integers.  A ``RatMatrix`` stores
-integer numerators over one canonical denominator (the lcm of its reduced
-entry denominators), so a product is one integer matrix product followed
-by a gcd reduction.  Fractions appear only at the edges (``rows``,
+Everything here is exact and runs on integers.  ``gl_inverse`` returns the
+inverse's int64 numerator array (|num| < 2n^2) over 2(n-1).  A ``RatMatrix``
+stores integer numerators over one canonical denominator (the lcm of its
+reduced entry denominators), so a product is one integer matrix product
+followed by a gcd reduction.  Fractions appear only at the edges (``rows``,
 indexing, JSON), and entries are read by ``scalar._rational``, so int64
-entries cannot wrap and a float raises ``TypeError``.  ``RatMatrix`` stays
-because ``gl_inverse`` returns it and the benchmark's tracer binds its
-``__matmul__``.  The order-2 certificate reads det D off the cut-basis
-arrowhead (``smalldet.det_order2``); the Bareiss determinant, the distance
-matrix as a ``RatMatrix`` and the row vector c with c D = 1 are test
-oracles (``tests/oracles.py``).
+entries cannot wrap and a float raises ``TypeError``.  No command builds
+one: ``RatMatrix`` stays for the test suite's Bareiss oracle and because the
+benchmark's tracer binds its ``__matmul__``.  The order-2 certificate reads
+det D off the cut-basis arrowhead (``smalldet.det_order2``); the Bareiss
+determinant, the distance matrix as a ``RatMatrix`` and the row vector c
+with c D = 1 are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import math
 import operator
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import MalformedInput
 from .scalar import _fraction_from_json, _rational
@@ -119,20 +122,19 @@ def graham_pollak_value(n: int) -> Fraction:
     return Fraction(-(n - 1) * (-2) ** (n - 2))
 
 
-def gl_inverse(t: Tree) -> RatMatrix:
-    """Closed-form inverse of the distance matrix, from degrees and adjacency.
+def gl_inverse(t: Tree) -> tuple[np.ndarray, int]:
+    """Closed-form inverse of the distance matrix, from degrees and adjacency,
+    as its int64 numerator array and the denominator 2(n-1), unreduced:
 
     2(n-1) * d*_ij = (2-d_i)(2-d_j) + (n-1) * (-d_i if i=j else a_ij).
     """
     n = t.n
     if n < 2:
         raise ValueError("needs n >= 2")
-    deg = t.degrees[1:]
-    num = [[(2 - di) * (2 - dj) for dj in deg] for di in deg]
-    for i, di in enumerate(deg):
-        num[i][i] -= (n - 1) * di
-    for u, v in t.edges:
-        num[u - 1][v - 1] += n - 1
-        num[v - 1][u - 1] += n - 1
-    return RatMatrix(num, 2 * (n - 1))
-
+    deg = np.array(t.degrees[1:], dtype=np.int64)
+    num = np.multiply.outer(2 - deg, 2 - deg)
+    num[np.diag_indices(n)] -= (n - 1) * deg
+    u, v = np.array(t.edges).T - 1
+    num[u, v] += n - 1
+    num[v, u] += n - 1
+    return num, 2 * (n - 1)

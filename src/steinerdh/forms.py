@@ -16,9 +16,9 @@ makes exact high-order certificates cheap.  At k = 3, s^3 - a^3 - b^3 =
 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 The order-3 identity suite checks that factorisation and its consequences
-as int64 tensor equations in ``order3_tensor`` (6x the symmetric tensor of
-p), with no polynomial arithmetic: divisibility by s is vanishing on s = 0,
-and the Euler row is the product row by Euler's theorem.  No check in the
+as int64 tensor equations on P = ``order3_tensor(t)`` (6x the symmetric
+tensor of p) and the arrays beside it (D, the degrees), with no polynomial
+arithmetic: divisibility by s is vanishing on s = 0.  No check in the
 package runs on polynomials.  ``SparsePoly`` and ``steiner_form`` stay as
 the polynomial of any hypermatrix, and because the benchmark's tracer binds
 ``SparsePoly.__mul__``/``__rmul__``; division by a linear form, s, g and the
@@ -388,7 +388,6 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
 # order-3 identity suite, on integer tensors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def order3_tensor(t: Tree) -> np.ndarray:
     """P, the sum of the six axis permutations of the order-3 hypermatrix H:
     6x the symmetric tensor of p for any H, so D_r p is the quadratic P[r]/2.
@@ -397,16 +396,14 @@ def order3_tensor(t: Tree) -> np.ndarray:
     within |P| <= 6h, |M| <= 36nh, |L(1, M) - 6P| <= 126nh and 48h on s = 0.
     A tree has h <= n - 1 (under 3 * 10^7 at the order-3 entry budget,
     n <= 464); an H that would push 126nh past 2^62 raises ``OverflowError``
-    rather than wrap."""
+    rather than wrap.  The checks below assume a P within this bound."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
     h = build_steiner(t, 3).entries
     if 126 * t.n * max(int(h.max()), -int(h.min())) > 1 << 62:
         raise OverflowError("hypermatrix entries too large for the int64 identity suite")
     pair = h + h.transpose(0, 2, 1)
-    p = pair + pair.transpose(1, 0, 2) + pair.transpose(2, 1, 0)
-    p.flags.writeable = False   # cached and shared by every row, so read-only
-    return p
+    return pair + pair.transpose(1, 0, 2) + pair.transpose(2, 1, 0)
 
 
 def _linear_times(q: np.ndarray) -> np.ndarray:
@@ -421,40 +418,33 @@ def _on_s_zero(x: np.ndarray) -> np.ndarray:
     return x[..., :-1, :-1] - x[..., :-1, -1:] - x[..., -1:, :-1] + x[..., -1:, -1:]
 
 
-def verify_product_decomposition(t: Tree) -> bool:
-    """Order-3 form equals s * g exactly: P == L(1, 3D)."""
-    return np.array_equal(order3_tensor(t), _linear_times(3 * t.distances()))
+def verify_product_decomposition(p: np.ndarray, d: np.ndarray) -> bool:
+    """The order-3 form with tensor P equals s * g, g = 3 sum_(i<j) d_ij x_i x_j
+    for the distance matrix D: P == L(1, 3D)."""
+    return np.array_equal(p, _linear_times(3 * d))
 
 
-def verify_euler_identity(t: Tree) -> bool:
-    """sum_r x_r * D_r p = 3 * s * g for the order-3 form.  By Euler's theorem
-    the left side is 3p (x_r D_r p has tensor L(e_r, P[r]), and their sum is
-    P + P^(jik) + P^(kij) = 3P as P is symmetric), so this row is the product
-    row."""
-    return verify_product_decomposition(t)
-
-
-def verify_s3_decomposition(t: Tree) -> bool:
-    """s^3 = sum_r f_r * D_r p for the order-3 form, with the degree-based
-    cofactors f_r = ((2 - deg_r) s - (2/3) x_r) / (3(n-1)).  The leading 1/3
-    is forced: sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1),
-    since D_r g carries the factor 3 of g.  Denominators cleared,
+def verify_s3_decomposition(p: np.ndarray, degrees: Sequence[int]) -> bool:
+    """s^3 = sum_r f_r * D_r p for the order-3 form with tensor P, with the
+    degree-based cofactors f_r = ((2 - deg_r) s - (2/3) x_r) / (3(n-1)) and
+    ``degrees`` = deg_1..deg_n.  The leading 1/3 is forced:
+    sum_r c_r * D_r g = 3s (not s) for c_r = (2 - deg_r)/(n-1), since D_r g
+    carries the factor 3 of g.  Denominators cleared,
     s * sum_r 3(2 - deg_r) D_r p - 2 * sum_r x_r D_r p = 9(n-1) s^3, which on
     tensors is L(1, M) - 6P == 54(n-1) J with M = sum_r 3(2 - deg_r) P[r], J
     all ones (sum_r x_r D_r p = 3p has tensor 3P)."""
-    p = order3_tensor(t)
-    m = np.tensordot(3 * (2 - np.array(t.degrees[1:])), p, axes=1)
-    return bool((_linear_times(m) - 6 * p == 54 * (t.n - 1)).all())
+    m = np.tensordot(3 * (2 - np.asarray(degrees)), p, axes=1)
+    return bool((_linear_times(m) - 6 * p == 54 * (len(p) - 1)).all())
 
 
-def verify_not_divisible(t: Tree) -> bool:
-    """No partial derivative of the order-3 form is a multiple of s: each
-    D_r p, the quadratic P[r]/2, is nonzero on s = 0."""
-    return bool(_on_s_zero(order3_tensor(t)).reshape(t.n, -1).any(axis=1).all())
+def verify_not_divisible(p: np.ndarray) -> bool:
+    """No partial derivative of the order-3 form with tensor P is a multiple
+    of s: each D_r p, the quadratic P[r]/2, is nonzero on s = 0."""
+    return bool(_on_s_zero(p).reshape(len(p), -1).any(axis=1).all())
 
 
-def verify_form_divisible(t: Tree) -> bool:
-    """The order-3 form is a multiple of s: it vanishes on s = 0, so P
-    restricted on its last two axes and then on its first is zero."""
-    q = _on_s_zero(order3_tensor(t))
+def verify_form_divisible(p: np.ndarray) -> bool:
+    """The order-3 form with tensor P is a multiple of s: it vanishes on
+    s = 0, so P restricted on its last two axes and then on its first is zero."""
+    q = _on_s_zero(p)
     return not (q[:-1] - q[-1:]).any()

@@ -10,9 +10,9 @@ separates it.  Every Steiner sum the package needs therefore reduces to
 per-edge sums over the two sides of each edge; ``Tree.far_sums`` computes them
 in one children-first pass over the BFS order from vertex 1.  A single
 query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
-``Tree.sides`` stacks the far-side indicators into the matrix S behind the
-Hessian and the Steiner arrays of every order, which one parent recurrence
-fills (``Tree.distances`` at k = 2, the hypermatrix above it).
+``Tree.sides`` makes the same pass in place over the far-side indicators, the
+matrix S behind the Hessian and the Steiner arrays of every order, which one
+parent recurrence fills (``Tree.distances`` at k = 2, the hypermatrix above it).
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.  It and
@@ -171,10 +171,19 @@ class Tree:
     def sides(self) -> np.ndarray:
         """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
         order, so S @ x is ``far_sums(x)``.  Built once per tree and shared,
-        so read-only."""
+        so read-only.  Filled in place children-first: edge c's row starts as
+        c's own indicator and is added into its parent's row, so S is the
+        only n^2 array the build holds."""
         if self._sides_cache is None:
-            far = np.array(self.far_sums(np.eye(self.n, dtype=np.int64)),
-                           dtype=np.int64).reshape(-1, self.n)
+            far = np.zeros((self.n - 1, self.n), dtype=np.int64)
+            rows = [None] * (self.n + 1)   # vertex -> its edge's row; none for vertex 1
+            for v, row in zip(self.order[1:], far):
+                row[v - 1] = 1
+                rows[v] = row
+            for v in reversed(self.order[1:]):
+                parent_row = rows[self.parent[v]]
+                if parent_row is not None:
+                    parent_row += rows[v]
             far.flags.writeable = False
             object.__setattr__(self, "_sides_cache", far)
         return self._sides_cache

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from steinerdh import cli
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
-                           EXIT_OK, EXIT_VERIFICATION, SCHEMA, identity_rows, main)
+                           EXIT_OK, EXIT_VERIFICATION, IDENTITY_ROWS, SCHEMA,
+                           identity_rows, main)
+from steinerdh.distmatrix import RatMatrix
 from steinerdh.hypermatrix import _MAX_AXES
 from steinerdh.trees import (Tree, enumerate_trees, format_tree, path_tree,
                              prufer_decode, random_tree, star_tree)
@@ -205,6 +208,32 @@ def test_identity_rows_builds_the_distance_matrix_once(monkeypatch):
     assert orders.count(2) == 1
 
 
+def test_identity_rows_build_p_and_the_inverse_once_and_no_ratmatrix(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    def refuse(*_):
+        raise AssertionError("a command built a RatMatrix")
+
+    for name in ("order3_tensor", "gl_inverse"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    t = random_tree(9, 2)
+    rows = identity_rows(t)
+    assert [row["name"] for row in rows] == list(IDENTITY_ROWS)
+    assert {row["status"] for row in rows} == {"pass"}
+    assert sorted(calls) == ["gl_inverse", "order3_tensor"]
+    for k in (2, 3, 4):
+        cli.certify_case(t, k)
+    assert [row["name"] for row in identity_rows(path_tree(1))] == list(IDENTITY_ROWS)
+    assert len(calls) == 2
+
+
 def test_search_report(tree_file, capsys):
     path = tree_file(path_tree(3))
     code, out = run(capsys, ["search", "--tree", path, "--k", "3",
@@ -247,6 +276,28 @@ def test_campaign(tmp_path, capsys):
     assert "summary.json" in files and len(files) == 9
     case = json.loads((out_dir / files[0]).read_text())
     assert case["report"]["schema"] == SCHEMA
+
+
+def test_campaign_counts_even_orders_as_no_certificate(tmp_path, capsys):
+    code, out = run(capsys, [
+        "campaign", "--n-min", "3", "--n-max", "4", "--k", "4",
+        "--trees-per-n", "2", "--seed", "3", "--out-dir", str(tmp_path / "c")])
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert summary["cases"] == summary["no_certificate"] == 4
+    assert summary["verified"] == summary["failed"] == 0
+
+
+def test_campaign_counts_a_failed_case_and_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certify_case", lambda t, k: ({"verified": False},
+                                                           EXIT_VERIFICATION))
+    code, out = run(capsys, [
+        "campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
+        "--trees-per-n", "2", "--seed", "3", "--out-dir", str(tmp_path / "c")])
+    assert code == EXIT_VERIFICATION
+    summary = json.loads(out)
+    assert summary["cases"] == summary["failed"] == 2
+    assert summary["verified"] == summary["no_certificate"] == 0
 
 
 def test_campaign_deterministic(tmp_path):
@@ -292,7 +343,9 @@ def test_order_and_jobs_usage_errors(tree_file, tmp_path, capsys):
                  ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
                   "--out-dir", str(tmp_path / "c"), "--jobs", "-2"],
                  ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
-                  "--out-dir", str(tmp_path / "c"), "--jobs", "0"]):
+                  "--out-dir", str(tmp_path / "c"), "--jobs", "0"],
+                 ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
+                  "--out-dir", str(tmp_path / "c"), "--trees-per-n", "0"]):
         assert main(argv) == EXIT_INPUT, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage error:"), argv

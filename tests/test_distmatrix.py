@@ -17,6 +17,12 @@ from oracles import (c_coefficients, determinant_exact, distance_matrix,
                      fraction_matmul, gl_inverse_fractions, solve_row_system)
 
 
+def inverse_matrix(t: Tree) -> RatMatrix:
+    """``gl_inverse``'s numerator array over its denominator, as an exact matrix."""
+    num, den = gl_inverse(t)
+    return RatMatrix(num.tolist(), den)
+
+
 def naive_determinant(m: RatMatrix) -> Fraction:
     """Leibniz expansion; the independent oracle for small sizes."""
     n = m.n
@@ -91,10 +97,13 @@ def test_floats_and_strings_are_refused(bad):
 
 
 def test_gl_inverse_examples(path3, k2):
-    inv = gl_inverse(path3)
+    num, den = gl_inverse(path3)
+    assert isinstance(num, np.ndarray) and num.dtype == np.int64
+    assert num.tolist() == [[-1, 2, 1], [2, -4, 2], [1, 2, -1]] and den == 4
+    inv = inverse_matrix(path3)
     assert inv[0, 0] == Fraction(-1, 4)
     assert (inv @ distance_matrix(path3)).is_identity()
-    inv2 = gl_inverse(k2)
+    inv2 = inverse_matrix(k2)
     # the closed form gives [[0, 1], [1, 0]], and indeed D*D = I for K2
     assert inv2.rows == ((0, 1), (1, 0))
     assert (inv2 @ distance_matrix(k2)).is_identity()
@@ -102,7 +111,10 @@ def test_gl_inverse_examples(path3, k2):
 
 def test_gl_inverse_random():
     for t in tree_corpus(10, 2, 12, seed0=900):
-        assert (gl_inverse(t) @ distance_matrix(t)).is_identity()
+        num, den = gl_inverse(t)
+        assert num.dtype == np.int64 and den == 2 * (t.n - 1)
+        assert np.array_equal(num @ t.distances(), den * np.eye(t.n, dtype=np.int64))
+        assert (inverse_matrix(t) @ distance_matrix(t)).is_identity()
 
 
 def test_c_coefficients_examples(path3, k2):
@@ -133,7 +145,7 @@ def test_matmul_matches_entrywise_fraction_sums():
                  (integral, integral)]:
         assert (a @ b).rows == tuple(map(tuple, fraction_matmul(a, b)))
     for t in tree_corpus(10, 2, 9, seed0=700):
-        D, inv = distance_matrix(t), gl_inverse(t)
+        D, inv = distance_matrix(t), inverse_matrix(t)
         assert (inv @ D).rows == tuple(map(tuple, fraction_matmul(inv, D)))
     with pytest.raises(ValueError):
         integral @ RatMatrix.identity(2)
@@ -204,8 +216,8 @@ def test_equal_ratmatrices_compare_equal_however_built():
     assert RatMatrix([[1, 0], [0, 1]]) != RatMatrix([[1]])
     assert RatMatrix.from_json('[[["2", "4"]]]') == RatMatrix([[Fraction(1, 2)]])
     for t in tree_corpus(6, 2, 9, seed0=40):
-        assert gl_inverse(t) @ distance_matrix(t) == RatMatrix.identity(t.n)
-        assert distance_matrix(t) @ gl_inverse(t) == RatMatrix.identity(t.n)
+        assert inverse_matrix(t) @ distance_matrix(t) == RatMatrix.identity(t.n)
+        assert distance_matrix(t) @ inverse_matrix(t) == RatMatrix.identity(t.n)
 
 
 def _tree_classes(n_max: int) -> list[Tree]:
@@ -230,7 +242,7 @@ def test_gl_inverse_matches_the_fraction_closed_form_on_every_small_tree_class()
     # unlabeled trees on 2..8 vertices (OEIS A000055)
     assert len(classes) == 1 + 1 + 2 + 3 + 6 + 11 + 23
     for t in classes:
-        assert gl_inverse(t).rows == tuple(map(tuple, gl_inverse_fractions(t)))
+        assert inverse_matrix(t).rows == tuple(map(tuple, gl_inverse_fractions(t)))
 
 
 @pytest.mark.parametrize("text", [

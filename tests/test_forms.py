@@ -15,10 +15,10 @@ from steinerdh import forms
 from steinerdh import (ConductorMismatch, CycNum, Hypermatrix, MalformedInput,
                        SparsePoly, build_steiner, canonical_odd_nullvector,
                        enumerate_trees, gradient_direct, hessian_direct,
-                       path_tree, random_tree, root_of_unity, star_tree,
-                       steiner_form, verify_euler_identity,
-                       verify_form_divisible, verify_not_divisible,
-                       verify_product_decomposition, verify_s3_decomposition)
+                       order3_tensor, path_tree, random_tree, root_of_unity,
+                       star_tree, steiner_form, verify_form_divisible,
+                       verify_not_divisible, verify_product_decomposition,
+                       verify_s3_decomposition)
 from conftest import tree_corpus
 from oracles import (NotDivisible, distance_quadratic, divide_by_linear,
                      edge_cut_hessian, evaluate, fraction_add,
@@ -58,11 +58,15 @@ def test_evaluate_examples():
     assert evaluate(2 * x1 * x2, [1, -1]) == -2
     sq = SparsePoly(1, {(2,): 1})
     assert evaluate(sq, [root_of_unity(4)]) == -1
-    # the exact gradient refuses mixed fields and wrong lengths
+    # the exact gradient refuses mixed fields, wrong lengths and orders below 2,
+    # and the Hessian wrong lengths and orders below 2
     with pytest.raises(ConductorMismatch):
         gradient_direct(path_tree(2), 3, [root_of_unity(4), root_of_unity(8)])
-    with pytest.raises(ValueError):
-        gradient_direct(path_tree(2), 3, [1])
+    for call in (gradient_direct, hessian_direct):
+        with pytest.raises(ValueError):
+            call(path_tree(2), 3, [1])
+        with pytest.raises(ValueError):
+            call(path_tree(2), 1, [1, 1])
 
 
 def test_evaluate_rational_and_numeric_agree():
@@ -607,12 +611,14 @@ def test_divide_round_trip_random(n, seed):
 # order-3 identity suite
 # ---------------------------------------------------------------------------
 
-SUITE = (verify_product_decomposition, verify_euler_identity, verify_s3_decomposition,
-         verify_not_divisible, verify_form_divisible)
-
-
-def suite_rows(t) -> list[bool]:
-    return [row(t) for row in SUITE]
+def suite_rows(t, p=None) -> list[bool]:
+    """The five order-3 rows of ``cli.identity_rows`` on the tensor P, which is
+    ``order3_tensor(t)`` unless a stand-in is given; as in the report, the
+    Euler row is the product row."""
+    p = order3_tensor(t) if p is None else p
+    product = verify_product_decomposition(p, t.distances())
+    return [product, product, verify_s3_decomposition(p, t.degrees[1:]),
+            verify_not_divisible(p), verify_form_divisible(p)]
 
 
 def hypermatrix_of(p: SparsePoly) -> np.ndarray:
@@ -624,18 +630,10 @@ def hypermatrix_of(p: SparsePoly) -> np.ndarray:
     return entries
 
 
-@pytest.fixture
-def inject(monkeypatch):
-    """Hand the order-3 suite stand-in hypermatrix entries: ``order3_tensor``
-    builds its one cached tensor from them until the test ends, and no cache
-    keeps a stand-in afterwards."""
-    def use(entries):
-        monkeypatch.setattr(forms, "build_steiner",
-                            lambda t, k: Hypermatrix(k, t.n, entries))
-        forms.order3_tensor.cache_clear()
-
-    yield use
-    forms.order3_tensor.cache_clear()
+def stand_in(entries: np.ndarray) -> np.ndarray:
+    """The tensor P of stand-in order-3 hypermatrix entries: the sum of their
+    six axis permutations."""
+    return sum(entries.transpose(axes) for axes in permutations(range(3)))
 
 
 def test_identities_on_named_trees(path3, star4):
@@ -681,16 +679,15 @@ def test_s3_cofactors_satisfy_the_identity_in_fractions():
         for r, f in enumerate(s3_cofactors(t), start=1):
             total = total + f * p.partial(r)
         assert total == s_form(t.n) ** 3
-        assert verify_s3_decomposition(t)
+        assert verify_s3_decomposition(order3_tensor(t), t.degrees[1:])
 
 
 def test_suite_needs_two_vertices():
-    for row in SUITE:
-        with pytest.raises(ValueError):
-            row(path_tree(1))
+    with pytest.raises(ValueError):
+        order3_tensor(path_tree(1))
 
 
-def test_every_row_has_a_mutant_that_fails_it(inject):
+def test_every_row_has_a_mutant_that_fails_it():
     # one stray x1 x2 x3 breaks p = s*g and everything derived from it; a form
     # whose partials are all multiples of s breaks the non-divisibility row
     t = random_tree(6, 3)
@@ -698,40 +695,38 @@ def test_every_row_has_a_mutant_that_fails_it(inject):
     stray = p + X(6, 1) * X(6, 2) * X(6, 3)
     all_divisible = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
     for row, mutant in enumerate([stray, stray, stray, all_divisible, stray]):
-        inject(hypermatrix_of(mutant))
-        rows = suite_rows(t)
+        rows = suite_rows(t, stand_in(hypermatrix_of(mutant)))
         assert rows == order3_rows_by_polynomials(t, mutant)
         assert not rows[row], (row, rows)
 
 
-def test_s3_decomposition_rejects_a_perturbed_form(inject):
+def test_s3_decomposition_rejects_a_perturbed_form():
     # the distributed check is not vacuous: one stray cubic term breaks it
     t = random_tree(7, 4)
     entries = build_steiner(t, 3).entries.copy()
-    assert verify_s3_decomposition(t)
+    assert verify_s3_decomposition(order3_tensor(t), t.degrees[1:])
     entries[0, 1, 2] += 1
-    inject(entries)
-    assert not verify_s3_decomposition(t)
+    assert not verify_s3_decomposition(stand_in(entries), t.degrees[1:])
 
 
 def test_not_divisible_point_test_matches_division_on_every_small_tree():
     # the restriction of every D_r p to s = 0 agrees with exact division by s
     for n in range(2, 8):
         for t in enumerate_trees(n):
-            assert verify_not_divisible(t) is partials_not_divisible_by_division(order3_form(t))
-            assert verify_not_divisible(t)
+            p = order3_tensor(t)
+            assert verify_not_divisible(p) is partials_not_divisible_by_division(order3_form(t))
+            assert verify_not_divisible(p)
 
 
-def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s(inject):
-    t = random_tree(6, 3)
+def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s():
     mutant = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
-    inject(hypermatrix_of(mutant))
+    p = stand_in(hypermatrix_of(mutant))
     assert not partials_not_divisible_by_division(mutant)
-    assert not verify_not_divisible(t)
-    assert verify_form_divisible(t)
+    assert not verify_not_divisible(p)
+    assert verify_form_divisible(p)
 
 
-def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_point(inject):
+def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_point():
     # adding d(1,2) x1^3 cancels D_1 p at e1 - e2 without making D_1 p a
     # multiple of s, so a point test alone could not decide this form
     t = random_tree(6, 3)
@@ -740,11 +735,10 @@ def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_poi
     mutant = order3_form(t) + t.steiner((1, 2)) * X(6, 1) ** 3
     assert evaluate(mutant.partial(1), [1, -1, 0, 0, 0, 0]) == 0
     assert partials_not_divisible_by_division(mutant)
-    inject(entries)
-    assert verify_not_divisible(t)
+    assert verify_not_divisible(stand_in(entries))
 
 
-def test_not_divisible_finds_one_divisible_partial_among_the_others(inject):
+def test_not_divisible_finds_one_divisible_partial_among_the_others():
     # g_n (g with x_n replaced by x_n - s) is free of x_n and equals g mod s, so
     # p' = p - x_n g_n has D_n p' = g + s D_n g - g_n divisible by s, while every
     # other partial is still g = -3 d(1, 2) at e1 - e2
@@ -755,22 +749,20 @@ def test_not_divisible_finds_one_divisible_partial_among_the_others(inject):
     partials = [mutant.partial(r) for r in range(1, n + 1)]
     assert [isinstance(divide_by_linear(d, s_form(n)), NotDivisible)
             for d in partials] == [True] * (n - 1) + [False]
-    inject(hypermatrix_of(mutant))
-    assert not verify_not_divisible(t)
+    assert not verify_not_divisible(stand_in(hypermatrix_of(mutant)))
 
 
-def test_euler_identity_rejects_a_perturbed_form(inject):
-    # the cached tensor follows the hypermatrix it was built from
+def test_euler_identity_rejects_a_perturbed_form():
+    # the report's Euler row is the product row; on a perturbed form the
+    # polynomial Euler identity fails with it, and so does the s^3 row
     t = random_tree(7, 4)
     entries = build_steiner(t, 3).entries
     mutant = entries.copy()
     mutant[0, 1, 2] += 1
-    assert verify_euler_identity(t)
-    inject(mutant)
-    assert not verify_euler_identity(t)
-    assert not verify_s3_decomposition(t)
-    inject(entries)
-    assert verify_euler_identity(t) and verify_s3_decomposition(t)
+    assert suite_rows(t)[1:3] == [True, True]
+    assert suite_rows(t, stand_in(mutant))[1:3] == [False, False]
+    mutant_form = steiner_form(Hypermatrix(3, t.n, mutant))
+    assert order3_rows_by_polynomials(t, mutant_form)[1:3] == [False, False]
 
 
 def test_order3_form_cache_follows_the_tree():
@@ -781,24 +773,27 @@ def test_order3_form_cache_follows_the_tree():
 
 def test_order3_tensor_is_the_permutation_sum_and_follows_the_tree():
     a, b = random_tree(6, 1), random_tree(6, 2)
-    assert forms.order3_tensor(a) is forms.order3_tensor(a)
-    assert not forms.order3_tensor(a).flags.writeable
     for t in (b, a):
         h = build_steiner(t, 3).entries
-        assert np.array_equal(forms.order3_tensor(t),
+        assert np.array_equal(order3_tensor(t),
                               sum(h.transpose(axes) for axes in permutations(range(3))))
-        assert np.array_equal(forms.order3_tensor(t), 6 * h)
+        assert np.array_equal(order3_tensor(t), 6 * h)
 
 
-def test_order3_tensor_refuses_entries_that_could_wrap(inject):
+def test_order3_tensor_refuses_entries_that_could_wrap(monkeypatch):
+    # no tree reaches the bound, so stand-in entries replace the hypermatrix
     t = random_tree(3, 1)
+
+    def use(entries):
+        monkeypatch.setattr(forms, "build_steiner", lambda t, k: Hypermatrix(k, t.n, entries))
+
     for huge in (1 << 58, -(1 << 58), np.iinfo(np.int64).min):
-        inject(np.full((3, 3, 3), huge, dtype=np.int64))
+        use(np.full((3, 3, 3), huge, dtype=np.int64))
         with pytest.raises(OverflowError):
-            verify_product_decomposition(t)
+            order3_tensor(t)
     # within the bound the rows run: c * s^3 and all its partials are multiples of s
-    inject(np.full((3, 3, 3), 1 << 50, dtype=np.int64))
-    assert suite_rows(t) == [False, False, False, False, True]
+    use(np.full((3, 3, 3), 1 << 50, dtype=np.int64))
+    assert suite_rows(t, order3_tensor(t)) == [False, False, False, False, True]
 
 
 def test_s3_cofactors_structure():

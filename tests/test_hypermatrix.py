@@ -213,9 +213,10 @@ def test_budget(monkeypatch, path3):
     assert entry_budget() == 10
     with pytest.raises(BudgetExceeded):
         build_steiner(path3, 3)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "junk")
-    with pytest.raises(MalformedInput):
-        entry_budget()
+    for bad in ("junk", "0"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, bad)
+        with pytest.raises(MalformedInput):
+            entry_budget()
 
 
 class _Order(int):

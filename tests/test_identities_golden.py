@@ -5,7 +5,8 @@ n in {2, 3, 6, 11, 16}, the exact stdout of ``steinerdh identities`` and of
 ``steinerdh hypermatrix --format json|text`` at the order a round trip of
 at most 20,000 entries allows (the largest k in 3..5 with n^k <= 20,000),
 plus the ``to_json`` and ``repr`` of the tree's closed-form inverse
-distance matrix.  The test only reads the file.  To rewrite it deliberately
+distance matrix, read as the exact ``RatMatrix`` of ``gl_inverse``'s
+numerator array over its denominator.  The test only reads the file.  To rewrite it deliberately
 (after a change that is meant to alter the output), run
 ``PYTHONPATH=src python tests/test_identities_golden.py``.
 """
@@ -20,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from steinerdh import gl_inverse
+from steinerdh import RatMatrix, gl_inverse
 from steinerdh.cli import main
 from steinerdh.trees import format_tree, random_tree
 
@@ -60,7 +61,8 @@ def compute() -> dict:
             for fmt in ("json", "text"):
                 case[f"hypermatrix_{fmt}_exit"], case[f"hypermatrix_{fmt}"] = _stdout(
                     ["hypermatrix", "--tree", path, "--k", str(k), "--format", fmt])
-            inv = gl_inverse(t)
+            num, den = gl_inverse(t)
+            inv = RatMatrix(num.tolist(), den)
             case["gl_inverse_json"], case["gl_inverse_repr"] = inv.to_json(), repr(inv)
             cases.append(case)
     return {"cases": cases}

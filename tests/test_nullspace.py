@@ -128,6 +128,11 @@ def test_form_nullvector_reads_every_index_tuple():
     rep = verify_form_nullvector(h, [1, 1])
     assert not rep.exact_zero
     assert [g.as_rational() for g in rep.gradient] == [2, 1]
+    # it refuses a point of the wrong length and the zero vector
+    with pytest.raises(ValueError):
+        verify_form_nullvector(h, [1])
+    with pytest.raises(ZeroVector):
+        verify_form_nullvector(h, [0, 0])
 
 
 def test_form_nullvector_contraction_matches_the_edge_cut_gradient():

@@ -77,6 +77,10 @@ def test_prufer_round_trips():
     for seed in range(25):
         t = random_tree(10, seed)
         assert prufer_decode(10, prufer_encode(t)) == t
+    # a sequence of the wrong length, or with an entry outside 1..n, is refused
+    for n, seq in ((5, [1, 2]), (5, [1, 2, 3, 4]), (5, [1, 6, 2]), (5, [0, 1, 2])):
+        with pytest.raises(MalformedInput):
+            prufer_decode(n, seq)
 
 
 def test_pairwise_distance_examples(path3, star4):
@@ -163,6 +167,18 @@ def test_order2_build_holds_distances_and_one_step_array():
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * d.nbytes, peak / d.nbytes
+
+
+def test_sides_holds_only_s_at_its_peak():
+    # S is filled in place: no identity matrix, no list of row arrays
+    t = random_tree(600, 17)
+    tracemalloc.start()
+    try:
+        sides = t.sides()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * sides.nbytes, peak / sides.nbytes
 
 
 def test_triple_identity():
