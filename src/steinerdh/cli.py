@@ -18,6 +18,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
                      ascii_decimal, ascii_int)
 from .forms import (order3_tensor, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
-from .hypermatrix import build_steiner, export_json, export_text
+from .hypermatrix import _json_pieces, _text_pieces, build_steiner
 from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
 from .smalldet import (det_order2, two_vertex_nullvector_witness,
                        verify_k2_no_nullvector)
@@ -56,18 +58,19 @@ def _note(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _write(args, text: str) -> None:
-    """Write to stdout, or to the ``--out`` file when one is named."""
+def _write(args, pieces: Iterable[str]) -> None:
+    """Write the pieces as they come to stdout, or to the ``--out`` file when
+    one is named."""
     out = getattr(args, "out", None)
     if out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _emit(args, obj) -> None:
-    _write(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write(args, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
 def _check_order(k) -> int:
@@ -98,7 +101,7 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     t = random_tree(args.n, args.seed)
-    _write(args, format_tree(t))
+    _write(args, [format_tree(t)])
     _note(args, f"generated tree on {args.n} vertices, seed {args.seed}")
     return EXIT_OK
 
@@ -107,8 +110,10 @@ def cmd_hypermatrix(args) -> int:
     _check_order(args.k)
     t = _load_tree(args.tree)
     h = build_steiner(t, args.k)
-    doc = export_json(h) if args.format == "json" else export_text(h)
-    _write(args, doc if doc.endswith("\n") else doc + "\n")
+    if args.format == "json":
+        _write(args, chain(_json_pieces(h), ["\n"]))
+    else:
+        _write(args, _text_pieces(h))
     _note(args, f"order-{args.k} hypermatrix of a tree on {t.n} vertices")
     return EXIT_OK
 

@@ -2,17 +2,25 @@
 
 Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order,
 filled by the tree's parent recurrence (``Tree.distances`` is its k = 2 case)
-in O(n^k) steps of n^(k-1) entries each, so no second n^k array is allocated.
-The result is super-symmetric because a Steiner distance depends only on the
-index set.  An order above numpy's axis limit ``MAXDIMS`` is refused before
-any array is formed: ``BudgetExceeded`` on build, ``MalformedInput`` on import.
+in O(n^k) steps of n^(k-1) entries each.  Besides the result, the build holds
+the side matrix S, one n^(k-1) int64 row sum and the int8 steps of one block
+of edges (``Tree._steiner_array``).  The result is super-symmetric because a
+Steiner distance depends only on the index set.  An order above numpy's axis
+limit ``MAXDIMS`` is refused before any array is formed: ``BudgetExceeded`` on
+build, ``MalformedInput`` on import.
+
+Both export formats come from one writer that turns ``_CHUNK`` int64 entries
+at a time into ASCII decimals in numpy, so it holds one chunk's buffers
+besides the pieces it returns; ``export_json`` and ``export_text`` join the
+pieces, and the ``hypermatrix`` command writes them as they come.  The bytes
+are those of ``json.dumps`` and ``str`` over the entries as Python ints.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +34,9 @@ except ImportError:   # numpy 1.x
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
+_CHUNK = 1 << 16   # entries per piece of an exported document
+_INT64_MAX = np.iinfo(np.int64).max
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)   # 10 .. 10^19 > |int64|
 
 
 def entry_budget() -> int:
@@ -42,7 +53,9 @@ def entry_budget() -> int:
 
 
 class Hypermatrix:
-    """Immutable dense cubical hypermatrix of integers."""
+    """Immutable dense cubical hypermatrix of integers.  Entries must be an
+    integer array (or nested lists of ints) within int64; floats, bools,
+    strings and wider values raise ``MalformedInput`` instead of being cast."""
 
     __slots__ = ("k", "n", "entries")
 
@@ -51,7 +64,12 @@ class Hypermatrix:
             raise WrongShape("order must be >= 2")
         if n < 1:
             raise WrongShape("dimension must be >= 1")
-        arr = np.ascontiguousarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
+        if arr.dtype.kind not in "iu":
+            raise MalformedInput(f"entries must be integers within int64, got dtype {arr.dtype}")
+        if not np.can_cast(arr.dtype, np.int64) and arr.size and arr.max() > _INT64_MAX:
+            raise MalformedInput(f"entry {arr.max()} outside int64")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.shape != (n,) * k:
             raise WrongShape(f"entries must have shape {(n,) * k}, got {arr.shape}")
         arr.flags.writeable = False
@@ -123,8 +141,49 @@ def has_nonzero_degenerate(h: Hypermatrix) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
+def _decimals(entries: np.ndarray, sep: bytes) -> Iterator[str]:
+    """``sep.join`` of the entries' ASCII decimals, in pieces of ``_CHUNK``
+    entries.  Each piece is one uint8 buffer: filled with the separator's last
+    byte, then the separators' other bytes, the signs, and one digit column
+    per pass, right to left, over the entries that still have digits."""
+    flat = entries.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK):
+        value = flat[lo:lo + _CHUNK]
+        neg = value < 0
+        mag = value.view(np.uint64).copy()
+        np.negative(mag, out=mag, where=neg)   # |value| in uint64, exact at -2^63
+        digits = np.searchsorted(_POWERS[_POWERS <= mag.max()], mag, side="right") + 1
+        last = np.cumsum(digits + neg + len(sep)) - len(sep) - 1   # each entry's last digit
+        buf = np.full(last[-1] + 1 + len(sep), sep[-1], dtype=np.uint8)
+        for j, byte in enumerate(sep[:-1]):
+            buf[last + 1 + j] = byte
+        buf[(last - digits)[neg]] = ord("-")
+        pos = last
+        while mag.size:
+            tens = mag // 10
+            buf[pos] = mag - 10 * tens + ord("0")
+            more = tens > 0
+            mag, pos = tens[more], pos[more] - 1
+        if lo + _CHUNK >= flat.size:
+            buf = buf[:buf.size - len(sep)]   # no separator after the last entry
+        yield buf.tobytes().decode("ascii")
+
+
+def _json_pieces(h: Hypermatrix) -> Iterator[str]:
+    yield f'{{"k": {h.k}, "n": {h.n}, "entries": ['
+    yield from _decimals(h.entries, b", ")
+    yield "]}"
+
+
+def _text_pieces(h: Hypermatrix) -> Iterator[str]:
+    yield f"{h.k} {h.n}\n"
+    yield from _decimals(h.entries, b"\n")
+    yield "\n"
+
+
 def export_json(h: Hypermatrix) -> str:
-    return json.dumps({"k": h.k, "n": h.n, "entries": h.flat()})
+    """``json.dumps({"k": k, "n": n, "entries": flat entries})``, byte for byte."""
+    return "".join(_json_pieces(h))
 
 
 def _from_flat(k, n, entries: list) -> Hypermatrix:
@@ -156,9 +215,8 @@ def import_json(text: str) -> Hypermatrix:
 
 
 def export_text(h: Hypermatrix) -> str:
-    lines = [f"{h.k} {h.n}"]
-    lines.extend(map(str, h.flat()))
-    return "\n".join(lines) + "\n"
+    """The header line 'k n', then one line per entry in C order."""
+    return "".join(_text_pieces(h))
 
 
 def import_text(text: str) -> Hypermatrix:

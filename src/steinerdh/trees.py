@@ -23,7 +23,6 @@ benchmark's self-tests import the first and its tracer binds the second.
 from __future__ import annotations
 
 import heapq
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from .errors import EmptySet, MalformedInput, NotATree, TooLarge, ascii_int
 
 BRUTE_FORCE_MAX_N = 12
+_BLOCK_ENTRIES = 1 << 16   # step entries formed at once by Tree._steiner_array
 
 
 class Tree:
@@ -128,24 +128,41 @@ class Tree:
         power, row 1 is (n-1) - sum_e N_e^(k-1).  Moving the leading index from
         p across edge c to c changes only edge c's cut: +1 if the other k - 1
         indices all lie on the near side, -1 if all on the far side, so row c =
-        row p + N_c^(k-1) - S_c^(k-1).  At k = 2 row 1 is sum_e S_e and
-        D[c] = D[p] + 1 - 2 S_c: all n - 1 steps are one (n-1)×n array built in
-        place, so S, D and that array are all the build holds."""
+        row p + N_c^(k-1) - S_c^(k-1).
+
+        At k = 2 row 1 is sum_e S_e and D[c] = D[p] + 1 - 2 S_c: all n - 1
+        steps are one (n-1)×n array built in place, so S, D and that array are
+        all the build holds.  Above k = 2 the steps are formed in int8 for a
+        block of edges at once, at most ``_BLOCK_ENTRIES`` step entries (one
+        edge when a row is larger), and the rows are stepped relative to row 1,
+        which is added once at the end.  Besides the result, the build holds S,
+        one n^(k-1) int64 sum of the N_e^(k-1) and one block's temporaries."""
         n, far = self.n, self.sides()
         out = np.empty((n,) * k, dtype=np.int64)
         if k == 2:
             out[0] = far.sum(axis=0)
             steps = np.multiply(far, -2)
             steps += 1
-        else:
-            near = 1 - far
-
-            def power(v):
-                return reduce(np.multiply.outer, (v,) * (k - 1))
-            out[0] = n - 1 - sum(map(power, near))
-            steps = (power(m) - power(f) for f, m in zip(far, near))
-        for c, step in zip(self.order[1:], steps):
-            np.add(out[self.parent[c] - 1], step, out=out[c - 1])
+            for c, step in zip(self.order[1:], steps):
+                np.add(out[self.parent[c] - 1], step, out=out[c - 1])
+            return out
+        rows = out.reshape(n, -1)   # row v - 1 is the leading-index slice of vertex v
+        rows[0] = 0
+        near_sum = np.zeros(rows.shape[1], dtype=np.int64)
+        block = max(1, _BLOCK_ENTRIES // rows.shape[1])
+        for lo in range(0, n - 1, block):
+            f = far[lo:lo + block].astype(np.int8)
+            g = 1 - f
+            near_pow, far_pow = g, f
+            for _ in range(k - 2):   # outer powers, flattened to one axis per edge
+                near_pow = (near_pow[:, :, None] * g[:, None, :]).reshape(len(f), -1)
+                far_pow = (far_pow[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+            near_sum += near_pow.sum(axis=0, dtype=np.int16)   # a block has < 2^15 edges
+            near_pow -= far_pow   # the block's steps
+            for c, step in zip(self.order[1 + lo:], near_pow):
+                np.add(rows[self.parent[c] - 1], step, out=rows[c - 1])
+        np.subtract(n - 1, near_sum, out=rows[0])
+        rows[1:] += rows[0]
         return out
 
     # -- edge cuts ---------------------------------------------------------------

@@ -39,9 +39,9 @@ mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
 
-The last two sections hold routes that left ``steinerdh`` when no package
-code called them any more; their code is unchanged, so they share what they
-always shared.
+The last three sections hold routes that left ``steinerdh`` when no package
+code called them any more, or when a faster route replaced them; their code
+is unchanged, so they share what they always shared.
 - The order-2 oracle: ``determinant_exact`` runs Bareiss fraction-free
   elimination on a ``RatMatrix``'s integer numerators, and
   ``distance_matrix`` is ``Tree.distances`` as a ``RatMatrix``.  It shares
@@ -56,10 +56,15 @@ always shared.
   division).  They share ``SparsePoly``'s packed monomial keys and ring
   operations, which the Fraction-dict routes above check, and none of the
   int64 tensors of ``forms``.
+- The export oracle: ``json_export`` and ``text_export`` are the writers
+  ``export_json`` and ``export_text`` used before the chunked int64 decimal
+  writer, ``json.dumps`` and ``str`` over ``Hypermatrix.flat()``'s Python
+  ints.  They share only the entries with that writer.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -549,3 +554,17 @@ def c_coefficients(t: Tree) -> list[Fraction]:
     if n < 2:
         raise ValueError("needs n >= 2")
     return [Fraction(2 - t.degrees[r], n - 1) for r in range(1, n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Export oracle: the hypermatrix documents through Python ints
+# ---------------------------------------------------------------------------
+
+def json_export(h: Hypermatrix) -> str:
+    return json.dumps({"k": h.k, "n": h.n, "entries": h.flat()})
+
+
+def text_export(h: Hypermatrix) -> str:
+    lines = [f"{h.k} {h.n}"]
+    lines.extend(map(str, h.flat()))
+    return "\n".join(lines) + "\n"

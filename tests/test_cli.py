@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON shapes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -65,6 +66,19 @@ def test_hypermatrix_json_and_text(tree_file, tmp_path, capsys):
         assert main(argv + ["--out", str(dest)]) == EXIT_OK
         assert dest.read_bytes() == out.encode()
         assert capsys.readouterr().out == ""
+
+
+def test_hypermatrix_output_is_pinned(tmp_path, capsys):
+    # 41^3 = 68,921 entries, so more than one piece of the writer; the digests
+    # are those of the json.dumps and str route the writer replaced
+    path = str(tmp_path / "tree.txt")
+    assert main(["gen", "--n", "41", "--seed", "1", "--out", path]) == EXIT_OK
+    for fmt, digest in (
+            ("json", "8c6a613df7dbf83ed2d566521dcd34d3d60640115d442a8585550a1721e18a13"),
+            ("text", "6d3a9181155049540281b1daa54b154b74deb3f1c0a43ed7ce69c2a9daac0e6d")):
+        code, out = run(capsys, ["hypermatrix", "--tree", path, "--k", "3", "--format", fmt])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_hypermatrix_budget_exit(tree_file, monkeypatch):

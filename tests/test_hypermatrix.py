@@ -1,18 +1,24 @@
 """Hypermatrix construction, degenerate zeroing, and I/O round trips."""
 
+import json
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from steinerdh import (BudgetExceeded, MalformedInput, WrongShape,
+from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, WrongShape,
                        build_steiner, enumerate_trees, export_json, export_text,
-                       import_json, import_text, path_tree, random_tree,
-                       star_tree, steiner_distance_bruteforce, zero_degenerate)
+                       hypermatrix, import_json, import_text, path_tree, random_tree,
+                       star_tree, steiner_distance_bruteforce, trees, zero_degenerate)
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
-from oracles import multiset_hypermatrix, side_distances
+from oracles import json_export, multiset_hypermatrix, side_distances, text_export
+
+INT64 = np.iinfo(np.int64)
 
 
 def test_build_examples(k2, path3):
@@ -73,7 +79,7 @@ def test_build_matches_the_side_einsum_past_brute_force_reach():
 
 def test_build_forms_no_second_full_size_array():
     # each recurrence step is one n^(k-1) row, so the peak stays near the result
-    for n, k in ((30, 4), (12, 6)):
+    for n, k, bound in ((30, 4, 1.13), (12, 6, 1.5)):
         t = random_tree(n, 77)
         t.sides()
         tracemalloc.start()
@@ -82,7 +88,23 @@ def test_build_forms_no_second_full_size_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * h.entries.nbytes, (n, k, peak / h.entries.nbytes)
+        assert peak < bound * h.entries.nbytes, (n, k, peak / h.entries.nbytes)
+
+
+def test_build_steps_edges_in_blocks_of_any_size(monkeypatch):
+    # one edge and three edges per block, against the brute force; n = 1 has no edges
+    for t in [*enumerate_trees(6), random_tree(7, 5), path_tree(1)]:
+        for k in (3, 4, 5):
+            expected = multiset_hypermatrix(t, k)
+            for edges in (1, 3):
+                monkeypatch.setattr(trees, "_BLOCK_ENTRIES", edges * t.n ** (k - 1))
+                assert build_steiner(t, k) == expected, (t, k, edges)
+
+
+def test_single_vertex_builds_at_every_order():
+    for k in range(2, _MAX_AXES + 1):
+        h = build_steiner(path_tree(1), k)
+        assert h.entries.shape == (1,) * k and h.flat() == [0], k
 
 
 def test_entry_rejects_a_wrong_length_or_an_out_of_range_label(path3):
@@ -113,7 +135,6 @@ def test_zero_degenerate(k2, path3):
 
 
 def test_export_json_examples(k2, path3):
-    import json
     h = build_steiner(k2, 2)
     assert json.loads(export_json(h))["entries"] == [0, 1, 1, 0]
     single = build_steiner(random_tree(1, 0), 3)
@@ -122,15 +143,87 @@ def test_export_json_examples(k2, path3):
     lines = text.strip().splitlines()
     assert lines[0] == "2 3"
     assert [int(x) for x in lines[1:]] == [0, 1, 2, 1, 0, 1, 2, 1, 0]
+    # the same bytes as json.dumps and str over Python ints, on every tree class
+    # with n <= 7 and on a single vertex at the most axes numpy allows
+    built = [build_steiner(t, k) for n in range(1, 8) for t in enumerate_trees(n)
+             for k in (2, 3, 4)]
+    for h in [*built, build_steiner(path_tree(1), _MAX_AXES)]:
+        assert export_json(h) == json_export(h), h
+        assert export_text(h) == text_export(h), h
 
 
-def test_round_trips_bit_exact():
+def test_round_trips_bit_exact(monkeypatch):
     for seed in range(3):
         t = random_tree(4, seed)
         for k in (2, 3, 4):
             h = build_steiner(t, k)
             assert import_json(export_json(h)) == h
             assert import_text(export_text(h)) == h
+    # documents of several pieces: entry counts on, below and above a chunk multiple
+    rng = np.random.default_rng(24)
+    for chunk in (1, 2, 3, 8):
+        monkeypatch.setattr(hypermatrix, "_CHUNK", chunk)
+        for n, k in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2)):
+            h = Hypermatrix(k, n, rng.integers(-10 ** 4, 10 ** 4, size=(n,) * k))
+            assert export_json(h) == json_export(h), (chunk, h.entries)
+            assert export_text(h) == text_export(h), (chunk, h.entries)
+            assert import_json(export_json(h)) == h and import_text(export_text(h)) == h
+
+
+_EDGE_ENTRIES = [INT64.min, INT64.min + 1, INT64.max, -1, 0, 9, 10, -10, 99, -100,
+                 10 ** 18, -10 ** 18, 10 ** 18 - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(2, 4).flatmap(lambda k: arrays(
+    np.int64, (n,) * k,
+    elements=st.one_of(st.sampled_from(_EDGE_ENTRIES),
+                       st.integers(INT64.min, INT64.max), st.integers(-99, 99))))),
+       st.sampled_from([1, 3, 1 << 16]))
+@example(np.array([[INT64.min, INT64.max], [0, -1]]), 3)
+def test_export_matches_the_oracle_on_any_int64_entries(entries, chunk):
+    h = Hypermatrix(entries.ndim, entries.shape[0], entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypermatrix, "_CHUNK", chunk)
+        assert export_json(h) == json_export(h)
+        assert export_text(h) == text_export(h)
+    assert import_json(export_json(h)) == h and import_text(export_text(h)) == h
+
+
+def test_export_peaks_stay_near_the_document():
+    # the writer holds one chunk's buffers besides the pieces and their join
+    h = build_steiner(random_tree(30, 77), 4)
+    for export in (export_json, export_text):
+        tracemalloc.start()
+        try:
+            doc = export(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(doc), (export.__name__, peak / len(doc))
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 0.5], [1, 0]],                                        # would truncate to 0
+    np.array([[0, 1.9], [1, 0]]),                              # would truncate to 1
+    [[0, "1"], [1, 0]],
+    np.array([[False, True], [True, False]]),
+    np.array([[0, 2 ** 64 - 1], [1, 0]], dtype=np.uint64),     # would wrap to -1
+    np.array([[0, 2.0 ** 63], [1, 0]]),                        # would wrap to -2^63
+    [[0, 2 ** 70], [1, 0]],
+], ids=["half", "float", "str", "bool", "uint64", "float-2^63", "wide"])
+def test_constructor_refuses_entries_that_are_not_int64_integers(entries):
+    with pytest.raises(MalformedInput):
+        Hypermatrix(2, 2, entries)
+
+
+def test_constructor_reads_integer_arrays_of_any_width():
+    for entries in ([[0, 1], [1, 0]], np.array([[0, 1], [1, 0]], dtype=np.uint8),
+                    np.array([[0, INT64.max], [1, 0]], dtype=np.uint64),
+                    np.array([[0, -7], [1, 0]], dtype=np.int32)):
+        h = Hypermatrix(2, 2, entries)
+        assert h.entries.dtype == np.int64
+        assert h.flat() == np.asarray(entries).reshape(-1).tolist()
 
 
 def test_import_rejects_garbage():
