@@ -328,7 +328,9 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     An edge whose far sum is zero adds nothing to D_1, and all such edges
     share the step -k * s^(k-1); a zero step copies the parent's entry.  A
     support-3 certificate has s = 0 and two nonzero far sums, so it takes
-    five powers and no subtraction in the parent pass, whatever n is.
+    five powers and no subtraction in the parent pass, whatever n is.  s and
+    ``Tree.far_sums`` add only nonzero values, so its additions do not grow
+    with n either.
 
     Computes in the point's own number type, where CycNum, int and Fraction
     mix (two moduli raise ConductorMismatch).  A numpy array is read with
@@ -342,7 +344,7 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         coords = point.tolist()
     else:
         coords = [_rational(x) if isinstance(x, np.integer) else x for x in point]
-    s = sum(coords)
+    s = sum([x for x in coords if x != 0] or coords)   # all zero: the coords' own zero
     top = s ** (k - 1)
     zero_step = -k * top
     near_pow, steps = [], []

@@ -14,12 +14,22 @@ at a time into ASCII decimals in numpy, so it holds one chunk's buffers
 besides the pieces it returns; ``export_json`` and ``export_text`` join the
 pieces, and the ``hypermatrix`` command writes them as they come.  The bytes
 are those of ``json.dumps`` and ``str`` over the entries as Python ints.
+
+JSON comes back through one reader, the writer's mirror.  ``import_json``
+walks the top-level object with ``json.JSONDecoder.raw_decode``, so it takes
+what ``json.loads`` takes, and reads the entries array in pieces of about
+``_CHUNK`` bytes cut at commas: each piece is checked byte by byte and its
+integers summed one digit column at a time in uint64, all in numpy, into one
+int64 array sized from the comma count.  It holds the document, the result
+and one piece's arrays, and no Python int per entry.  ``import_text`` reads
+one ``ascii_int`` per line.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,9 +44,17 @@ except ImportError:   # numpy 1.x
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
-_CHUNK = 1 << 16   # entries per piece of an exported document
+_CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an imported one
 _INT64_MAX = np.iinfo(np.int64).max
-_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)   # 10 .. 10^19 > |int64|
+_PLACES = 10 ** np.arange(19, dtype=np.uint64)   # digit columns' weights: |int64| < 10^19
+_POWERS = _PLACES[1:]   # 10 .. 10^18, the least numbers of 2 .. 19 digits
+_DIGIT, _MINUS, _COMMA, _SPACE = 1, 2, 3, 4   # kinds of byte in an entries array; 0 is any other
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[list(b"0123456789")] = _DIGIT
+_BYTE_KIND[list(b"-,")] = _MINUS, _COMMA
+_BYTE_KIND[list(b" \t\n\r")] = _SPACE
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
 
 
 def entry_budget() -> int:
@@ -186,32 +204,134 @@ def export_json(h: Hypermatrix) -> str:
     return "".join(_json_pieces(h))
 
 
-def _from_flat(k, n, entries: list) -> Hypermatrix:
-    """Flat C-order integer entries as an order-k hypermatrix of dimension n."""
+def _shape(k, n, count: int) -> tuple:
+    """(n,)*k, once the header k, n is checked against ``count`` entries."""
     for name, value, low in (("k", k, 2), ("n", n, 1)):
         if type(value) is not int or value < low:
             raise MalformedInput(f"{name} must be an integer >= {low}, got {value!r}")
-    count = len(entries)
     if _exceeds(n, k, count) or count != n ** k:
         raise MalformedInput(f"expected {n}^{k} entries, got {count}")
     if k > _MAX_AXES:
         raise MalformedInput(f"order {k} exceeds numpy's {_MAX_AXES} array axes")
+    return (n,) * k
+
+
+def _from_flat(k, n, entries: list) -> Hypermatrix:
+    """Flat C-order integer entries as an order-k hypermatrix of dimension n."""
+    shape = _shape(k, n, len(entries))
     try:
         arr = np.array(entries, dtype=np.int64)
     except OverflowError as exc:
         raise MalformedInput(f"entry outside int64: {exc}") from exc
-    return Hypermatrix(k, n, arr.reshape((n,) * k))
+    return Hypermatrix(k, n, arr.reshape(shape))
+
+
+def _int64_piece(piece: str) -> np.ndarray | None:
+    """The values of ``piece``, JSON integers with one comma between
+    neighbours, as int64; None unless every byte is a digit, '-', ',' or JSON
+    whitespace and every integer is ``-?(0|[1-9][0-9]*)`` within int64."""
+    try:
+        u = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    kind = _BYTE_KIND.take(u)
+    if not kind.all():
+        return None
+    token = np.zeros(u.size + 2, dtype=bool)   # digits and '-', padded on both sides
+    np.less_equal(kind, _MINUS, out=token[1:-1])
+    # each integer's first byte and one past its last, as contiguous rows
+    starts, ends = (token[1:] != token[:-1]).nonzero()[0].reshape(-1, 2).T.copy()
+    commas = (kind == _COMMA).nonzero()[0]
+    if (not starts.size or commas.size != starts.size - 1 or (commas < ends[:-1]).any()
+            or (commas > starts[1:]).any()):
+        return None   # not one comma between each pair of neighbours
+    neg = u.take(starts) == ord("-")
+    digits = ends - starts - neg
+    if (np.count_nonzero(kind == _MINUS) != np.count_nonzero(neg)   # a '-' after the start
+            or digits.min() < 1 or digits.max() > _PLACES.size
+            or ((u.take(starts + neg) == ord("0")) & (digits > 1)).any()):   # a leading 0
+        return None
+    value = np.zeros(starts.size, dtype=np.uint64)
+    ends -= 1   # from here on, each integer's digit in column j
+    for j, place in enumerate(_PLACES[:digits.max()]):   # one digit column per pass
+        column = u.take(ends, mode="clip") - ord("0")
+        column *= digits > j   # 0 where the integer has no digit in this column
+        value += column * place
+        ends -= 1
+    if (value > np.uint64(_INT64_MAX) + neg).any():   # 2^63 is in range only negated
+        return None
+    np.negative(value, out=value, where=neg)
+    return value.view(np.int64)
+
+
+def _int64_array(text: str, lo: int, hi: int) -> np.ndarray | None:
+    """``_int64_piece`` over ``text[lo:hi]``, cut at commas into pieces of
+    about ``_CHUNK`` bytes, written into one int64 array sized by the comma
+    count; None where a piece is, or where the text ends in a comma."""
+    out = np.empty(text.count(",", lo, hi) + 1, dtype=np.int64)
+    done = 0
+    while lo < hi:
+        cut = text.find(",", lo + _CHUNK, hi)   # the first comma past _CHUNK bytes
+        if cut < 0:
+            cut = hi
+        values = _int64_piece(text[lo:cut])
+        if values is None:
+            return None
+        out[done:done + values.size] = values
+        done += values.size
+        lo = cut + 1
+    return out if done == out.size else None   # a comma with nothing after it
+
+
+def _json_fields(text: str) -> dict:
+    """The top-level JSON object of ``text`` as ``json.loads`` reads it (JSON
+    whitespace only, a repeated key keeps its last value, no trailing data),
+    but an ``entries`` array of int64 integers is read by ``_int64_array``.
+    ValueError where ``json.loads`` would raise, or on another top level."""
+    space = _JSON_SPACE.match
+    fields = {}
+    i = space(text).end()
+    if not text.startswith("{", i):
+        raise ValueError("expected a JSON object")
+    i = space(text, i + 1).end()
+    closed = text.startswith("}", i)
+    while not closed:
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key in double quotes at {i}")
+        key, i = _DECODER.raw_decode(text, i)
+        i = space(text, i).end()
+        if not text.startswith(":", i):
+            raise ValueError(f"expected ':' at {i}")
+        i = space(text, i + 1).end()
+        end = text.find("]", i) if key == "entries" and text.startswith("[", i) else -1
+        value = _int64_array(text, i + 1, end) if end >= 0 else None
+        if value is None:   # not an int64 array: json decodes it, or says why not
+            value, end = _DECODER.raw_decode(text, i)
+        else:
+            end += 1
+        fields[key] = value
+        i = space(text, end).end()
+        closed = text.startswith("}", i)
+        if not closed:
+            if not text.startswith(",", i):
+                raise ValueError(f"expected ',' or '}}' at {i}")
+            i = space(text, i + 1).end()
+    if space(text, i + 1).end() != len(text):
+        raise ValueError("extra data after the JSON object")
+    return fields
 
 
 def import_json(text: str) -> Hypermatrix:
+    """The hypermatrix of an ``export_json`` document: the object ``json.loads``
+    would read, its entries a flat array of integers within int64."""
     try:
-        obj = json.loads(text)
-        k, n, entries = obj["k"], obj["n"], obj["entries"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        fields = _json_fields(text)
+        k, n, entries = fields["k"], fields["n"], fields["entries"]
+    except (ValueError, KeyError) as exc:   # ValueError also for an int of > 4300 digits
         raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
-    if type(entries) is not list or not set(map(type, entries)) <= {int}:
-        raise MalformedInput("hypermatrix JSON entries must be a list of integers")
-    return _from_flat(k, n, entries)
+    if not isinstance(entries, np.ndarray):
+        raise MalformedInput("hypermatrix JSON entries must be a list of integers within int64")
+    return Hypermatrix(k, n, entries.reshape(_shape(k, n, entries.size)))
 
 
 def export_text(h: Hypermatrix) -> str:

@@ -172,17 +172,21 @@ class Tree:
 
         ``values[v - 1]`` belongs to vertex v.  Edge j (0-based) joins
         ``order[j + 1]`` to its parent; its far side is the subtree below
-        ``order[j + 1]``, the side without vertex 1.  One children-first pass,
-        so the values need only support ``+``: numbers give side sums, the rows
-        of an identity matrix give side indicators.  ValueError unless there
-        is one value per vertex.
+        ``order[j + 1]``, the side without vertex 1.  One children-first pass
+        that adds a child's sum into its parent only when the sum is nonzero,
+        so a point with few nonzero values costs few additions.  The values
+        are scalars that support ``+`` and ``!= 0`` (numbers, ``CycNum``), not
+        arrays.  With values of mixed types, a sum may stay an int where
+        adding a ``CycNum`` zero would have made it a ``CycNum`` of the same
+        value.  ValueError unless there is one value per vertex.
         """
         if len(values) != self.n:
             raise ValueError(f"{len(values)} values for {self.n} vertices")
         below = [None, *values]
         for v in reversed(self.order[1:]):
-            p = self.parent[v]
-            below[p] = below[p] + below[v]
+            if below[v] != 0:
+                p = self.parent[v]
+                below[p] = below[p] + below[v]
         return [below[v] for v in self.order[1:]]
 
     def sides(self) -> np.ndarray:

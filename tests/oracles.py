@@ -60,6 +60,12 @@ is unchanged, so they share what they always shared.
   ``export_json`` and ``export_text`` used before the chunked int64 decimal
   writer, ``json.dumps`` and ``str`` over ``Hypermatrix.flat()``'s Python
   ints.  They share only the entries with that writer.
+- The import oracle: ``json_import`` is the ``import_json`` used before the
+  piece-wise numpy reader, ``json.loads``, a type scan over the entries and
+  ``np.array`` over their Python ints; it also turns the ValueError of an
+  integer past Python's digit limit into ``MalformedInput``.  It shares
+  ``_from_flat`` with ``import_text``, and with the reader only the header
+  checks of ``_shape``.
 """
 
 from __future__ import annotations
@@ -74,10 +80,11 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from steinerdh import (CycNum, Hypermatrix, RatMatrix, SparsePoly, Tree,
+from steinerdh import (CycNum, Hypermatrix, MalformedInput, RatMatrix, SparsePoly, Tree,
                        build_steiner, cyclotomic_polynomial, steiner_distance_bruteforce,
                        steiner_form)
 from steinerdh.forms import MAX_EXPONENT, _units
+from steinerdh.hypermatrix import _from_flat
 from steinerdh.scalar import _int_if_integral
 
 
@@ -557,7 +564,7 @@ def c_coefficients(t: Tree) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Export oracle: the hypermatrix documents through Python ints
+# Export and import oracles: the hypermatrix documents through Python ints
 # ---------------------------------------------------------------------------
 
 def json_export(h: Hypermatrix) -> str:
@@ -568,3 +575,14 @@ def text_export(h: Hypermatrix) -> str:
     lines = [f"{h.k} {h.n}"]
     lines.extend(map(str, h.flat()))
     return "\n".join(lines) + "\n"
+
+
+def json_import(text: str) -> Hypermatrix:
+    try:
+        obj = json.loads(text)
+        k, n, entries = obj["k"], obj["n"], obj["entries"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
+    if type(entries) is not list or not set(map(type, entries)) <= {int}:
+        raise MalformedInput("hypermatrix JSON entries must be a list of integers")
+    return _from_flat(k, n, entries)

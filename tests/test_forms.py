@@ -454,9 +454,11 @@ def test_gradient_direct_matches_multiset_oracle_at_zero_rich_points():
 def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
         monkeypatch, k):
     # the canonical certificate has s = 0 and two nonzero far sums, so the
-    # powers and the parent-pass subtractions are the same at every n
-    powers, subtractions = [], []
-    real_pow, real_sub = CycNum.__pow__, CycNum.__sub__
+    # powers and the parent-pass subtractions are the same at every n; s and
+    # the far sums add only nonzero values, and u + v + w = 0 above the
+    # support, so the additions stay a handful too
+    powers, subtractions, additions = [], [], []
+    real_pow, real_sub, real_add = CycNum.__pow__, CycNum.__sub__, CycNum.__add__
 
     def counting_pow(x, e):
         powers.append(x)
@@ -466,20 +468,27 @@ def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
         subtractions.append(x)
         return real_sub(x, y)
 
+    def counting_add(x, y):
+        additions.append(x)
+        return real_add(x, y)
+
     monkeypatch.setattr(CycNum, "__pow__", counting_pow)
     monkeypatch.setattr(CycNum, "__sub__", counting_sub)
+    monkeypatch.setattr(CycNum, "__add__", counting_add)
+    monkeypatch.setattr(CycNum, "__radd__", counting_add)
     counts = set()
     for n in (40, 2000):
         for t in (path_tree(n), star_tree(n), random_tree(n, 5)):
             point = canonical_odd_nullvector(t, k)
             powers.clear()
             subtractions.clear()
+            additions.clear()
             grad = gradient_direct(t, k, point)
             assert len(grad) == n and all(g.is_zero() for g in grad)
-            counts.add((len(powers), len(subtractions)))
+            counts.add((len(powers), len(subtractions), len(additions)))
     assert len(counts) == 1, counts
-    power_count, subtraction_count = counts.pop()
-    assert power_count <= 5 and subtraction_count <= 5
+    power_count, subtraction_count, addition_count = counts.pop()
+    assert power_count <= 5 and subtraction_count <= 5 and addition_count <= 8
 
 
 def test_numeric_gradient_and_hessian_match_multiset_oracle():

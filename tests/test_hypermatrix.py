@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, WrongShape,
                        star_tree, steiner_distance_bruteforce, trees, zero_degenerate)
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
-from oracles import json_export, multiset_hypermatrix, side_distances, text_export
+from oracles import (json_export, json_import, multiset_hypermatrix, side_distances,
+                     text_export)
 
 INT64 = np.iinfo(np.int64)
 
@@ -203,6 +204,19 @@ def test_export_peaks_stay_near_the_document():
         assert peak < 3 * len(doc), (export.__name__, peak / len(doc))
 
 
+def test_import_peaks_below_three_documents():
+    # the int64 result is 2.2 documents here; the reader adds one piece's arrays
+    doc = export_json(build_steiner(random_tree(30, 77), 4))
+    tracemalloc.start()
+    try:
+        h = import_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.entries.shape == (30,) * 4
+    assert peak < 3 * len(doc), peak / len(doc)
+
+
 @pytest.mark.parametrize("entries", [
     [[0, 0.5], [1, 0]],                                        # would truncate to 0
     np.array([[0, 1.9], [1, 0]]),                              # would truncate to 1
@@ -268,7 +282,11 @@ def test_import_json_rejects_non_integer_entries(entry):
         import_json('{"k": 2, "n": 2, "entries": "0110"}')
 
 
-@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+_PAST_DIGIT_LIMIT = "1" + "0" * 5000   # int() refuses more than 4300 digits
+
+
+@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 10 ** 30,
+                                   pytest.param(_PAST_DIGIT_LIMIT, id="5000-digits")])
 def test_import_rejects_entries_outside_int64(entry):
     with pytest.raises(MalformedInput):
         import_json(f'{{"k": 2, "n": 2, "entries": [0, {entry}, 1, 0]}}')
@@ -282,7 +300,9 @@ def test_import_rejects_entries_outside_int64(entry):
 
 
 @pytest.mark.parametrize("k, n", [("2", "-2"), ("2.7", "2"), ("2", "2.0"), ("true", "2"),
-                                  ('"2"', "2")])
+                                  ('"2"', "2"),
+                                  pytest.param(_PAST_DIGIT_LIMIT, "2", id="5000-digit-k"),
+                                  pytest.param("2", _PAST_DIGIT_LIMIT, id="5000-digit-n")])
 def test_import_rejects_negative_or_non_integer_k_or_n(k, n):
     with pytest.raises(MalformedInput):
         import_json(f'{{"k": {k}, "n": {n}, "entries": [0, 1, 1, 0]}}')
@@ -297,6 +317,97 @@ def test_import_rejects_an_entry_count_too_long_to_print():
         import_json('{"k": 100000, "n": 3, "entries": [0]}')
     with pytest.raises(MalformedInput):
         import_text("100000 3\n0\n")
+
+
+_JSON_SPACE = st.sampled_from(["", "", " ", "\t", "\n", "\r", "\r\n", " \t "])
+_ENTRY_MUTANTS = ["1.5", "1e0", "true", "null", '"1"', "[0]", "01", "-0", "-", "--1", "- 1",
+                  "1-1", "", "\u0661", "\uff11", "1\x0c", "\u00a01", str(2 ** 63),
+                  str(-2 ** 63), str(2 ** 63 - 1), str(-2 ** 63 - 1), "1" + "0" * 19]
+_HEADER_MUTANTS = ["2.0", "true", '"2"', "-2", "0", "1e0", str(10 ** 30)]
+_EXTRA_VALUES = ['"x"', "null", "[1, {\"a\": [true]}]", "[1.5]", "[]", "[0, 1, 1, 0]", "3"]
+
+
+def _mutated(tokens: list, mutation: str, at: int, mutant: str = "") -> list:
+    """``tokens`` with entry ``at`` replaced by ``mutant``, an empty entry
+    inserted before it (a comma too many), or it and the next joined by a
+    space (a comma too few)."""
+    tokens = list(tokens)
+    if mutation == "entry":
+        tokens[at] = mutant
+    elif mutation == "add comma":
+        tokens.insert(at, "")
+    elif mutation == "drop comma":
+        tokens[at:at + 2] = [" ".join(tokens[at:at + 2])]
+    return tokens
+
+
+@st.composite
+def _hypermatrix_documents(draw):
+    """A JSON document near ``export_json``'s: random JSON whitespace, key order,
+    extra and repeated keys, and up to two mutations of the entries, the
+    header or what follows the object."""
+    space = cycle(draw(st.lists(_JSON_SPACE, min_size=1, max_size=7))).__next__
+    k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    tokens = [str(x) for x in draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_ENTRIES), st.integers(-99, 99)),
+        min_size=n ** k, max_size=n ** k))]
+    header = {"k": str(k), "n": str(n)}
+    trailing = ""
+    for mutation in draw(st.lists(st.sampled_from(
+            ["entry", "add comma", "drop comma", "header", "trailing"]), max_size=2)):
+        last = len(tokens) - (mutation != "add comma")
+        at = draw(st.sampled_from([0, last]) | st.integers(0, last))
+        tokens = _mutated(tokens, mutation, at, draw(st.sampled_from(_ENTRY_MUTANTS)))
+        if mutation == "header":
+            header[draw(st.sampled_from(["k", "n"]))] = draw(st.sampled_from(_HEADER_MUTANTS))
+        elif mutation == "trailing":
+            trailing = draw(st.sampled_from(["x", "{}", ","]))
+    array = "[" + ",".join(space() + tok + space() for tok in tokens) + "]"
+    fields = [*header.items(), ("entries", array)]
+    fields += draw(st.lists(st.tuples(st.sampled_from(["k", "n", "entries", "note"]),
+                                      st.sampled_from(_EXTRA_VALUES)), max_size=2))
+    members = [space() + json.dumps(key) + space() + ":" + space() + value + space()
+               for key, value in draw(st.permutations(fields))]
+    return space() + "{" + ",".join(members) + "}" + space() + trailing
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except MalformedInput:
+        return MalformedInput
+
+
+def _assert_readers_agree(doc):
+    # both readers return equal hypermatrices or both raise, with pieces cut
+    # next to every token
+    expected = _read(json_import, doc)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 2, 3, 7):
+            mp.setattr(hypermatrix, "_CHUNK", chunk)
+            assert _read(import_json, doc) == expected, (chunk, doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_hypermatrix_documents())
+@example('{"k": 2, "n": 2, "entries": [0, 1, 1, 0], "entries": [0, 1, 1, 1.5]}')
+@example('{"k": 2, "n": 2, "entries": [0, 1.5, 1, 0], "entries": [0, 1, 1, 0]}')
+@example('{"k": 2, "n": 1, "entries": [-9223372036854775808, 9223372036854775807]}')
+def test_import_json_agrees_with_the_json_loads_oracle(doc):
+    _assert_readers_agree(doc)
+
+
+def test_import_json_agrees_with_the_oracle_on_every_entry_and_comma_mutation():
+    tokens = ["0", "-7", "10", str(INT64.max)]
+    variants = [_mutated(tokens, "entry", at, mutant)
+                for at in range(4) for mutant in _ENTRY_MUTANTS]
+    # up to one comma too few and one too many, at the ends too
+    drops = [_mutated(tokens, "drop comma", at) for at in range(3)]
+    variants += [_mutated(v, "add comma", at)
+                 for v in [tokens, *drops] for at in range(len(v) + 1)] + drops
+    for variant in variants:
+        for sep in (", ", "\n,"):
+            _assert_readers_agree('{"k": 2, "n": 2, "entries": [' + sep.join(variant) + "]}")
 
 
 def test_budget(monkeypatch, path3):

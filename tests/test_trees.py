@@ -213,6 +213,18 @@ def test_far_sums_are_edge_cuts():
                 assert steiner_distance_bruteforce(t, S) == cut
 
 
+def test_far_sums_skip_zero_sums_and_match_the_side_matrix():
+    # sparse values whose subtree sums cancel to zero, so the pass skips them
+    rng = np.random.default_rng(16)
+    for t in tree_corpus(12, 1, 9, seed0=700):
+        for _ in range(4):
+            values = [0] * t.n
+            for v in rng.choice(t.n, size=min(t.n, 3), replace=False):
+                values[v] = int(rng.integers(-2, 3))
+            values[int(rng.integers(t.n))] -= sum(values)   # s = 0
+            assert t.far_sums(values) == (t.sides() @ values).tolist(), (t, values)
+
+
 def test_far_sums_need_one_value_per_vertex():
     t = path_tree(3)
     for values in ([1, 2], [1, 2, 3, 4], []):
