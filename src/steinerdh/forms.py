@@ -344,12 +344,12 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         coords = point.tolist()
     else:
         coords = [_rational(x) if isinstance(x, np.integer) else x for x in point]
-    s = sum([x for x in coords if x != 0] or coords)   # all zero: the coords' own zero
+    s = sum([x for x in coords if x] or coords)   # all zero: the coords' own zero
     top = s ** (k - 1)
     zero_step = -k * top
     near_pow, steps = [], []
     for a in t.far_sums(coords):
-        if a != 0:
+        if a:
             near_pow.append((s - a) ** (k - 1))
             steps.append(k * (a ** (k - 1) - near_pow[-1]))
         else:
@@ -357,7 +357,7 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     grad = [None] * (t.n + 1)
     grad[1] = k * (len(near_pow) * top - sum(near_pow))
     for c, d in zip(t.order[1:], steps):
-        grad[c] = grad[t.parent[c]] - d if d != 0 else grad[t.parent[c]]
+        grad[c] = grad[t.parent[c]] - d if d else grad[t.parent[c]]
     return grad[1:]
 
 

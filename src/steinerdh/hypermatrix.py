@@ -15,14 +15,15 @@ besides the pieces it returns; ``export_json`` and ``export_text`` join the
 pieces, and the ``hypermatrix`` command writes them as they come.  The bytes
 are those of ``json.dumps`` and ``str`` over the entries as Python ints.
 
-JSON comes back through one reader, the writer's mirror.  ``import_json``
-walks the top-level object with ``json.JSONDecoder.raw_decode``, so it takes
-what ``json.loads`` takes, and reads the entries array in pieces of about
-``_CHUNK`` bytes cut at commas: each piece is checked byte by byte and its
-integers summed one digit column at a time in uint64, all in numpy, into one
-int64 array sized from the comma count.  It holds the document, the result
-and one piece's arrays, and no Python int per entry.  ``import_text`` reads
-one ``ascii_int`` per line.
+Both formats come back through one reader, the writer's mirror: the entries
+are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
+JSON, a newline in text), each piece checked byte by byte and its integers
+summed one digit column at a time in uint64, all in numpy, into one int64
+array sized from the separator count.  It holds the document, the result and
+one piece's arrays, and no Python int per entry.  ``import_json`` walks the
+top-level object with ``json.JSONDecoder.raw_decode``, so it takes what
+``json.loads`` takes; ``import_text`` reads the header line 'k n' and hands
+the reader the rest of the document.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ _CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an impo
 _INT64_MAX = np.iinfo(np.int64).max
 _PLACES = 10 ** np.arange(19, dtype=np.uint64)   # digit columns' weights: |int64| < 10^19
 _POWERS = _PLACES[1:]   # 10 .. 10^18, the least numbers of 2 .. 19 digits
-_DIGIT, _MINUS, _COMMA, _SPACE = 1, 2, 3, 4   # kinds of byte in an entries array; 0 is any other
-_BYTE_KIND = np.zeros(256, dtype=np.uint8)
-_BYTE_KIND[list(b"0123456789")] = _DIGIT
-_BYTE_KIND[list(b"-,")] = _MINUS, _COMMA
-_BYTE_KIND[list(b" \t\n\r")] = _SPACE
+_DIGIT, _MINUS, _SEP, _SPACE = 1, 2, 3, 4   # kinds of byte in an entries array; 0 is any other
+_BYTE_KINDS = {",": np.zeros(256, dtype=np.uint8), "\n": np.zeros(256, dtype=np.uint8)}
+for _sep, _kind in _BYTE_KINDS.items():   # JSON whitespace, or a text line's (CR for CRLF)
+    _kind[list(b"0123456789- \t\r\n")] = (_DIGIT,) * 10 + (_MINUS,) + (_SPACE,) * 4
+    _kind[ord(_sep)] = _SEP
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
@@ -216,35 +217,25 @@ def _shape(k, n, count: int) -> tuple:
     return (n,) * k
 
 
-def _from_flat(k, n, entries: list) -> Hypermatrix:
-    """Flat C-order integer entries as an order-k hypermatrix of dimension n."""
-    shape = _shape(k, n, len(entries))
-    try:
-        arr = np.array(entries, dtype=np.int64)
-    except OverflowError as exc:
-        raise MalformedInput(f"entry outside int64: {exc}") from exc
-    return Hypermatrix(k, n, arr.reshape(shape))
-
-
-def _int64_piece(piece: str) -> np.ndarray | None:
-    """The values of ``piece``, JSON integers with one comma between
-    neighbours, as int64; None unless every byte is a digit, '-', ',' or JSON
+def _int64_piece(piece: str, sep: str) -> np.ndarray | None:
+    """The values of ``piece``, integers with one ``sep`` between neighbours,
+    as int64; None unless every byte is a digit, '-', ``sep`` or its format's
     whitespace and every integer is ``-?(0|[1-9][0-9]*)`` within int64."""
     try:
         u = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    kind = _BYTE_KIND.take(u)
+    kind = _BYTE_KINDS[sep].take(u)
     if not kind.all():
         return None
     token = np.zeros(u.size + 2, dtype=bool)   # digits and '-', padded on both sides
     np.less_equal(kind, _MINUS, out=token[1:-1])
     # each integer's first byte and one past its last, as contiguous rows
     starts, ends = (token[1:] != token[:-1]).nonzero()[0].reshape(-1, 2).T.copy()
-    commas = (kind == _COMMA).nonzero()[0]
-    if (not starts.size or commas.size != starts.size - 1 or (commas < ends[:-1]).any()
-            or (commas > starts[1:]).any()):
-        return None   # not one comma between each pair of neighbours
+    seps = (kind == _SEP).nonzero()[0]
+    if (not starts.size or seps.size != starts.size - 1 or (seps < ends[:-1]).any()
+            or (seps > starts[1:]).any()):
+        return None   # not one separator between each pair of neighbours
     neg = u.take(starts) == ord("-")
     digits = ends - starts - neg
     if (np.count_nonzero(kind == _MINUS) != np.count_nonzero(neg)   # a '-' after the start
@@ -264,23 +255,27 @@ def _int64_piece(piece: str) -> np.ndarray | None:
     return value.view(np.int64)
 
 
-def _int64_array(text: str, lo: int, hi: int) -> np.ndarray | None:
-    """``_int64_piece`` over ``text[lo:hi]``, cut at commas into pieces of
-    about ``_CHUNK`` bytes, written into one int64 array sized by the comma
-    count; None where a piece is, or where the text ends in a comma."""
-    out = np.empty(text.count(",", lo, hi) + 1, dtype=np.int64)
+def _int64_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
+    """``_int64_piece`` over ``text[lo:hi]``, cut at ``sep`` into pieces of
+    about ``_CHUNK`` bytes, written into one int64 array sized by the
+    separator count; None where a piece is, where the text ends in ``sep``,
+    or, before sizing, where it is too short for a digit per entry."""
+    count = text.count(sep, lo, hi) + 1
+    if 2 * count - 1 > hi - lo:
+        return None
+    out = np.empty(count, dtype=np.int64)
     done = 0
     while lo < hi:
-        cut = text.find(",", lo + _CHUNK, hi)   # the first comma past _CHUNK bytes
+        cut = text.find(sep, lo + _CHUNK, hi)   # the first separator past _CHUNK bytes
         if cut < 0:
             cut = hi
-        values = _int64_piece(text[lo:cut])
+        values = _int64_piece(text[lo:cut], sep)
         if values is None:
             return None
         out[done:done + values.size] = values
         done += values.size
         lo = cut + 1
-    return out if done == out.size else None   # a comma with nothing after it
+    return out if done == out.size else None   # a separator with nothing after it
 
 
 def _json_fields(text: str) -> dict:
@@ -304,7 +299,7 @@ def _json_fields(text: str) -> dict:
             raise ValueError(f"expected ':' at {i}")
         i = space(text, i + 1).end()
         end = text.find("]", i) if key == "entries" and text.startswith("[", i) else -1
-        value = _int64_array(text, i + 1, end) if end >= 0 else None
+        value = _int64_array(text, i + 1, end, ",") if end >= 0 else None
         if value is None:   # not an int64 array: json decodes it, or says why not
             value, end = _DECODER.raw_decode(text, i)
         else:
@@ -340,12 +335,16 @@ def export_text(h: Hypermatrix) -> str:
 
 
 def import_text(text: str) -> Hypermatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedInput("empty hypermatrix document")
+    """The hypermatrix of an ``export_text`` document: the header line 'k n'
+    in ASCII digits, then one entry per line, ``-?(0|[1-9][0-9]*)`` within
+    int64 with only ASCII space, tab or CR around it, and at most one newline
+    after the last.  A blank line or other whitespace is ``MalformedInput``."""
+    lo = text.find("\n") + 1 or len(text) + 1   # one past the header line's end
     try:
-        k, n = map(ascii_int, lines[0].split())   # the header 'k n'
-        entries = [ascii_int(x, signed=True) for x in lines[1:]]
+        k, n = map(ascii_int, text[:lo - 1].strip(" \t\r").split(" "))
     except ValueError as exc:
-        raise MalformedInput(f"bad hypermatrix text: {exc}") from exc
-    return _from_flat(k, n, entries)
+        raise MalformedInput(f"bad hypermatrix text header: {exc}") from exc
+    entries = _int64_array(text, lo, len(text) - text.endswith("\n"), "\n")
+    if entries is None:
+        raise MalformedInput("hypermatrix text entries must be one integer within int64 a line")
+    return Hypermatrix(k, n, entries.reshape(_shape(k, n, entries.size)))

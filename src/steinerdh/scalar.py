@@ -210,6 +210,9 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 

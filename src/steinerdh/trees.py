@@ -11,8 +11,9 @@ per-edge sums over the two sides of each edge; ``Tree.far_sums`` computes them
 in one children-first pass over the BFS order from vertex 1.  A single
 query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` makes the same pass in place over the far-side indicators, the
-matrix S behind the Hessian and the Steiner arrays of every order, which one
-parent recurrence fills (``Tree.distances`` at k = 2, the hypermatrix above it).
+matrix S behind the Hessian and the Steiner arrays of every order.  One
+parent recurrence over int8 blocks of edge steps fills them all:
+``Tree.distances`` is its k = 2 case and the hypermatrix the rest.
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.  It and
@@ -128,24 +129,16 @@ class Tree:
         power, row 1 is (n-1) - sum_e N_e^(k-1).  Moving the leading index from
         p across edge c to c changes only edge c's cut: +1 if the other k - 1
         indices all lie on the near side, -1 if all on the far side, so row c =
-        row p + N_c^(k-1) - S_c^(k-1).
+        row p + N_c^(k-1) - S_c^(k-1).  At k = 2 the powers are the sides
+        themselves: row 1 is sum_e S_e and each step is 1 - 2 S_c.
 
-        At k = 2 row 1 is sum_e S_e and D[c] = D[p] + 1 - 2 S_c: all n - 1
-        steps are one (n-1)×n array built in place, so S, D and that array are
-        all the build holds.  Above k = 2 the steps are formed in int8 for a
+        One recurrence serves every order.  The steps are formed in int8 for a
         block of edges at once, at most ``_BLOCK_ENTRIES`` step entries (one
         edge when a row is larger), and the rows are stepped relative to row 1,
         which is added once at the end.  Besides the result, the build holds S,
         one n^(k-1) int64 sum of the N_e^(k-1) and one block's temporaries."""
         n, far = self.n, self.sides()
         out = np.empty((n,) * k, dtype=np.int64)
-        if k == 2:
-            out[0] = far.sum(axis=0)
-            steps = np.multiply(far, -2)
-            steps += 1
-            for c, step in zip(self.order[1:], steps):
-                np.add(out[self.parent[c] - 1], step, out=out[c - 1])
-            return out
         rows = out.reshape(n, -1)   # row v - 1 is the leading-index slice of vertex v
         rows[0] = 0
         near_sum = np.zeros(rows.shape[1], dtype=np.int64)
@@ -175,8 +168,8 @@ class Tree:
         ``order[j + 1]``, the side without vertex 1.  One children-first pass
         that adds a child's sum into its parent only when the sum is nonzero,
         so a point with few nonzero values costs few additions.  The values
-        are scalars that support ``+`` and ``!= 0`` (numbers, ``CycNum``), not
-        arrays.  With values of mixed types, a sum may stay an int where
+        are scalars that support ``+`` and truth testing (numbers, ``CycNum``),
+        not arrays.  With values of mixed types, a sum may stay an int where
         adding a ``CycNum`` zero would have made it a ``CycNum`` of the same
         value.  ValueError unless there is one value per vertex.
         """
@@ -184,7 +177,7 @@ class Tree:
             raise ValueError(f"{len(values)} values for {self.n} vertices")
         below = [None, *values]
         for v in reversed(self.order[1:]):
-            if below[v] != 0:
+            if below[v]:
                 p = self.parent[v]
                 below[p] = below[p] + below[v]
         return [below[v] for v in self.order[1:]]

@@ -60,18 +60,22 @@ is unchanged, so they share what they always shared.
   ``export_json`` and ``export_text`` used before the chunked int64 decimal
   writer, ``json.dumps`` and ``str`` over ``Hypermatrix.flat()``'s Python
   ints.  They share only the entries with that writer.
-- The import oracle: ``json_import`` is the ``import_json`` used before the
+- The import oracles: ``json_import`` is the ``import_json`` used before the
   piece-wise numpy reader, ``json.loads``, a type scan over the entries and
   ``np.array`` over their Python ints; it also turns the ValueError of an
-  integer past Python's digit limit into ``MalformedInput``.  It shares
-  ``_from_flat`` with ``import_text``, and with the reader only the header
-  checks of ``_shape``.
+  integer past Python's digit limit into ``MalformedInput``.
+  ``text_import`` is the ``import_text`` used before that reader read both
+  formats, one Python int per line, under the text rule the reader now
+  keeps: ``str.split`` at newlines, ``str.strip`` of ASCII space, tab and CR
+  only, and a regular expression for each entry.  With the reader they share
+  only the header checks of ``_shape``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -84,7 +88,8 @@ from steinerdh import (CycNum, Hypermatrix, MalformedInput, RatMatrix, SparsePol
                        build_steiner, cyclotomic_polynomial, steiner_distance_bruteforce,
                        steiner_form)
 from steinerdh.forms import MAX_EXPONENT, _units
-from steinerdh.hypermatrix import _from_flat
+from steinerdh.errors import ascii_int
+from steinerdh.hypermatrix import _shape
 from steinerdh.scalar import _int_if_integral
 
 
@@ -585,4 +590,34 @@ def json_import(text: str) -> Hypermatrix:
         raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
     if type(entries) is not list or not set(map(type, entries)) <= {int}:
         raise MalformedInput("hypermatrix JSON entries must be a list of integers")
-    return _from_flat(k, n, entries)
+    return _flat_hypermatrix(k, n, entries)
+
+
+_TEXT_ENTRY = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def text_import(text: str) -> Hypermatrix:
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()   # one newline may end the document
+    if not lines:
+        raise MalformedInput("empty hypermatrix document")
+    try:
+        k, n = map(ascii_int, lines[0].strip(" \t\r").split(" "))   # the header 'k n'
+        values = [line.strip(" \t\r") for line in lines[1:]]
+        if not all(map(_TEXT_ENTRY.fullmatch, values)):
+            raise ValueError("an entry line is not one integer")
+        entries = [int(x) for x in values]
+    except ValueError as exc:
+        raise MalformedInput(f"bad hypermatrix text: {exc}") from exc
+    return _flat_hypermatrix(k, n, entries)
+
+
+def _flat_hypermatrix(k, n, entries: list) -> Hypermatrix:
+    """Flat C-order Python int entries as an order-k hypermatrix of dimension n."""
+    shape = _shape(k, n, len(entries))
+    try:
+        arr = np.array(entries, dtype=np.int64)
+    except OverflowError as exc:
+        raise MalformedInput(f"entry outside int64: {exc}") from exc
+    return Hypermatrix(k, n, arr.reshape(shape))

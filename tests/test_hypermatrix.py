@@ -17,7 +17,7 @@ from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, WrongShape,
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
 from oracles import (json_export, json_import, multiset_hypermatrix, side_distances,
-                     text_export)
+                     text_export, text_import)
 
 INT64 = np.iinfo(np.int64)
 
@@ -95,7 +95,7 @@ def test_build_forms_no_second_full_size_array():
 def test_build_steps_edges_in_blocks_of_any_size(monkeypatch):
     # one edge and three edges per block, against the brute force; n = 1 has no edges
     for t in [*enumerate_trees(6), random_tree(7, 5), path_tree(1)]:
-        for k in (3, 4, 5):
+        for k in (2, 3, 4, 5):
             expected = multiset_hypermatrix(t, k)
             for edges in (1, 3):
                 monkeypatch.setattr(trees, "_BLOCK_ENTRIES", edges * t.n ** (k - 1))
@@ -217,6 +217,35 @@ def test_import_peaks_below_three_documents():
     assert peak < 3 * len(doc), peak / len(doc)
 
 
+def test_import_text_peaks_below_four_and_a_half_documents():
+    # one byte an entry shorter than JSON, so the int64 result is 3.1 documents
+    doc = export_text(build_steiner(random_tree(30, 77), 4))
+    tracemalloc.start()
+    try:
+        h = import_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.entries.shape == (30,) * 4
+    assert peak < 4.5 * len(doc), peak / len(doc)
+
+
+@pytest.mark.parametrize("importer, doc", [
+    (import_json, '{"k": 2, "n": 1000, "entries": [' + "," * 10 ** 6 + "]}"),
+    (import_text, "2 1000\n" + "\n" * 10 ** 6),
+], ids=["json", "text"])
+def test_import_refuses_a_run_of_separators_before_sizing_the_result(importer, doc):
+    # 8 bytes a separator would be 8 MB: a valid array needs a digit per entry
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInput):
+            importer(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
+
+
 @pytest.mark.parametrize("entries", [
     [[0, 0.5], [1, 0]],                                        # would truncate to 0
     np.array([[0, 1.9], [1, 0]]),                              # would truncate to 1
@@ -268,10 +297,22 @@ def test_import_rejects_garbage():
     "2 +2\n0\n1\n1\n0\n",            # signed header
     "2 0_2\n0\n1\n1\n0\n",
     "\u00b2 2\n0\n1\n1\n0\n",       # superscript two
+    "2 2\n0\n1\u00a0\n\u20031\n0\n",  # no-break and em space around entries
+    "2 2\n0\n1\n\n1\n0\n",          # a blank line
+    "2 2\n0\n1\n1\n0\n\n",          # two final newlines
+    "2\t2\n0\n1\n1\n0\n",           # a tab-separated header
+    "2 2\n0\n01\n1\n0\n",            # a leading zero, as in JSON
+    "2 2\r0\r1\r1\r0\r",             # CR alone ends no line
 ])
 def test_import_text_reads_only_ascii_integers(text):
     with pytest.raises(MalformedInput):
         import_text(text)
+
+
+@pytest.mark.parametrize("text", ["2 2\r\n0\r\n1\r\n1\r\n0\r\n", "2 2\n0\n 1\t\n\r1 \n0",
+                                  " 2 2 \n0\n1\n1\n0\n"])
+def test_import_text_reads_crlf_and_ascii_space_around_values(text):
+    assert import_text(text) == Hypermatrix(2, 2, [[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("entry", ["1.5", '"1"', "true"])
@@ -342,11 +383,9 @@ def _mutated(tokens: list, mutation: str, at: int, mutant: str = "") -> list:
 
 
 @st.composite
-def _hypermatrix_documents(draw):
-    """A JSON document near ``export_json``'s: random JSON whitespace, key order,
-    extra and repeated keys, and up to two mutations of the entries, the
-    header or what follows the object."""
-    space = cycle(draw(st.lists(_JSON_SPACE, min_size=1, max_size=7))).__next__
+def _mutated_tokens(draw):
+    """The header fields, entry tokens and trailing data of a document, with
+    up to two mutations of the entries, the header or what follows them."""
     k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
     tokens = [str(x) for x in draw(st.lists(
         st.one_of(st.sampled_from(_EDGE_ENTRIES), st.integers(-99, 99)),
@@ -362,6 +401,15 @@ def _hypermatrix_documents(draw):
             header[draw(st.sampled_from(["k", "n"]))] = draw(st.sampled_from(_HEADER_MUTANTS))
         elif mutation == "trailing":
             trailing = draw(st.sampled_from(["x", "{}", ","]))
+    return header, tokens, trailing
+
+
+@st.composite
+def _hypermatrix_documents(draw):
+    """A JSON document near ``export_json``'s: random JSON whitespace, key order,
+    extra and repeated keys, and ``_mutated_tokens``."""
+    space = cycle(draw(st.lists(_JSON_SPACE, min_size=1, max_size=7))).__next__
+    header, tokens, trailing = draw(_mutated_tokens())
     array = "[" + ",".join(space() + tok + space() for tok in tokens) + "]"
     fields = [*header.items(), ("entries", array)]
     fields += draw(st.lists(st.tuples(st.sampled_from(["k", "n", "entries", "note"]),
@@ -371,6 +419,21 @@ def _hypermatrix_documents(draw):
     return space() + "{" + ",".join(members) + "}" + space() + trailing
 
 
+_TEXT_SPACE = st.sampled_from(["", "", " ", "\t", "\r", " \t\r "])
+
+
+@st.composite
+def _text_documents(draw):
+    """A text document near ``export_text``'s: random ASCII space, tab and CR
+    around each value, up to two final newlines, and ``_mutated_tokens``
+    joined by newlines (an added comma is a blank line, a dropped one puts
+    two entries on a line)."""
+    space = cycle(draw(st.lists(_TEXT_SPACE, min_size=1, max_size=7))).__next__
+    header, tokens, trailing = draw(_mutated_tokens())
+    lines = [header["k"] + " " + header["n"], *(space() + tok + space() for tok in tokens)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"])) + trailing
+
+
 def _read(reader, text):
     try:
         return reader(text)
@@ -378,14 +441,14 @@ def _read(reader, text):
         return MalformedInput
 
 
-def _assert_readers_agree(doc):
+def _assert_readers_agree(doc, reader=import_json, oracle=json_import):
     # both readers return equal hypermatrices or both raise, with pieces cut
     # next to every token
-    expected = _read(json_import, doc)
+    expected = _read(oracle, doc)
     with pytest.MonkeyPatch.context() as mp:
         for chunk in (1, 2, 3, 7):
             mp.setattr(hypermatrix, "_CHUNK", chunk)
-            assert _read(import_json, doc) == expected, (chunk, doc)
+            assert _read(reader, doc) == expected, (chunk, doc)
 
 
 @settings(max_examples=50, deadline=None)
@@ -397,17 +460,28 @@ def test_import_json_agrees_with_the_json_loads_oracle(doc):
     _assert_readers_agree(doc)
 
 
+@settings(max_examples=50, deadline=None)
+@given(_text_documents())
+@example("2 2\n0\n1\u00a0\n\u20031\n0\n")
+@example("2 1\n-9223372036854775808\r\n 9223372036854775807\n")
+def test_import_text_agrees_with_the_line_split_oracle(doc):
+    _assert_readers_agree(doc, import_text, text_import)
+
+
 def test_import_json_agrees_with_the_oracle_on_every_entry_and_comma_mutation():
     tokens = ["0", "-7", "10", str(INT64.max)]
     variants = [_mutated(tokens, "entry", at, mutant)
                 for at in range(4) for mutant in _ENTRY_MUTANTS]
-    # up to one comma too few and one too many, at the ends too
+    # up to one comma too few and one too many, at the ends too; the text
+    # reader reads the same variants one a line (a blank line, two on a line)
     drops = [_mutated(tokens, "drop comma", at) for at in range(3)]
     variants += [_mutated(v, "add comma", at)
                  for v in [tokens, *drops] for at in range(len(v) + 1)] + drops
     for variant in variants:
         for sep in (", ", "\n,"):
             _assert_readers_agree('{"k": 2, "n": 2, "entries": [' + sep.join(variant) + "]}")
+        for sep in ("\n", " \r\n\t"):
+            _assert_readers_agree("2 2\n" + sep.join(variant) + "\n", import_text, text_import)
 
 
 def test_budget(monkeypatch, path3):

@@ -49,6 +49,15 @@ def test_all_roots_have_full_order_dividing_m():
             assert root_of_unity(m, p) ** m == 1
 
 
+def test_cycnum_truth_is_nonzero():
+    # a zero test that converts no 0: Tree.far_sums and gradient_direct use it
+    for m in (1, 2, 5, 12, 30):
+        assert not CycNum.zero(m)
+        assert not CycNum(m, [0] * euler_phi(m))
+        for j in (0, 1, m - 1):
+            assert root_of_unity(m, j)
+
+
 def test_cyc_pow_examples():
     i = root_of_unity(4)
     assert i ** 2 == -1

@@ -155,9 +155,9 @@ def test_distances_recurrence_matches_side_products_and_bruteforce():
     assert np.array_equal(star_tree(200, 7).distances(), side_distances(star_tree(200, 7)))
 
 
-def test_order2_build_holds_distances_and_one_step_array():
-    # S is built and cached first; beyond D itself the build may hold only the
-    # (n-1)×n step array 1 - 2S, not the near sides 1 - S as well
+def test_order2_build_holds_only_distances_beyond_sides():
+    # S is built and cached first; the order-2 build steps through int8 blocks
+    # of edges, so beyond D it holds one n-entry row sum and one block
     t = random_tree(600, 17)
     t.sides()
     tracemalloc.start()
@@ -166,7 +166,7 @@ def test_order2_build_holds_distances_and_one_step_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * d.nbytes, peak / d.nbytes
+    assert peak < 1.2 * d.nbytes, peak / d.nbytes
 
 
 def test_sides_holds_only_s_at_its_peak():
