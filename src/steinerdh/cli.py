@@ -31,8 +31,7 @@ from .forms import (order3_tensor, verify_form_divisible, verify_not_divisible,
                     verify_product_decomposition, verify_s3_decomposition)
 from .hypermatrix import _json_pieces, _text_pieces, build_steiner
 from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
-from .smalldet import (det_order2, two_vertex_nullvector_witness,
-                       verify_k2_no_nullvector)
+from .smalldet import det_order2, two_vertex_nullvector_witness
 from .trees import Tree, format_tree, parse_tree, random_tree
 
 SCHEMA = "steinerdh/1"
@@ -137,12 +136,13 @@ def certify_case(t: Tree, k: int) -> tuple[dict, int]:
     if n == 1:
         kind, point = "single_vertex", [1]
     elif n == 2:
-        if verify_k2_no_nullvector(k):
+        point = two_vertex_nullvector_witness(k)
+        if point is None:   # no nonzero singular point: the discriminant is nonzero
             report = {"schema": SCHEMA, "kind": "two_vertex_nonvanishing",
                       "n": 2, "k": k, "verified": True}
             return report, EXIT_OK
         # the scan found a surviving root of unity: certify vanishing instead
-        kind, point = "two_vertex_nullvector", two_vertex_nullvector_witness(k)
+        kind = "two_vertex_nullvector"
     elif k % 2 == 1:
         kind, point = "nullvector_certificate", canonical_odd_nullvector(t, k)
     else:

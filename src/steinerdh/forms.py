@@ -327,8 +327,12 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
 
     An edge whose far sum is zero adds nothing to D_1, and all such edges
     share the step -k * s^(k-1); a zero step copies the parent's entry.  A
-    support-3 certificate has s = 0 and two nonzero far sums, so it takes
-    five powers and no subtraction in the parent pass, whatever n is.  s and
+    call makes 3n - 1 truth tests and one per nonzero far sum: one per
+    coordinate (in s), two per edge (one in ``Tree.far_sums``, one here),
+    one for the shared step and one for each other step.  A support-3
+    certificate has s = 0 and two nonzero far sums whose powers are
+    monomials (see ``scalar``), so it takes five powers by re-indexing and
+    no subtraction in the parent pass, whatever n is.  s and
     ``Tree.far_sums`` add only nonzero values, so its additions do not grow
     with n either.
 
@@ -346,18 +350,19 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         coords = [_rational(x) if isinstance(x, np.integer) else x for x in point]
     s = sum([x for x in coords if x] or coords)   # all zero: the coords' own zero
     top = s ** (k - 1)
-    zero_step = -k * top
+    zero_step = -k * top or None   # None: the step copies the parent's entry
     near_pow, steps = [], []
     for a in t.far_sums(coords):
         if a:
             near_pow.append((s - a) ** (k - 1))
-            steps.append(k * (a ** (k - 1) - near_pow[-1]))
+            steps.append(k * (a ** (k - 1) - near_pow[-1]) or None)
         else:
             steps.append(zero_step)
     grad = [None] * (t.n + 1)
     grad[1] = k * (len(near_pow) * top - sum(near_pow))
+    parent = t.parent
     for c, d in zip(t.order[1:], steps):
-        grad[c] = grad[t.parent[c]] - d if d else grad[t.parent[c]]
+        grad[c] = grad[parent[c]] if d is None else grad[parent[c]] - d
     return grad[1:]
 
 

@@ -60,8 +60,11 @@ class NullvectorReport:
     tree: Tree | None = None
 
     def to_json(self) -> dict:
+        """The report as JSON values.  Each coordinate object is converted once,
+        so equal coordinates held as one object share one read-only dict."""
+        dicts = {id(x): x.to_json() for x in _distinct(self.point)}
         return {
-            "point": [x.to_json() for x in self.point],
+            "point": [dicts[id(x)] for x in self.point],
             "exact_zero": self.exact_zero,
             "residual": self.embedded_residual,
             "tree": format_tree(self.tree) if self.tree is not None else None,
@@ -104,7 +107,7 @@ def canonical_odd_nullvector(t: Tree, k: int) -> list[CycNum]:
 def verify_nullvector(t: Tree, k: int, point: Sequence) -> NullvectorReport:
     """Exact gradient check of a candidate against the order-k Steiner form."""
     coords, _ = unify_conductor(list(point))
-    if all(x.is_zero() for x in coords):
+    if not any(_distinct(coords)):
         raise ZeroVector("the zero vector certifies nothing")
     gradient = gradient_direct(t, k, coords)
     return _report(k, coords, gradient, tree=t)
@@ -133,13 +136,19 @@ def verify_form_nullvector(h: Hypermatrix, point: Sequence) -> NullvectorReport:
     return _report(h.k, coords, gradient.tolist(), tree=None)
 
 
+def _distinct(values: Sequence) -> list:
+    """The distinct objects among ``values``, by identity, in first-seen order."""
+    return list({id(x): x for x in values}.values())
+
+
 def _report(k: int, coords: list[CycNum], gradient: list[CycNum], tree) -> NullvectorReport:
-    exact = all(g.is_zero() for g in gradient)
+    distinct = _distinct(gradient)
+    exact = not any(distinct)
     if exact:
         residual = 0.0
     else:
         with mpmath.workprec(WORKING_PREC):
-            residual = max(float(abs(g.embed())) for g in gradient)
+            residual = max(float(abs(g.embed())) for g in distinct)
     return NullvectorReport(k=k, point=tuple(coords), gradient=tuple(gradient),
                             exact_zero=exact, embedded_residual=residual, tree=tree)
 

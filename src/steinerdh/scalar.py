@@ -20,6 +20,12 @@ re-indexings of the coefficients (c_i to index i*M/m, or to i*j mod m)
 followed by that fold.  The inverse of an irrational x is the product of its
 other conjugates divided by its norm N(x) = x * that product, a nonzero
 rational; a rational x is inverted as a Fraction.
+
+A product convolves only the nonzero coefficient pairs, so a zero factor
+gives zero at once, and a product with an int scales each coefficient.  A
+power of zero or of a monomial c*zeta^j is c^e * zeta^(je mod m), one
+re-index and one fold; any other base is raised by square-and-multiply
+starting from the base.
 """
 
 from __future__ import annotations
@@ -139,9 +145,9 @@ def _json_int(value) -> int:
 
 
 def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:
-    """The phi(m) coefficients of (sum c_j x^j) mod Phi_m."""
+    """The phi(m) coefficients of (sum c_j x^j) mod Phi_m, for at least phi(m) c_j."""
     phi = euler_phi(m)
-    out = list(coeffs) + [0] * (phi - len(coeffs))
+    out = list(coeffs)
     tail = _phi_tail(m)
     for base in range(len(out) - phi - 1, -1, -1):
         c = out[base + phi]
@@ -181,12 +187,17 @@ class CycNum:
         return out
 
     def _store(self, m: int, coeffs: list) -> None:
-        """Fold into the power basis; integral values are kept as ints."""
-        if len(coeffs) != euler_phi(m):
+        """Fold a long list into the power basis and pad a short one; integral
+        values are kept as ints."""
+        phi = euler_phi(m)
+        if len(coeffs) > phi:
             coeffs = _reduce_coeffs(m, coeffs)
+        elif len(coeffs) < phi:
+            coeffs = coeffs + [0] * (phi - len(coeffs))
+        if set(map(type, coeffs)) != {int}:
+            coeffs = [c if type(c) is int else _int_if_integral(c) for c in coeffs]
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(
-            c if type(c) is int else _int_if_integral(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("CycNum is immutable")
@@ -211,7 +222,7 @@ class CycNum:
         return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -279,31 +290,40 @@ class CycNum:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        phi = len(self.coeffs)
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
+        if type(other) is not CycNum or other.m != self.m:
+            if type(other) is int:
+                return CycNum._ring(self.m, [a * other for a in self.coeffs])
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        left = [(i, a) for i, a in enumerate(self.coeffs) if a]
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        if not (left and right):
+            return other if left else self
+        conv = [0] * (left[-1][0] + right[-1][0] + 1)
+        for i, a in left:
+            for j, b in right:
+                conv[i + j] += a * b
         return CycNum._ring(self.m, conv)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "CycNum":
-        if e < 0:
-            return (self ** (-e)).inverse()
-        result = CycNum.one(self.m)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if e <= 0:
+            return (self ** -e).inverse() if e else CycNum.one(self.m)
+        support = [(j, c) for j, c in enumerate(self.coeffs) if c]
+        if not support:
+            return self
+        if len(support) == 1:   # (c zeta^j)^e = c^e zeta^(je mod m)
+            j, c = support[0]
+            out = [0] * (j * e % self.m + 1)
+            out[-1] = c ** e
+            return CycNum._ring(self.m, out)
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "CycNum":

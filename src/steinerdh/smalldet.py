@@ -72,28 +72,27 @@ def cayley_222(h: Hypermatrix) -> int:
 def verify_k2_no_nullvector(k: int) -> bool:
     """Certify that the two-vertex order-k form has no nonzero singular point.
 
-    Checks (1 + zeta)^(k-1) != 1 exactly for every (k-1)-th root of unity.
-    In the x1 = 0 branch, D_1 p(0, x2) is homogeneous of degree k-1 in x2
-    alone, so it is D_1 p(0, 1) * x2^(k-1) = k x2^(k-1), zero only at x2 = 0
-    (and symmetrically for x2 = 0).  True certifies a nonzero symmetric
-    hyperdeterminant (the discriminant of the form); for k >= 4 it does not
-    settle the full hyperdeterminant of the tensor.  False exactly when
-    6 | k-1, where two_vertex_nullvector_witness returns the singular point.
+    True exactly when ``two_vertex_nullvector_witness`` finds none, so it
+    certifies a nonzero symmetric hyperdeterminant (the discriminant of the
+    form); for k >= 4 it does not settle the full hyperdeterminant of the
+    tensor.  False exactly when 6 | k-1.
     """
-    if two_vertex_nullvector_witness(k) is not None:
-        return False
-    t = path_tree(2)
-    return gradient_direct(t, k, [0, 1]) == [k, 0] == gradient_direct(t, k, [1, 0])[::-1]
+    return two_vertex_nullvector_witness(k) is None
 
 
 def two_vertex_nullvector_witness(k: int):
-    """A nullvector (1, zeta) of the two-vertex order-k form, or None.
+    """A nullvector of the two-vertex order-k form, or None when it has none.
 
-    This is the root-of-unity scan behind verify_k2_no_nullvector, and it is
-    not vacuous: when k = 1 (mod 6) the cube root of unity survives it,
-    because 1 + zeta_3 is the primitive sixth root and (1 + zeta_3)^(k-1) = 1.
-    The returned pair then zeroes both partial derivatives exactly, so the
-    order-k hyperdeterminant of the two-vertex tree vanishes for those k.
+    A nullvector off the axes is a multiple of (1, zeta) with zeta^(k-1) = 1
+    and (1 + zeta)^(k-1) = 1, so the scan tests every (k-1)-th root of unity
+    in Q(zeta_{k-1}).  It is not vacuous: when k = 1 (mod 6) the cube root of
+    unity survives it, because 1 + zeta_3 is the primitive sixth root and
+    (1 + zeta_3)^(k-1) = 1.  The returned pair then zeroes both partial
+    derivatives exactly, so the order-k hyperdeterminant of the two-vertex
+    tree vanishes for those k.  Before it returns None, the scan checks the
+    axes on the tree gradient: D_1 p(0, x2) is homogeneous of degree k-1 in
+    x2 alone, so it is D_1 p(0, 1) * x2^(k-1) = k x2^(k-1), zero only at
+    x2 = 0 (and symmetrically for x2 = 0).  SteinerError if that check fails.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
@@ -103,6 +102,9 @@ def two_vertex_nullvector_witness(k: int):
         zeta = root_of_unity(m, j)
         if (one + zeta) ** m == one:
             return [one, zeta]
+    t = path_tree(2)
+    if gradient_direct(t, k, [0, 1]) != [k, 0] or gradient_direct(t, k, [1, 0]) != [0, k]:
+        raise SteinerError(f"the two-vertex order-{k} gradient is wrong on the axes")
     return None
 
 

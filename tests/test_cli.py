@@ -6,12 +6,13 @@ import os
 
 import pytest
 
-from steinerdh import cli
+from steinerdh import cli, smalldet
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
                            EXIT_OK, EXIT_VERIFICATION, IDENTITY_ROWS, SCHEMA,
                            identity_rows, main)
 from steinerdh.distmatrix import RatMatrix
 from steinerdh.hypermatrix import _MAX_AXES
+from steinerdh.nullspace import canonical_odd_nullvector, verify_nullvector
 from steinerdh.trees import (Tree, enumerate_trees, format_tree, path_tree,
                              prufer_decode, random_tree, star_tree)
 
@@ -157,6 +158,40 @@ def test_certify_two_vertex(tree_file, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "two_vertex_nullvector"
     assert doc["certificate"]["exact_zero"] is True
+
+
+def test_certify_prints_the_dense_report_byte_for_byte(tree_file, capsys):
+    # the zero coordinates share one JSON dict; the printed text must be the
+    # one a dict per coordinate gives
+    t = random_tree(2000, 1)
+    code, out = run(capsys, ["certify", "--tree", tree_file(t), "--k", "21"])
+    rep = verify_nullvector(t, 21, canonical_odd_nullvector(t, 21))
+    certificate = {"point": [x.to_json() for x in rep.point], "exact_zero": True,
+                   "residual": 0.0, "tree": format_tree(t), "k": 21}
+    report = {"schema": SCHEMA, "kind": "nullvector_certificate", "n": 2000, "k": 21,
+              "certificate": certificate, "verified": True}
+    assert code == EXIT_OK
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_two_vertex_certificates_scan_once(monkeypatch):
+    # one root-of-unity scan per case, the k = 1 (mod 6) witnesses included
+    calls = []
+    scan = smalldet.two_vertex_nullvector_witness
+
+    def counted(k):
+        calls.append(k)
+        return scan(k)
+
+    monkeypatch.setattr(smalldet, "two_vertex_nullvector_witness", counted)
+    monkeypatch.setattr(cli, "two_vertex_nullvector_witness", counted)
+    for k in range(3, 14):
+        calls.clear()
+        report, code = cli.certify_case(path_tree(2), k)
+        assert code == EXIT_OK and report["verified"] is True
+        assert report["kind"] == ("two_vertex_nullvector" if k % 6 == 1
+                                  else "two_vertex_nonvanishing")
+        assert calls == [k], (k, calls)
 
 
 def test_certify_single_vertex(tree_file, capsys):

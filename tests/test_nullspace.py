@@ -1,6 +1,7 @@
 """Nullvector certificates: canonical, degenerate, completion, membership, search."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -78,6 +79,22 @@ def test_report_json(path3):
     assert obj["residual"] == 0.0
     assert obj["tree"] == "3\n1 2\n2 3\n"
     assert obj["point"][0]["m"] == 4
+
+
+def test_report_json_shares_one_dict_per_coordinate_object():
+    # the n - 3 zero coordinates of a canonical point are one object, and
+    # to_json converts each object once: at n = 20,000 and k = 21 the dense
+    # report (20,000 dicts of 16 coefficient pairs) peaked at 61 MB
+    t = random_tree(20000, 1)
+    tracemalloc.start()
+    try:
+        obj = verify_nullvector(t, 21, canonical_odd_nullvector(t, 21)).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj["exact_zero"] is True and len(obj["point"]) == t.n
+    assert len({id(x) for x in obj["point"]}) == 4
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_scaling_invariance(path3):

@@ -283,9 +283,12 @@ def test_coefficient_type_contract():
     half = CycNum.from_rational(Fraction(1, 2), 12)
     assert [type(c) for c in x.coeffs] == [int, Fraction, int, int]
     assert [type(c) for c in y.coeffs] == [Fraction, int, int, int]
-    results = [x + y, x - y, -x, x * y, x * 3, Fraction(3, 2) - x, x ** 3, x ** -2,
-               x.inverse(), x / y, x.lift(24), x._conjugate(5), half + half,
-               CycNum.from_json(x.to_json()), root_of_unity(12, 7)]
+    # a monomial with a Fraction coefficient, folded from zeta^7
+    mono = CycNum(12, [0] * 7 + [Fraction(-2, 3)])
+    results = [x + y, x - y, -x, x * y, x * 3, y * 6, Fraction(3, 2) - x, x ** 3, x ** -2,
+               mono ** 5, mono ** 3, mono ** -2, x.inverse(), x / y, x.lift(24),
+               x._conjugate(5), half + half, CycNum.from_json(x.to_json()),
+               root_of_unity(12, 7)]
     assert all(_stored_exactly(r) for r in results)
     assert type((half + half).coeffs[0]) is int and type((y - y).coeffs[0]) is int
     # a rational value reads back, and inverts, as a Fraction, never a float
@@ -326,6 +329,52 @@ def test_mul_matches_long_division_oracle(ab, big):
         product = x * y
         assert list(product.coeffs) == cyclotomic_product(x, y)
         assert _stored_exactly(product)
+
+
+ORACLE_MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 20, 22, 24]
+
+
+def kernel_operands(m: int):
+    """Zero, rationals, monomials c zeta^j with any j in [0, m) (j >= phi(m)
+    must fold) and general elements: each kind takes its own kernel path."""
+    monomials = st.tuples(small_rat.filter(bool), st.integers(0, m - 1)).map(
+        lambda cj: CycNum(m, [0] * cj[1] + [cj[0]]))
+    return st.one_of(st.just(CycNum.zero(m)), small_rat.map(lambda q: CycNum(m, [q])),
+                     monomials, cyc_elements(m))
+
+
+def _oracle_times(x: CycNum, y: CycNum) -> CycNum:
+    return CycNum(x.m, cyclotomic_product(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_MODULI).flatmap(kernel_operands), st.integers(0, 12))
+def test_powers_match_repeated_oracle_products(x, e):
+    power = CycNum.one(x.m)
+    for _ in range(e):
+        power = _oracle_times(power, x)
+    assert (x ** e).coeffs == power.coeffs
+    assert _stored_exactly(x ** e)
+    if x.is_zero():
+        if e:
+            with pytest.raises(ZeroDivisionError):
+                x ** -e
+        return
+    assert _oracle_times(x ** -e, power) == 1
+    assert _stored_exactly(x ** -e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_MODULI).flatmap(
+    lambda m: st.tuples(kernel_operands(m), kernel_operands(m))),
+    st.integers(-10 ** 6, 10 ** 6))
+def test_products_match_the_oracle_on_every_operand_kind(xy, scalar):
+    x, y = xy
+    expected = cyclotomic_product(x, y)
+    assert list((x * y).coeffs) == expected and list((y * x).coeffs) == expected
+    scaled = cyclotomic_product(x, CycNum(x.m, [scalar]))
+    assert list((x * scalar).coeffs) == scaled and list((scalar * x).coeffs) == scaled
+    assert all(_stored_exactly(r) for r in (x * y, y * x, x * scalar))
 
 
 def test_cfloat_basics():

@@ -12,6 +12,7 @@ from steinerdh import (BudgetExceeded, Hypermatrix, SteinerError, Tree, WrongSha
                        path_tree, prufer_decode, random_tree, star_tree,
                        two_vertex_nullvector_witness, verify_k2_no_nullvector,
                        verify_nullvector, zero_degenerate)
+from steinerdh import smalldet
 from steinerdh.forms import SparsePoly
 from oracles import determinant_exact, distance_matrix, substitute, two_vertex_form
 
@@ -97,6 +98,16 @@ def test_k2_scan_is_false_exactly_at_k_1_mod_6():
         assert report.exact_zero
     for k in (2, 3, 4, 5, 6, 8, 9, 10, 11, 12):
         assert two_vertex_nullvector_witness(k) is None
+
+
+def test_k2_scan_refuses_a_wrong_axis_gradient(monkeypatch):
+    # the axes branch is read off the tree gradient; a wrong one is an error,
+    # not a certificate either way
+    monkeypatch.setattr(smalldet, "gradient_direct", lambda t, k, point: [k, k])
+    for k in (3, 5):
+        with pytest.raises(SteinerError):
+            verify_k2_no_nullvector(k)
+    assert two_vertex_nullvector_witness(7) is not None   # the scan finds it first
 
 
 def test_det_order2_examples(k2, path3):
