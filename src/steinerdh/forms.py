@@ -25,14 +25,17 @@ the polynomial of any hypermatrix, and because the benchmark's tracer binds
 s^3 cofactors are test oracles (``tests/oracles.py``).
 
 Polynomials store each monomial as one Python int: variable x_i's exponent
-sits in its own 16-bit field, x_1's field highest, so integer order is
+sits in its own 17-bit field, x_1's field highest, so integer order is
 lexicographic order and a monomial product is one integer addition.  An
-exponent above 65535 raises ``OverflowError`` rather than carry into the
-next field.  A polynomial reads its coefficients with ``scalar._rational``
-and stores an integral one as an ``int`` and any other as a ``Fraction``, so
-integer forms multiply at Python-int speed; ``coefficient`` still hands back
-a ``Fraction``, and ``terms`` hands back a fresh dict keyed by exponent
-tuples.  The canonical term order used for serialization and printing is
+exponent is at most 65535, so each field's top bit is a guard: two valid
+exponents sum below 2^17 and never carry into the next field, and a product
+overflows exactly when some result key has a guard bit set, which one test
+after the product loop catches.  An exponent above 65535 raises
+``OverflowError``.  A polynomial reads its coefficients with
+``scalar._rational`` and stores an integral one as an ``int`` and any other
+as a ``Fraction``, so integer forms multiply at Python-int speed;
+``coefficient`` still hands back a ``Fraction``, and ``terms`` hands back a
+fresh dict keyed by exponent tuples.  The canonical term order used for serialization and printing is
 graded lexicographic.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, index
+from operator import index
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -53,14 +56,21 @@ from .trees import Tree
 
 Coefficient = Union[int, Fraction]
 
-FIELD_BITS = 16
-MAX_EXPONENT = (1 << FIELD_BITS) - 1
+FIELD_BITS = 17
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1   # the field's top bit is the guard
 
 
 @lru_cache(maxsize=None)
 def _shifts(n: int) -> tuple[int, ...]:
     """The bit offset of each variable's exponent field, x_1's highest."""
     return tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _guards(n: int) -> int:
+    """The guard bit of every field: set in a product key exactly when an
+    exponent passed MAX_EXPONENT."""
+    return sum((MAX_EXPONENT + 1) << shift for shift in _shifts(n))
 
 
 def _pack(exp: Iterable[int], shifts: tuple[int, ...]) -> int:
@@ -74,13 +84,12 @@ def _unpack(key: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
 class SparsePoly:
     """Multivariate polynomial over Q with sparse packed-monomial storage."""
 
-    __slots__ = ("n", "_terms", "_top")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], Coefficient] | None = None):
         if n < 0:
             raise ValueError("variable count must be >= 0")
         clean: dict[int, Coefficient] = {}
-        top = 0
         shifts = _shifts(n)
         for exp, coeff in (terms or {}).items():
             c = _rational(coeff)
@@ -88,23 +97,20 @@ class SparsePoly:
                 continue
             if len(exp) != n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n={n}")
-            top = max(top, *exp, 0)
-            if top > MAX_EXPONENT:
-                raise OverflowError(f"exponent {top} exceeds {MAX_EXPONENT}")
+            if max(exp, default=0) > MAX_EXPONENT:
+                raise OverflowError(f"exponent {max(exp)} exceeds {MAX_EXPONENT}")
             clean[_pack(map(index, exp), shifts)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_top", top)
 
     @classmethod
-    def _ring(cls, n: int, terms: dict[int, Coefficient], top: int) -> "SparsePoly":
-        """A ring result: packed keys, int/Fraction values, zeros dropped, and
-        ``top`` bounding every exponent."""
+    def _ring(cls, n: int, terms: dict[int, Coefficient]) -> "SparsePoly":
+        """A ring result: packed keys with clear guard bits, int/Fraction
+        values, zeros dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "n", n)
         object.__setattr__(poly, "_terms", {e: c if type(c) is int else _int_if_integral(c)
                                             for e, c in terms.items() if c})
-        object.__setattr__(poly, "_top", top)
         return poly
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -125,7 +131,7 @@ class SparsePoly:
         """x_r, with r 1-based."""
         if not (1 <= r <= n):
             raise ValueError(f"variable index {r} outside 1..{n}")
-        return cls._ring(n, {1 << _shifts(n)[r - 1]: 1}, 1)
+        return cls._ring(n, {1 << _shifts(n)[r - 1]: 1})
 
     @property
     def terms(self) -> dict[tuple[int, ...], Coefficient]:
@@ -149,12 +155,12 @@ class SparsePoly:
         get = terms.get
         for key, c in other._terms.items():
             terms[key] = get(key, 0) + c
-        return SparsePoly._ring(self.n, terms, max(self._top, other._top))
+        return SparsePoly._ring(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly._ring(self.n, {e: -c for e, c in self._terms.items()}, self._top)
+        return SparsePoly._ring(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,12 +175,10 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _int_if_integral(other)
-            return SparsePoly._ring(self.n, {e: c * other for e, c in self._terms.items()},
-                                    self._top)
+            return SparsePoly._ring(self.n, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        top = _product_top(self, other)
         terms: dict[int, Coefficient] = {}
         get = terms.get
         right = list(other._terms.items())
@@ -182,7 +186,10 @@ class SparsePoly:
             for e2, c2 in right:
                 key = e1 + e2
                 terms[key] = get(key, 0) + c1 * c2
-        return SparsePoly._ring(self.n, terms, top)
+        guards = _guards(self.n)
+        if any(key & guards for key in terms):
+            raise OverflowError(f"a product exponent exceeds {MAX_EXPONENT}")
+        return SparsePoly._ring(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -215,11 +222,6 @@ class SparsePoly:
         shifts = _shifts(self.n)
         return max((sum(_unpack(key, shifts)) for key in self._terms), default=0)
 
-    def _degrees(self) -> list[int]:
-        """Each variable's largest exponent."""
-        return [max(((key >> shift) & MAX_EXPONENT for key in self._terms), default=0)
-                for shift in _shifts(self.n)]
-
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         if len(exp) != self.n or not all(0 <= e <= MAX_EXPONENT for e in exp):
             return Fraction(0)
@@ -243,7 +245,7 @@ class SparsePoly:
             e = (key >> shift) & MAX_EXPONENT
             if e:
                 terms[key - unit] = c * e
-        return SparsePoly._ring(self.n, terms, self._top)
+        return SparsePoly._ring(self.n, terms)
 
     # -- serialization -------------------------------------------------------------------
 
@@ -273,19 +275,6 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
-def _product_top(a: SparsePoly, b: SparsePoly) -> int:
-    """A bound on every exponent of a*b; OverflowError if some exponent of
-    a*b leaves its field.  The degree of a product in one variable is the
-    sum of the factors' degrees in it, so the exact check runs only when
-    the cheap bound fails."""
-    top = a._top + b._top
-    if top > MAX_EXPONENT:
-        top = max(map(add, a._degrees(), b._degrees()), default=0)
-        if top > MAX_EXPONENT:
-            raise OverflowError(f"exponent {top} exceeds {MAX_EXPONENT}")
-    return top
-
-
 # ---------------------------------------------------------------------------
 # Steiner forms
 # ---------------------------------------------------------------------------
@@ -309,7 +298,7 @@ def steiner_form(h: Hypermatrix) -> SparsePoly:
     np.add.at(sums, group, values)
     units = _units(n)
     return SparsePoly._ring(n, {sum(units[i] for i in multiset): c for multiset, c
-                                in zip(tuples[first].tolist(), sums.tolist())}, k)
+                                in zip(tuples[first].tolist(), sums.tolist())})
 
 
 # ---------------------------------------------------------------------------

@@ -218,11 +218,6 @@ def completion_quadratic(t: Tree, tail: Sequence) -> tuple[CycNum, CycNum, CycNu
         C = sum_e alpha_e^2,
     O(n) field products.  Also returns the tail lifted to Q(zeta_m), and m.
     """
-    return _completion(t, tail)[:5]
-
-
-def _completion(t: Tree, tail: Sequence):
-    """``completion_quadratic``'s values, and sigma = sum(tail) in Q(zeta_m)."""
     n = t.n
     if n < 3:
         raise TooSmall("completion needs at least three vertices")
@@ -238,7 +233,7 @@ def _completion(t: Tree, tail: Sequence):
     A = CycNum.from_rational(sum(b * b for b in beta), m)
     B = 2 * sum((b * x for b, x in zip(beta, alpha) if b), zero)
     C = sum((x * x for x in alpha), zero)
-    return A, B, C, a, m, sigma
+    return A, B, C, a, m
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -276,7 +271,8 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
     come back numeric, flagged ``exact=False``, together with the exact
     quadratic coefficients.
     """
-    A, B, C, a, m, sigma = _completion(t, tail)
+    A, B, C, a, m = completion_quadratic(t, tail)
+    sigma = sum(a, CycNum.zero(m))
     disc = B * B - 4 * (A * C)
 
     sqrt_disc = _field_sqrt(disc)

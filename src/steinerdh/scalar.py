@@ -12,8 +12,10 @@ from outside the package is read by ``_rational``: numpy integers become
 ``mpmath.mpc`` that is known to be finite; the numeric side of the package
 works at one precision, ``WORKING_PREC`` bits.
 
-Every coefficient list, however long, is read as the polynomial sum c_j x^j
-and stored as its remainder on division by Phi_m, folded from the top
+Phi_m is built by Moebius inversion, one shifted pass over a power series
+per squarefree divisor of m, with no division by the smaller Phi_d.  Every
+coefficient list, however long, is read as the polynomial sum c_j x^j and
+stored as its remainder on division by Phi_m, folded from the top
 coefficient down through Phi_m's nonzero lower terms.  Lifting to Q(zeta_M),
 m | M, and the Galois automorphisms zeta -> zeta^j (gcd(j, m) = 1) are
 re-indexings of the coefficients (c_i to index i*M/m, or to i*j mod m)
@@ -45,65 +47,61 @@ WORKING_PREC = 128
 RatLike = Union[int, Fraction]
 
 
+def _primes(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler totient of m >= 1."""
     if m < 1:
         raise ValueError("totient needs m >= 1")
     result = m
-    p = 2
-    mm = m
-    while p * p <= mm:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            result -= result // p
-        p += 1
-    if mm > 1:
-        result -= result // mm
+    for p in _primes(m):
+        result -= result // p
     return result
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic integer polynomial: the quotient and the deg(den)
-    low coefficients of the remainder, both integral."""
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    return quot, num[:dd]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, ascending order, monic, degree phi(m).
 
-    Computed by dividing x^m - 1 by Phi_d for every proper divisor d of m;
-    the recursion bottoms out at Phi_1 = x - 1.
+    For m >= 2, Phi_m = prod over squarefree q | m of (1 - x^(m/q))^mu(q):
+    the Moebius inversion of x^m - 1 = prod_(d | m) Phi_d, with the signs of
+    x^d - 1 = -(1 - x^d) cancelling because the mu(q) sum to 0.  Each factor
+    acts in place on the power series cut at degree phi(m): a product with
+    1 - x^d subtracts the series shifted by d (descending i), a division by
+    it adds the running series shifted by d (ascending i).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _poly_divmod_monic(num, cyclotomic_polynomial(d))
-            if any(rem):
-                raise AssertionError(f"x^{m}-1 not divisible by Phi_{d}")
-    assert len(num) - 1 == euler_phi(m)
-    return tuple(num)
+    phi = euler_phi(m)
+    series = [1] + [0] * phi
+    moebius = [(1, 1)]   # (q, mu(q)) for the squarefree divisors q of m
+    for p in _primes(m):
+        moebius += [(q * p, -mu) for q, mu in moebius]
+    for q, mu in moebius:
+        d = m // q
+        if mu > 0:
+            for i in range(phi, d - 1, -1):
+                series[i] -= series[i - d]
+        else:
+            for i in range(d, phi + 1):
+                series[i] += series[i - d]
+    return tuple(series)
 
 
 @lru_cache(maxsize=None)

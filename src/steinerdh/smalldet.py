@@ -23,13 +23,15 @@ The same value is the discriminant of det(A0 + t*A1) as a quadratic in t
 
 Also here: the two-vertex nondegeneracy check for arbitrary order k.  For the
 tree on two vertices the gradient system forces x2 = zeta*x1 with
-zeta^(k-1) = 1 and then (1 + zeta)^(k-1) = 1; scanning every (k-1)-th root of
-unity in Q(zeta_{k-1}) and refuting each equation exactly (plus the x1 = 0
-branch) certifies that the form has no nonzero singular point, i.e.
-its discriminant -- the symmetric hyperdeterminant -- is nonzero.  For k >= 4
-that says nothing about the full hyperdeterminant of the order-k tensor
-(Oeding, Hyperdeterminants of polynomials, Adv. Math. 2012); only k = 2 (the
-determinant) and k = 3 (Cayley) settle it.  The scan fails exactly when
+zeta^(k-1) = 1 and then (1 + zeta)^(k-1) = 1.  That equation has rational
+coefficients, so the Galois group, which permutes the roots of each order d,
+keeps its truth value: one exact test of a primitive d-th root in Q(zeta_d)
+per divisor d of k-1 decides it for all (k-1)-th roots of unity.  Refuting
+every test (plus the x1 = 0 branch) certifies that the form has no nonzero
+singular point, i.e. its discriminant -- the symmetric hyperdeterminant --
+is nonzero.  For k >= 4 that says nothing about the full hyperdeterminant
+of the order-k tensor (Oeding, Hyperdeterminants of polynomials, Adv. Math.
+2012); only k = 2 (the determinant) and k = 3 (Cayley) settle it.  The scan fails exactly when
 6 | k-1: then 1 + zeta_3 is a primitive sixth root of unity and (1, zeta_3)
 is a singular point, which does make the full hyperdeterminant vanish.
 """
@@ -84,12 +86,14 @@ def two_vertex_nullvector_witness(k: int):
     """A nullvector of the two-vertex order-k form, or None when it has none.
 
     A nullvector off the axes is a multiple of (1, zeta) with zeta^(k-1) = 1
-    and (1 + zeta)^(k-1) = 1, so the scan tests every (k-1)-th root of unity
-    in Q(zeta_{k-1}).  It is not vacuous: when k = 1 (mod 6) the cube root of
-    unity survives it, because 1 + zeta_3 is the primitive sixth root and
-    (1 + zeta_3)^(k-1) = 1.  The returned pair then zeroes both partial
-    derivatives exactly, so the order-k hyperdeterminant of the two-vertex
-    tree vanishes for those k.  Before it returns None, the scan checks the
+    and (1 + zeta)^(k-1) = 1.  With m = k-1 the scan tests one primitive d-th
+    root per divisor d of m, in Q(zeta_d), in increasing j = m/d, and returns
+    [1, zeta_m^j]: every root of order d shares the test's answer, and m/d is
+    the smallest exponent of order d.  It is not vacuous: when k = 1 (mod 6)
+    the cube root of unity survives it, because 1 + zeta_3 is the primitive
+    sixth root and (1 + zeta_3)^(k-1) = 1.  The returned pair then zeroes both
+    partial derivatives exactly, so the order-k hyperdeterminant of the
+    two-vertex tree vanishes for those k.  Before it returns None, the scan checks the
     axes on the tree gradient: D_1 p(0, x2) is homogeneous of degree k-1 in
     x2 alone, so it is D_1 p(0, 1) * x2^(k-1) = k x2^(k-1), zero only at
     x2 = 0 (and symmetrically for x2 = 0).  SteinerError if that check fails.
@@ -97,11 +101,9 @@ def two_vertex_nullvector_witness(k: int):
     if k < 2:
         raise ValueError("order must be >= 2")
     m = k - 1
-    one = root_of_unity(m, 0)
-    for j in range(m):
-        zeta = root_of_unity(m, j)
-        if (one + zeta) ** m == one:
-            return [one, zeta]
+    for j in range(1, m + 1):
+        if m % j == 0 and (1 + root_of_unity(m // j)) ** m == 1:
+            return [root_of_unity(m, 0), root_of_unity(m, j)]
     t = path_tree(2)
     if gradient_direct(t, k, [0, 1]) != [k, 0] or gradient_direct(t, k, [1, 0]) != [0, k]:
         raise SteinerError(f"the two-vertex order-{k} gradient is wrong on the axes")

@@ -39,7 +39,7 @@ mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
 
-The last three sections hold routes that left ``steinerdh`` when no package
+The last four sections hold routes that left ``steinerdh`` when no package
 code called them any more, or when a faster route replaced them; their code
 is unchanged, so they share what they always shared.
 - The order-2 oracle: ``determinant_exact`` runs Bareiss fraction-free
@@ -69,6 +69,15 @@ is unchanged, so they share what they always shared.
   keeps: ``str.split`` at newlines, ``str.strip`` of ASCII space, tab and CR
   only, and a regular expression for each entry.  With the reader they share
   only the header checks of ``_shape``.
+- The cyclotomic oracles: ``cyclotomic_by_division`` is the Phi_m used
+  before the Moebius product, x^m - 1 divided by every smaller Phi_d in turn,
+  and ``two_vertex_scan_all_roots`` is the two-vertex scan used before one
+  test per Galois orbit, (1 + zeta)^(k-1) = 1 tested for every (k-1)-th root
+  of unity in Q(zeta_(k-1)).  Two lines differ: the division counts the
+  units mod m for its degree check instead of calling ``euler_phi``, and
+  the scan leaves the axis check to the package.  They share ``CycNum``
+  arithmetic with the package, but not the Moebius inversion or the Galois
+  reduction.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
@@ -85,8 +95,8 @@ import mpmath
 import numpy as np
 
 from steinerdh import (CycNum, Hypermatrix, MalformedInput, RatMatrix, SparsePoly, Tree,
-                       build_steiner, cyclotomic_polynomial, steiner_distance_bruteforce,
-                       steiner_form)
+                       build_steiner, cyclotomic_polynomial, root_of_unity,
+                       steiner_distance_bruteforce, steiner_form)
 from steinerdh.forms import MAX_EXPONENT, _units
 from steinerdh.errors import ascii_int
 from steinerdh.hypermatrix import _shape
@@ -461,8 +471,8 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     a = s._terms[unit]
     shift = unit.bit_length() - 1
     # rho = -(s - a*x_r)/a
-    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items() if key != unit},
-                           1) * Fraction(-1, a)
+    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items()
+                                 if key != unit}) * Fraction(-1, a)
 
     # coefficients of p as a polynomial in x_r
     layers: dict[int, dict[int, int | Fraction]] = {}
@@ -472,7 +482,7 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     if not layers:
         return SparsePoly.zero(p.n)
     top = max(layers)
-    coeffs = [SparsePoly._ring(p.n, layers.get(j, {}), p._top) for j in range(top + 1)]
+    coeffs = [SparsePoly._ring(p.n, layers.get(j, {})) for j in range(top + 1)]
 
     # synthetic division by (x_r - rho): b_{j} = c_{j+1} + rho*b_{j+1}
     quot_layers: list[SparsePoly] = [SparsePoly.zero(p.n)] * max(top, 1)
@@ -488,12 +498,12 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     inverse = _int_if_integral(Fraction(1, a))
     quotient = {key + j * unit: c * inverse
                 for j, layer in enumerate(quot_layers) for key, c in layer._terms.items()}
-    return SparsePoly._ring(p.n, quotient, p._top)
+    return SparsePoly._ring(p.n, quotient)
 
 
 def s_form(n: int) -> SparsePoly:
     """The all-ones linear form x_1 + ... + x_n."""
-    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1), 1)
+    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1))
 
 
 def distance_quadratic(t: Tree) -> SparsePoly:
@@ -502,7 +512,7 @@ def distance_quadratic(t: Tree) -> SparsePoly:
     d = t.distances().tolist()
     units = _units(n)
     return SparsePoly._ring(n, {units[i] + units[j]: 3 * d[i][j]
-                                for i in range(n) for j in range(i + 1, n)}, 1)
+                                for i in range(n) for j in range(i + 1, n)})
 
 
 def order3_form(t: Tree) -> SparsePoly:
@@ -621,3 +631,55 @@ def _flat_hypermatrix(k, n, entries: list) -> Hypermatrix:
     except OverflowError as exc:
         raise MalformedInput(f"entry outside int64: {exc}") from exc
     return Hypermatrix(k, n, arr.reshape(shape))
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic oracles: Phi_m by recursive division, the two-vertex scan over
+# every root of unity
+# ---------------------------------------------------------------------------
+
+def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Divide by a monic integer polynomial: the quotient and the deg(den)
+    low coefficients of the remainder, both integral."""
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dd] = c
+            for j in range(dd + 1):
+                num[i - dd + j] -= c * den[j]
+    return quot, num[:dd]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m, ascending: x^m - 1 divided by Phi_d for every
+    proper divisor d of m, down to Phi_1 = x - 1.  Each division must leave
+    no remainder, and the quotient must have degree phi(m)."""
+    if m == 1:
+        return (-1, 1)
+    num = [0] * (m + 1)
+    num[0] = -1
+    num[m] = 1
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = _poly_divmod_monic(num, cyclotomic_by_division(d))
+            if any(rem):
+                raise AssertionError(f"x^{m}-1 not divisible by Phi_{d}")
+    assert len(num) - 1 == sum(math.gcd(j, m) == 1 for j in range(1, m + 1))
+    return tuple(num)
+
+
+def two_vertex_scan_all_roots(k: int):
+    """[1, zeta] for the first zeta = zeta_(k-1)^j, j = 0, 1, ..., k-2, with
+    (1 + zeta)^(k-1) = 1, each tested in Q(zeta_(k-1)); None when no
+    (k-1)-th root of unity passes."""
+    m = k - 1
+    one = root_of_unity(m, 0)
+    for j in range(m):
+        zeta = root_of_unity(m, j)
+        if (one + zeta) ** m == one:
+            return [one, zeta]
+    return None

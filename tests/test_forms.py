@@ -256,6 +256,35 @@ def test_ring_ops_match_fraction_dict_oracle(data, n):
 
 
 @st.composite
+def _near_the_limit(draw, n):
+    """A nonzero SparsePoly whose exponents of each variable all lie in
+    [0, 535] or all in [65000, 65535]."""
+    high = draw(st.tuples(*[st.booleans()] * n))
+    exps = st.tuples(*[st.integers(65000, 65535) if h else st.integers(0, 535)
+                       for h in high])
+    return SparsePoly(n, draw(st.dictionaries(exps, _coeffs.filter(bool),
+                                              min_size=1, max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_guard_bits_catch_exactly_the_overflowing_products(data, n):
+    # a variable's two largest exponents sum past 65535 in some draws and
+    # stay within it in others
+    p, q = data.draw(_near_the_limit(n)), data.draw(_near_the_limit(n))
+    fp, fq = fraction_terms(p), fraction_terms(q)
+    if any(max(e[i] for e in fp) + max(e[i] for e in fq) > 65535 for i in range(n)):
+        with pytest.raises(OverflowError, match="65535"):
+            p * q
+    else:
+        assert fraction_terms(p * q) == fraction_mul(fp, fq)
+    r = data.draw(st.integers(1, n))
+    assert fraction_terms(p + q) == fraction_add(fp, fq)
+    assert fraction_terms(-p) == {e: -c for e, c in fp.items()}
+    assert fraction_terms(p.partial(r)) == fraction_partial(fp, r)
+
+
+@st.composite
 def _linear_forms(draw, n):
     coeffs = draw(st.lists(_coeffs, min_size=n, max_size=n).filter(any))
     return SparsePoly(n, {tuple(int(i == j) for i in range(n)): c

@@ -13,7 +13,7 @@ from steinerdh import (CFloat, ConductorMismatch, CycNum, MalformedInput,
                        cyclotomic_polynomial, euler_phi, root_of_unity, unify_conductor)
 from steinerdh.scalar import WORKING_PREC
 
-from oracles import cyclotomic_product
+from oracles import cyclotomic_by_division, cyclotomic_product
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
@@ -34,6 +34,17 @@ def test_cyclotomic_polynomials_match_known_values():
 def test_cyclotomic_degree_is_totient():
     for m in range(1, 40):
         assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
+
+
+def test_cyclotomic_polynomials_match_the_division_oracle():
+    # Moebius inversion against the recursive division by every smaller Phi_d
+    for m in range(1, 501):
+        assert cyclotomic_polynomial(m) == cyclotomic_by_division(m), m
+
+
+def test_totient_counts_the_units():
+    for m in range(1, 501):
+        assert euler_phi(m) == sum(math.gcd(j, m) == 1 for j in range(1, m + 1)), m
 
 
 def test_root_of_unity_examples():

@@ -1,12 +1,13 @@
 """Cayley's 2x2x2 hyperdeterminant and the two-vertex analysis for general order."""
 
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from steinerdh import (BudgetExceeded, Hypermatrix, SteinerError, Tree, WrongShape,
+from steinerdh import (BudgetExceeded, CycNum, Hypermatrix, SteinerError, Tree, WrongShape,
                        build_steiner, cayley_222, det_order2,
                        enumerate_trees, graham_pollak_value,
                        path_tree, prufer_decode, random_tree, star_tree,
@@ -14,7 +15,8 @@ from steinerdh import (BudgetExceeded, Hypermatrix, SteinerError, Tree, WrongSha
                        verify_nullvector, zero_degenerate)
 from steinerdh import smalldet
 from steinerdh.forms import SparsePoly
-from oracles import determinant_exact, distance_matrix, substitute, two_vertex_form
+from oracles import (determinant_exact, distance_matrix, substitute, two_vertex_form,
+                     two_vertex_scan_all_roots)
 
 
 def slice_discriminant(h: Hypermatrix) -> int:
@@ -98,6 +100,39 @@ def test_k2_scan_is_false_exactly_at_k_1_mod_6():
         assert report.exact_zero
     for k in (2, 3, 4, 5, 6, 8, 9, 10, 11, 12):
         assert two_vertex_nullvector_witness(k) is None
+
+
+def _witness_json(witness) -> str:
+    return json.dumps(witness and [x.to_json() for x in witness])
+
+
+def test_orbit_scan_matches_the_all_roots_scan():
+    # one root per order against every root of unity in Q(zeta_(k-1)); the
+    # oracle's cost grows like k^3 log k, so the range stops at k = 73
+    for k in range(2, 74):
+        assert (_witness_json(two_vertex_nullvector_witness(k))
+                == _witness_json(two_vertex_scan_all_roots(k))), k
+
+
+def test_orbit_scan_makes_one_power_per_order(monkeypatch):
+    # one power per divisor d of k-1, taken in Q(zeta_d), largest d (smallest
+    # j = (k-1)/d) first, and none after the witness at d = 3
+    conductors = []
+    power = CycNum.__pow__
+
+    def counted(self, e):
+        conductors.append(self.m)
+        return power(self, e)
+
+    monkeypatch.setattr(CycNum, "__pow__", counted)
+    for k in range(2, 62):
+        m = k - 1
+        conductors.clear()
+        witness = two_vertex_nullvector_witness(k)
+        orders = [d for d in range(m, 0, -1) if m % d == 0]
+        if witness is not None:
+            orders = orders[:orders.index(3) + 1]
+        assert conductors == orders, k
 
 
 def test_k2_scan_refuses_a_wrong_axis_gradient(monkeypatch):
