@@ -22,9 +22,9 @@ quadratic g = 3 sum_e a_e (s - a_e), a_e the far-side sums (``Tree.far_sums``).
 On s = 0, g = -3 sum_e a_e^2, so membership and the completion quadratic
 take O(n) field products; the tests check both against the expanded g.
 
-The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system
-over the reals with a unit-norm row appended, from seeded Philox restarts:
-complex128 iterates and float64 steps, a ``WORKING_PREC``-bit (128-bit)
+The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system,
+one complex least-squares problem with a gauge row per step, from seeded
+Philox restarts: complex128 iterates and steps, a ``WORKING_PREC``-bit (128-bit)
 refinement only where float64 runs out of digits, and every reported point
 and residual evaluated at that precision.  It reports residuals only
 and never claims exactness.
@@ -338,7 +338,7 @@ MAX_STEPS = 60
 
 def numeric_search(t: Tree, k: int, seed: int, restarts: int,
                    tol: float = 1e-12) -> list[SearchCandidate]:
-    """Gauss-Newton on the gradient system with a unit-norm constraint row.
+    """Gauss-Newton on the gradient system with a gauge row 2 x^H d = 0.
 
     Each restart starts from an independent Philox stream keyed by (seed,
     restart index) and iterates on a complex128 point with floor
@@ -346,7 +346,7 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     is lifted to ``WORKING_PREC`` bits and normalized there, and the residual
     reported is evaluated at that precision.  A restart whose float64 loop
     reached its floor goes on at ``WORKING_PREC`` bits (floor
-    max(2^(24 - WORKING_PREC), tol), the steps left of ``MAX_STEPS``, float64
+    max(2^(24 - WORKING_PREC), tol), the steps left of ``MAX_STEPS``, complex128
     steps against working-precision residuals), so a float64 ``tol`` stop
     stands only if the working-precision residual is below ``tol`` too.
     Candidates come back sorted by residual; no exactness is ever claimed.
@@ -379,7 +379,7 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
     mpmath complex numbers, in that number type.  Each pass normalizes x,
     evaluates the gradient and stops on a residual below ``floor``, a last
     step below ``floor`` (``step_floor``), 8 passes without a 10% gain or
-    ``budget`` steps; else it takes a float64 step.  Returns the best unit
+    ``budget`` steps; else it takes a complex128 step.  Returns the best unit
     point, its residual, the steps taken and the stop reason."""
     best_res, best_x = math.inf, x
     stalled = steps = 0
@@ -401,8 +401,7 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
             return best_x, best_res, steps, "max_iter"
         xf = np.asarray(x, dtype=np.complex128)
         step = _gauss_newton_step(xf, np.array(grads, dtype=np.complex128),
-                                  hessian_direct(t, k, xf),
-                                  float(1 - (abs(x) ** 2).sum()))
+                                  hessian_direct(t, k, xf))
         if step is None:
             return best_x, best_res, steps, "singular"
         steps += 1
@@ -410,22 +409,22 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
         tiny = np.abs(step).max() < floor
 
 
-def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray,
-                       defect: float):
-    """Least-squares Newton step for (gradient = 0, |x|^2 = 1) over the reals.
+def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray):
+    """Least-squares Newton step for gradient = 0 on the unit sphere: the
+    complex128 d minimizing |H d + g|^2 + |2 x^H d|^2, for a unit x.
 
-    ``x``, ``grads`` and ``hess`` are complex128 and ``defect`` is 1 - |x|^2
-    at the caller's precision.  The complex Jacobian H splits into
-    [[Re H, -Im H], [Im H, Re H]] blocks by the Cauchy-Riemann equations; the
-    norm constraint adds one real row.  The system is solved in float64 for
-    the minimum-norm step: at a nullvector the phase direction i*x leaves it
-    rank-deficient by one.
+    The gauge row 2 x^H d has real part 2 Re(x^H d), the linearized norm
+    constraint, and imaginary part 2 Im(x^H d), which forbids a step along
+    the phase direction i*x that cannot change |grad p|.  This is the step
+    of the real (2n+1) x 2n split [[Re H, -Im H], [Im H, Re H]] plus the
+    norm row against 1 - |x|^2 = 0: the gauge adds 4 (Im x^H d)^2 to that
+    objective, and its minimizer already has Im x^H d = 0.  By Euler
+    H x = (k-1) g, so its normal equations give d + x/(k-1) = mu (H^H H)^-1 x
+    with mu real, and x^H (H^H H)^-1 x is real; at a nullvector its
+    minimum-norm step is orthogonal to the kernel direction i*x.
     """
-    hh = np.hstack([hess, 1j * hess])
-    A = np.vstack([hh.real, hh.imag, 2 * np.concatenate([x.real, x.imag])])
-    b = np.concatenate([-grads.real, -grads.imag, [defect]])
+    A = np.vstack([hess, 2 * x.conj()])
     try:
-        delta = np.linalg.lstsq(A, b, rcond=None)[0]
+        return np.linalg.lstsq(A, np.append(-grads, 0), rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
-    return delta[:len(x)] + 1j * delta[len(x):]

@@ -181,9 +181,24 @@ def qr_gauss_newton_step(x: list, grads: list, hess: list[list]):
     """The Gauss-Newton step for (gradient = 0, |x|^2 = 1), solved entirely
     in mpmath at the working precision by ``mpmath.qr_solve`` (Householder,
     unpivoted).  Returns None where the factorization breaks down."""
+    return _real_split_step(x, grads, hess, gauge=False)
+
+
+def gauge_row_gauss_newton_step(x: list, grads: list, hess: list[list]):
+    """``qr_gauss_newton_step`` with one more real row, [-2 Im x, 2 Re x]
+    against right side 0: the imaginary part of the complex gauge row
+    2 x^H d, which forbids a step along the phase direction i*x."""
+    return _real_split_step(x, grads, hess, gauge=True)
+
+
+def _real_split_step(x: list, grads: list, hess: list[list], gauge: bool):
+    """The real (2n+1+gauge) x 2n split [[Re H, -Im H], [Im H, Re H]] plus
+    the norm row (right side 1 - |x|^2) and, with ``gauge``, the gauge row,
+    solved by ``mpmath.qr_solve``."""
     n = len(x)
-    A = mpmath.matrix(2 * n + 1, 2 * n)
-    b = mpmath.matrix(2 * n + 1, 1)
+    rows = 2 * n + 1 + gauge
+    A = mpmath.matrix(rows, 2 * n)
+    b = mpmath.matrix(rows, 1)
     for i in range(n):
         for j in range(n):
             h = hess[i][j]
@@ -196,6 +211,9 @@ def qr_gauss_newton_step(x: list, grads: list, hess: list[list]):
     for j in range(n):
         A[2 * n, j] = 2 * x[j].real
         A[2 * n, n + j] = 2 * x[j].imag
+        if gauge:
+            A[2 * n + 1, j] = -2 * x[j].imag
+            A[2 * n + 1, n + j] = 2 * x[j].real
     b[2 * n] = 1 - mpmath.fsum([abs(z) ** 2 for z in x])
     try:
         delta, _ = mpmath.qr_solve(A, b)

@@ -22,7 +22,8 @@ from steinerdh.nullspace import _gauss_newton_step
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
 from oracles import (distance_quadratic, edge_cut_hessian, evaluate,
-                     qr_gauss_newton_step, s_form, substitute)
+                     gauge_row_gauss_newton_step, qr_gauss_newton_step, s_form,
+                     substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +436,52 @@ def test_gauss_newton_step_matches_qr_oracle():
                     x = [mpmath.mpc(c) for c in z]
                     grads = gradient_direct(t, k, x)
                     want = qr_gauss_newton_step(x, grads, edge_cut_hessian(t, k, x))
-                    defect = float(1 - mpmath.fsum(x, absolute=True, squared=True))
                     got = _gauss_newton_step(z, np.array(grads, dtype=complex),
-                                             hessian_direct(t, k, z), defect)
+                                             hessian_direct(t, k, z))
                     want = np.array(want, dtype=complex)
                     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (t, k)
 
 
+def test_gauge_row_leaves_the_real_split_step_unchanged():
+    # The old minimizer already has Im x^H d = 0 (Euler: H x = (k-1) g), so
+    # the row that forbids it changes nothing, at any norm defect.  Same
+    # points as the test above.
+    rng = np.random.default_rng(17)
+    with mpmath.workprec(128):
+        for n in range(2, 7):
+            for t in (path_tree(n), star_tree(n), random_tree(n, 60 + n)):
+                for k in range(3, 7):
+                    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    z /= np.linalg.norm(z)
+                    x = [mpmath.mpc(c) for c in z]
+                    grads = gradient_direct(t, k, x)
+                    hess = edge_cut_hessian(t, k, x)
+                    want = qr_gauss_newton_step(x, grads, hess)
+                    got = gauge_row_gauss_newton_step(x, grads, hess)
+                    err = max(abs(g - w) for g, w in zip(got, want))
+                    assert err <= 1e-30 * max(abs(w) for w in want), (t, k)
+
+
+def test_search_solves_one_complex_problem_per_step(monkeypatch):
+    operands = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        operands.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    numeric_search(random_tree(6, 1), 4, 1, 2)
+    assert operands
+    for a, b in operands:
+        assert a.shape == (7, 6) and a.dtype == np.complex128
+        assert b.shape == (7,) and b.dtype == np.complex128
+
+
 def test_search_tight_tol_reaches_precision_floor(path3):
-    # Near a nullvector the phase direction i*x leaves the step's system
-    # rank-deficient by one; the minimum-norm step still converges.
+    # Near a nullvector H x = (k-1) g vanishes, so H alone leaves a step
+    # along x free; the gauge row 2 x^H d fixes it, and the step converges
+    # into the working precision's floor.
     best = numeric_search(path3, 3, seed=11, restarts=8, tol=1e-30)[0]
     assert best.residual < 1e-30
     assert best.stop == "tol"
