@@ -362,8 +362,9 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     both on that side, so with S = ``t.sides()`` and far sums a = S x,
     H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)].
 
-    The point is read as a complex128 array and the n x n result is
-    complex128: the Hessian only ever feeds float64 Gauss-Newton solves.
+    The point is read as a complex128 array, S and 1 - S are the tree's
+    cached complex128 pair ``t.cut_pair()``, and the n x n result is
+    complex128: it only ever feeds float64 Gauss-Newton solves.
     """
     n = t.n
     if len(point) != n:
@@ -371,8 +372,7 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     if k < 2:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
-    far = t.sides()
-    near = 1 - far
+    far, near = t.cut_pair()
     s = x.sum()
     a = far @ x
     acc = (n - 1) * s ** (k - 2) - (far.T * a ** (k - 2)) @ far \

@@ -323,8 +323,9 @@ class SearchCandidate:
     search's working precision.  ``iterations`` counts the Gauss-Newton steps
     of both phases.  ``stop`` is ``tol`` (residual below ``tol``),
     ``precision_floor`` (below the working precision's floor, when that lies
-    above ``tol``), ``stalled`` (no 10% gain in 8 iterations, or a step below
-    the floor), ``singular`` (the step could not be solved) or ``max_iter``.
+    above ``tol``), ``stalled`` (8 passes in a row, none with a residual below
+    0.9 x the best residual before it, or a step below the floor), ``singular``
+    (the step could not be solved) or ``max_iter``.
     """
 
     point: tuple[CFloat, ...]
@@ -378,8 +379,9 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
     """Gauss-Newton from ``x``, a complex128 array or an object array of
     mpmath complex numbers, in that number type.  Each pass normalizes x,
     evaluates the gradient and stops on a residual below ``floor``, a last
-    step below ``floor`` (``step_floor``), 8 passes without a 10% gain or
-    ``budget`` steps; else it takes a complex128 step.  Returns the best unit
+    step below ``floor`` (``step_floor``), 8 passes in a row none of whose
+    residuals is below 0.9 x the best before it (``stalled``) or ``budget``
+    steps; else it takes a complex128 step.  Returns the best unit
     point, its residual, the steps taken and the stop reason."""
     best_res, best_x = math.inf, x
     stalled = steps = 0
@@ -423,8 +425,11 @@ def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray):
     with mu real, and x^H (H^H H)^-1 x is real; at a nullvector its
     minimum-norm step is orthogonal to the kernel direction i*x.
     """
-    A = np.vstack([hess, 2 * x.conj()])
+    n = len(hess)
+    A, b = np.empty((n + 1, n), dtype=np.complex128), np.empty(n + 1, dtype=np.complex128)
+    A[:n], b[:n] = hess, -grads
+    A[n], b[n] = 2 * x.conj(), 0
     try:
-        return np.linalg.lstsq(A, np.append(-grads, 0), rcond=None)[0]
+        return np.linalg.lstsq(A, b, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None

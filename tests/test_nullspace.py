@@ -478,6 +478,35 @@ def test_search_solves_one_complex_problem_per_step(monkeypatch):
         assert b.shape == (7,) and b.dtype == np.complex128
 
 
+def test_search_builds_the_complex_cut_pair_once(monkeypatch):
+    # Every Gauss-Newton step takes a Hessian, but the complex (S, 1 - S) is
+    # cast from sides() once per tree and then shared for the whole search.
+    sides_calls, pairs = [], []
+    sides = Tree.sides
+
+    def counted_sides(self):
+        sides_calls.append(self)
+        return sides(self)
+
+    def spied_hessian(t, k, x):
+        hess = hessian_direct(t, k, x)
+        pairs.append(t.cut_pair())
+        return hess
+
+    monkeypatch.setattr(Tree, "sides", counted_sides)
+    monkeypatch.setattr(nullspace, "hessian_direct", spied_hessian)
+    t = random_tree(6, 1)
+    numeric_search(t, 4, 1, restarts=3)
+    assert len(pairs) > 3 and len(sides_calls) == 1
+    far, near = pairs[0]
+    assert all(p[0] is far and p[1] is near for p in pairs)
+    assert far.dtype == near.dtype == np.complex128
+    assert (far == sides(t)).all() and (near == 1 - sides(t)).all()
+    for m in (far, near):
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+
+
 def test_search_tight_tol_reaches_precision_floor(path3):
     # Near a nullvector H x = (k-1) g vanishes, so H alone leaves a step
     # along x free; the gauge row 2 x^H d fixes it, and the step converges
