@@ -26,8 +26,10 @@ The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system,
 one complex least-squares problem with a gauge row per step, from seeded
 Philox restarts: complex128 iterates and steps, a ``WORKING_PREC``-bit (128-bit)
 refinement only where float64 runs out of digits, and every reported point
-and residual evaluated at that precision.  It reports residuals only
-and never claims exactness.
+and residual evaluated at that precision.  A complex128 pass builds one
+Hessian H, a single product with the tree's stacked cut array [S; 1 - S],
+and reads its gradient off it by Euler, g = H x / (k-1).  It reports
+residuals only and never claims exactness.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from .errors import (EvenOrder, NotDegenerateZeroed, OrderTooLow, TooSmall,
-                     ZeroVector)
+from .errors import (BudgetExceeded, EvenOrder, NotDegenerateZeroed, OrderTooLow,
+                     TooSmall, ZeroVector)
 from .forms import gradient_direct, hessian_direct
-from .hypermatrix import Hypermatrix, has_nonzero_degenerate
+from .hypermatrix import Hypermatrix, entry_budget, has_nonzero_degenerate
 from .scalar import WORKING_PREC, CFloat, CycNum, root_of_unity, unify_conductor
 from .trees import Tree, format_tree
 
@@ -343,7 +345,8 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
 
     Each restart starts from an independent Philox stream keyed by (seed,
     restart index) and iterates on a complex128 point with floor
-    max(2^-40, tol), for at most ``MAX_STEPS`` steps in all.  Its best point
+    max(2^-40, tol), for at most ``MAX_STEPS`` steps in all; each pass there
+    takes one Hessian H and the gradient H x / (k-1).  Its best point
     is lifted to ``WORKING_PREC`` bits and normalized there, and the residual
     reported is evaluated at that precision.  A restart whose float64 loop
     reached its floor goes on at ``WORKING_PREC`` bits (floor
@@ -351,10 +354,13 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     steps against working-precision residuals), so a float64 ``tol`` stop
     stands only if the working-precision residual is below ``tol`` too.
     Candidates come back sorted by residual; no exactness is ever claimed.
+    BudgetExceeded, before S is built, when n^2 exceeds ``entry_budget()``.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
-    n = t.n
+    n, limit = t.n, entry_budget()
+    if n * n > limit:
+        raise BudgetExceeded(f"{n}^2 side-matrix entries exceed the budget of {limit}")
     out: list[SearchCandidate] = []
     for ridx in range(restarts):
         key = np.array([seed % (1 << 64), ridx], dtype=np.uint64)
@@ -377,19 +383,28 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
 
 def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: int):
     """Gauss-Newton from ``x``, a complex128 array or an object array of
-    mpmath complex numbers, in that number type.  Each pass normalizes x,
-    evaluates the gradient and stops on a residual below ``floor``, a last
+    mpmath complex numbers, in that number type.  Each pass normalizes x and
+    takes the gradient: g = H x / (k-1) by Euler off the one Hessian H in
+    complex128, ``gradient_direct`` in mpmath, with norm and residual each one
+    square root of squared moduli.  It stops on a residual below ``floor``, a last
     step below ``floor`` (``step_floor``), 8 passes in a row none of whose
     residuals is below 0.9 x the best before it (``stalled``) or ``budget``
     steps; else it takes a complex128 step.  Returns the best unit
     point, its residual, the steps taken and the stop reason."""
+    float64 = x.dtype == np.complex128
     best_res, best_x = math.inf, x
     stalled = steps = 0
     tiny = False
     while True:
-        x = x / (abs(x) ** 2).sum() ** 0.5
-        grads = gradient_direct(t, k, x)
-        res = max(abs(g) for g in grads)
+        if float64:
+            x = x / np.sqrt(np.vdot(x, x).real)
+            hess = hessian_direct(t, k, x)
+            grads = hess @ x / (k - 1)
+            res = np.abs(grads).max()
+        else:
+            x = x / mpmath.sqrt(mpmath.fsum(x, absolute=True, squared=True))
+            grads = gradient_direct(t, k, x)
+            res = mpmath.sqrt(max(g.real ** 2 + g.imag ** 2 for g in grads))
         stalled = 0 if res < best_res * 0.9 else stalled + 1
         if res < best_res:
             best_res, best_x = res, x
@@ -402,8 +417,9 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
         if steps == budget:
             return best_x, best_res, steps, "max_iter"
         xf = np.asarray(x, dtype=np.complex128)
-        step = _gauss_newton_step(xf, np.array(grads, dtype=np.complex128),
-                                  hessian_direct(t, k, xf))
+        if not float64:
+            grads, hess = np.array(grads, dtype=np.complex128), hessian_direct(t, k, xf)
+        step = _gauss_newton_step(xf, grads, hess)
         if step is None:
             return best_x, best_res, steps, "singular"
         steps += 1

@@ -204,13 +204,14 @@ class Tree:
         return self._sides_cache
 
     def cut_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, 1 - S) for S = ``sides()``, in complex128 for the numeric Hessian.
-        Built once per tree and shared, so read-only: 32 bytes per entry of S."""
+        """(S, 1 - S) for S = ``sides()``, in complex128 for the numeric Hessian: views
+        of one stacked C = [S; 1 - S], their ``.base``.  Built once per tree and
+        shared, so read-only: 32 bytes per entry of S."""
         if self._cut_pair_cache is None:
-            far = self.sides().astype(np.complex128)
-            near = 1 - far
-            far.flags.writeable = near.flags.writeable = False
-            object.__setattr__(self, "_cut_pair_cache", (far, near))
+            far, m = self.sides(), self.n - 1
+            cuts = np.concatenate([far, 1 - far], dtype=np.complex128)
+            cuts.flags.writeable = False
+            object.__setattr__(self, "_cut_pair_cache", (cuts[:m], cuts[m:]))
         return self._cut_pair_cache
 
     # -- brute-force support ----------------------------------------------------

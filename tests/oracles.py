@@ -165,9 +165,11 @@ def multiset_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
 def edge_cut_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
     """The Hessian formula of ``forms.hessian_direct``,
     H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)],
-    on an object array of mpmath complex numbers at the working precision."""
+    on an object array of mpmath complex numbers at the working precision, or
+    of Fractions, exactly."""
     n = t.n
-    x = np.array([mpmath.mpmathify(v) for v in point], dtype=object)
+    x = np.array([v if isinstance(v, Fraction) else mpmath.mpmathify(v) for v in point],
+                 dtype=object)
     far = t.sides()
     near = 1 - far
     s = x.sum()

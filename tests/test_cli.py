@@ -298,6 +298,21 @@ def test_search_report(tree_file, capsys):
     assert doc["candidates"] == [] and doc["best_residual"] is None
 
 
+def test_search_keeps_the_entry_budget(tree_file, monkeypatch, capsys):
+    # the side matrix S and its complex stack hold about 3n^2 entries; the
+    # search refuses n^2 above the budget before building either
+    path = tree_file(random_tree(50, 1))
+    monkeypatch.setenv("STEINER_MEM_BUDGET", "2499")
+    monkeypatch.setattr(Tree, "sides", lambda self: pytest.fail("S built over budget"))
+    assert main(["search", "--tree", path, "--k", "4", "--restarts", "1"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded:")
+    monkeypatch.undo()
+    monkeypatch.setenv("STEINER_MEM_BUDGET", "2500")
+    code, out = run(capsys, ["search", "--tree", path, "--k", "4", "--restarts", "1"])
+    assert code == EXIT_OK and len(json.loads(out)["candidates"]) == 1
+
+
 def test_search_verbose_lists_each_restart(tree_file, capsys):
     path = tree_file(path_tree(4))
     argv = ["search", "--tree", path, "--k", "3", "--seed", "2", "--restarts", "5"]

@@ -555,6 +555,35 @@ def test_hessian_direct_complex128_matches_mpc():
                     assert np.abs(hess - want).max() <= 1e-12 * scale, (t, k)
 
 
+def test_hessian_times_point_is_k_minus_1_gradient_exactly():
+    # Euler for a form of degree k - 1: H x = (k-1) grad p, the identity the
+    # float64 search reads its gradient by.  Checked in Fractions on every
+    # class with n <= 6, against the brute-force multiset gradient.
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            for k in range(2, 8):
+                point = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                         for _ in range(n)]
+                hess = edge_cut_hessian(t, k, point)
+                want = multiset_gradient(t, k, point)
+                assert [sum(h * x for h, x in zip(row, point)) for row in hess] \
+                    == [(k - 1) * g for g in want], (t, k, point)
+
+
+def test_hessian_direct_times_point_matches_gradient_direct():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 7, 12, 25, 40):
+        for t in _oracle_trees(n):
+            for k in range(2, 8):
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                z /= np.linalg.norm(z)
+                euler = hessian_direct(t, k, z) @ z / (k - 1)
+                want = np.array(gradient_direct(t, k, z))
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(euler - want).max() <= 1e-12 * scale, (t, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10 ** 6), st.integers(2, 4),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q != 0))

@@ -588,21 +588,45 @@ def test_search_single_vertex():
 
 
 def test_search_checks_a_float64_tol_stop_at_working_precision(monkeypatch, path3):
-    # A float64 gradient that reads 0 once the true residual is below 1e-6
-    # ends the float64 loop on "tol" far from the target.  The search must
-    # re-evaluate that point at 128 bits, refine it there, and report the
-    # 128-bit residual.
-    exact = nullspace.gradient_direct
+    # A float64 loop that reads "tol" once its residual is below 1e-6 ends
+    # far from the target.  The search must re-evaluate that point at 128
+    # bits, refine it there, and report the 128-bit residual.
+    descend = nullspace._descend
 
-    def optimistic(t, k, x):
-        grads = exact(t, k, x)
-        if x.dtype == np.complex128 and max(abs(g) for g in grads) < 1e-6:
-            return [0j] * len(grads)
-        return grads
+    def optimistic(t, k, x, floor, tol, budget):
+        if x.dtype == np.complex128:
+            floor, tol = 1e-6, 1.0
+        return descend(t, k, x, floor, tol, budget)
 
-    monkeypatch.setattr(nullspace, "gradient_direct", optimistic)
+    monkeypatch.setattr(nullspace, "_descend", optimistic)
     cands = numeric_search(path3, 3, seed=11, restarts=8, tol=1e-12)
     assert sum(c.stop == "tol" for c in cands) >= 3
     for c in cands:
         assert c.residual == _residual_at(path3, 3, c.point, 128)
         assert c.stop != "tol" or c.residual < 1e-12
+
+
+@pytest.mark.parametrize("k, tol", [(4, 1e-12), (3, 1e-30)])
+def test_float64_passes_read_the_gradient_off_the_hessian(monkeypatch, k, tol):
+    # By Euler g = H x / (k-1), so a complex128 pass makes no gradient_direct
+    # call: a restart makes one to evaluate its lifted point at 128 bits and
+    # one more per 128-bit refinement step (there are some at tol = 1e-30).
+    calls, refinement_steps = [], []
+    gradient, descend = nullspace.gradient_direct, nullspace._descend
+
+    def counted_gradient(t, k, x):
+        calls.append(x.dtype)
+        return gradient(t, k, x)
+
+    def recorded_descend(t, k, x, floor, tol, budget):
+        result = descend(t, k, x, floor, tol, budget)
+        if x.dtype == object:
+            refinement_steps.append(result[2])
+        return result
+
+    monkeypatch.setattr(nullspace, "gradient_direct", counted_gradient)
+    monkeypatch.setattr(nullspace, "_descend", recorded_descend)
+    numeric_search(random_tree(6, 1), k, 1, restarts=3, tol=tol)
+    assert len(refinement_steps) == 3 and (k == 4 or sum(refinement_steps) > 0)
+    assert len(calls) == 3 + sum(refinement_steps)
+    assert set(calls) == {np.dtype(object)}
