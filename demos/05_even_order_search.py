@@ -1,10 +1,12 @@
 """Numeric probing of even orders, where no vanishing certificate is known.
 
 Gauss-Newton on the gradient system from seeded random starts, constrained to
-the unit sphere: float64 iterates, 128-bit reported points and residuals.  At odd orders
-the residual collapses to the working precision (nullvectors exist); at even
-orders every restart stalls at a residual floor far above zero.  The floors are evidence only -- the search
-never claims exactness or nonexistence.
+the unit sphere: float64 iterates, reported points exact Gaussian integers over
+2^128, each with a proven upper bound on its residual at exactly that point.
+At odd orders the residual collapses to the working precision (nullvectors
+exist); at even orders every restart stalls at a residual floor far above zero.
+The floors are evidence only -- the search never claims exactness or
+nonexistence.
 """
 
 from steinerdh import numeric_search, path_tree, prufer_decode, random_tree
@@ -17,7 +19,8 @@ def floor_of(t, k):
 
 
 def main():
-    print(f"{RESTARTS} restarts each, float64 iterates, 128-bit residuals\n")
+    print(f"{RESTARTS} restarts each, float64 iterates, "
+          "residual bounds at exact points over 2^128\n")
     rows = [
         ("path on 3, k=3 (certified zero)", path_tree(3), 3),
         ("path on 3, k=2 (det = 4 != 0)", path_tree(3), 2),

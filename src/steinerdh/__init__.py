@@ -7,8 +7,8 @@ vanish for every odd k (n >= 3), works out the order-3 nullvariety algebra
 with explicit degree-based cofactors), verifies the classical distance-matrix
 facts (Graham-Pollak determinant, Graham-Lovász inverse), evaluates the only
 directly computable hyperdeterminants (order 2, and Cayley's 2x2x2), and runs
-a seeded numeric search at even orders.  It issues no even-order certificate
-for n >= 3: the even-order search is evidence only.
+a seeded numeric search at even orders: exact points, proven residual bounds,
+evidence only.  It issues no even-order certificate for n >= 3.
 """
 
 from .errors import (BudgetExceeded, ConductorMismatch, EmptySet, EvenOrder,

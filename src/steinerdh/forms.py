@@ -11,7 +11,7 @@ which gives the edge-cut closed form
 with s = x_1 + ... + x_n and a_e, b_e the x-sums on the two sides of edge e
 (``Tree.far_sums``).  Gradients take two powers per nonzero far sum from it,
 in the point's own number type, and Hessians one product with the stacked
-[S; 1 - S] (``Tree.cut_pair``); neither touches the n^k expansion, which is
+[S; 1 - S] (``Tree.cuts``); neither touches the n^k expansion, which is
 what makes exact high-order certificates cheap.  At k = 3, s^3 - a^3 - b^3 =
 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
@@ -361,8 +361,8 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     D_q D_r (s^k - a^k - b^k) keeps a side's power only where q and r are
     both on that side, so with S = ``t.sides()`` and far sums a = S x,
     H = k(k-1) [(n-1) s^(k-2) - Sᵀdiag(a^(k-2))S - (1-S)ᵀdiag((s-a)^(k-2))(1-S)].
-    The tree's cached complex128 C = [S; 1 - S], the base of ``t.cut_pair()``,
-    has C x = [a; s - a], so the two products are one, Cᵀdiag((C x)^(k-2))C.
+    The tree's cached complex128 C = [S; 1 - S], ``t.cuts()``, has
+    C x = [a; s - a], so the two products are one, Cᵀdiag((C x)^(k-2))C.
 
     The point is read as a complex128 array and the n x n result is
     complex128: it only ever feeds float64 Gauss-Newton solves, which read
@@ -374,7 +374,7 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
     if k < 2:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
-    cuts = t.cut_pair()[0].base
+    cuts = t.cuts()
     hess = (cuts.T * (cuts @ x) ** (k - 2)) @ cuts
     np.subtract((n - 1) * x.sum() ** (k - 2), hess, out=hess)
     hess *= k * (k - 1)

@@ -24,12 +24,11 @@ take O(n) field products; the tests check both against the expanded g.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system,
 one complex least-squares problem with a gauge row per step, from seeded
-Philox restarts: complex128 iterates and steps, a ``WORKING_PREC``-bit (128-bit)
-refinement only where float64 runs out of digits, and every reported point
-and residual evaluated at that precision.  A complex128 pass builds one
-Hessian H, a single product with the tree's stacked cut array [S; 1 - S],
-and reads its gradient off it by Euler, g = H x / (k-1).  It reports
-residuals only and never claims exactness.
+Philox restarts: complex128 steps, each from one Hessian H (a single product
+with the tree's stacked cut array [S; 1 - S]) and the gradient H x / (k-1).
+It reports Gaussian integers over 2^WORKING_PREC, refined in integers where
+float64 runs out of digits, each with a proven upper bound on its residual
+(CycNum JSON and a float), and never claims a nullvector.
 """
 
 from __future__ import annotations
@@ -321,16 +320,16 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
 class SearchCandidate:
     """One restart's best point, its residual, and why the restart stopped.
 
-    ``residual`` is the max gradient magnitude at ``point``, evaluated at the
-    search's working precision.  ``iterations`` counts the Gauss-Newton steps
-    of both phases.  ``stop`` is ``tol`` (residual below ``tol``),
-    ``precision_floor`` (below the working precision's floor, when that lies
-    above ``tol``), ``stalled`` (8 passes in a row, none with a residual below
-    0.9 x the best residual before it, or a step below the floor), ``singular``
-    (the step could not be solved) or ``max_iter``.
+    ``point`` is Gaussian integers over 2^WORKING_PREC in Q(zeta_4), of norm 1
+    up to that rounding, and ``residual`` a proven upper bound on
+    max_r |D_r p(x)| / |x|^(k-1) there.  ``iterations`` counts the steps of
+    both phases.  ``stop`` is ``tol`` (residual below ``tol``), ``precision_floor``
+    (below the working precision's floor, when that lies above ``tol``),
+    ``stalled`` (8 passes in a row, none with a residual below 0.9 x the best
+    before it, or a step below the floor), ``singular`` (no step) or ``max_iter``.
     """
 
-    point: tuple[CFloat, ...]
+    point: tuple[CycNum, ...]
     residual: float
     iterations: int
     stop: str
@@ -346,13 +345,12 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     Each restart starts from an independent Philox stream keyed by (seed,
     restart index) and iterates on a complex128 point with floor
     max(2^-40, tol), for at most ``MAX_STEPS`` steps in all; each pass there
-    takes one Hessian H and the gradient H x / (k-1).  Its best point
-    is lifted to ``WORKING_PREC`` bits and normalized there, and the residual
-    reported is evaluated at that precision.  A restart whose float64 loop
-    reached its floor goes on at ``WORKING_PREC`` bits (floor
-    max(2^(24 - WORKING_PREC), tol), the steps left of ``MAX_STEPS``, complex128
-    steps against working-precision residuals), so a float64 ``tol`` stop
-    stands only if the working-precision residual is below ``tol`` too.
+    takes one Hessian H and the gradient H x / (k-1).  Its best point x is
+    rounded to Gaussian integers X = round(x 2^P), P = ``WORKING_PREC``, and
+    reported as X / 2^P with an exact residual bound.  A restart whose float64
+    loop reached its floor goes on in integers (floor max(2^(24 - P), tol),
+    the steps left of ``MAX_STEPS``, complex128 steps rounded into X), so a
+    float64 ``tol`` stop stands only if the exact bound is below ``tol`` too.
     Candidates come back sorted by residual; no exactness is ever claimed.
     BudgetExceeded, before S is built, when n^2 exceeds ``entry_budget()``.
     """
@@ -369,29 +367,28 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
         start /= np.linalg.norm(start)
         x, _, steps, stop = _descend(t, k, start, max(2.0 ** -40, tol), tol, MAX_STEPS)
         refine = stop in ("tol", "precision_floor", "step_floor")
-        with mpmath.workprec(WORKING_PREC):
-            lifted = np.array([mpmath.mpc(z) for z in x], dtype=object)
-            x, res, more, last = _descend(t, k, lifted, max(2.0 ** (24 - WORKING_PREC), tol),
-                                          tol, MAX_STEPS - steps if refine else 0)
-            point = tuple(CFloat(z) for z in x)
-        stop = last if refine else stop
-        out.append(SearchCandidate(point=point, residual=float(res), iterations=steps + more,
+        x, res, more, last = _descend(t, k, [_gaussian(z, WORKING_PREC) for z in x.tolist()],
+                                      max(2.0 ** (24 - WORKING_PREC), tol), tol,
+                                      MAX_STEPS - steps if refine else 0)
+        stop, scale = (last if refine else stop), 1 << WORKING_PREC
+        point = tuple(CycNum(4, [Fraction(c, scale) for c in z.coeffs]) for z in x)
+        out.append(SearchCandidate(point=point, residual=res, iterations=steps + more,
                                    stop="stalled" if stop == "step_floor" else stop))
     out.sort(key=lambda c: c.residual)
     return out
 
 
-def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: int):
-    """Gauss-Newton from ``x``, a complex128 array or an object array of
-    mpmath complex numbers, in that number type.  Each pass normalizes x and
-    takes the gradient: g = H x / (k-1) by Euler off the one Hessian H in
-    complex128, ``gradient_direct`` in mpmath, with norm and residual each one
-    square root of squared moduli.  It stops on a residual below ``floor``, a last
-    step below ``floor`` (``step_floor``), 8 passes in a row none of whose
-    residuals is below 0.9 x the best before it (``stalled``) or ``budget``
-    steps; else it takes a complex128 step.  Returns the best unit
-    point, its residual, the steps taken and the stop reason."""
-    float64 = x.dtype == np.complex128
+def _descend(t: Tree, k: int, x, floor: float, tol: float, budget: int):
+    """Gauss-Newton from ``x``: complex128, or Gaussian integers X in Q(zeta_4)
+    for X / 2^P, P = ``WORKING_PREC``.  Each pass normalizes x and takes the
+    gradient: g = H x / (k-1) off the one Hessian H in complex128, exact
+    ``gradient_direct`` at X rescaled to norm 2^P in integers, with residual
+    max |g| / |X|^(k-1) rounded up.  It stops on a residual below ``floor``, a
+    last step below ``floor`` (``step_floor``), 8 passes in a row none below
+    0.9 x the best residual before it (``stalled``) or ``budget`` steps; else
+    it takes a complex128 step (on X / 2^P and g / 2^(P(k-1))), rounded into
+    X.  Returns the best point, its residual, the steps and the stop reason."""
+    float64, prec = isinstance(x, np.ndarray), WORKING_PREC
     best_res, best_x = math.inf, x
     stalled = steps = 0
     tiny = False
@@ -402,9 +399,10 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
             grads = hess @ x / (k - 1)
             res = np.abs(grads).max()
         else:
-            x = x / mpmath.sqrt(mpmath.fsum(x, absolute=True, squared=True))
+            root = math.isqrt(sum(map(_modulus2, x)))
+            x = [CycNum(4, [(c << prec) // root for c in z.coeffs]) for z in x]
             grads = gradient_direct(t, k, x)
-            res = mpmath.sqrt(max(g.real ** 2 + g.imag ** 2 for g in grads))
+            res = _sqrt_up(max(map(_modulus2, grads)), sum(map(_modulus2, x)) ** (k - 1))
         stalled = 0 if res < best_res * 0.9 else stalled + 1
         if res < best_res:
             best_res, best_x = res, x
@@ -416,15 +414,42 @@ def _descend(t: Tree, k: int, x: np.ndarray, floor: float, tol: float, budget: i
             return best_x, best_res, steps, "stalled"
         if steps == budget:
             return best_x, best_res, steps, "max_iter"
-        xf = np.asarray(x, dtype=np.complex128)
+        xf = x if float64 else _complex(x, prec)
         if not float64:
-            grads, hess = np.array(grads, dtype=np.complex128), hessian_direct(t, k, xf)
+            grads, hess = _complex(grads, prec * (k - 1)), hessian_direct(t, k, xf)
         step = _gauss_newton_step(xf, grads, hess)
         if step is None:
             return best_x, best_res, steps, "singular"
         steps += 1
-        x = x + step
+        x = x + step if float64 else [z + _gaussian(d, prec) for z, d in zip(x, step.tolist())]
         tiny = np.abs(step).max() < floor
+
+
+def _gaussian(z: complex, prec: int) -> CycNum:
+    """round(z 2^prec), a Gaussian integer in Q(zeta_4)."""
+    return CycNum(4, [round(math.ldexp(z.real, prec)), round(math.ldexp(z.imag, prec))])
+
+
+def _complex(values: list[CycNum], prec: int) -> np.ndarray:
+    """Gaussian integers over 2^prec in complex128, by big-int true division."""
+    scale = 1 << prec
+    return np.array([complex(a / scale, b / scale) for a, b in (z.coeffs for z in values)])
+
+
+def _modulus2(z: CycNum) -> int:
+    a, b = z.coeffs   # z = a + b i
+    return a * a + b * b
+
+
+def _sqrt_up(top: int, base: int) -> float:
+    """A float r >= sqrt(top / base) within 2^-51 relative (a normal root), for
+    ints top >= 0, base > 0: R = isqrt(q) + 1 > sqrt(top 4^e / base) for the
+    ~120-bit q = floor(top 4^e / base), and r the float after R / 2^e rounded."""
+    if not top:
+        return 0.0
+    e = (120 - top.bit_length() + base.bit_length()) // 2
+    q = (top << 2 * e) // base if e >= 0 else top // (base << -2 * e)
+    return math.nextafter(math.ldexp(math.isqrt(q) + 1, -e), math.inf)
 
 
 def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray):

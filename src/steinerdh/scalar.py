@@ -9,8 +9,8 @@ tests.  An integral coefficient is stored as an ``int`` and any other as a
 speed; ``as_rational`` still hands back a ``Fraction``.  Every exact number
 from outside the package is read by ``_rational``: numpy integers become
 ``int``s, and a float or a string raises ``TypeError``.  ``CFloat`` is an
-``mpmath.mpc`` that is known to be finite; the numeric side of the package
-works at one precision, ``WORKING_PREC`` bits.
+``mpmath.mpc`` that is known to be finite, the value of ``embed`` and of a
+numeric completion root at ``WORKING_PREC`` bits.
 
 Phi_m is built by Moebius inversion, one shifted pass over a power series
 per squarefree divisor of m, with no division by the smaller Phi_d.  Every

@@ -39,7 +39,7 @@ class Tree:
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_connected_masks_cache", "_sides_cache", "_cut_pair_cache", "_distances_cache",
+        "_connected_masks_cache", "_sides_cache", "_cuts_cache", "_distances_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -89,7 +89,7 @@ class Tree:
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_connected_masks_cache", None)
         object.__setattr__(self, "_sides_cache", None)
-        object.__setattr__(self, "_cut_pair_cache", None)
+        object.__setattr__(self, "_cuts_cache", None)
         object.__setattr__(self, "_distances_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -203,16 +203,16 @@ class Tree:
             object.__setattr__(self, "_sides_cache", far)
         return self._sides_cache
 
-    def cut_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, 1 - S) for S = ``sides()``, in complex128 for the numeric Hessian: views
-        of one stacked C = [S; 1 - S], their ``.base``.  Built once per tree and
-        shared, so read-only: 32 bytes per entry of S."""
-        if self._cut_pair_cache is None:
-            far, m = self.sides(), self.n - 1
+    def cuts(self) -> np.ndarray:
+        """C = [S; 1 - S] for S = ``sides()``, in complex128 for the numeric
+        Hessian: C x = [a; s - a] for the far sums a.  Built once per tree
+        and shared, so read-only: 32 bytes per entry of S."""
+        if self._cuts_cache is None:
+            far = self.sides()
             cuts = np.concatenate([far, 1 - far], dtype=np.complex128)
             cuts.flags.writeable = False
-            object.__setattr__(self, "_cut_pair_cache", (cuts[:m], cuts[m:]))
-        return self._cut_pair_cache
+            object.__setattr__(self, "_cuts_cache", cuts)
+        return self._cuts_cache
 
     # -- brute-force support ----------------------------------------------------
 

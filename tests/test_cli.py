@@ -3,10 +3,11 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from steinerdh import cli, smalldet
+from steinerdh import CycNum, cli, gradient_direct, smalldet
 from steinerdh.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_NO_CERTIFICATE,
                            EXIT_OK, EXIT_VERIFICATION, IDENTITY_ROWS, SCHEMA,
                            identity_rows, main)
@@ -296,6 +297,25 @@ def test_search_report(tree_file, capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["candidates"] == [] and doc["best_residual"] is None
+
+
+def test_search_prints_residuals_no_lower_than_at_its_points(tree_file, capsys):
+    # Each printed residual bounds max_r |D_r p(x)| / |x|^(k-1) at the
+    # printed point, recomputed exactly from the JSON; a residual taken at
+    # a point near the printed one fell below that value here.
+    t = random_tree(6, 1)
+    code, out = run(capsys, ["search", "--tree", tree_file(t), "--k", "3", "--seed", "1",
+                             "--restarts", "6", "--tol", "1e-30"])
+    assert code == EXIT_OK
+
+    def modulus2(z):
+        return sum(Fraction(c) ** 2 for c in z.coeffs)
+
+    for cand in json.loads(out)["candidates"]:
+        point = [CycNum.from_json(z) for z in cand["point"]]
+        exact = (max(map(modulus2, gradient_direct(t, 3, point)))
+                 / sum(map(modulus2, point)) ** 2)
+        assert Fraction(cand["residual"]) ** 2 >= exact
 
 
 def test_search_keeps_the_entry_budget(tree_file, monkeypatch, capsys):

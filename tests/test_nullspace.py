@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steinerdh import (CFloat, CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
+from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        SparsePoly, TooSmall, Tree, ZeroVector, build_steiner,
                        canonical_odd_nullvector, complete_nullvector,
                        completion_quadratic, degenerate_nullvector,
@@ -18,7 +20,7 @@ from steinerdh import (CFloat, CycNum, EvenOrder, NotDegenerateZeroed, OrderTooL
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh import nullspace
-from steinerdh.nullspace import _gauss_newton_step
+from steinerdh.nullspace import _gauss_newton_step, _sqrt_up
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
 from oracles import (distance_quadratic, edge_cut_hessian, evaluate,
@@ -479,9 +481,10 @@ def test_search_solves_one_complex_problem_per_step(monkeypatch):
 
 
 def test_search_builds_the_complex_cut_pair_once(monkeypatch):
-    # Every Gauss-Newton step takes a Hessian, but the complex (S, 1 - S) is
-    # cast from sides() once per tree and then shared for the whole search.
-    sides_calls, pairs = [], []
+    # Every Gauss-Newton step takes a Hessian, but the complex stack
+    # [S; 1 - S] is cast from sides() once per tree and then shared for the
+    # whole search.
+    sides_calls, stacks = [], []
     sides = Tree.sides
 
     def counted_sides(self):
@@ -490,21 +493,20 @@ def test_search_builds_the_complex_cut_pair_once(monkeypatch):
 
     def spied_hessian(t, k, x):
         hess = hessian_direct(t, k, x)
-        pairs.append(t.cut_pair())
+        stacks.append(t.cuts())
         return hess
 
     monkeypatch.setattr(Tree, "sides", counted_sides)
     monkeypatch.setattr(nullspace, "hessian_direct", spied_hessian)
     t = random_tree(6, 1)
     numeric_search(t, 4, 1, restarts=3)
-    assert len(pairs) > 3 and len(sides_calls) == 1
-    far, near = pairs[0]
-    assert all(p[0] is far and p[1] is near for p in pairs)
-    assert far.dtype == near.dtype == np.complex128
-    assert (far == sides(t)).all() and (near == 1 - sides(t)).all()
-    for m in (far, near):
-        with pytest.raises(ValueError):
-            m[0, 0] = 0
+    assert len(stacks) > 3 and len(sides_calls) == 1
+    cuts = stacks[0]
+    assert all(c is cuts for c in stacks)
+    assert cuts.dtype == np.complex128
+    assert (cuts == np.concatenate([sides(t), 1 - sides(t)])).all()
+    with pytest.raises(ValueError):
+        cuts[0, 0] = 0
 
 
 def test_search_tight_tol_reaches_precision_floor(path3):
@@ -537,34 +539,41 @@ def test_search_zero_restarts(path3):
     assert numeric_search(path3, 3, seed=1, restarts=0) == []
 
 
+def _modulus2(z):
+    """|z|^2 as a Fraction, for z in Q(zeta_4)."""
+    a, b = z.coeffs
+    return Fraction(a) ** 2 + Fraction(b) ** 2
+
+
 def test_search_points_live_on_unit_sphere(path3):
     cands = numeric_search(path3, 3, seed=2, restarts=3)
     for c in cands:
-        with mpmath.workprec(128):
-            norm = mpmath.fsum([abs(c_) ** 2 for c_ in c.point])
-            assert abs(norm - 1) < 1e-20
+        assert abs(sum(map(_modulus2, c.point)) - 1) < 1e-20
 
 
 SEARCH_TREES = [t for n in range(2, 8)
                 for t in (path_tree(n), star_tree(n), random_tree(n, 70 + n))]
 
 
-def _residual_at(t, k, point, prec):
-    """Max |gradient| at a reported CFloat point, evaluated at ``prec`` bits."""
-    with mpmath.workprec(prec):
-        grads = gradient_direct(t, k, point)
-        return float(max(abs(g) for g in grads))
+def _assert_residual_bounds(t, k, c):
+    """The reported residual is at least the exact max_r |D_r p(x)| / |x|^(k-1)
+    at the reported point, recomputed in Fractions, and within 2^-50
+    relative of it."""
+    grads = gradient_direct(t, k, list(c.point))
+    exact = max(map(_modulus2, grads)) / sum(map(_modulus2, c.point)) ** (k - 1)
+    reported = Fraction(c.residual) ** 2
+    assert exact <= reported <= exact * (1 + Fraction(1, 2 ** 50)) ** 2, (t, k, c)
 
 
 @pytest.mark.parametrize("prec", [64, WORKING_PREC, 200])
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-30])
 def test_search_candidates_keep_their_contract(tol, prec, monkeypatch):
-    # The float64 iterate is never what is reported: every residual is the
-    # working-precision value at the reported point, and the stop reason
-    # agrees with it.  Nothing in the search is tied to 128 bits, so the
-    # contract holds with the constants patched too: other working
-    # precisions, and a budget of 9 steps, which often runs out in the
-    # refinement phase.
+    # The float64 iterate is never what is reported: every point is Gaussian
+    # integers over 2^WORKING_PREC, every residual a bound proven at that
+    # point, and the stop reason agrees with it.  Nothing in the search is
+    # tied to 128 bits, so the contract holds with the constants patched
+    # too: other working precisions, and a budget of 9 steps, which often
+    # runs out in the refinement phase.
     monkeypatch.setattr(nullspace, "WORKING_PREC", prec)
     floor = 2.0 ** (24 - prec)
     for i, t in enumerate(SEARCH_TREES):
@@ -572,14 +581,38 @@ def test_search_candidates_keep_their_contract(tol, prec, monkeypatch):
         monkeypatch.setattr(nullspace, "MAX_STEPS", max_iter)
         for k in range(2, 7):
             (c,) = numeric_search(t, k, seed=i, restarts=1, tol=tol)
-            with mpmath.workprec(prec):
-                assert all(isinstance(z, CFloat) and +z == z for z in c.point)
-            assert c.residual == _residual_at(t, k, c.point, prec), (t, k, c)
+            assert all(type(z) is CycNum and z.m == 4 for z in c.point)
+            assert all((1 << prec) % Fraction(a).denominator == 0
+                       for z in c.point for a in z.coeffs)
+            _assert_residual_bounds(t, k, c)
             if c.stop == "tol":
                 assert c.residual < tol, (t, k, c)
             if c.stop == "precision_floor":
                 assert tol <= c.residual < floor, (t, k, c)
             assert 0 <= c.iterations <= max_iter, (t, k, c)
+
+
+def _assert_sqrt_up(top, base):
+    r = _sqrt_up(top, base)
+    assert Fraction(top, base) <= Fraction(r) ** 2
+    assert Fraction(r) ** 2 <= Fraction(top, base) * (1 + Fraction(1, 2 ** 50)) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 2000), st.integers(1, 2 ** 2000))
+def test_sqrt_up_bounds_the_root_from_above(top, base):
+    _assert_sqrt_up(top, base)
+
+
+def test_sqrt_up_edges():
+    assert _sqrt_up(0, 7) == 0.0
+    # the root is a normal float, its square underflows float64
+    _assert_sqrt_up(1, 10 ** 400)
+    _assert_sqrt_up(3, 7 * 10 ** 400)
+    assert 0 < _sqrt_up(1, 10 ** 400) < 1.01e-200
+    # exact squares: the bound sits just above the root
+    _assert_sqrt_up(4, 1)
+    _assert_sqrt_up(2 ** 256, 1)
 
 
 def test_search_single_vertex():
@@ -589,12 +622,12 @@ def test_search_single_vertex():
 
 def test_search_checks_a_float64_tol_stop_at_working_precision(monkeypatch, path3):
     # A float64 loop that reads "tol" once its residual is below 1e-6 ends
-    # far from the target.  The search must re-evaluate that point at 128
-    # bits, refine it there, and report the 128-bit residual.
+    # far from the target.  The search must re-evaluate that point exactly,
+    # refine it in Gaussian integers, and report the exact bound there.
     descend = nullspace._descend
 
     def optimistic(t, k, x, floor, tol, budget):
-        if x.dtype == np.complex128:
+        if isinstance(x, np.ndarray):
             floor, tol = 1e-6, 1.0
         return descend(t, k, x, floor, tol, budget)
 
@@ -602,25 +635,25 @@ def test_search_checks_a_float64_tol_stop_at_working_precision(monkeypatch, path
     cands = numeric_search(path3, 3, seed=11, restarts=8, tol=1e-12)
     assert sum(c.stop == "tol" for c in cands) >= 3
     for c in cands:
-        assert c.residual == _residual_at(path3, 3, c.point, 128)
+        _assert_residual_bounds(path3, 3, c)
         assert c.stop != "tol" or c.residual < 1e-12
 
 
 @pytest.mark.parametrize("k, tol", [(4, 1e-12), (3, 1e-30)])
 def test_float64_passes_read_the_gradient_off_the_hessian(monkeypatch, k, tol):
     # By Euler g = H x / (k-1), so a complex128 pass makes no gradient_direct
-    # call: a restart makes one to evaluate its lifted point at 128 bits and
-    # one more per 128-bit refinement step (there are some at tol = 1e-30).
+    # call: a restart makes one to bound the residual at its rounded point
+    # and one more per refinement step (there are some at tol = 1e-30).
     calls, refinement_steps = [], []
     gradient, descend = nullspace.gradient_direct, nullspace._descend
 
     def counted_gradient(t, k, x):
-        calls.append(x.dtype)
+        calls.append(x)
         return gradient(t, k, x)
 
     def recorded_descend(t, k, x, floor, tol, budget):
         result = descend(t, k, x, floor, tol, budget)
-        if x.dtype == object:
+        if not isinstance(x, np.ndarray):
             refinement_steps.append(result[2])
         return result
 
@@ -629,4 +662,5 @@ def test_float64_passes_read_the_gradient_off_the_hessian(monkeypatch, k, tol):
     numeric_search(random_tree(6, 1), k, 1, restarts=3, tol=tol)
     assert len(refinement_steps) == 3 and (k == 4 or sum(refinement_steps) > 0)
     assert len(calls) == 3 + sum(refinement_steps)
-    assert set(calls) == {np.dtype(object)}
+    assert all(type(z) is CycNum and z.m == 4 and all(type(a) is int for a in z.coeffs)
+               for x in calls for z in x)

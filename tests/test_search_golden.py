@@ -10,7 +10,9 @@ pinned.  Each case runs at the default ``--tol``, at ``--tol 1e-30`` and at
 the numeric points of ``complete_nullvector`` for tails whose completing root
 escapes the working field.  The test only reads the file.  To rewrite it
 deliberately (after a change that is meant to alter the output), run
-``PYTHONPATH=src python tests/test_search_golden.py``.
+``PYTHONPATH=src python tests/test_search_golden.py``; before it overwrites
+the file it prints how many search rows change bytes and lists every row
+whose multiset of (iterations, stop) pairs changes.
 
 The embeddings and completions are mpmath values and platform-independent,
 but a search step goes through BLAS zgemm and LAPACK zgelsd, so the search
@@ -24,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -97,8 +100,31 @@ def test_numeric_layer_matches_golden():
     assert fresh["completion"] == golden["completion"]
 
 
+def _stops(row: dict) -> list[str]:
+    """A search row's (iterations, stop) pairs, from its --verbose lines, sorted."""
+    return sorted(re.sub(r"^candidate: residual \S+, ", "", line)
+                  for line in row["stderr"].splitlines() if line.startswith("candidate:"))
+
+
+def _report_changes(old: dict, new: dict) -> None:
+    """Print how many search rows change bytes, and every row whose multiset
+    of (iterations, stop) pairs changes."""
+    pairs = list(zip(old["search"], new["search"]))
+    print(f"{sum(a != b for a, b in pairs)} of {len(pairs)} search rows change bytes",
+          file=sys.stderr)
+    moved = [(a, b) for a, b in pairs if _stops(a) != _stops(b)]
+    print(f"{len(moved)} rows change their (iterations, stop) pairs", file=sys.stderr)
+    for a, b in moved:
+        print(f"  {a['tree']} k={a['k']} tol={a['tol']}: {_stops(a)} -> {_stops(b)}",
+              file=sys.stderr)
+
+
 if __name__ == "__main__":
+    fresh = compute()
+    if GOLDEN.exists():
+        with open(GOLDEN, encoding="utf-8") as fh:
+            _report_changes(json.load(fh), fresh)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(compute(), fh, sort_keys=True, indent=1)
+        json.dump(fresh, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
