@@ -50,7 +50,8 @@ def main():
                   "| gradient vanishes:",
                   verify_nullvector(t, 3, cand.point).exact_zero)
         else:
-            print(f"    root leaves the field; 128-bit residual {cand.residual:.3g}")
+            print(f"    discriminant not +/- a rational square, numeric root; "
+                  f"128-bit residual {cand.residual:.3g}")
 
     print("\nzero-sum: every nullvector has coordinates summing to 0")
     from steinerdh import canonical_odd_nullvector

@@ -24,28 +24,20 @@ the polynomial of any hypermatrix, and because the benchmark's tracer binds
 ``SparsePoly.__mul__``/``__rmul__``; division by a linear form, s, g and the
 s^3 cofactors are test oracles (``tests/oracles.py``).
 
-Polynomials store each monomial as one Python int: variable x_i's exponent
-sits in its own 17-bit field, x_1's field highest, so integer order is
-lexicographic order and a monomial product is one integer addition.  An
-exponent is at most 65535, so each field's top bit is a guard: two valid
-exponents sum below 2^17 and never carry into the next field, and a product
-overflows exactly when some result key has a guard bit set, which one test
-after the product loop catches.  An exponent above 65535 raises
-``OverflowError``.  A polynomial reads its coefficients with
-``scalar._rational`` and stores an integral one as an ``int`` and any other
-as a ``Fraction``, so integer forms multiply at Python-int speed;
-``coefficient`` still hands back a ``Fraction``, and ``terms`` hands back a
-fresh dict keyed by exponent tuples.  The canonical term order used for serialization and printing is
-graded lexicographic.
+Polynomials key each monomial by its exponent tuple, with no cap on an
+exponent.  A polynomial reads its coefficients with ``scalar._rational`` and
+stores an integral one as an ``int`` and any other as a ``Fraction``, so
+integer forms multiply at Python-int speed; ``coefficient`` still hands back
+a ``Fraction``, and ``terms`` hands back a fresh dict.  The canonical term
+order used for serialization and printing is graded lexicographic.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,61 +48,36 @@ from .trees import Tree
 
 Coefficient = Union[int, Fraction]
 
-FIELD_BITS = 17
-MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1   # the field's top bit is the guard
-
-
-@lru_cache(maxsize=None)
-def _shifts(n: int) -> tuple[int, ...]:
-    """The bit offset of each variable's exponent field, x_1's highest."""
-    return tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _guards(n: int) -> int:
-    """The guard bit of every field: set in a product key exactly when an
-    exponent passed MAX_EXPONENT."""
-    return sum((MAX_EXPONENT + 1) << shift for shift in _shifts(n))
-
-
-def _pack(exp: Iterable[int], shifts: tuple[int, ...]) -> int:
-    return sum(e << shift for e, shift in zip(exp, shifts))
-
-
-def _unpack(key: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((key >> shift) & MAX_EXPONENT for shift in shifts)
-
 
 class SparsePoly:
-    """Multivariate polynomial over Q with sparse packed-monomial storage."""
+    """Multivariate polynomial over Q, stored sparsely by exponent tuple."""
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], Coefficient] | None = None):
         if n < 0:
             raise ValueError("variable count must be >= 0")
-        clean: dict[int, Coefficient] = {}
-        shifts = _shifts(n)
+        clean: dict[tuple[int, ...], Coefficient] = {}
         for exp, coeff in (terms or {}).items():
             c = _rational(coeff)
             if c == 0:
                 continue
             if len(exp) != n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n={n}")
-            if max(exp, default=0) > MAX_EXPONENT:
-                raise OverflowError(f"exponent {max(exp)} exceeds {MAX_EXPONENT}")
-            clean[_pack(map(index, exp), shifts)] = c
+            clean[tuple(map(index, exp))] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _ring(cls, n: int, terms: dict[int, Coefficient]) -> "SparsePoly":
-        """A ring result: packed keys with clear guard bits, int/Fraction
-        values, zeros dropped."""
+    def _ring(cls, n: int, terms: dict[tuple[int, ...], Coefficient]) -> "SparsePoly":
+        """A ring result from a dict the caller gives up, zeros dropped; one
+        of nonzero ints, the common case, is checked at C speed and kept."""
+        if not {*map(type, terms.values())} <= {int} or 0 in terms.values():
+            terms = {e: c if type(c) is int else _int_if_integral(c)
+                     for e, c in terms.items() if c}
         poly = object.__new__(cls)
         object.__setattr__(poly, "n", n)
-        object.__setattr__(poly, "_terms", {e: c if type(c) is int else _int_if_integral(c)
-                                            for e, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", terms)
         return poly
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -131,13 +98,12 @@ class SparsePoly:
         """x_r, with r 1-based."""
         if not (1 <= r <= n):
             raise ValueError(f"variable index {r} outside 1..{n}")
-        return cls._ring(n, {1 << _shifts(n)[r - 1]: 1})
+        return cls._ring(n, {tuple(int(i == r) for i in range(1, n + 1)): 1})
 
     @property
     def terms(self) -> dict[tuple[int, ...], Coefficient]:
         """The terms keyed by exponent tuples, as a fresh dict."""
-        shifts = _shifts(self.n)
-        return {_unpack(key, shifts): c for key, c in self._terms.items()}
+        return dict(self._terms)
 
     # -- ring operations -------------------------------------------------------
 
@@ -163,9 +129,7 @@ class SparsePoly:
         return SparsePoly._ring(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(self.n, other)
-        if not isinstance(other, SparsePoly):
+        if not isinstance(other, (int, Fraction, SparsePoly)):
             return NotImplemented
         return self + (-other)
 
@@ -179,16 +143,18 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        terms: dict[int, Coefficient] = {}
+        terms: dict[tuple[int, ...], Coefficient] = {}
         get = terms.get
         right = list(other._terms.items())
         for e1, c1 in self._terms.items():
+            # e1's few nonzero exponents, added into a copy of each e2
+            bumps = [(i, e) for i, e in enumerate(e1) if e]
             for e2, c2 in right:
-                key = e1 + e2
+                key = list(e2)
+                for i, e in bumps:
+                    key[i] += e
+                key = tuple(key)
                 terms[key] = get(key, 0) + c1 * c2
-        guards = _guards(self.n)
-        if any(key & guards for key in terms):
-            raise OverflowError(f"a product exponent exceeds {MAX_EXPONENT}")
         return SparsePoly._ring(self.n, terms)
 
     __rmul__ = __mul__
@@ -196,8 +162,7 @@ class SparsePoly:
     def __pow__(self, e: int) -> "SparsePoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.constant(self.n, 1)
-        base = self
+        result, base = SparsePoly.constant(self.n, 1), self
         while e:
             if e & 1:
                 result = result * base
@@ -219,17 +184,14 @@ class SparsePoly:
         return not self._terms
 
     def total_degree(self) -> int:
-        shifts = _shifts(self.n)
-        return max((sum(_unpack(key, shifts)) for key in self._terms), default=0)
+        return max(map(sum, self._terms), default=0)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        if len(exp) != self.n or not all(0 <= e <= MAX_EXPONENT for e in exp):
-            return Fraction(0)
-        return Fraction(self._terms.get(_pack(exp, _shifts(self.n)), 0))
+        return Fraction(self._terms.get(tuple(exp), 0))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         """Graded lexicographic order, highest first."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]),
+        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]),
                       reverse=True)
 
     # -- calculus ------------------------------------------------------------------
@@ -238,13 +200,11 @@ class SparsePoly:
         """Formal partial derivative with respect to x_r (1-based)."""
         if not (1 <= r <= self.n):
             raise ValueError(f"variable index {r} outside 1..{self.n}")
-        shift = _shifts(self.n)[r - 1]
-        unit = 1 << shift
-        terms: dict[int, Coefficient] = {}
-        for key, c in self._terms.items():
-            e = (key >> shift) & MAX_EXPONENT
-            if e:
-                terms[key - unit] = c * e
+        i = r - 1
+        terms: dict[tuple[int, ...], Coefficient] = {}
+        for exp, c in self._terms.items():
+            if exp[i]:
+                terms[exp[:i] + (exp[i] - 1,) + exp[r:]] = c * exp[i]
         return SparsePoly._ring(self.n, terms)
 
     # -- serialization -------------------------------------------------------------------
@@ -261,7 +221,7 @@ class SparsePoly:
             terms = {tuple(map(_json_int, t["exp"])): _fraction_from_json([t["num"], t["den"]])
                      for t in obj["terms"]}
             return cls(_json_int(obj["n"]), terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad polynomial JSON: {exc!r}") from exc
 
     def __repr__(self):
@@ -279,15 +239,11 @@ class SparsePoly:
 # Steiner forms
 # ---------------------------------------------------------------------------
 
-def _units(n: int) -> list[int]:
-    """The packed key of each variable x_1..x_n."""
-    return [1 << shift for shift in _shifts(n)]
-
-
 def steiner_form(h: Hypermatrix) -> SparsePoly:
     """sum over all index tuples of h[i1..ik] * x_{i1}...x_{ik}, assuming no
-    symmetry: each nonzero entry's tuple is sorted into its multiset, and equal
-    multisets are summed in Python ints, so no int64 sum can wrap."""
+    symmetry: each nonzero entry's tuple is sorted into its multiset, equal
+    multisets are summed in Python ints, so no int64 sum can wrap, and each
+    multiset's exponent counts come from one ``np.add.at``."""
     n, k = h.n, h.k
     tuples = np.argwhere(h.entries)
     values = h.entries[tuple(tuples.T)].astype(object)
@@ -296,9 +252,9 @@ def steiner_form(h: Hypermatrix) -> SparsePoly:
                                 return_index=True, return_inverse=True)
     sums = np.zeros(len(first), dtype=object)
     np.add.at(sums, group, values)
-    units = _units(n)
-    return SparsePoly._ring(n, {sum(units[i] for i in multiset): c for multiset, c
-                                in zip(tuples[first].tolist(), sums.tolist())})
+    exps = np.zeros((len(first), n), dtype=np.int64)
+    np.add.at(exps, (np.arange(len(first))[:, None], tuples[first]), 1)
+    return SparsePoly._ring(n, dict(zip(map(tuple, exps.tolist()), sums.tolist())))
 
 
 # ---------------------------------------------------------------------------

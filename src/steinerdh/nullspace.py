@@ -189,10 +189,11 @@ def membership_sg(t: Tree, point: Sequence) -> bool:
 class CompletionCandidate:
     """One root of the completion quadratic, with its assembled point.
 
-    ``exact`` is True when the root lies in the working cyclotomic field; the
-    point is then a CycNum vector and ``residual`` is 0.0 on success.  When the
-    root escapes the field the point is numeric, CFloat values rounded to
-    ``WORKING_PREC`` bits, and ``residual`` is max(|s|, |g|) at that precision.
+    ``exact`` is True when the discriminant is +/- a rational square; the
+    point is then a CycNum vector and ``residual`` is 0.0 on success.  Any
+    other discriminant, even one whose root lies in the field, gives a
+    numeric point, CFloat values rounded to ``WORKING_PREC`` bits, and
+    ``residual`` is max(|s|, |g|) at that precision.
     """
 
     point: tuple
@@ -268,9 +269,9 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
     """Extend n-2 fixed coordinates to order-3 nullvectors of the tree.
 
     Returns one candidate per root of the completion quadratic (two when
-    distinct).  Roots outside the working field Q(zeta_lcm(4, tail modulus))
-    come back numeric, flagged ``exact=False``, together with the exact
-    quadratic coefficients.
+    distinct), exact in Q(zeta_lcm(4, tail modulus)) when the discriminant
+    is +/- a rational square and otherwise numeric, flagged ``exact=False``,
+    with the exact quadratic coefficients.
     """
     A, B, C, a, m = completion_quadratic(t, tail)
     sigma = sum(a, CycNum.zero(m))
@@ -293,7 +294,7 @@ def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
                 quadratic=(A, B, C), residual=0.0, verified=verified))
         return candidates
 
-    # root escapes the field: WORKING_PREC numerics (+x rounds x to them)
+    # no rational square root: WORKING_PREC numerics (+x rounds x to them)
     with mpmath.workprec(WORKING_PREC):
         av, bv, cv, sv = (+x.embed() for x in (A, B, C, sigma))
         tail_num = [+x.embed() for x in a]

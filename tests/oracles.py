@@ -5,11 +5,13 @@ Most oracles derive their object from per-multiset queries to
 the multiset, so trees of n <= 12 vertices), or, for linear systems, from
 plain Gaussian elimination or mpmath's QR solver at the working precision.
 These share none of the edge cuts behind ``Tree.steiner``,
-``Tree.distances`` and the closed forms, or the float64 solves they check.  Polynomial and matrix
-products are redone on plain ``{exponent tuple: Fraction}`` dicts and
-Fraction sums, with none of the packed monomial keys or integer fast paths
-of ``SparsePoly`` and ``RatMatrix``; ``index_tuple_form`` sums a Steiner form
-over every index tuple, with no multinomial weights.  A ``CycNum`` product
+``Tree.distances`` and the closed forms, or the float64 solves they check.
+Polynomial and matrix products are redone on plain ``{exponent tuple:
+Fraction}`` dicts and Fraction sums, with none of the integer fast paths of
+``SparsePoly`` and ``RatMatrix``; the polynomial routes add exponent tuples
+as ``SparsePoly`` does, so the tests also check its products by ``evaluate``
+at rational points.  ``index_tuple_form`` sums a Steiner form over every
+index tuple, with no multinomial weights.  A ``CycNum`` product
 is redone as a Fraction convolution reduced by long division by Phi_m, not
 through the power table of ``scalar``.
 
@@ -53,7 +55,7 @@ is unchanged, so they share what they always shared.
   from ``Tree.distances``), ``order3_form`` (``steiner_form`` of the built
   hypermatrix), ``s3_cofactors`` (the cofactors of
   ``forms.verify_s3_decomposition``) and ``divide_by_linear`` (synthetic
-  division).  They share ``SparsePoly``'s packed monomial keys and ring
+  division).  They share ``SparsePoly``'s exponent-tuple keys and ring
   operations, which the Fraction-dict routes above check, and none of the
   int64 tensors of ``forms``.
 - The export oracle: ``json_export`` and ``text_export`` are the writers
@@ -97,7 +99,6 @@ import numpy as np
 from steinerdh import (CycNum, Hypermatrix, MalformedInput, RatMatrix, SparsePoly, Tree,
                        build_steiner, cyclotomic_polynomial, root_of_unity,
                        steiner_distance_bruteforce, steiner_form)
-from steinerdh.forms import MAX_EXPONENT, _units
 from steinerdh.errors import ascii_int
 from steinerdh.hypermatrix import _shape
 from steinerdh.scalar import _int_if_integral
@@ -279,7 +280,9 @@ def fraction_add(a: Terms, b: Terms) -> Terms:
 
 
 def fraction_mul(a: Terms, b: Terms) -> Terms:
-    """The dict product SparsePoly used before its integer coefficients."""
+    """The product on Fraction dicts, keyed by exponent tuples added
+    coordinate by coordinate as in ``SparsePoly``; only its coefficient
+    arithmetic is independent."""
     out: Terms = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -430,7 +433,7 @@ def order3_rows_by_polynomials(t: Tree, p: SparsePoly) -> list[bool]:
     n = t.n
     d = side_distances(t)
     s = s_form(n)
-    g = SparsePoly(n, {tuple(int(v in (i, j)) for v in range(n)): 3 * int(d[i, j])
+    g = SparsePoly(n, {_monomial(n, i, j): 3 * int(d[i, j])
                        for i in range(n) for j in range(i + 1, n)})
     euler = by_degree = SparsePoly.zero(n)
     for r in range(1, n + 1):
@@ -487,18 +490,17 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
         raise ValueError("divisor must be a nonzero homogeneous linear form")
     p._check(s)
     # every key of s is one variable's unit; the smallest is x_r's
-    unit = min(s._terms)
-    a = s._terms[unit]
-    shift = unit.bit_length() - 1
+    terms = s.terms
+    unit = min(terms)
+    a = terms.pop(unit)
+    r = unit.index(1)
     # rho = -(s - a*x_r)/a
-    rho = SparsePoly._ring(s.n, {key: c for key, c in s._terms.items()
-                                 if key != unit}) * Fraction(-1, a)
+    rho = SparsePoly._ring(s.n, terms) * Fraction(-1, a)
 
     # coefficients of p as a polynomial in x_r
-    layers: dict[int, dict[int, int | Fraction]] = {}
-    clear = ~(MAX_EXPONENT << shift)
+    layers: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
     for key, c in p._terms.items():
-        layers.setdefault((key >> shift) & MAX_EXPONENT, {})[key & clear] = c
+        layers.setdefault(key[r], {})[key[:r] + (0,) + key[r + 1:]] = c
     if not layers:
         return SparsePoly.zero(p.n)
     top = max(layers)
@@ -514,24 +516,28 @@ def divide_by_linear(p: SparsePoly, s: SparsePoly) -> SparsePoly | NotDivisible:
     if not remainder.is_zero():
         return NotDivisible(remainder)
 
-    # the layers are free of x_r: layer j's keys take x_r^j by one addition
+    # the layers are free of x_r: layer j's keys take x_r^j at position r
     inverse = _int_if_integral(Fraction(1, a))
-    quotient = {key + j * unit: c * inverse
+    quotient = {key[:r] + (j,) + key[r + 1:]: c * inverse
                 for j, layer in enumerate(quot_layers) for key, c in layer._terms.items()}
     return SparsePoly._ring(p.n, quotient)
 
 
+def _monomial(n: int, *vs: int) -> tuple[int, ...]:
+    """The exponent tuple of x_(v1+1) * x_(v2+1) * ..., vs 0-based."""
+    return tuple(map(vs.count, range(n)))
+
+
 def s_form(n: int) -> SparsePoly:
     """The all-ones linear form x_1 + ... + x_n."""
-    return SparsePoly._ring(n, dict.fromkeys(_units(n), 1))
+    return SparsePoly._ring(n, {_monomial(n, v): 1 for v in range(n)})
 
 
 def distance_quadratic(t: Tree) -> SparsePoly:
     """g = 3 * sum_{i<j} d_T(i,j) x_i x_j, the cofactor of s in the order-3 form."""
     n = t.n
     d = t.distances().tolist()
-    units = _units(n)
-    return SparsePoly._ring(n, {units[i] + units[j]: 3 * d[i][j]
+    return SparsePoly._ring(n, {_monomial(n, i, j): 3 * d[i][j]
                                 for i in range(n) for j in range(i + 1, n)})
 
 

@@ -20,7 +20,7 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh import nullspace
-from steinerdh.nullspace import _gauss_newton_step, _sqrt_up
+from steinerdh.nullspace import NUMERIC_COMPLETION_TOL, _gauss_newton_step, _sqrt_up
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
 from oracles import (distance_quadratic, edge_cut_hessian, evaluate,
@@ -380,6 +380,38 @@ def test_completion_double_root():
     cands = complete_nullvector(t, [Fraction(1), i])
     assert len(cands) == 1
     assert cands[0].exact and cands[0].verified and not cands[0].trivial
+
+
+def _signed_rational_square(x: CycNum) -> bool:
+    if not x.is_rational():
+        return False
+    q = abs(x.as_rational())
+    return all(math.isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
+
+
+def test_completion_is_exact_iff_the_discriminant_is_a_signed_rational_square(star4):
+    # the rule is on the discriminant, not on where the root lies: the last
+    # three tails have a root in the working field (squared back below) and
+    # still come back numeric
+    t = path_tree(3)
+    z = root_of_unity
+    cases = [(t, [1], True, None),                  # disc -4
+             (t, [Fraction(2)], True, None),        # disc -16
+             (star4, [1, -1], False, None),         # disc -8
+             (t, [z(3)], False, 2 * z(12)),         # disc 4 zeta_12^2
+             (t, [z(8)], False, 2 * z(8, 7)),       # disc -4 zeta_8^2
+             (t, [1 + z(4)], False, 2 - 2 * z(4))]  # disc -8i
+    for tree, tail, exact, root in cases:
+        A, B, C, _, m = completion_quadratic(tree, tail)
+        disc = B * B - 4 * (A * C)
+        assert _signed_rational_square(disc) == exact, tail
+        if root is not None:
+            assert root.lift(m) ** 2 == disc, tail
+        cands = complete_nullvector(tree, tail)
+        assert len(cands) == 2, tail
+        for c in cands:
+            assert c.exact == exact and c.verified and not c.trivial, tail
+            assert c.residual <= NUMERIC_COMPLETION_TOL, tail
 
 
 def test_degenerate_single_vertex_order2_corner():
