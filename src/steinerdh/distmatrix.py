@@ -111,7 +111,7 @@ class RatMatrix:
     def from_json(cls, text: str) -> "RatMatrix":
         try:
             return cls([[_fraction_from_json(x) for x in row] for row in json.loads(text)])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise MalformedInput(f"bad matrix JSON: {exc!r}") from exc
 
 

@@ -64,6 +64,8 @@ class SparsePoly:
                 continue
             if len(exp) != n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n={n}")
+            if bool in map(type, exp):   # index() would read True as 1
+                raise TypeError(f"exponent vector {exp} holds a bool")
             clean[tuple(map(index, exp))] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
@@ -221,7 +223,7 @@ class SparsePoly:
             terms = {tuple(map(_json_int, t["exp"])): _fraction_from_json([t["num"], t["den"]])
                      for t in obj["terms"]}
             return cls(_json_int(obj["n"]), terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise MalformedInput(f"bad polynomial JSON: {exc!r}") from exc
 
     def __repr__(self):

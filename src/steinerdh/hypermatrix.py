@@ -20,17 +20,17 @@ are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
 JSON, a newline in text), each piece checked byte by byte and its integers
 summed one digit column at a time in uint64, all in numpy, into one int64
 array sized from the separator count.  It holds the document, the result and
-one piece's arrays, and no Python int per entry.  ``import_json`` walks the
-top-level object with ``json.JSONDecoder.raw_decode``, so it takes what
-``json.loads`` takes; ``import_text`` reads the header line 'k n' and hands
-the reader the rest of the document.
+one piece's arrays, and no Python int per entry.  ``import_json`` decodes
+with json's own ``JSONDecoder``, so it takes what ``json.loads`` takes, but
+hands the reader each array among the top-level object's values, and json's
+C scanner each value that is not an int64 array; ``import_text`` reads the
+header line 'k n' and hands the reader the rest of the document.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,7 +54,6 @@ _BYTE_KINDS = {",": np.zeros(256, dtype=np.uint8), "\n": np.zeros(256, dtype=np.
 for _sep, _kind in _BYTE_KINDS.items():   # JSON whitespace, or a text line's (CR for CRLF)
     _kind[list(b"0123456789- \t\r\n")] = (_DIGIT,) * 10 + (_MINUS,) + (_SPACE,) * 4
     _kind[ord(_sep)] = _SEP
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
 
@@ -278,51 +277,42 @@ def _int64_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
     return out if done == out.size else None   # a separator with nothing after it
 
 
-def _json_fields(text: str) -> dict:
-    """The top-level JSON object of ``text`` as ``json.loads`` reads it (JSON
-    whitespace only, a repeated key keeps its last value, no trailing data),
-    but an ``entries`` array of int64 integers is read by ``_int64_array``.
-    ValueError where ``json.loads`` would raise, or on another top level."""
-    space = _JSON_SPACE.match
-    fields = {}
-    i = space(text).end()
-    if not text.startswith("{", i):
-        raise ValueError("expected a JSON object")
-    i = space(text, i + 1).end()
-    closed = text.startswith("}", i)
-    while not closed:
-        if not text.startswith('"', i):
-            raise ValueError(f"expected a key in double quotes at {i}")
-        key, i = _DECODER.raw_decode(text, i)
-        i = space(text, i).end()
-        if not text.startswith(":", i):
-            raise ValueError(f"expected ':' at {i}")
-        i = space(text, i + 1).end()
-        end = text.find("]", i) if key == "entries" and text.startswith("[", i) else -1
-        value = _int64_array(text, i + 1, end, ",") if end >= 0 else None
-        if value is None:   # not an int64 array: json decodes it, or says why not
-            value, end = _DECODER.raw_decode(text, i)
-        else:
-            end += 1
-        fields[key] = value
-        i = space(text, end).end()
-        closed = text.startswith("}", i)
-        if not closed:
-            if not text.startswith(",", i):
-                raise ValueError(f"expected ',' or '}}' at {i}")
-            i = space(text, i + 1).end()
-    if space(text, i + 1).end() != len(text):
-        raise ValueError("extra data after the JSON object")
-    return fields
+def _member(text: str, i: int) -> tuple:
+    """The JSON value at ``text[i]`` and the index past it: an array of int64
+    integers by ``_int64_array``, any other value by json's C scanner."""
+    end = text.find("]", i) if text.startswith("[", i) else -1
+    value = _int64_array(text, i + 1, end, ",") if end >= 0 else None
+    return _DECODER.scan_once(text, i) if value is None else (value, end + 1)
+
+
+class _Decoder(json.JSONDecoder):
+    """``json.loads``, but the top-level object's values are read by ``_member``."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = self._value
+
+    @staticmethod
+    def _value(text: str, i: int) -> tuple:
+        if text.startswith("{", i):
+            return json.decoder.JSONObject((text, i + 1), True, _member, None, None)
+        return _member(text, i)
+
+
+_READER = _Decoder()
 
 
 def import_json(text: str) -> Hypermatrix:
     """The hypermatrix of an ``export_json`` document: the object ``json.loads``
-    would read, its entries a flat array of integers within int64."""
+    would read, its entries a flat array of integers within int64 read by
+    ``_int64_array``.  ``MalformedInput`` wherever ``json.loads`` would raise,
+    values nested past the recursion limit included."""
     try:
-        fields = _json_fields(text)
+        fields = _READER.decode(text)
         k, n, entries = fields["k"], fields["n"], fields["entries"]
-    except (ValueError, KeyError) as exc:   # ValueError also for an int of > 4300 digits
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        # ValueError also for an int of > 4300 digits; Lookup- or TypeError for
+        # another top level; RecursionError for values nested past the limit
         raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
     if not isinstance(entries, np.ndarray):
         raise MalformedInput("hypermatrix JSON entries must be a list of integers within int64")

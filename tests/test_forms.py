@@ -171,6 +171,19 @@ def test_constructor_takes_rational_coefficients_only():
     assert p == X(2, 1) - 3 * X(2, 2) + 2
 
 
+def test_constructor_refuses_bool_exponents():
+    # True would read as exponent 1 through operator.index; from_json refuses
+    # the same key as [true], so both entry points refuse a bool
+    for exp in ((True,), (False,)):
+        with pytest.raises(TypeError):
+            SparsePoly(1, {exp: 1})
+    with pytest.raises(TypeError):
+        SparsePoly(2, {(1, np.True_): 1})
+    with pytest.raises(MalformedInput):
+        SparsePoly.from_json('{"n": 1, "terms": [{"exp": [true], "num": "1", "den": "1"}]}')
+    assert SparsePoly(1, {(1,): 1}) == X(1, 1)
+
+
 def test_exponents_pass_65535():
     # exponents have no cap: 65536 and beyond neither raise nor carry into
     # the neighbouring variable

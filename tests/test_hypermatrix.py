@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, WrongShape,
-                       build_steiner, enumerate_trees, export_json, export_text,
-                       hypermatrix, import_json, import_text, path_tree, random_tree,
-                       star_tree, steiner_distance_bruteforce, trees, zero_degenerate)
+from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, RatMatrix, SparsePoly,
+                       WrongShape, build_steiner, enumerate_trees, export_json,
+                       export_text, hypermatrix, import_json, import_text, path_tree,
+                       random_tree, star_tree, steiner_distance_bruteforce, trees,
+                       zero_degenerate)
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
 from oracles import (json_export, json_import, multiset_hypermatrix, side_distances,
@@ -365,7 +366,8 @@ _ENTRY_MUTANTS = ["1.5", "1e0", "true", "null", '"1"', "[0]", "01", "-0", "-", "
                   "1-1", "", "\u0661", "\uff11", "1\x0c", "\u00a01", str(2 ** 63),
                   str(-2 ** 63), str(2 ** 63 - 1), str(-2 ** 63 - 1), "1" + "0" * 19]
 _HEADER_MUTANTS = ["2.0", "true", '"2"', "-2", "0", "1e0", str(10 ** 30)]
-_EXTRA_VALUES = ['"x"', "null", "[1, {\"a\": [true]}]", "[1.5]", "[]", "[0, 1, 1, 0]", "3"]
+_EXTRA_VALUES = ['"x"', "null", "[1, {\"a\": [true]}]", "[1.5]", "[]", "[0, 1, 1, 0]", "3",
+                 "[[0, 1], [1, 0]]", '{"a": [0, 1]}']
 
 
 def _mutated(tokens: list, mutation: str, at: int, mutant: str = "") -> list:
@@ -446,7 +448,7 @@ def _assert_readers_agree(doc, reader=import_json, oracle=json_import):
     # next to every token
     expected = _read(oracle, doc)
     with pytest.MonkeyPatch.context() as mp:
-        for chunk in (1, 2, 3, 7):
+        for chunk in (1, 2, 3, 7, hypermatrix._CHUNK):
             mp.setattr(hypermatrix, "_CHUNK", chunk)
             assert _read(reader, doc) == expected, (chunk, doc)
 
@@ -466,6 +468,39 @@ def test_import_json_agrees_with_the_json_loads_oracle(doc):
 @example("2 1\n-9223372036854775808\r\n 9223372036854775807\n")
 def test_import_text_agrees_with_the_line_split_oracle(doc):
     _assert_readers_agree(doc, import_text, text_import)
+
+
+_DEEP = "[" * 300 + "]" * 300, '{"a": ' * 300 + "[0, 1]" + "}" * 300
+
+
+@pytest.mark.parametrize("doc", [
+    # top levels that are not objects
+    "[0, 1, 1, 0]", " [0, 1, 1, 0] ", '"x"', "3", "null", "[]", "[[0, 1], [1, 0]]",
+    # int arrays nested inside entries, or as the value of k or n
+    '{"k": 2, "n": 2, "entries": [[0, 1], [1, 0]]}',
+    '{"k": 2, "n": 2, "entries": [[0, 1, 1, 0]]}',
+    '{"k": [2], "n": 2, "entries": [0, 1, 1, 0]}',
+    '{"k": 2, "n": [2, 2], "entries": [0, 1, 1, 0]}',
+    # int arrays and deep nesting in an extra key
+    '{"k": 2, "n": 1, "entries": [0], "note": [0, 1]}',
+    '{"k": 2, "n": 1, "entries": [0], "note": {"a": [0, 1], "b": [[2]]}}',
+    *('{"k": 2, "n": 1, "entries": [0], "note": ' + deep + "}" for deep in _DEEP),
+    # numbers outside the top-level arrays take json's ASCII digits only
+    '{"k": 2\u0661, "n": 1, "entries": [0]}',
+    '{"k": 2, "n": 1, "entries": [0], "note": 1\u0661}',
+    '{"k": 2, "n": 1, "entries": [0], "note": {"a": 1\u0661}}',
+], ids=lambda doc: doc[:40])
+def test_import_json_agrees_with_the_oracle_on_arrays_anywhere(doc):
+    _assert_readers_agree(doc)
+
+
+@pytest.mark.parametrize("reader", [import_json, SparsePoly.from_json, RatMatrix.from_json],
+                         ids=lambda reader: reader.__qualname__)
+def test_json_readers_refuse_nesting_past_the_recursion_limit(reader):
+    # json.loads raises RecursionError on these; every reader says MalformedInput
+    for doc in ("[" * 10 ** 5, "[" * 10 ** 5 + "]" * 10 ** 5, '{"a": ' * 10 ** 5):
+        with pytest.raises(MalformedInput):
+            reader(doc)
 
 
 def test_import_json_agrees_with_the_oracle_on_every_entry_and_comma_mutation():
