@@ -354,7 +354,7 @@ def order3_tensor(t: Tree) -> np.ndarray:
     rather than wrap.  The checks below assume a P within this bound."""
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    h = build_steiner(t, 3).entries
+    h = build_steiner(t, 3).entries.astype(np.int64)   # stored in uint8 or uint16
     if 126 * t.n * max(int(h.max()), -int(h.min())) > 1 << 62:
         raise OverflowError("hypermatrix entries too large for the int64 identity suite")
     pair = h + h.transpose(0, 2, 1)

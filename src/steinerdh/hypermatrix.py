@@ -1,30 +1,35 @@
 """Order-k Steiner distance hypermatrices: construction, degenerate zeroing, I/O.
 
-Entries are a dense int64 numpy array of shape (n,)*k in C (row-major) order,
-filled by the tree's parent recurrence (``Tree.distances`` is its k = 2 case)
-in O(n^k) steps of n^(k-1) entries each.  Besides the result, the build holds
-the side matrix S, one n^(k-1) int64 row sum and the int8 steps of one block
-of edges (``Tree._steiner_array``).  The result is super-symmetric because a
-Steiner distance depends only on the index set.  An order above numpy's axis
-limit ``MAXDIMS`` is refused before any array is formed: ``BudgetExceeded`` on
+Entries are a dense numpy array of shape (n,)*k in C (row-major) order, in
+the narrowest of uint8, uint16 and int64 that holds them.  A Steiner array is
+built in the narrowest that holds n - 1, so uint8 for n <= 256 and uint16 for
+n <= 65,536, by the tree's parent recurrence (``Tree.distances`` is its k = 2
+case) in O(n^k) steps of n^(k-1) entries each.  Besides the result, the build holds
+the side matrix S, one n^(k-1) row sum and the steps of one block of edges
+(``Tree._steiner_array``).  The result is super-symmetric because a Steiner
+distance depends only on the index set.  An order above numpy's axis limit
+``MAXDIMS`` is refused before any array is formed: ``BudgetExceeded`` on
 build, ``MalformedInput`` on import.
 
-Both export formats come from one writer that turns ``_CHUNK`` int64 entries
-at a time into ASCII decimals in numpy, so it holds one chunk's buffers
-besides the pieces it returns; ``export_json`` and ``export_text`` join the
-pieces, and the ``hypermatrix`` command writes them as they come.  The bytes
-are those of ``json.dumps`` and ``str`` over the entries as Python ints.
+Both export formats come from one writer that casts ``_CHUNK`` entries at a
+time to int64 and turns them into ASCII decimals in numpy, so it holds one
+chunk's buffers besides the pieces it returns; ``export_json`` and
+``export_text`` join the pieces, and the ``hypermatrix`` command writes them
+as they come.  The bytes are those of ``json.dumps`` and ``str`` over the
+entries as Python ints, whatever the stored dtype.
 
 Both formats come back through one reader, the writer's mirror: the entries
 are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
 JSON, a newline in text), each piece checked byte by byte and its integers
 summed one digit column at a time in uint64, all in numpy, into one int64
-array sized from the separator count.  It holds the document, the result and
-one piece's arrays, and no Python int per entry.  ``import_json`` decodes
-with json's own ``JSONDecoder``, so it takes what ``json.loads`` takes, but
-hands the reader each array among the top-level object's values, and json's
-C scanner each value that is not an int64 array; ``import_text`` reads the
-header line 'k n' and hands the reader the rest of the document.
+array sized from the separator count, which the hypermatrix then stores in
+the narrowest dtype, as it would any entries.  It holds the document, that
+array, the result and one piece's arrays, and no Python int per entry.
+``import_json`` decodes with json's own ``JSONDecoder``, so it takes what
+``json.loads`` takes, but hands the reader each array among the top-level
+object's values, and json's C scanner each value that is not an int64 array;
+``import_text`` reads the header line 'k n' and hands the reader the rest of
+the document.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BudgetExceeded, MalformedInput, WrongShape, ascii_int
-from .trees import Tree
+from .trees import Tree, narrowest_dtype
 
 try:
     from numpy._core.multiarray import MAXDIMS as _MAX_AXES
@@ -73,23 +78,52 @@ def entry_budget() -> int:
 class Hypermatrix:
     """Immutable dense cubical hypermatrix of integers.  Entries must be an
     integer array (or nested lists of ints) within int64; floats, bools,
-    strings and wider values raise ``MalformedInput`` instead of being cast."""
+    strings and wider values raise ``MalformedInput`` instead of being cast.
+
+    The hypermatrix owns its entries: it copies any array it could share
+    with the caller, so later writes to the caller's array or its base do
+    not reach it, and only its own copy is read-only.  ``entries`` is a
+    uint8 or uint16 array kept as given, or otherwise the entries in the
+    narrowest of uint8, uint16 and int64 that holds them.  So a Steiner
+    build and its import store one or two bytes an entry up to n = 65,536
+    (the import may narrow a uint16 build whose entries all fit uint8), and
+    two hypermatrices are equal when their values are, whatever their
+    dtypes.  Cast the entries, for example to int64, before arithmetic on
+    them: uint8 and uint16 arithmetic wraps, and a numpy scalar that
+    overflows warns (an error under the tests' ``error::RuntimeWarning``)."""
 
     __slots__ = ("k", "n", "entries")
 
     def __init__(self, k: int, n: int, entries: np.ndarray):
+        self._store(k, n, entries, fresh=False)
+
+    @classmethod
+    def _adopt(cls, k: int, n: int, entries: np.ndarray) -> Hypermatrix:
+        """The hypermatrix of a fresh array that nothing else refers to, such
+        as a build's or an import's result, stored without a copy."""
+        h = object.__new__(cls)
+        h._store(k, n, entries, fresh=True)
+        return h
+
+    def _store(self, k: int, n: int, entries, fresh: bool) -> None:
         if k < 2:
             raise WrongShape("order must be >= 2")
         if n < 1:
             raise WrongShape("dimension must be >= 1")
-        arr = np.asarray(entries)
-        if arr.dtype.kind not in "iu":
-            raise MalformedInput(f"entries must be integers within int64, got dtype {arr.dtype}")
-        if not np.can_cast(arr.dtype, np.int64) and arr.size and arr.max() > _INT64_MAX:
-            raise MalformedInput(f"entry {arr.max()} outside int64")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        if arr.shape != (n,) * k:
-            raise WrongShape(f"entries must have shape {(n,) * k}, got {arr.shape}")
+        given = np.asarray(entries)
+        if given.dtype.kind not in "iu":
+            raise MalformedInput(f"entries must be integers within int64, got dtype {given.dtype}")
+        if given.shape != (n,) * k:
+            raise WrongShape(f"entries must have shape {(n,) * k}, got {given.shape}")
+        dtype = given.dtype
+        if dtype not in (np.uint8, np.uint16):
+            low, high = int(given.min()), int(given.max())
+            if high > _INT64_MAX:
+                raise MalformedInput(f"entry {high} outside int64")
+            dtype = narrowest_dtype(high, low)
+        arr = np.ascontiguousarray(given, dtype=dtype)
+        if not fresh and np.may_share_memory(arr, given):
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -133,7 +167,7 @@ def build_steiner(t: Tree, k: int) -> Hypermatrix:
         raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
     if k > _MAX_AXES:
         raise BudgetExceeded(f"order {k} exceeds numpy's {_MAX_AXES} array axes")
-    return Hypermatrix(k, n, t._steiner_array(k))
+    return Hypermatrix._adopt(k, n, t._steiner_array(k))
 
 
 def _repeated_index_mask(n: int, k: int) -> np.ndarray:
@@ -148,7 +182,7 @@ def _repeated_index_mask(n: int, k: int) -> np.ndarray:
 
 def zero_degenerate(h: Hypermatrix) -> Hypermatrix:
     """Copy with every entry whose index tuple repeats a label set to 0."""
-    return Hypermatrix(h.k, h.n, np.where(_repeated_index_mask(h.n, h.k), 0, h.entries))
+    return Hypermatrix._adopt(h.k, h.n, np.where(_repeated_index_mask(h.n, h.k), 0, h.entries))
 
 
 def has_nonzero_degenerate(h: Hypermatrix) -> bool:
@@ -161,14 +195,15 @@ def has_nonzero_degenerate(h: Hypermatrix) -> bool:
 
 def _decimals(entries: np.ndarray, sep: bytes) -> Iterator[str]:
     """``sep.join`` of the entries' ASCII decimals, in pieces of ``_CHUNK``
-    entries.  Each piece is one uint8 buffer: filled with the separator's last
-    byte, then the separators' other bytes, the signs, and one digit column
-    per pass, right to left, over the entries that still have digits."""
+    entries, each cast to int64 first.  Each piece is one uint8 buffer: filled
+    with the separator's last byte, then the separators' other bytes, the
+    signs, and one digit column per pass, right to left, over the entries
+    that still have digits."""
     flat = entries.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
-        value = flat[lo:lo + _CHUNK]
+        value = flat[lo:lo + _CHUNK].astype(np.int64)   # a copy, whatever the stored dtype
         neg = value < 0
-        mag = value.view(np.uint64).copy()
+        mag = value.view(np.uint64)
         np.negative(mag, out=mag, where=neg)   # |value| in uint64, exact at -2^63
         digits = np.searchsorted(_POWERS[_POWERS <= mag.max()], mag, side="right") + 1
         last = np.cumsum(digits + neg + len(sep)) - len(sep) - 1   # each entry's last digit
@@ -316,7 +351,7 @@ def import_json(text: str) -> Hypermatrix:
         raise MalformedInput(f"bad hypermatrix JSON: {exc}") from exc
     if not isinstance(entries, np.ndarray):
         raise MalformedInput("hypermatrix JSON entries must be a list of integers within int64")
-    return Hypermatrix(k, n, entries.reshape(_shape(k, n, entries.size)))
+    return Hypermatrix._adopt(k, n, entries.reshape(_shape(k, n, entries.size)))
 
 
 def export_text(h: Hypermatrix) -> str:
@@ -337,4 +372,4 @@ def import_text(text: str) -> Hypermatrix:
     entries = _int64_array(text, lo, len(text) - text.endswith("\n"), "\n")
     if entries is None:
         raise MalformedInput("hypermatrix text entries must be one integer within int64 a line")
-    return Hypermatrix(k, n, entries.reshape(_shape(k, n, entries.size)))
+    return Hypermatrix._adopt(k, n, entries.reshape(_shape(k, n, entries.size)))

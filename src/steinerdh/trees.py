@@ -12,8 +12,12 @@ in one children-first pass over the BFS order from vertex 1.  A single
 query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` makes the same pass in place over the far-side indicators, the
 matrix S behind the Hessian and the Steiner arrays of every order.  One
-parent recurrence over int8 blocks of edge steps fills them all:
-``Tree.distances`` is its k = 2 case and the hypermatrix the rest.
+parent recurrence over blocks of edge steps fills them all:
+``Tree.distances`` is its k = 2 case and the hypermatrix the rest.  A
+Steiner distance lies in [0, n-1], so the recurrence runs in the narrowest
+unsigned dtype that holds n - 1 (uint8 for n <= 256, uint16 for
+n <= 65,536, int64 beyond), modulo 2^8 or 2^16, which is exact because
+every final value fits.
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.  It and
@@ -32,6 +36,18 @@ from .errors import EmptySet, MalformedInput, NotATree, TooLarge, ascii_int
 
 BRUTE_FORCE_MAX_N = 12
 _BLOCK_ENTRIES = 1 << 16   # step entries formed at once by Tree._steiner_array
+
+
+_UNSIGNED = tuple((np.dtype(t), np.iinfo(t).max) for t in (np.uint8, np.uint16))
+
+
+def narrowest_dtype(high: int, low: int = 0) -> np.dtype:
+    """The narrowest of uint8, uint16 and int64 that holds low..high."""
+    if low >= 0:
+        for dtype, most in _UNSIGNED:
+            if high <= most:
+                return dtype
+    return np.dtype(np.int64)
 
 
 class Tree:
@@ -118,31 +134,38 @@ class Tree:
         """The n×n int64 distance matrix, the order-2 Steiner array.  Built
         once per tree and shared, so read-only."""
         if self._distances_cache is None:
-            d = self._steiner_array(2)
+            d = self._steiner_array(2, wide=True)
             d.flags.writeable = False
             object.__setattr__(self, "_distances_cache", d)
         return self._distances_cache
 
-    def _steiner_array(self, k: int) -> np.ndarray:
-        """The order-k Steiner distances as an int64 array of shape (n,)*k, one
-        leading-index row per vertex down the BFS order.  With S_e the far side
-        of edge e (a row of ``sides()``), N_e = 1 - S_e and ^m the m-fold outer
-        power, row 1 is (n-1) - sum_e N_e^(k-1).  Moving the leading index from
-        p across edge c to c changes only edge c's cut: +1 if the other k - 1
-        indices all lie on the near side, -1 if all on the far side, so row c =
-        row p + N_c^(k-1) - S_c^(k-1).  At k = 2 the powers are the sides
-        themselves: row 1 is sum_e S_e and each step is 1 - 2 S_c.
+    def _steiner_array(self, k: int, wide: bool = False) -> np.ndarray:
+        """The order-k Steiner distances as an array of shape (n,)*k in
+        ``narrowest_dtype(n - 1)``, or in int64 if ``wide``, one leading-index
+        row per vertex down the BFS order.  With S_e the far side of edge e (a row
+        of ``sides()``), N_e = 1 - S_e and ^m the m-fold outer power, row 1 is
+        (n-1) - sum_e N_e^(k-1).  Moving the leading index from p across edge
+        c to c changes only edge c's cut: +1 if the other k - 1 indices all
+        lie on the near side, -1 if all on the far side, so row c = row p +
+        N_c^(k-1) - S_c^(k-1).  At k = 2 the powers are the sides themselves:
+        row 1 is sum_e S_e and each step is 1 - 2 S_c.
 
         One recurrence serves every order.  The steps are formed in int8 for a
         block of edges at once, at most ``_BLOCK_ENTRIES`` step entries (one
-        edge when a row is larger), and the rows are stepped relative to row 1,
-        which is added once at the end.  Besides the result, the build holds S,
-        one n^(k-1) int64 sum of the N_e^(k-1) and one block's temporaries."""
+        edge when a row is larger), and cast once to the signed type of the
+        result's width, viewed as its unsigned type, so each row add has one
+        dtype and wraps modulo 2^8 or 2^16.  The rows are stepped relative to
+        row 1, which is added once at the end.  A wide result is stepped in
+        the narrow dtype at the front of its own int64 buffer and widened in
+        place, last rows first.  Besides the result, the build holds S, one
+        n^(k-1) row sum and one block's temporaries."""
         n, far = self.n, self.sides()
-        out = np.empty((n,) * k, dtype=np.int64)
-        rows = out.reshape(n, -1)   # row v - 1 is the leading-index slice of vertex v
+        dtype = narrowest_dtype(n - 1)   # every entry lies in [0, n-1]
+        buf = np.empty(n ** k, dtype=np.int64 if wide else dtype)
+        rows = buf.view(dtype)[:n ** k].reshape(n, -1)   # row v - 1: vertex v's slice
         rows[0] = 0
-        near_sum = np.zeros(rows.shape[1], dtype=np.int64)
+        near_sum = np.zeros(rows.shape[1], dtype=dtype)
+        signed = np.dtype(f"i{dtype.itemsize}")
         block = max(1, _BLOCK_ENTRIES // rows.shape[1])
         for lo in range(0, n - 1, block):
             f = far[lo:lo + block].astype(np.int8)
@@ -151,13 +174,23 @@ class Tree:
             for _ in range(k - 2):   # outer powers, flattened to one axis per edge
                 near_pow = (near_pow[:, :, None] * g[:, None, :]).reshape(len(f), -1)
                 far_pow = (far_pow[:, :, None] * f[:, None, :]).reshape(len(f), -1)
-            near_sum += near_pow.sum(axis=0, dtype=np.int16)   # a block has < 2^15 edges
+            near_sum += near_pow.sum(axis=0, dtype=dtype)
             near_pow -= far_pow   # the block's steps
-            for c, step in zip(self.order[1 + lo:], near_pow):
+            steps = near_pow.astype(signed, copy=False).view(dtype)
+            for c, step in zip(self.order[1 + lo:], steps):
                 np.add(rows[self.parent[c] - 1], step, out=rows[c - 1])
         np.subtract(n - 1, near_sum, out=rows[0])
         rows[1:] += rows[0]
-        return out
+        if wide and dtype != buf.dtype:
+            # last rows first: with 4 lo >= hi, wide rows lo..hi-1 start past
+            # narrow row hi - 1, so they overwrite only narrow rows already widened
+            wide_rows = buf.reshape(n, -1)
+            hi = n
+            while hi:
+                lo = (hi + 3) // 4 if hi > 1 else 0
+                wide_rows[lo:hi] = rows[lo:hi]
+                hi = lo
+        return buf.reshape((n,) * k)
 
     # -- edge cuts ---------------------------------------------------------------
 

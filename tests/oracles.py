@@ -41,7 +41,7 @@ mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
 
-The last four sections hold routes that left ``steinerdh`` when no package
+The last five sections hold routes that left ``steinerdh`` when no package
 code called them any more, or when a faster route replaced them; their code
 is unchanged, so they share what they always shared.
 - The order-2 oracle: ``determinant_exact`` runs Bareiss fraction-free
@@ -80,6 +80,11 @@ is unchanged, so they share what they always shared.
   the scan leaves the axis check to the package.  They share ``CycNum``
   arithmetic with the package, but not the Moebius inversion or the Galois
   reduction.
+- The int64 recurrence: ``int64_steiner_array`` is ``Tree._steiner_array``
+  before it stepped in uint8 or uint16, int64 rows stepped by int8 steps
+  (``_BLOCK_ENTRIES`` fixed at 2^16), so no sum wraps.  It shares S and the
+  recurrence with the package, but none of the narrow dtypes, the modular
+  adds or the in-place widening of ``Tree.distances``.
 """
 
 from __future__ import annotations
@@ -709,3 +714,32 @@ def two_vertex_scan_all_roots(k: int):
         if (one + zeta) ** m == one:
             return [one, zeta]
     return None
+
+
+# ---------------------------------------------------------------------------
+# The int64 recurrence
+# ---------------------------------------------------------------------------
+
+def int64_steiner_array(t: Tree, k: int) -> np.ndarray:
+    """The order-k Steiner array by the parent recurrence in int64: row 1 is
+    (n-1) - sum_e N_e^(k-1) and row c = row p + N_c^(k-1) - S_c^(k-1)."""
+    n, far = t.n, t.sides()
+    out = np.empty((n,) * k, dtype=np.int64)
+    rows = out.reshape(n, -1)
+    rows[0] = 0
+    near_sum = np.zeros(rows.shape[1], dtype=np.int64)
+    block = max(1, (1 << 16) // rows.shape[1])
+    for lo in range(0, n - 1, block):
+        f = far[lo:lo + block].astype(np.int8)
+        g = 1 - f
+        near_pow, far_pow = g, f
+        for _ in range(k - 2):
+            near_pow = (near_pow[:, :, None] * g[:, None, :]).reshape(len(f), -1)
+            far_pow = (far_pow[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+        near_sum += near_pow.sum(axis=0, dtype=np.int16)   # a block has < 2^15 edges
+        near_pow -= far_pow
+        for c, step in zip(t.order[1 + lo:], near_pow):
+            np.add(rows[t.parent[c] - 1], step, out=rows[c - 1])
+    np.subtract(n - 1, near_sum, out=rows[0])
+    rows[1:] += rows[0]
+    return out

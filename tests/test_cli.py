@@ -232,6 +232,18 @@ def test_identities_pass_and_skip(tree_file, capsys):
     assert all(row["status"] == "skipped" for row in json.loads(out)["checks"])
 
 
+def test_hypermatrix_command_prints_the_same_bytes(tree_file, capsys):
+    # the command writes the writer's pieces as they come, a path export_json
+    # does not take; these sha256 digests are those of the int64 entries
+    path = tree_file(random_tree(30, 77))
+    for fmt, digest in (
+            ("json", "92a0b87c0307cf8898a952a4d786e39323b145cc47cad91fca7296cf82edbcda"),
+            ("text", "3614cb5570ebd1582d23ed34b94fc7f840e3e6ece1a56bddcf668dfb8a5aece7")):
+        code, out = run(capsys, ["hypermatrix", "--tree", path, "--k", "4", "--format", fmt])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, fmt
+
+
 def test_identity_rows_pass_on_every_small_tree_class():
     # the int64 matrix rows against the classes the golden trees do not reach
     for n in range(2, 9):
@@ -243,9 +255,9 @@ def test_identity_rows_builds_the_distance_matrix_once(monkeypatch):
     # the product, Euler and matrix rows all read the one cached D
     orders, steiner_array = [], Tree._steiner_array
 
-    def recording(self, k):
+    def recording(self, k, **kwargs):
         orders.append(k)
-        return steiner_array(self, k)
+        return steiner_array(self, k, **kwargs)
 
     monkeypatch.setattr(Tree, "_steiner_array", recording)
     t = random_tree(16, 5)

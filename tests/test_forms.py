@@ -731,7 +731,8 @@ def hypermatrix_of(p: SparsePoly) -> np.ndarray:
 
 def stand_in(entries: np.ndarray) -> np.ndarray:
     """The tensor P of stand-in order-3 hypermatrix entries: the sum of their
-    six axis permutations."""
+    six axis permutations, in int64 whatever their dtype."""
+    entries = entries.astype(np.int64)
     return sum(entries.transpose(axes) for axes in permutations(range(3)))
 
 

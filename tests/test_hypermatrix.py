@@ -17,8 +17,8 @@ from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, RatMatrix, S
                        zero_degenerate)
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
-from oracles import (json_export, json_import, multiset_hypermatrix, side_distances,
-                     text_export, text_import)
+from oracles import (int64_steiner_array, json_export, json_import, multiset_hypermatrix,
+                     side_distances, text_export, text_import)
 
 INT64 = np.iinfo(np.int64)
 
@@ -79,9 +79,26 @@ def test_build_matches_the_side_einsum_past_brute_force_reach():
         assert np.array_equal(build_steiner(t, 3).entries, side_distances(t, 3)), t
 
 
+def test_build_matches_the_int64_recurrence_at_the_uint8_uint16_boundary():
+    # n = 256 is the last uint8 build and 257 the first uint16 one; a path's
+    # largest entry is n - 1, so its build at 257 needs the wider type, and
+    # its distances widen each narrow build in place
+    for n, dtype in ((256, np.uint8), (257, np.uint16)):
+        for t in (path_tree(n), star_tree(n, 5), random_tree(n, 8)):
+            for k in (2, 3):
+                entries = build_steiner(t, k).entries
+                assert entries.dtype == dtype, (n, k)
+                assert np.array_equal(entries, int64_steiner_array(t, k)), (t, k)
+                del entries
+            d = t.distances()
+            assert d.dtype == np.int64 and np.array_equal(d, int64_steiner_array(t, 2)), t
+    assert build_steiner(path_tree(257), 2).entries.max() == 256
+
+
 def test_build_forms_no_second_full_size_array():
-    # each recurrence step is one n^(k-1) row, so the peak stays near the result
-    for n, k, bound in ((30, 4, 1.13), (12, 6, 1.5)):
+    # each recurrence step is one n^(k-1) row of the uint8 result, so the peak
+    # stays near one byte an entry; (60, 4) is the 1.5 bytes an entry gate
+    for n, k, bytes_per_entry in ((30, 4, 1.5), (12, 6, 1.6), (60, 4, 1.5)):
         t = random_tree(n, 77)
         t.sides()
         tracemalloc.start()
@@ -90,7 +107,8 @@ def test_build_forms_no_second_full_size_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * h.entries.nbytes, (n, k, peak / h.entries.nbytes)
+        assert h.entries.dtype == np.uint8
+        assert peak < bytes_per_entry * n ** k, (n, k, peak / n ** k)
 
 
 def test_build_steps_edges_in_blocks_of_any_size(monkeypatch):
@@ -174,22 +192,61 @@ def test_round_trips_bit_exact(monkeypatch):
 
 _EDGE_ENTRIES = [INT64.min, INT64.min + 1, INT64.max, -1, 0, 9, 10, -10, 99, -100,
                  10 ** 18, -10 ** 18, 10 ** 18 - 1]
+_ELEMENTS = {
+    np.int64: st.one_of(st.sampled_from(_EDGE_ENTRIES),
+                        st.integers(INT64.min, INT64.max), st.integers(-99, 99)),
+    np.uint8: st.one_of(st.sampled_from([0, 9, 10, 99, 100, 254, 255]), st.integers(0, 255)),
+    np.uint16: st.one_of(st.sampled_from([0, 255, 256, 9999, 10000, 65534, 65535]),
+                         st.integers(0, 65535)),
+}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.integers(2, 4).flatmap(lambda k: arrays(
-    np.int64, (n,) * k,
-    elements=st.one_of(st.sampled_from(_EDGE_ENTRIES),
-                       st.integers(INT64.min, INT64.max), st.integers(-99, 99))))),
-       st.sampled_from([1, 3, 1 << 16]))
+@st.composite
+def _entry_arrays(draw):
+    """int64, uint8 or uint16 entries of shape (n,)*k, with their edge values."""
+    dtype = draw(st.sampled_from(list(_ELEMENTS)))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    return draw(arrays(dtype, (n,) * k, elements=_ELEMENTS[dtype]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entry_arrays(), st.sampled_from([1, 3, 1 << 16]))
 @example(np.array([[INT64.min, INT64.max], [0, -1]]), 3)
+@example(np.array([[0, 255], [256, 65535]], dtype=np.uint16), 3)
+@example(np.array([[0, 255], [1, 254]], dtype=np.uint8), 1)
 def test_export_matches_the_oracle_on_any_int64_entries(entries, chunk):
+    # uint8 and uint16 entries are stored as they are and written as int64 ones
     h = Hypermatrix(entries.ndim, entries.shape[0], entries)
+    if entries.dtype != np.int64:
+        assert h.entries.dtype == entries.dtype
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypermatrix, "_CHUNK", chunk)
         assert export_json(h) == json_export(h)
         assert export_text(h) == text_export(h)
     assert import_json(export_json(h)) == h and import_text(export_text(h)) == h
+
+
+def test_round_trips_keep_the_dtype_and_the_values():
+    # a build and its import store the same narrow type; a negative entry or
+    # one above 65,535 is stored in int64, and every value comes back
+    built = [(build_steiner(random_tree(30, 77), 4), np.uint8),
+             (build_steiner(path_tree(256), 2), np.uint8),
+             (build_steiner(path_tree(257), 2), np.uint16)]
+    given = [(Hypermatrix(2, 2, entries), dtype) for entries, dtype in (
+        ([[0, 255], [1, 0]], np.uint8), ([[0, 256], [65535, 0]], np.uint16),
+        ([[0, -1], [1, 0]], np.int64), ([[0, 65536], [1, 0]], np.int64),
+        ([[0, INT64.min], [INT64.max, 0]], np.int64))]
+    for h, dtype in built + given:
+        assert h.entries.dtype == dtype
+        for back in (import_json(export_json(h)), import_text(export_text(h))):
+            assert back.entries.dtype == dtype and np.array_equal(back.entries, h.entries)
+    for doc, read, value in (('{"k": 2, "n": 2, "entries": [0, -1, 1, 0]}', import_json, -1),
+                             ('{"k": 2, "n": 2, "entries": [0, 65536, 1, 0]}', import_json,
+                              65536),
+                             ("2 2\n0\n-1\n1\n0\n", import_text, -1),
+                             ("2 2\n0\n65536\n1\n0\n", import_text, 65536)):
+        h = read(doc)
+        assert h.entries.dtype == np.int64 and h.flat() == [0, value, 1, 0], doc
 
 
 def test_export_peaks_stay_near_the_document():
@@ -262,12 +319,39 @@ def test_constructor_refuses_entries_that_are_not_int64_integers(entries):
 
 
 def test_constructor_reads_integer_arrays_of_any_width():
-    for entries in ([[0, 1], [1, 0]], np.array([[0, 1], [1, 0]], dtype=np.uint8),
-                    np.array([[0, INT64.max], [1, 0]], dtype=np.uint64),
-                    np.array([[0, -7], [1, 0]], dtype=np.int32)):
+    # uint8 and uint16 are kept; any other integers go to the narrowest of
+    # uint8, uint16 and int64 that holds them
+    for entries, dtype in (([[0, 1], [1, 0]], np.uint8),
+                           (np.array([[0, 1], [1, 0]], dtype=np.uint8), np.uint8),
+                           (np.array([[0, 1], [1, 0]], dtype=np.uint16), np.uint16),
+                           (np.array([[0, 255], [1, 0]], dtype=np.int64), np.uint8),
+                           (np.array([[0, 256], [1, 0]], dtype=np.int32), np.uint16),
+                           (np.array([[0, 65536], [1, 0]], dtype=np.uint32), np.int64),
+                           (np.array([[0, INT64.max], [1, 0]], dtype=np.uint64), np.int64),
+                           (np.array([[0, -7], [1, 0]], dtype=np.int32), np.int64)):
         h = Hypermatrix(2, 2, entries)
-        assert h.entries.dtype == np.int64
+        assert h.entries.dtype == dtype and h.entries.flags.c_contiguous
         assert h.flat() == np.asarray(entries).reshape(-1).tolist()
+    transposed = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]], dtype=np.uint8).T
+    assert Hypermatrix(2, 3, transposed).flat() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+
+
+def test_hypermatrix_owns_its_entries():
+    # the caller's array stays writable, and writes to it or to the base of
+    # a view it passed do not reach the hypermatrix
+    for dtype, value in ((np.int64, -3), (np.int64, 1 << 40), (np.uint8, 3), (np.uint16, 300)):
+        mine = np.full((2, 2), value, dtype=dtype)
+        h = Hypermatrix(2, 2, mine)
+        mine[0, 1] = 7
+        assert h.flat() == [value] * 4, dtype
+        base = np.full((3, 2), value, dtype=dtype)
+        view = base[1:]   # C-contiguous, so no conversion copies it
+        h = Hypermatrix(2, 2, view)
+        base[1, 0] = 7
+        view[1, 1] = 7
+        assert h.flat() == [value] * 4, dtype
+        assert mine.flags.writeable and base.flags.writeable and view.flags.writeable
+        assert not h.entries.flags.writeable
 
 
 def test_import_rejects_garbage():
