@@ -9,7 +9,8 @@ Walk-through on one tree:
     gradient also kills s -- coordinates of nullvectors sum to 0;
   * no single D_r p is divisible by s;
   * membership (s = 0 and g = 0) is equivalent to gradient vanishing;
-  * any n-2 coordinates extend to a nullvector by solving one quadratic.
+  * any n-2 coordinates extend to a nullvector by solving one quadratic,
+    certified exactly whether or not its roots lie in the working field.
 
 The identities are checked exactly on integer tensors of the cubic.
 """
@@ -44,14 +45,14 @@ def main():
     for cand in complete_nullvector(t, tail):
         a, b, c = cand.quadratic
         print(f"  quadratic {a} * a1^2 + ({b}) * a1 + ({c}) = 0")
-        if cand.exact:
+        if cand.point is not None:
             print("    exact root , membership (s=0, g=0):",
                   membership_sg(t, cand.point),
                   "| gradient vanishes:",
                   verify_nullvector(t, 3, cand.point).exact_zero)
         else:
-            print(f"    discriminant not +/- a rational square, numeric root; "
-                  f"128-bit residual {cand.residual:.3g}")
+            print("    discriminant not +/- a rational square; both roots complete "
+                  "the tail, certified exactly:", cand.verified)
 
     print("\nzero-sum: every nullvector has coordinates summing to 0")
     from steinerdh import canonical_odd_nullvector

@@ -15,8 +15,8 @@ from .errors import (BudgetExceeded, ConductorMismatch, EmptySet, EvenOrder,
                      MalformedInput, NotATree, NotDegenerateZeroed,
                      OrderTooLow, SteinerError, TooLarge, TooSmall, WrongShape,
                      ZeroVector)
-from .scalar import (CFloat, CycNum, cyclotomic_polynomial, euler_phi,
-                     root_of_unity, unify_conductor)
+from .scalar import (CycNum, cyclotomic_polynomial, euler_phi, root_of_unity,
+                     unify_conductor)
 from .trees import (Tree, canonical_key, enumerate_trees, format_tree,
                     parse_tree, path_tree, prufer_decode, prufer_encode,
                     random_tree, star_tree, steiner_distance_bruteforce)

@@ -255,8 +255,11 @@ def cmd_campaign(args) -> int:
                   seed_stream.integers(0, 1 << 63, size=len(cases))]
     descs = [(n, k, case_seeds[i], i) for i, (n, k) in enumerate(cases)]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit, so never more than
+    # there are cases or usable CPUs; the outputs do not depend on the count
+    workers = min(args.jobs, len(descs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(os.sched_getaffinity(0)))) as pool:
             results = list(pool.map(_run_campaign_case, descs))
     else:
         results = [_run_campaign_case(d) for d in descs]

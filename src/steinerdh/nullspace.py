@@ -11,7 +11,8 @@ families the package ships:
 * the unit vector e_n for hypermatrices whose degenerate entries are all zero
   (order >= 3);
 * order-3 completions: any n-2 coordinates extend to a full nullvector by
-  solving one quadratic.
+  solving one quadratic, certified exactly whether or not its roots are
+  written down.
 
 Certificates are checked exactly with no polynomial arithmetic:
 ``verify_nullvector`` reads a tree's gradient off its edge cuts, and
@@ -33,19 +34,19 @@ float64 runs out of digits, each with a proven upper bound on its residual
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (BudgetExceeded, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                      TooSmall, ZeroVector)
 from .forms import gradient_direct, hessian_direct
 from .hypermatrix import Hypermatrix, entry_budget, has_nonzero_degenerate
-from .scalar import WORKING_PREC, CFloat, CycNum, root_of_unity, unify_conductor
+from .scalar import WORKING_PREC, CycNum, root_of_unity, unify_conductor
 from .trees import Tree, format_tree
 
 
@@ -145,13 +146,19 @@ def _distinct(values: Sequence) -> list:
 def _report(k: int, coords: list[CycNum], gradient: list[CycNum], tree) -> NullvectorReport:
     distinct = _distinct(gradient)
     exact = not any(distinct)
-    if exact:
-        residual = 0.0
-    else:
-        with mpmath.workprec(WORKING_PREC):
-            residual = max(float(abs(g.embed())) for g in distinct)
+    residual = 0.0 if exact else max(map(_embedded_abs, distinct))
     return NullvectorReport(k=k, point=tuple(coords), gradient=tuple(gradient),
                             exact_zero=exact, embedded_residual=residual, tree=tree)
+
+
+def _embedded_abs(x: CycNum) -> float:
+    """|x| under zeta_m -> exp(2 pi i / m), summed in complex128; inf when a
+    coefficient or the sum overflows a float."""
+    try:
+        z = sum(cmath.rect(float(c), math.tau * j / x.m) for j, c in enumerate(x.coeffs) if c)
+    except OverflowError:
+        return math.inf
+    return abs(z) if cmath.isfinite(z) else math.inf
 
 
 def degenerate_nullvector(h: Hypermatrix) -> list[CycNum]:
@@ -187,24 +194,19 @@ def membership_sg(t: Tree, point: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class CompletionCandidate:
-    """One root of the completion quadratic, with its assembled point.
+    """One completion of a tail, with the exact quadratic (A, B, C) it solves.
 
-    ``exact`` is True when the discriminant is +/- a rational square; the
-    point is then a CycNum vector and ``residual`` is 0.0 on success.  Any
-    other discriminant, even one whose root lies in the field, gives a
-    numeric point, CFloat values rounded to ``WORKING_PREC`` bits, and
-    ``residual`` is max(|s|, |g|) at that precision.
+    When the discriminant is +/- a rational square, ``point`` is the CycNum
+    vector at one root and ``verified`` its exact membership check.  Any
+    other discriminant, even one whose root lies in the field, gives
+    ``point=None``, and ``verified`` is the exact check that both roots, in
+    whatever field they lie, complete the tail to nullvectors.
     """
 
-    point: tuple
-    exact: bool
+    point: tuple[CycNum, ...] | None
     trivial: bool
     quadratic: tuple[CycNum, CycNum, CycNum]
-    residual: float
     verified: bool
-
-
-NUMERIC_COMPLETION_TOL = 1e-20
 
 
 def completion_quadratic(t: Tree, tail: Sequence) -> tuple[CycNum, CycNum, CycNum, list[CycNum], int]:
@@ -268,49 +270,52 @@ def _field_sqrt(x: CycNum) -> CycNum | None:
 def complete_nullvector(t: Tree, tail: Sequence) -> list[CompletionCandidate]:
     """Extend n-2 fixed coordinates to order-3 nullvectors of the tree.
 
-    Returns one candidate per root of the completion quadratic (two when
-    distinct), exact in Q(zeta_lcm(4, tail modulus)) when the discriminant
-    is +/- a rational square and otherwise numeric, flagged ``exact=False``,
-    with the exact quadratic coefficients.
+    When the discriminant is +/- a rational square, returns one candidate per
+    root of the completion quadratic (two when distinct), a point in
+    Q(zeta_lcm(4, tail modulus)).  Otherwise returns one candidate with no
+    point: its certificate is the quadratic, exactly checked by
+    ``_completes_every_root``; the tail is then nonzero, so both completed
+    points are.
     """
     A, B, C, a, m = completion_quadratic(t, tail)
     sigma = sum(a, CycNum.zero(m))
     disc = B * B - 4 * (A * C)
 
     sqrt_disc = _field_sqrt(disc)
-    candidates: list[CompletionCandidate] = []
-    if sqrt_disc is not None:
-        inv2a = (2 * A).inverse()
-        roots = [(-B + sqrt_disc) * inv2a]
-        if not disc.is_zero():
-            roots.append((-B - sqrt_disc) * inv2a)
-        for a1 in roots:
-            a2 = -a1 - sigma
-            point = tuple([a1, a2] + list(a))
-            trivial = all(x.is_zero() for x in point)
-            verified = (not trivial) and membership_sg(t, point)
-            candidates.append(CompletionCandidate(
-                point=point, exact=True, trivial=trivial,
-                quadratic=(A, B, C), residual=0.0, verified=verified))
-        return candidates
-
-    # no rational square root: WORKING_PREC numerics (+x rounds x to them)
-    with mpmath.workprec(WORKING_PREC):
-        av, bv, cv, sv = (+x.embed() for x in (A, B, C, sigma))
-        tail_num = [+x.embed() for x in a]
-        sq = mpmath.sqrt(bv * bv - 4 * av * cv)
-        for sign in (1, -1):
-            a1 = (-bv + sign * sq) / (2 * av)
-            coords = [a1, -a1 - sv] + tail_num
-            s = mpmath.fsum(coords)
-            g = 3 * mpmath.fsum(f * (s - f) for f in t.far_sums(coords))
-            res = max(abs(s), abs(g))
-            point = tuple(CFloat(z) for z in coords)
-            candidates.append(CompletionCandidate(
-                point=point, exact=False, trivial=False,
-                quadratic=(A, B, C), residual=float(res),
-                verified=float(res) <= NUMERIC_COMPLETION_TOL))
+    if sqrt_disc is None:
+        return [CompletionCandidate(point=None, trivial=False, quadratic=(A, B, C),
+                                    verified=_completes_every_root(t, (A, B, C), sigma, a))]
+    inv2a = (2 * A).inverse()
+    roots = [(-B + sqrt_disc) * inv2a]
+    if not disc.is_zero():
+        roots.append((-B - sqrt_disc) * inv2a)
+    candidates = []
+    for a1 in roots:
+        point = tuple([a1, -a1 - sigma] + list(a))
+        trivial = all(x.is_zero() for x in point)
+        candidates.append(CompletionCandidate(
+            point=point, trivial=trivial, quadratic=(A, B, C),
+            verified=(not trivial) and membership_sg(t, point)))
     return candidates
+
+
+def _completes_every_root(t: Tree, quadratic: tuple[CycNum, CycNum, CycNum],
+                          sigma: CycNum, tail: list[CycNum]) -> bool:
+    """Exact check that every coordinate of grad p(z, -z - sigma, tail) is
+    -3 (A z^2 + B z + C) as a polynomial in z, p the order-3 Steiner form.
+
+    It holds because s = 0 along that line, where D_r p = g = -3 sum_e a_e^2
+    for every r.  Both sides have degree <= 2 in z, so agreement at z = 0, 1
+    and -1 (``gradient_direct``, as in ``verify_nullvector``) proves it, and
+    then each root z of the quadratic makes the point a nullvector.
+    """
+    A, B, C = quadratic
+    for z in (0, 1, -1):
+        x1 = CycNum.from_rational(z, sigma.m)
+        want = -3 * (A * (z * z) + B * z + C)
+        if any(d != want for d in gradient_direct(t, 3, [x1, -x1 - sigma, *tail])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact scalar kernels: rationals, cyclotomic field elements, high-precision complex.
+"""Exact scalar kernels: rationals and cyclotomic field elements.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).  Cyclotomic numbers live in Q(zeta_m) and are
@@ -8,9 +8,8 @@ tests.  An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer-valued certificates multiply at Python-int
 speed; ``as_rational`` still hands back a ``Fraction``.  Every exact number
 from outside the package is read by ``_rational``: numpy integers become
-``int``s, and a float or a string raises ``TypeError``.  ``CFloat`` is an
-``mpmath.mpc`` that is known to be finite, the value of ``embed`` and of a
-numeric completion root at ``WORKING_PREC`` bits.
+``int``s, and a float or a string raises ``TypeError``.  ``WORKING_PREC`` is
+the one precision of the numeric layer, in bits.
 
 Phi_m is built by Moebius inversion, one shifted pass over a power series
 per squarefree divisor of m, with no division by the smaller Phi_d.  Every
@@ -37,8 +36,6 @@ import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
-
-import mpmath
 
 from .errors import ConductorMismatch, MalformedInput, ascii_int
 
@@ -367,19 +364,6 @@ class CycNum:
             return hash(self.coeffs[0])
         return hash((self.m, self.coeffs))
 
-    # -- embedding ----------------------------------------------------------
-
-    def embed(self) -> "CFloat":
-        """Numeric value under zeta_m -> exp(2*pi*i/m), summed and kept at
-        WORKING_PREC + 16 bits."""
-        with mpmath.workprec(WORKING_PREC + 16):
-            total = mpmath.mpc(0)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    w = mpmath.expjpi(mpmath.mpf(2 * j) / self.m)
-                    total += mpmath.mpf(c.numerator) / c.denominator * w
-            return CFloat(total)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -436,23 +420,3 @@ def unify_conductor(values: Sequence) -> tuple[list[CycNum], int]:
         out.append(v.lift(m) if isinstance(v, CycNum) else CycNum.from_rational(v, m))
     return out, m
 
-
-# ---------------------------------------------------------------------------
-# CFloat
-# ---------------------------------------------------------------------------
-
-class CFloat(mpmath.mpc):
-    """An ``mpmath.mpc`` that is finite: construction rejects NaN and infinity.
-
-    Both parts are rounded at the precision in force when the value is
-    built.  Arithmetic on a CFloat gives plain ``mpmath.mpc`` values.
-    """
-
-    def __new__(cls, real=0, imag=0):
-        z = super().__new__(cls, real, imag)
-        if not mpmath.isfinite(z):
-            raise ValueError("CFloat must be finite")
-        return z
-
-    def to_json(self) -> list[str]:
-        return [mpmath.nstr(self.real, 40), mpmath.nstr(self.imag, 40)]

@@ -41,7 +41,7 @@ mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
 
-The last five sections hold routes that left ``steinerdh`` when no package
+The last six sections hold routes that left ``steinerdh`` when no package
 code called them any more, or when a faster route replaced them; their code
 is unchanged, so they share what they always shared.
 - The order-2 oracle: ``determinant_exact`` runs Bareiss fraction-free
@@ -85,6 +85,11 @@ is unchanged, so they share what they always shared.
   (``_BLOCK_ENTRIES`` fixed at 2^16), so no sum wraps.  It shares S and the
   recurrence with the package, but none of the narrow dtypes, the modular
   adds or the in-place widening of ``Tree.distances``.
+- The 128-bit embedding: ``embed128`` is ``CycNum.embed`` before the
+  package dropped mpmath, each coefficient times mpmath's exp(2 pi i j/m),
+  summed at ``WORKING_PREC`` + 16 bits.  It shares only the power-basis
+  coefficients with the complex128 residual of ``verify_nullvector``, and it
+  gives the tests their 128-bit completion roots.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ from steinerdh import (CycNum, Hypermatrix, MalformedInput, RatMatrix, SparsePol
                        steiner_distance_bruteforce, steiner_form)
 from steinerdh.errors import ascii_int
 from steinerdh.hypermatrix import _shape
-from steinerdh.scalar import _int_if_integral
+from steinerdh.scalar import WORKING_PREC, _int_if_integral
 
 
 def _weight(counts: Counter) -> int:
@@ -743,3 +748,19 @@ def int64_steiner_array(t: Tree, k: int) -> np.ndarray:
     np.subtract(n - 1, near_sum, out=rows[0])
     rows[1:] += rows[0]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The 128-bit embedding
+# ---------------------------------------------------------------------------
+
+def embed128(x: CycNum) -> mpmath.mpc:
+    """Numeric value under zeta_m -> exp(2*pi*i/m), summed and kept at
+    WORKING_PREC + 16 bits."""
+    with mpmath.workprec(WORKING_PREC + 16):
+        total = mpmath.mpc(0)
+        for j, c in enumerate(x.coeffs):
+            if c:
+                w = mpmath.expjpi(mpmath.mpf(2 * j) / x.m)
+                total += mpmath.mpf(c.numerator) / c.denominator * w
+        return total

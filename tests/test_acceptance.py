@@ -31,7 +31,7 @@ import pytest
 
 import steinerdh as sd
 from oracles import (c_coefficients, determinant_exact, distance_matrix,
-                     distance_quadratic, evaluate, order3_form, s_form)
+                     distance_quadratic, embed128, evaluate, order3_form, s_form)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -149,10 +149,10 @@ def test_criterion_05_matrix_algebra():
 
 def test_criterion_06_completion():
     with criterion(6, "100 random rational tails, trees n in [3,8]: completion "
-                      "yields a passing candidate (exact, or residual <= 1e-20 "
-                      "at 128-bit)"):
+                      "yields exact certificates (verified points, or a checked "
+                      "quadratic whose 128-bit roots give |s|, |g| <= 1e-30)"):
         draw = rational_stream(60_000)
-        exact_seen = numeric_seen = 0
+        point_seen = quadratic_seen = 0
         for i in range(100):
             n = 3 + i % 6
             t = sd.random_tree(n, 61_000 + i)
@@ -160,24 +160,33 @@ def test_criterion_06_completion():
             if all(x == 0 for x in tail):
                 tail[0] = Fraction(1)
             cands = sd.complete_nullvector(t, tail)
-            passing = 0
-            for c in cands:
-                if c.trivial:
-                    continue
-                if c.exact:
-                    if sd.membership_sg(t, c.point):
-                        passing += 1
-                        exact_seen += 1
-                else:
-                    with mpmath.workprec(128):
-                        res = max(
-                            abs(evaluate(s_form(n), c.point)),
-                            abs(evaluate(distance_quadratic(t), c.point)))
-                        assert float(res) <= 1e-20, (i, float(res))
-                    passing += 1
-                    numeric_seen += 1
-            assert passing >= 1, (i, t, tail)
-        assert exact_seen > 0 and numeric_seen > 0
+            assert all(c.verified and not c.trivial for c in cands), (i, t, tail)
+            if cands[0].point is not None:
+                assert all(sd.membership_sg(t, c.point) for c in cands), (i, t, tail)
+                point_seen += 1
+            else:
+                assert len(cands) == 1, (i, t, tail)
+                res = _completion_residual_128(t, tail, cands[0].quadratic)
+                assert res <= 1e-30, (i, t, tail, float(res))
+                quadratic_seen += 1
+        assert point_seen > 0 and quadratic_seen > 0
+
+
+def _completion_residual_128(t, tail, quadratic):
+    """max(|s|, |g|) over the points (a1, -a1 - sum(tail), tail), a1 either
+    root of A a1^2 + B a1 + C, the roots taken by mpmath at 128 bits from the
+    embedded coefficients and s, g evaluated term by term."""
+    with mpmath.workprec(128):
+        A, B, C = (embed128(x) for x in quadratic)
+        coords = [mpmath.mpf(x.numerator) / x.denominator for x in tail]
+        sigma = mpmath.fsum(coords)
+        sq = mpmath.sqrt(B * B - 4 * A * C)
+        res = 0
+        for a1 in ((-B + sq) / (2 * A), (-B - sq) / (2 * A)):
+            point = [a1, -a1 - sigma, *coords]
+            res = max(res, abs(evaluate(s_form(t.n), point)),
+                      abs(evaluate(distance_quadratic(t), point)))
+        return res
 
 
 def _two_vertex_singular_orders(orders, tol):
@@ -269,7 +278,7 @@ def _mixed_points(t, draw):
     if all(x == 0 for x in tail):
         tail[0] = Fraction(2)
     for c in sd.complete_nullvector(t, tail):
-        if c.exact and not c.trivial:
+        if c.point is not None and not c.trivial:
             out.append(list(c.point))
     for _ in range(3):
         pt = [draw() for _ in range(n)]

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from steinerdh.hypermatrix import _MAX_AXES
 from steinerdh.nullspace import canonical_odd_nullvector, verify_nullvector
 from steinerdh.trees import (Tree, enumerate_trees, format_tree, path_tree,
                              prufer_decode, random_tree, star_tree)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -421,6 +426,65 @@ def test_campaign_jobs_2_matches_jobs_1(tmp_path, capsys):
     assert names == sorted(os.listdir(dirs[1])) and len(names) == 9
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_campaign_pool_never_outnumbers_the_cases_or_the_cpus(tmp_path, capsys, monkeypatch):
+    # a fork pool starts all max_workers at the first submit, so --jobs 100000
+    # must not reach it; a stand-in records max_workers and maps in process
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    args = ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3", "--seed", "1",
+            "--jobs", "100000"]
+    for trees, workers in (("1", []), ("3", [3]), ("10", [3, 4])):
+        code, out = run(capsys, args + ["--trees-per-n", trees,
+                                        "--out-dir", str(tmp_path / trees)])
+        assert code == EXIT_OK and json.loads(out)["cases"] == int(trees)
+        assert made == workers, trees
+
+
+def test_commands_run_without_loading_mpmath(tmp_path):
+    # mpmath is a test dependency only: no command, and neither a failed
+    # verification nor a completion without a point, may import it
+    script = """
+import sys
+from steinerdh import complete_nullvector, path_tree, star_tree, verify_nullvector
+from steinerdh.cli import main
+d = sys.argv[1]
+tree = d + "/tree.txt"
+assert main(["gen", "--n", "6", "--seed", "1", "--out", tree]) == 0
+for argv in (["certify", "--tree", tree, "--k", "3"],
+             ["search", "--tree", tree, "--k", "4", "--restarts", "2"],
+             ["identities", "--tree", tree],
+             ["hypermatrix", "--tree", tree, "--k", "3"],
+             ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3",
+              "--trees-per-n", "1", "--out-dir", d + "/campaign"]):
+    assert main(argv + ["--out", d + "/out"]) == 0, argv
+assert verify_nullvector(path_tree(3), 3, [1, 1, 1]).embedded_residual == 39.0
+assert complete_nullvector(star_tree(4), [1, -1])[0].verified
+print(sorted(name for name in sys.modules if name.split(".")[0] == "mpmath"))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"
 
 
 def test_campaign_usage_errors(tmp_path):

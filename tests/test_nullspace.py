@@ -20,10 +20,10 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh import nullspace
-from steinerdh.nullspace import NUMERIC_COMPLETION_TOL, _gauss_newton_step, _sqrt_up
+from steinerdh.nullspace import _completes_every_root, _gauss_newton_step, _sqrt_up
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
-from oracles import (distance_quadratic, edge_cut_hessian, evaluate,
+from oracles import (distance_quadratic, edge_cut_hessian, embed128, evaluate,
                      gauge_row_gauss_newton_step, qr_gauss_newton_step, s_form,
                      substitute)
 
@@ -215,7 +215,7 @@ def test_membership_equivalence_random_points():
             [Fraction(j + 1) for j in range(t.n)],
         ]
         for c in complete_nullvector(t, [Fraction(1)] + [Fraction(0)] * (t.n - 3)):
-            if c.exact and not c.trivial:
+            if c.point is not None and not c.trivial:
                 candidates.append(list(c.point))
         for point in candidates:
             coords = point
@@ -244,7 +244,7 @@ def test_membership_matches_exact_s_and_g():
                   shifted, raw, balanced, unit]
         tail = _mixed_tail(n - 2, (1, 3, 4, 5, 8)[idx % 5], idx)
         points += [list(c.point) for c in complete_nullvector(t, tail)
-                   if c.exact and not c.trivial]
+                   if c.point is not None and not c.trivial]
         s, g = s_form(n), distance_quadratic(t)
         for point in points:
             s_zero = evaluate(s, point) == 0
@@ -274,7 +274,7 @@ def test_completion_path3_tail_one(path3):
     assert len(cands) == 2
     assert {c.point[0] for c in cands} == {i, -1 * i}
     for c in cands:
-        assert c.exact and c.verified and not c.trivial
+        assert c.point is not None and c.verified and not c.trivial
         assert c.quadratic[0] == 1 and c.quadratic[1].is_zero() and c.quadratic[2] == 1
         assert c.point[1] == -c.point[0] - 1
         assert verify_nullvector(path3, 3, c.point).exact_zero
@@ -288,15 +288,14 @@ def test_completion_zero_tail_is_trivial():
         assert all(x.is_zero() for x in cands[0].point)
 
 
-def test_completion_star_tail_needs_numeric(star4):
+def test_completion_star_tail_is_certified_by_its_quadratic(star4):
+    # a1^2 + 2 = 0 has no rational-square discriminant: one candidate with no
+    # point, whose exact certificate covers both roots +/- sqrt(2) i
     cands = complete_nullvector(star4, [1, -1])
-    assert len(cands) == 2
-    for c in cands:
-        assert not c.exact and not c.trivial
-        assert c.residual <= 1e-20
-        assert c.verified
-    # exact coefficients still reported: A = d(1,2) = 1, B = 0, C = 2
-    A, B, C = cands[0].quadratic
+    assert len(cands) == 1
+    c = cands[0]
+    assert c.point is None and c.verified and not c.trivial
+    A, B, C = c.quadratic   # A = d(1,2) = 1, B = 0, C = 2
     assert A == 1 and B.is_zero() and C == 2
 
 
@@ -340,7 +339,7 @@ def test_completion_totality_random_rational_tails():
         cands = complete_nullvector(t, tail)
         assert any(c.verified for c in cands), (idx, t, tail)
         for c in cands:
-            if c.exact and not c.trivial:
+            if c.point is not None and not c.trivial:
                 assert membership_sg(t, c.point)
 
 
@@ -356,7 +355,7 @@ def test_completion_cyclotomic_tail(path3):
     cands = complete_nullvector(path3, [i])
     assert any(c.verified for c in cands)
     for c in cands:
-        if c.exact:
+        if c.point is not None:
             assert membership_sg(path3, c.point)
 
 
@@ -368,7 +367,7 @@ def test_completion_exact_negative_square_discriminant():
     cands = complete_nullvector(t, [Fraction(3), Fraction(4)])
     assert len(cands) == 2
     for c in cands:
-        assert c.exact and c.verified
+        assert c.point is not None and c.verified
         assert verify_nullvector(t, 3, c.point).exact_zero
 
 
@@ -379,7 +378,7 @@ def test_completion_double_root():
     i = root_of_unity(4)
     cands = complete_nullvector(t, [Fraction(1), i])
     assert len(cands) == 1
-    assert cands[0].exact and cands[0].verified and not cands[0].trivial
+    assert cands[0].point is not None and cands[0].verified and not cands[0].trivial
 
 
 def _signed_rational_square(x: CycNum) -> bool:
@@ -389,10 +388,10 @@ def _signed_rational_square(x: CycNum) -> bool:
     return all(math.isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
 
 
-def test_completion_is_exact_iff_the_discriminant_is_a_signed_rational_square(star4):
+def test_completion_has_a_point_iff_the_discriminant_is_a_signed_rational_square(star4):
     # the rule is on the discriminant, not on where the root lies: the last
     # three tails have a root in the working field (squared back below) and
-    # still come back numeric
+    # still come back as a certificate with no point; every tail is certified
     t = path_tree(3)
     z = root_of_unity
     cases = [(t, [1], True, None),                  # disc -4
@@ -401,17 +400,57 @@ def test_completion_is_exact_iff_the_discriminant_is_a_signed_rational_square(st
              (t, [z(3)], False, 2 * z(12)),         # disc 4 zeta_12^2
              (t, [z(8)], False, 2 * z(8, 7)),       # disc -4 zeta_8^2
              (t, [1 + z(4)], False, 2 - 2 * z(4))]  # disc -8i
-    for tree, tail, exact, root in cases:
-        A, B, C, _, m = completion_quadratic(tree, tail)
+    for tree, tail, square, root in cases:
+        A, B, C, lifted, m = completion_quadratic(tree, tail)
         disc = B * B - 4 * (A * C)
-        assert _signed_rational_square(disc) == exact, tail
-        if root is not None:
-            assert root.lift(m) ** 2 == disc, tail
+        assert _signed_rational_square(disc) == square, tail
         cands = complete_nullvector(tree, tail)
-        assert len(cands) == 2, tail
+        assert len(cands) == (2 if square else 1), tail
         for c in cands:
-            assert c.exact == exact and c.verified and not c.trivial, tail
-            assert c.residual <= NUMERIC_COMPLETION_TOL, tail
+            assert (c.point is not None) == square, tail
+            assert c.verified and not c.trivial and c.quadratic == (A, B, C), tail
+        if root is not None:
+            # what the certificate claims: both field roots complete the tail
+            root = root.lift(m)
+            assert root ** 2 == disc, tail
+            sigma = sum(lifted, CycNum.zero(m))
+            for a1 in ((-B + root) / (2 * A), (-B - root) / (2 * A)):
+                point = [a1, -a1 - sigma, *lifted]
+                assert verify_nullvector(tree, 3, point).exact_zero, tail
+
+
+def test_completion_certificate_fails_on_a_wrong_quadratic_or_line(star4):
+    # mutants of the three-point check: B + 1, C + 1, and the line
+    # (z, -z + sigma, tail); the last differs from the true line only when
+    # sigma != 0
+    z = root_of_unity
+    for tree, tail in ((path_tree(3), [z(3)]), (path_tree(3), [1 + z(4)]),
+                       (star4, [1, -1]), (random_tree(6, 7), [z(3), 1, -2, 0])):
+        A, B, C, lifted, m = completion_quadratic(tree, tail)
+        sigma = sum(lifted, CycNum.zero(m))
+        assert _completes_every_root(tree, (A, B, C), sigma, lifted), tail
+        assert not _completes_every_root(tree, (A, B + 1, C), sigma, lifted), tail
+        assert not _completes_every_root(tree, (A, B, C + 1), sigma, lifted), tail
+        assert _completes_every_root(tree, (A, B, C), -sigma, lifted) == sigma.is_zero(), tail
+
+
+def test_residual_of_a_failed_check_is_the_embedded_gradient_norm(path3):
+    # the complex128 residual equals the 128-bit embedding's max |D_r p| up to
+    # float64 rounding; a gradient past the float range reports inf
+    z = root_of_unity
+    reports = [verify_nullvector(path3, 3, [1, 1, 1]),
+               verify_nullvector(path3, 3, [z(3), 1, z(5)]),
+               verify_nullvector(path3, 3, [10 ** 100, 0, 0]),
+               verify_form_nullvector(build_steiner(path3, 3), [1, z(8), 0])]
+    for rep in reports:
+        assert not rep.exact_zero
+        want = max(float(abs(embed128(g))) for g in rep.gradient)
+        assert math.isclose(rep.embedded_residual, want, rel_tol=1e-14), (rep.point, want)
+    assert reports[0].embedded_residual == 39.0
+    for point in ([10 ** 200, 0, 0], [10 ** 200, -10 ** 200, 1]):
+        rep = verify_nullvector(path3, 3, point)
+        assert rep.embedded_residual == math.inf
+        assert max(float(abs(embed128(g))) for g in rep.gradient) == math.inf
 
 
 def test_degenerate_single_vertex_order2_corner():

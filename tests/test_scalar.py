@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic and the numeric embedding."""
+"""Exact cyclotomic arithmetic, checked against the 128-bit embedding of ``oracles``."""
 
 import math
 from fractions import Fraction
@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerdh import (CFloat, ConductorMismatch, CycNum, MalformedInput,
-                       cyclotomic_polynomial, euler_phi, root_of_unity, unify_conductor)
-from steinerdh.scalar import WORKING_PREC
+from steinerdh import (ConductorMismatch, CycNum, MalformedInput, cyclotomic_polynomial,
+                       euler_phi, root_of_unity, unify_conductor)
 
-from oracles import cyclotomic_by_division, cyclotomic_product
+from oracles import cyclotomic_by_division, cyclotomic_product, embed128
 
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
@@ -79,11 +78,11 @@ def test_cyc_pow_examples():
 
 def test_embed_examples():
     i = root_of_unity(4)
-    e = i.embed()
+    e = embed128(i)
     assert abs(float(e.real)) < 1e-15 and abs(float(e.imag) - 1) < 1e-15
-    e2 = (-1 - i).embed()
+    e2 = embed128(-1 - i)
     assert abs(float(e2.real) + 1) < 1e-15 and abs(float(e2.imag) + 1) < 1e-15
-    e3 = root_of_unity(8).embed()
+    e3 = embed128(root_of_unity(8))
     with mpmath.workprec(150):
         half_sqrt2 = mpmath.sqrt(2) / 2
         assert abs(e3.real - half_sqrt2) < mpmath.mpf(10) ** -30
@@ -117,9 +116,9 @@ def test_embed_is_ring_homomorphism(ab):
     a, b = ab
     with mpmath.workprec(200):
         tol = mpmath.mpf(2) ** -90
-        scale = 1 + abs(a.embed()) + abs(b.embed())
-        prod = (a * b).embed() - a.embed() * b.embed()
-        add = (a + b).embed() - (a.embed() + b.embed())
+        scale = 1 + abs(embed128(a)) + abs(embed128(b))
+        prod = embed128(a * b) - embed128(a) * embed128(b)
+        add = embed128(a + b) - (embed128(a) + embed128(b))
         assert abs(prod) <= tol * scale * scale
         assert abs(add) <= tol * scale
 
@@ -164,8 +163,8 @@ def test_lift_preserves_value(case):
         assert (x + y).lift(big) == x.lift(big) + y.lift(big)
         assert (x * y).lift(big) == x.lift(big) * y.lift(big)
         with mpmath.workprec(200):
-            gap = x.embed() - x.lift(big).embed()
-            assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + abs(x.embed()))
+            gap = embed128(x) - embed128(x.lift(big))
+            assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + abs(embed128(x)))
     assert x.lift(a).lift(b) == x.lift(b)
 
 
@@ -206,7 +205,7 @@ def test_long_coefficient_lists_reduce_by_powers_of_zeta(case):
         direct = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator
                              * mpmath.expjpi(mpmath.mpf(2 * j) / m)
                              for j, c in enumerate(coeffs))
-        gap = CycNum(m, coeffs).embed() - direct
+        gap = embed128(CycNum(m, coeffs)) - direct
         assert abs(gap) < mpmath.mpf(2) ** -100 * (1 + sum(abs(c) for c in coeffs))
 
 
@@ -387,31 +386,3 @@ def test_products_match_the_oracle_on_every_operand_kind(xy, scalar):
     assert list((x * scalar).coeffs) == scaled and list((scalar * x).coeffs) == scaled
     assert all(_stored_exactly(r) for r in (x * y, y * x, x * scalar))
 
-
-def test_cfloat_basics():
-    a = CFloat(1.5, -2)
-    assert isinstance(a, mpmath.mpc)
-    assert float(a.real) == 1.5 and float(a.imag) == -2
-    assert CFloat(mpmath.mpc(1.5, -2)) == a == CFloat(1.5 - 2j)
-    assert abs(a) == mpmath.mpf("2.5")
-    assert a.to_json() == ["1.5", "-2.0"]
-    with pytest.raises(ValueError):
-        CFloat(float("inf"), 0)
-    with pytest.raises(ValueError):
-        CFloat(mpmath.mpc(1, mpmath.nan))
-
-
-def test_cfloat_rounds_at_the_precision_in_force():
-    with mpmath.workprec(200):
-        third = mpmath.mpf(1) / 3
-        assert CFloat(third).real == third
-        assert CFloat(mpmath.mpc(0, third)).imag == third
-    with mpmath.workprec(128):
-        assert CFloat(third).real == +third != third
-        assert CFloat(mpmath.mpc(0, third)).imag == +third
-    # embed builds its value inside its own WORKING_PREC + 16 bit block
-    e = root_of_unity(3).embed()
-    with mpmath.workprec(WORKING_PREC + 16):
-        assert +e == e
-    with mpmath.workprec(WORKING_PREC):
-        assert +e != e

@@ -5,16 +5,17 @@ n in {1, 2, 3, 5, 8} and for ``star_tree(20)``, at orders k in {3, 4, 5, 7, 6},
 the exact stdout and ``--verbose`` stderr of ``steinerdh search`` with 2 to 4
 restarts, so the points, residuals, iteration counts and stop reasons are all
 pinned.  Each case runs at the default ``--tol``, at ``--tol 1e-30`` and at
-``--tol 0``, which runs into the precision floor.  The file also holds
-``CycNum.embed().to_json()`` for a few roots of unity and a sum of them, and
-the numeric points of ``complete_nullvector`` for tails whose completing root
-escapes the working field.  The test only reads the file.  To rewrite it
-deliberately (after a change that is meant to alter the output), run
+``--tol 0``, which runs into the precision floor.  The file also holds the
+128-bit embeddings (``oracles.embed128``, 40 significant digits) of a few
+roots of unity and a sum of them, and, for tails whose discriminant is not
++/- a rational square, the CycNum JSON of the exact completion quadratic
+(A, B, C) with its ``verified`` flag.  The test only reads the file.  To
+rewrite it deliberately (after a change that is meant to alter the output), run
 ``PYTHONPATH=src python tests/test_search_golden.py``; before it overwrites
 the file it prints how many search rows change bytes and lists every row
 whose multiset of (iterations, stop) pairs changes.
 
-The embeddings and completions are mpmath values and platform-independent,
+The embeddings (mpmath) and the completions (exact) are platform-independent,
 but a search step goes through BLAS zgemm and LAPACK zgelsd, so the search
 rows repeat for a given seed on one numpy/BLAS build only.  k = 6
 comes last in ``ORDERS`` so that the older rows keep their restart counts.
@@ -31,9 +32,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath
+
 from steinerdh import CycNum, complete_nullvector, root_of_unity
 from steinerdh.cli import main
 from steinerdh.trees import format_tree, path_tree, random_tree, star_tree
+
+from oracles import embed128
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
 SIZES = (1, 2, 3, 5, 8)
@@ -57,6 +62,12 @@ def _trees() -> list[tuple[str, object]]:
             + [("star_tree(20)", star_tree(20))])
 
 
+def _digits(x: CycNum) -> list[str]:
+    """The real and imaginary parts of x's 128-bit embedding, 40 digits each."""
+    z = embed128(x)
+    return [mpmath.nstr(z.real, 40), mpmath.nstr(z.imag, 40)]
+
+
 def compute() -> dict:
     """Every golden value, recomputed by the library on the import path."""
     searches = []
@@ -71,21 +82,18 @@ def compute() -> dict:
                     out, err = _search(path, k, restarts, tol)
                     searches.append({"tree": name, "k": k, "restarts": restarts,
                                      "tol": tol, "stdout": out, "stderr": err})
-    embeds = {f"zeta_{m}^{j}": root_of_unity(m, j).embed().to_json()
+    embeds = {f"zeta_{m}^{j}": _digits(root_of_unity(m, j))
               for m, j in ((1, 0), (3, 1), (5, 2), (7, 3), (12, 5), (24, 7))}
-    embeds["zeta_5 + 2/3 zeta_5^3"] = (root_of_unity(5) + root_of_unity(5, 3) * 2 / 3
-                                       ).embed().to_json()
+    embeds["zeta_5 + 2/3 zeta_5^3"] = _digits(root_of_unity(5) + root_of_unity(5, 3) * 2 / 3)
     completions = []
     one = CycNum.one()
     for t, tail in ((path_tree(4), [one, one]), (star_tree(5), [one, 2 * one, 3 * one]),
                     (random_tree(6, 7), [root_of_unity(3), one, -2 * one, 0 * one])):
-        cands = complete_nullvector(t, tail)
-        assert not any(c.exact for c in cands)
+        [cand] = complete_nullvector(t, tail)
+        assert cand.point is None
         completions.append({
             "tree": format_tree(t), "tail": [x.to_json() for x in tail],
-            "candidates": [{"point": [z.to_json() for z in c.point],
-                            "residual": c.residual, "verified": c.verified}
-                           for c in cands]})
+            "quadratic": [x.to_json() for x in cand.quadratic], "verified": cand.verified})
     return {"search": searches, "embed": embeds, "completion": completions}
 
 
