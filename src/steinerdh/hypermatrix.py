@@ -11,25 +11,31 @@ distance depends only on the index set.  An order above numpy's axis limit
 ``MAXDIMS`` is refused before any array is formed: ``BudgetExceeded`` on
 build, ``MalformedInput`` on import.
 
-Both export formats come from one writer that casts ``_CHUNK`` entries at a
-time to int64 and turns them into ASCII decimals in numpy, so it holds one
-chunk's buffers besides the pieces it returns; ``export_json`` and
-``export_text`` join the pieces, and the ``hypermatrix`` command writes them
-as they come.  The bytes are those of ``json.dumps`` and ``str`` over the
-entries as Python ints, whatever the stored dtype.
+Both export formats come from one writer that works ``_CHUNK`` entries at a
+time in the stored width: it splits each magnitude into base-10^4 limbs,
+reads each limb as one uint32 word of ASCII from a 10^4-entry table, adds a
+sign word where the chunk has a negative and a separator word, and deletes
+the words' NUL padding in one pass.  It holds one chunk's words besides the
+pieces it returns; ``export_json`` and ``export_text`` join the pieces, and
+the ``hypermatrix`` command writes them as they come.  The bytes are those
+of ``json.dumps`` and ``str`` over the entries as Python ints, whatever the
+stored dtype.
 
 Both formats come back through one reader, the writer's mirror: the entries
 are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
-JSON, a newline in text), each piece checked byte by byte and its integers
-summed one digit column at a time in uint64, all in numpy, into one int64
-array sized from the separator count, which the hypermatrix then stores in
-the narrowest dtype, as it would any entries.  It holds the document, that
-array, the result and one piece's arrays, and no Python int per entry.
-``import_json`` decodes with json's own ``JSONDecoder``, so it takes what
-``json.loads`` takes, but hands the reader each array among the top-level
-object's values, and json's C scanner each value that is not an int64 array;
-``import_text`` reads the header line 'k n' and hands the reader the rest of
-the document.
+JSON, a newline in text).  Each piece's bytes are classified by numpy
+compares, the sign and leading-zero rules are checked on neighbouring bytes,
+and each integer's digit columns are summed in the narrowest unsigned type
+the piece's longest integer allows.  Every piece goes into one array sized
+from the separator count, in uint8 until a value needs uint16, and in int64
+from the first negative or > 65,535 value: each widening copies the array
+once, and the result is already in the narrowest dtype that the hypermatrix
+stores.  So the reader holds the document, that array and one piece's
+arrays, and no Python int or int64 per entry.  ``import_json`` decodes with
+json's own ``JSONDecoder``, so it takes what ``json.loads`` takes, but hands
+the reader each array among the top-level object's values, and json's C
+scanner each value that is not an array of int64 integers; ``import_text``
+reads the header line 'k n' and hands the reader the rest of the document.
 """
 
 from __future__ import annotations
@@ -52,13 +58,10 @@ DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
 _CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an imported one
 _INT64_MAX = np.iinfo(np.int64).max
-_PLACES = 10 ** np.arange(19, dtype=np.uint64)   # digit columns' weights: |int64| < 10^19
-_POWERS = _PLACES[1:]   # 10 .. 10^18, the least numbers of 2 .. 19 digits
-_DIGIT, _MINUS, _SEP, _SPACE = 1, 2, 3, 4   # kinds of byte in an entries array; 0 is any other
-_BYTE_KINDS = {",": np.zeros(256, dtype=np.uint8), "\n": np.zeros(256, dtype=np.uint8)}
-for _sep, _kind in _BYTE_KINDS.items():   # JSON whitespace, or a text line's (CR for CRLF)
-    _kind[list(b"0123456789- \t\r\n")] = (_DIGIT,) * 10 + (_MINUS,) + (_SPACE,) * 4
-    _kind[ord(_sep)] = _SEP
+_LIMB = 10 ** 4   # the writer's base: four decimal digits, one uint32 word of ASCII
+_SPACES = " \t\r\n"   # JSON whitespace; a text line's is the same less its newline (CR for CRLF)
+# the narrowest unsigned type that sums an integer of 1, 2, .., 19 digits: |int64| < 10^19
+_SUMS = (np.uint8,) * 2 + (np.uint16,) * 2 + (np.uint32,) * 5 + (np.uint64,) * 10
 _DECODER = json.JSONDecoder()
 
 
@@ -193,33 +196,56 @@ def has_nonzero_degenerate(h: Hypermatrix) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
+def _word(text: bytes) -> np.uint32:
+    """``text``, at most four ASCII bytes, as one uint32 word, NUL-padded."""
+    return np.frombuffer(text.ljust(4, b"\0"), dtype=np.uint32)[0]
+
+
+def _limb_words() -> np.ndarray:
+    """The uint32 ASCII word of each limb 0 .. 10^4 - 1: NUL-padded, for a
+    leading limb, at i, and zero-padded, for an inner one, at 10^4 + i.  The
+    leading 0 is '0', so a zero entry prints."""
+    i = np.arange(_LIMB, dtype=np.uint16)[:, None]
+    digits = (i // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+    lead = np.where(i < np.array([1000, 100, 10, 0], dtype=np.uint16), np.uint8(0), digits)
+    return np.concatenate([lead, digits]).view(np.uint32).reshape(-1)
+
+
+_WORDS = _limb_words()
+
+
 def _decimals(entries: np.ndarray, sep: bytes) -> Iterator[str]:
     """``sep.join`` of the entries' ASCII decimals, in pieces of ``_CHUNK``
-    entries, each cast to int64 first.  Each piece is one uint8 buffer: filled
-    with the separator's last byte, then the separators' other bytes, the
-    signs, and one digit column per pass, right to left, over the entries
-    that still have digits."""
+    entries.  Each piece is a row of uint32 words an entry: a '-' word where
+    the piece has a negative entry, one ``_WORDS`` word per base-10^4 limb
+    of the magnitude (as many limbs as the piece's largest needs), and the
+    separator's word.  Every word is NUL-padded, and one pass deletes the
+    NULs.  The magnitudes are an unsigned copy in the entries' width, at
+    least 16 bits, so narrow entries are never widened to int64."""
     flat = entries.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
-        value = flat[lo:lo + _CHUNK].astype(np.int64)   # a copy, whatever the stored dtype
+        value = flat[lo:lo + _CHUNK].astype(np.promote_types(flat.dtype, np.uint16))   # a copy
         neg = value < 0
-        mag = value.view(np.uint64)
-        np.negative(mag, out=mag, where=neg)   # |value| in uint64, exact at -2^63
-        digits = np.searchsorted(_POWERS[_POWERS <= mag.max()], mag, side="right") + 1
-        last = np.cumsum(digits + neg + len(sep)) - len(sep) - 1   # each entry's last digit
-        buf = np.full(last[-1] + 1 + len(sep), sep[-1], dtype=np.uint8)
-        for j, byte in enumerate(sep[:-1]):
-            buf[last + 1 + j] = byte
-        buf[(last - digits)[neg]] = ord("-")
-        pos = last
-        while mag.size:
-            tens = mag // 10
-            buf[pos] = mag - 10 * tens + ord("0")
-            more = tens > 0
-            mag, pos = tens[more], pos[more] - 1
+        rest = np.abs(value, out=value).view(f"u{value.itemsize}")   # exact at -2^63
+        signed, limbs = int(neg.any()), -(-len(str(rest.max())) // 4)   # the largest's limbs
+        words = np.empty((rest.size, signed + limbs + 1), dtype=np.uint32)
+        if signed:
+            words[:, 0] = neg * _word(b"-")
+        words[:, -1] = _word(sep)
         if lo + _CHUNK >= flat.size:
-            buf = buf[:buf.size - len(sep)]   # no separator after the last entry
-        yield buf.tobytes().decode("ascii")
+            words[-1, -1] = 0   # no separator after the last entry
+        last = signed + limbs - 1   # the least significant limb's column
+        for col in range(last, signed - 1, -1):
+            if col > signed:   # zero-padded where a higher limb is nonzero
+                high = rest // _LIMB
+                limb = np.minimum(rest, rest - high * _LIMB + _LIMB)
+            else:              # the leading limb, below 10^4
+                high, limb = None, rest
+            words[:, col] = _WORDS.take(limb, mode="clip")   # limb < 2 * 10^4: no clip happens
+            if col < last:
+                words[:, col] *= rest > 0   # no digit this high: no word
+            rest = high
+        yield words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _json_pieces(h: Hypermatrix) -> Iterator[str]:
@@ -251,61 +277,80 @@ def _shape(k, n, count: int) -> tuple:
     return (n,) * k
 
 
-def _int64_piece(piece: str, sep: str) -> np.ndarray | None:
-    """The values of ``piece``, integers with one ``sep`` between neighbours,
-    as int64; None unless every byte is a digit, '-', ``sep`` or its format's
-    whitespace and every integer is ``-?(0|[1-9][0-9]*)`` within int64."""
+def _magnitudes(piece: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The magnitudes of the integers in ``piece`` (one ``sep`` between
+    neighbours), in the narrowest unsigned type that holds the longest, and
+    a mask of the negative ones; None unless every byte is a digit, '-',
+    ``sep`` or its format's whitespace and every integer is
+    ``-?(0|[1-9][0-9]*)`` within int64.  A digit column is gathered from the
+    bytes' digit values, 0 at every byte that is not a digit, so no column
+    needs a mask."""
     try:
         u = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    kind = _BYTE_KINDS[sep].take(u)
-    if not kind.all():
+    value = np.zeros(u.size + 2, dtype=np.uint8)   # digit values and flags, each with a
+    digit = np.zeros(u.size + 2, dtype=bool)       # 0 on both sides: every byte has neighbours
+    np.subtract(u, ord("0"), out=value[1:-1])
+    np.less(value[1:-1], 10, out=digit[1:-1])
+    value *= digit
+    minus = u == ord("-")
+    token = digit.copy()   # digits and '-'
+    token[1:-1] |= minus
+    known = token[1:-1] | (u == ord(sep))
+    for space in _SPACES.replace(sep, ""):
+        known |= u == ord(space)
+    if (not known.all()
+            or (minus & (token[:-2] | ~digit[2:])).any()   # a '-' after a digit or '-', or before none
+            or ((u == ord("0")) & ~digit[:-2] & digit[2:]).any()):   # a leading 0
         return None
-    token = np.zeros(u.size + 2, dtype=bool)   # digits and '-', padded on both sides
-    np.less_equal(kind, _MINUS, out=token[1:-1])
-    # each integer's first byte and one past its last, as contiguous rows
-    starts, ends = (token[1:] != token[:-1]).nonzero()[0].reshape(-1, 2).T.copy()
-    seps = (kind == _SEP).nonzero()[0]
+    # each integer's first byte and one past its last, as contiguous rows: in
+    # the padded arrays, the byte before it and its last digit
+    starts, ends = np.flatnonzero(token[1:] != token[:-1]).reshape(-1, 2).T.copy()
+    seps = np.flatnonzero(u == ord(sep))
     if (not starts.size or seps.size != starts.size - 1 or (seps < ends[:-1]).any()
             or (seps > starts[1:]).any()):
         return None   # not one separator between each pair of neighbours
     neg = u.take(starts) == ord("-")
-    digits = ends - starts - neg
-    if (np.count_nonzero(kind == _MINUS) != np.count_nonzero(neg)   # a '-' after the start
-            or digits.min() < 1 or digits.max() > _PLACES.size
-            or ((u.take(starts + neg) == ord("0")) & (digits > 1)).any()):   # a leading 0
+    width = int((ends - starts - neg).max())   # the most digits
+    if width > len(_SUMS):
         return None
-    value = np.zeros(starts.size, dtype=np.uint64)
-    ends -= 1   # from here on, each integer's digit in column j
-    for j, place in enumerate(_PLACES[:digits.max()]):   # one digit column per pass
-        column = u.take(ends, mode="clip") - ord("0")
-        column *= digits > j   # 0 where the integer has no digit in this column
-        value += column * place
-        ends -= 1
-    if (value > np.uint64(_INT64_MAX) + neg).any():   # 2^63 is in range only negated
-        return None
-    np.negative(value, out=value, where=neg)
-    return value.view(np.int64)
+    total = _SUMS[width - 1]
+    mag = value.take(ends).astype(total)
+    for place in range(1, width):   # clamped at the byte before the integer, which reads 0
+        mag += value.take(np.maximum(ends - place, starts)) * total(10 ** place)
+    if width == len(_SUMS) and (mag > np.uint64(_INT64_MAX) + neg).any():
+        return None   # 2^63 is in range only negated
+    return mag, neg
 
 
-def _int64_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
-    """``_int64_piece`` over ``text[lo:hi]``, cut at ``sep`` into pieces of
-    about ``_CHUNK`` bytes, written into one int64 array sized by the
-    separator count; None where a piece is, where the text ends in ``sep``,
-    or, before sizing, where it is too short for a digit per entry."""
+def _integer_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
+    """``_magnitudes`` over ``text[lo:hi]``, cut at ``sep`` into pieces of
+    about ``_CHUNK`` bytes, written into one array sized by the separator
+    count: uint8 until a piece holds a value above 255, then widened once to
+    uint16, and once to int64 on the first negative or > 65,535 value, so it
+    ends in the narrowest of the three that holds the values.  None where a
+    piece is, where the text ends in ``sep``, or, before sizing, where it is
+    too short for a digit per entry."""
     count = text.count(sep, lo, hi) + 1
     if 2 * count - 1 > hi - lo:
         return None
-    out = np.empty(count, dtype=np.int64)
+    out = np.empty(count, dtype=np.uint8)
     done = 0
     while lo < hi:
         cut = text.find(sep, lo + _CHUNK, hi)   # the first separator past _CHUNK bytes
         if cut < 0:
             cut = hi
-        values = _int64_piece(text[lo:cut], sep)
-        if values is None:
+        read = _magnitudes(text[lo:cut], sep)
+        if read is None:
             return None
+        values, neg = read
+        if neg.any():
+            values = values.astype(np.int64)   # 2^63 wraps to -2^63, which negates to itself
+            np.negative(values, out=values, where=neg)
+        dtype = np.promote_types(out.dtype, narrowest_dtype(int(values.max()), int(values.min())))
+        if dtype != out.dtype:
+            out = out.astype(dtype)
         out[done:done + values.size] = values
         done += values.size
         lo = cut + 1
@@ -314,9 +359,9 @@ def _int64_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
 
 def _member(text: str, i: int) -> tuple:
     """The JSON value at ``text[i]`` and the index past it: an array of int64
-    integers by ``_int64_array``, any other value by json's C scanner."""
+    integers by ``_integer_array``, any other value by json's C scanner."""
     end = text.find("]", i) if text.startswith("[", i) else -1
-    value = _int64_array(text, i + 1, end, ",") if end >= 0 else None
+    value = _integer_array(text, i + 1, end, ",") if end >= 0 else None
     return _DECODER.scan_once(text, i) if value is None else (value, end + 1)
 
 
@@ -340,7 +385,7 @@ _READER = _Decoder()
 def import_json(text: str) -> Hypermatrix:
     """The hypermatrix of an ``export_json`` document: the object ``json.loads``
     would read, its entries a flat array of integers within int64 read by
-    ``_int64_array``.  ``MalformedInput`` wherever ``json.loads`` would raise,
+    ``_integer_array``.  ``MalformedInput`` wherever ``json.loads`` would raise,
     values nested past the recursion limit included."""
     try:
         fields = _READER.decode(text)
@@ -369,7 +414,7 @@ def import_text(text: str) -> Hypermatrix:
         k, n = map(ascii_int, text[:lo - 1].strip(" \t\r").split(" "))
     except ValueError as exc:
         raise MalformedInput(f"bad hypermatrix text header: {exc}") from exc
-    entries = _int64_array(text, lo, len(text) - text.endswith("\n"), "\n")
+    entries = _integer_array(text, lo, len(text) - text.endswith("\n"), "\n")
     if entries is None:
         raise MalformedInput("hypermatrix text entries must be one integer within int64 a line")
     return Hypermatrix._adopt(k, n, entries.reshape(_shape(k, n, entries.size)))
