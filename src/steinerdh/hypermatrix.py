@@ -24,16 +24,20 @@ stored dtype.
 Both formats come back through one reader, the writer's mirror: the entries
 are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
 JSON, a newline in text).  Each piece's bytes are classified by numpy
-compares, the sign and leading-zero rules are checked on neighbouring bytes,
-and each integer's digit columns are summed in the narrowest unsigned type
-the piece's longest integer allows.  Every piece goes into one array sized
-from the separator count, in uint8 until a value needs uint16, and in int64
-from the first negative or > 65,535 value: each widening copies the array
-once, and the result is already in the narrowest dtype that the hypermatrix
-stores.  So the reader holds the document, that array and one piece's
-arrays, and no Python int or int64 per entry.  ``import_json`` decodes with
-json's own ``JSONDecoder``, so it takes what ``json.loads`` takes, but hands
-the reader each array among the top-level object's values, and json's C
+compares, and the sign and leading-zero rules are checked on neighbouring
+bytes.  One selection finds each integer's last digit and each separator,
+and they must alternate, which leaves one separator between neighbours and
+none outside.  Each digit column is gathered at its distance from the last
+digits, where a run of digits reaches that far, and summed in the narrowest
+unsigned type the piece's longest integer allows; signs are read only in a
+piece that has a '-'.  Each piece's values are kept in the narrowest of
+uint8, uint16 and int64 that holds them, and more than one piece is joined
+by one ``np.concatenate`` into the widest of their dtypes, which is the
+dtype that the hypermatrix stores.  So the reader holds the document, the
+pieces' values and one piece's arrays, then the joined result, and no
+Python int per entry.  ``import_json`` decodes with json's own
+``JSONDecoder``, so it takes what ``json.loads`` takes, but hands the
+reader each array among the top-level object's values, and json's C
 scanner each value that is not an array of int64 integers; ``import_text``
 reads the header line 'k n' and hands the reader the rest of the document.
 """
@@ -282,61 +286,71 @@ def _magnitudes(piece: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
     neighbours), in the narrowest unsigned type that holds the longest, and
     a mask of the negative ones; None unless every byte is a digit, '-',
     ``sep`` or its format's whitespace and every integer is
-    ``-?(0|[1-9][0-9]*)`` within int64.  A digit column is gathered from the
-    bytes' digit values, 0 at every byte that is not a digit, so no column
-    needs a mask."""
+    ``-?(0|[1-9][0-9]*)`` within int64.  One selection finds each integer's
+    last digit and each separator, which must alternate from an integer to
+    an integer, and the rest is read at a distance from the last digits
+    ``ends``: digit column p at ``ends - p`` where p + 1 digits run to the
+    end, and, in a piece that has a '-', the sign one byte before an
+    integer's first digit."""
     try:
         u = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    value = np.zeros(u.size + 2, dtype=np.uint8)   # digit values and flags, each with a
-    digit = np.zeros(u.size + 2, dtype=bool)       # 0 on both sides: every byte has neighbours
-    np.subtract(u, ord("0"), out=value[1:-1])
-    np.less(value[1:-1], 10, out=digit[1:-1])
-    value *= digit
-    minus = u == ord("-")
-    token = digit.copy()   # digits and '-'
-    token[1:-1] |= minus
-    known = token[1:-1] | (u == ord(sep))
+    digits = u - np.uint8(ord("0"))   # a digit's value; any other byte reads 10 or more
+    digit = np.zeros(u.size + 2, dtype=bool)   # False on both sides: every byte has neighbours
+    np.less(digits, 10, out=digit[1:-1])
+    is_sep = u == ord(sep)
+    known = digit[1:-1] | is_sep
+    signed = "-" in piece
+    if signed:
+        minus = u == ord("-")
+        known |= minus
     for space in _SPACES.replace(sep, ""):
         known |= u == ord(space)
+    # refused: a byte of another kind, a '-' after a digit or before none, a leading 0
     if (not known.all()
-            or (minus & (token[:-2] | ~digit[2:])).any()   # a '-' after a digit or '-', or before none
-            or ((u == ord("0")) & ~digit[:-2] & digit[2:]).any()):   # a leading 0
+            or (signed and (minus & (digit[:-2] | ~digit[2:])).any())
+            or ((u == ord("0")) & (digit[2:] > digit[:-2])).any()):
         return None
-    # each integer's first byte and one past its last, as contiguous rows: in
-    # the padded arrays, the byte before it and its last digit
-    starts, ends = np.flatnonzero(token[1:] != token[:-1]).reshape(-1, 2).T.copy()
-    seps = np.flatnonzero(u == ord(sep))
-    if (not starts.size or seps.size != starts.size - 1 or (seps < ends[:-1]).any()
-            or (seps > starts[1:]).any()):
-        return None   # not one separator between each pair of neighbours
-    neg = u.take(starts) == ord("-")
-    width = int((ends - starts - neg).max())   # the most digits
-    if width > len(_SUMS):
-        return None
-    total = _SUMS[width - 1]
-    mag = value.take(ends).astype(total)
-    for place in range(1, width):   # clamped at the byte before the integer, which reads 0
-        mag += value.take(np.maximum(ends - place, starts)) * total(10 ** place)
-    if width == len(_SUMS) and (mag > np.uint64(_INT64_MAX) + neg).any():
+    last = digit[1:-1] > digit[2:]   # each integer's last digit
+    if np.count_nonzero(is_sep) != np.count_nonzero(last) - 1:
+        return None   # not one separator fewer than integers
+    ends = np.flatnonzero(last | is_sep)[::2].copy()   # marks 0, 2, .. of 2 * count - 1
+    mag = digits.take(ends)
+    if (mag > 9).any():   # a separator at an even mark: not one between each pair of
+        return None       # neighbours, or one before the first or after the last
+    run = digit[1:-1].copy()
+    length = np.ones(ends.size, dtype=np.uint8) if signed else None
+    for place in range(1, len(_SUMS) + 1):
+        run = run[:-1]   # run[j]: bytes j .. j + place all digits, for every j short of the end
+        run &= digit[1 + place:-1]
+        if not run.any():
+            break
+        if place == len(_SUMS):
+            return None   # a 20th digit
+        total = _SUMS[place]
+        mag = mag.astype(total, copy=False)
+        # below 0 only for an integer of at most place digits that ends before byte place,
+        # so no run of place + 1 digits starts at byte 0, where the clip reads
+        at = ends - place
+        mag += (digits[:-place] * run).take(at, mode="clip") * total(10 ** place)
+        if signed:
+            length += run.take(at, mode="clip")
+    # an unsigned integer at byte 0 reads the piece's last byte, never a '-'
+    neg = u.take(ends - length) == ord("-") if signed else np.zeros(ends.size, dtype=bool)
+    if place == len(_SUMS) and (mag > np.uint64(_INT64_MAX) + neg).any():
         return None   # 2^63 is in range only negated
     return mag, neg
 
 
 def _integer_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
     """``_magnitudes`` over ``text[lo:hi]``, cut at ``sep`` into pieces of
-    about ``_CHUNK`` bytes, written into one array sized by the separator
-    count: uint8 until a piece holds a value above 255, then widened once to
-    uint16, and once to int64 on the first negative or > 65,535 value, so it
-    ends in the narrowest of the three that holds the values.  None where a
-    piece is, where the text ends in ``sep``, or, before sizing, where it is
-    too short for a digit per entry."""
-    count = text.count(sep, lo, hi) + 1
-    if 2 * count - 1 > hi - lo:
-        return None
-    out = np.empty(count, dtype=np.uint8)
-    done = 0
+    about ``_CHUNK`` bytes.  Each piece's values are kept in the narrowest
+    of uint8, uint16 and int64 that holds them, and more than one piece is
+    joined by one ``np.concatenate`` into the widest of their dtypes, so
+    the result is in the narrowest that holds every value.  None where a
+    piece is, where the text is empty, or where it ends in ``sep``."""
+    pieces = []
     while lo < hi:
         cut = text.find(sep, lo + _CHUNK, hi)   # the first separator past _CHUNK bytes
         if cut < 0:
@@ -348,13 +362,12 @@ def _integer_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
         if neg.any():
             values = values.astype(np.int64)   # 2^63 wraps to -2^63, which negates to itself
             np.negative(values, out=values, where=neg)
-        dtype = np.promote_types(out.dtype, narrowest_dtype(int(values.max()), int(values.min())))
-        if dtype != out.dtype:
-            out = out.astype(dtype)
-        out[done:done + values.size] = values
-        done += values.size
+        dtype = narrowest_dtype(int(values.max()), int(values.min()))
+        pieces.append(values.astype(dtype, copy=False))
         lo = cut + 1
-    return out if done == out.size else None   # a separator with nothing after it
+    if not pieces or lo == hi:
+        return None   # no entries, or a separator with nothing after it
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _member(text: str, i: int) -> tuple:
