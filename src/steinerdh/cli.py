@@ -27,8 +27,8 @@ from . import __version__
 from .distmatrix import gl_inverse, graham_pollak_value
 from .errors import (BudgetExceeded, MalformedInput, NotATree, SteinerError,
                      ascii_decimal, ascii_int)
-from .forms import (order3_tensor, verify_form_divisible, verify_not_divisible,
-                    verify_product_decomposition, verify_s3_decomposition)
+from .forms import (_divisibility, order3_tensor, verify_product_decomposition,
+                    verify_s3_decomposition)
 from .hypermatrix import _json_pieces, _text_pieces, build_steiner
 from .nullspace import canonical_odd_nullvector, numeric_search, verify_nullvector
 from .smalldet import det_order2, two_vertex_nullvector_witness
@@ -173,14 +173,14 @@ def identity_rows(t: Tree) -> list[dict]:
         return [{"name": nm, "status": "skipped",
                  "reason": "single-vertex tree: order-3 form and matrix algebra are void"}
                 for nm in IDENTITY_ROWS]
-    P, D, degrees = order3_tensor(t), t.distances(), t.degrees[1:]
+    P, D, degrees = order3_tensor(t), t.distances(), np.array(t.degrees[1:])
     num, den = gl_inverse(t)   # |num| < 2n^2, so num @ D stays below 2n^4 in int64
-    tau = 2 - np.array(degrees)   # c_r = tau_r / (n - 1) solves c D = 1
+    tau = 2 - degrees   # c_r = tau_r / (n - 1) solves c D = 1
     product = verify_product_decomposition(P, D)
     # euler_identity, sum_r x_r D_r p = 3sg, is the product row: its left side is 3p
     # by Euler's theorem; c_sum cannot fail, by the handshake lemma
-    checks = (product, product, verify_s3_decomposition(P, degrees), verify_not_divisible(P),
-              verify_form_divisible(P), np.array_equal(num @ D, np.diag([den] * t.n)),
+    checks = (product, product, verify_s3_decomposition(P, degrees), *_divisibility(P),
+              bool((num @ D == den * np.eye(t.n, dtype=np.int64)).all()),
               bool((tau @ D == t.n - 1).all()), int(tau.sum()) == 2)
     return [{"name": nm, "status": "pass" if ok else "fail"}
             for nm, ok in zip(IDENTITY_ROWS, checks)]

@@ -26,6 +26,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -133,8 +134,8 @@ def gl_inverse(t: Tree) -> tuple[np.ndarray, int]:
         raise ValueError("needs n >= 2")
     deg = np.array(t.degrees[1:], dtype=np.int64)
     num = np.multiply.outer(2 - deg, 2 - deg)
-    num[np.diag_indices(n)] -= (n - 1) * deg
-    u, v = np.array(t.edges).T - 1
+    num.flat[::n + 1] -= (n - 1) * deg   # the diagonal
+    u, v = np.fromiter(chain.from_iterable(t.edges), np.intp, 2 * n - 2).reshape(-1, 2).T - 1
     num[u, v] += n - 1
     num[v, u] += n - 1
     return num, 2 * (n - 1)

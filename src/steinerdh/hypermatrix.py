@@ -24,22 +24,24 @@ stored dtype.
 Both formats come back through one reader, the writer's mirror: the entries
 are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
 JSON, a newline in text).  Each piece's bytes are classified by numpy
-compares, and the sign and leading-zero rules are checked on neighbouring
-bytes.  One selection finds each integer's last digit and each separator,
-and they must alternate, which leaves one separator between neighbours and
-none outside.  Each digit column is gathered at its distance from the last
-digits, where a run of digits reaches that far, and summed in the narrowest
-unsigned type the piece's longest integer allows; signs are read only in a
-piece that has a '-'.  Each piece's values are kept in the narrowest of
-uint8, uint16 and int64 that holds them, and more than one piece is joined
-by one ``np.concatenate`` into the widest of their dtypes, which is the
-dtype that the hypermatrix stores.  So the reader holds the document, the
-pieces' values and one piece's arrays, then the joined result, and no
-Python int per entry.  ``import_json`` decodes with json's own
-``JSONDecoder``, so it takes what ``json.loads`` takes, but hands the
-reader each array among the top-level object's values, and json's C
-scanner each value that is not an array of int64 integers; ``import_text``
-reads the header line 'k n' and hands the reader the rest of the document.
+compares; tab, CR and JSON's LF are compared only while some byte is not a
+digit, the separator, '-' or a space.  The sign and leading-zero rules are
+checked on neighbouring bytes.  One selection finds each integer's last
+digit and each separator, and they must alternate, which leaves one
+separator between neighbours and none outside.  Each digit column is
+gathered at its distance from the last digits, where a run of digits
+reaches that far, and summed in the narrowest unsigned type the piece's
+longest integer allows; signs are read only in a piece that has a '-'.  Each
+piece's values are kept in the narrowest of uint8, uint16 and int64 that
+holds them, and more than one piece is joined by one ``np.concatenate``
+into the widest of their dtypes, which is the dtype that the hypermatrix
+stores.  So the reader holds the document, the pieces' values and one
+piece's arrays, then the joined result, and no Python int per entry.
+``import_json`` decodes with json's own ``JSONDecoder``, so it takes what
+``json.loads`` takes, but hands the reader each array among the top-level
+object's values, and json's C scanner each value that is not an array of
+int64 integers; ``import_text`` reads the header line 'k n' and hands the
+reader the rest of the document.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
 _CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an imported one
 _INT64_MAX = np.iinfo(np.int64).max
 _LIMB = 10 ** 4   # the writer's base: four decimal digits, one uint32 word of ASCII
-_SPACES = " \t\r\n"   # JSON whitespace; a text line's is the same less its newline (CR for CRLF)
+_SPACES = " \t\r\n"   # JSON whitespace, space first; a text line's less its newline (CR for CRLF)
 # the narrowest unsigned type that sums an integer of 1, 2, .., 19 digits: |int64| < 10^19
 _SUMS = (np.uint8,) * 2 + (np.uint16,) * 2 + (np.uint32,) * 5 + (np.uint64,) * 10
 _DECODER = json.JSONDecoder()
@@ -228,10 +230,12 @@ def _decimals(entries: np.ndarray, sep: bytes) -> Iterator[str]:
     least 16 bits, so narrow entries are never widened to int64."""
     flat = entries.reshape(-1)
     for lo in range(0, flat.size, _CHUNK):
-        value = flat[lo:lo + _CHUNK].astype(np.promote_types(flat.dtype, np.uint16))   # a copy
-        neg = value < 0
-        rest = np.abs(value, out=value).view(f"u{value.itemsize}")   # exact at -2^63
-        signed, limbs = int(neg.any()), -(-len(str(rest.max())) // 4)   # the largest's limbs
+        rest = flat[lo:lo + _CHUNK].astype(np.promote_types(flat.dtype, np.uint16))   # a copy
+        neg = rest < 0 if rest.dtype.kind == "i" else None   # uint8, uint16 read as uint16: no sign
+        signed = int(neg is not None and neg.any())
+        if signed:
+            rest = np.abs(rest, out=rest).view(f"u{rest.itemsize}")   # exact at -2^63
+        limbs = -(-len(str(rest.max())) // 4)   # the largest's limbs
         words = np.empty((rest.size, signed + limbs + 1), dtype=np.uint32)
         if signed:
             words[:, 0] = neg * _word(b"-")
@@ -300,12 +304,14 @@ def _magnitudes(piece: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
     digit = np.zeros(u.size + 2, dtype=bool)   # False on both sides: every byte has neighbours
     np.less(digits, 10, out=digit[1:-1])
     is_sep = u == ord(sep)
-    known = digit[1:-1] | is_sep
+    known = digit[1:-1] | is_sep | (u == ord(" "))
     signed = "-" in piece
     if signed:
         minus = u == ord("-")
         known |= minus
-    for space in _SPACES.replace(sep, ""):
+    for space in _SPACES[1:].replace(sep, ""):   # tab, CR, JSON's LF: while a byte is unclassified
+        if known.all():
+            break
         known |= u == ord(space)
     # refused: a byte of another kind, a '-' after a digit or before none, a leading 0
     if (not known.all()

@@ -152,13 +152,15 @@ class Tree:
 
         One recurrence serves every order.  The steps are formed in int8 for a
         block of edges at once, at most ``_BLOCK_ENTRIES`` step entries (one
-        edge when a row is larger), and cast once to the signed type of the
-        result's width, viewed as its unsigned type, so each row add has one
-        dtype and wraps modulo 2^8 or 2^16.  The rows are stepped relative to
-        row 1, which is added once at the end.  A wide result is stepped in
-        the narrow dtype at the front of its own int64 buffer and widened in
-        place, last rows first.  Besides the result, the build holds S, one
-        n^(k-1) row sum and one block's temporaries."""
+        edge when a row is larger); an outer power is the vector times the last
+        power, so the long n^j axis is innermost (every factor is one 0/1
+        vector, so the order does not matter).  The steps are cast once to the
+        signed type of the result's width, viewed as its unsigned type, so each
+        row add has one dtype and wraps modulo 2^8 or 2^16.  The rows are
+        stepped relative to row 1, which is added once at the end.  A wide
+        result is stepped in the narrow dtype at the front of its own int64
+        buffer and widened in place, last rows first.  Besides the result, the
+        build holds S, one n^(k-1) row sum and one block's temporaries."""
         n, far = self.n, self.sides()
         dtype = narrowest_dtype(n - 1)   # every entry lies in [0, n-1]
         buf = np.empty(n ** k, dtype=np.int64 if wide else dtype)
@@ -172,8 +174,8 @@ class Tree:
             g = 1 - f
             near_pow, far_pow = g, f
             for _ in range(k - 2):   # outer powers, flattened to one axis per edge
-                near_pow = (near_pow[:, :, None] * g[:, None, :]).reshape(len(f), -1)
-                far_pow = (far_pow[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+                near_pow = (g[:, :, None] * near_pow[:, None, :]).reshape(len(f), -1)
+                far_pow = (f[:, :, None] * far_pow[:, None, :]).reshape(len(f), -1)
             near_sum += near_pow.sum(axis=0, dtype=dtype)
             near_pow -= far_pow   # the block's steps
             steps = near_pow.astype(signed, copy=False).view(dtype)

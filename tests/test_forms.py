@@ -716,8 +716,18 @@ def suite_rows(t, p=None) -> list[bool]:
     Euler row is the product row."""
     p = order3_tensor(t) if p is None else p
     product = verify_product_decomposition(p, t.distances())
-    return [product, product, verify_s3_decomposition(p, t.degrees[1:]),
-            verify_not_divisible(p), verify_form_divisible(p)]
+    return [product, product, verify_s3_decomposition(p, t.degrees[1:]), *divisibility_rows(p)]
+
+
+def divisibility_rows(p: np.ndarray) -> tuple[bool, bool]:
+    """The report's two divisibility rows from its shared helper, checked to
+    be exactly ``verify_not_divisible`` and ``verify_form_divisible`` and the
+    rows of the four-slice restriction of P to s = 0."""
+    rows = forms._divisibility(p)
+    assert rows[0] is verify_not_divisible(p) and rows[1] is verify_form_divisible(p)
+    q = p[:, :-1, :-1] - p[:, :-1, -1:] - p[:, -1:, :-1] + p[:, -1:, -1:]
+    assert rows == (bool(q.reshape(len(p), -1).any(axis=1).all()), not (q[:-1] - q[-1:]).any())
+    return rows
 
 
 def hypermatrix_of(p: SparsePoly) -> np.ndarray:
@@ -787,6 +797,12 @@ def test_suite_needs_two_vertices():
         order3_tensor(path_tree(1))
 
 
+def test_product_row_compares_shapes():
+    # P of a smaller tree against D of a larger one: unequal, neither broadcast nor raised
+    p, d = order3_tensor(path_tree(4)), path_tree(5).distances()
+    assert verify_product_decomposition(p, d) is False
+
+
 def test_every_row_has_a_mutant_that_fails_it():
     # one stray x1 x2 x3 breaks p = s*g and everything derived from it; a form
     # whose partials are all multiples of s breaks the non-divisibility row
@@ -814,7 +830,7 @@ def test_not_divisible_point_test_matches_division_on_every_small_tree():
     for n in range(2, 8):
         for t in enumerate_trees(n):
             p = order3_tensor(t)
-            assert verify_not_divisible(p) is partials_not_divisible_by_division(order3_form(t))
+            assert divisibility_rows(p)[0] is partials_not_divisible_by_division(order3_form(t))
             assert verify_not_divisible(p)
 
 
@@ -822,8 +838,7 @@ def test_not_divisible_rejects_a_form_whose_partials_are_all_multiples_of_s():
     mutant = s_form(6) ** 2 * (X(6, 1) + 2 * X(6, 4))
     p = stand_in(hypermatrix_of(mutant))
     assert not partials_not_divisible_by_division(mutant)
-    assert not verify_not_divisible(p)
-    assert verify_form_divisible(p)
+    assert divisibility_rows(p) == (False, True)
 
 
 def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_point():
@@ -835,7 +850,7 @@ def test_not_divisible_falls_back_to_division_when_a_partial_vanishes_at_the_poi
     mutant = order3_form(t) + t.steiner((1, 2)) * X(6, 1) ** 3
     assert evaluate(mutant.partial(1), [1, -1, 0, 0, 0, 0]) == 0
     assert partials_not_divisible_by_division(mutant)
-    assert verify_not_divisible(stand_in(entries))
+    assert divisibility_rows(stand_in(entries))[0]
 
 
 def test_not_divisible_finds_one_divisible_partial_among_the_others():
@@ -849,7 +864,7 @@ def test_not_divisible_finds_one_divisible_partial_among_the_others():
     partials = [mutant.partial(r) for r in range(1, n + 1)]
     assert [isinstance(divide_by_linear(d, s_form(n)), NotDivisible)
             for d in partials] == [True] * (n - 1) + [False]
-    assert not verify_not_divisible(stand_in(hypermatrix_of(mutant)))
+    assert not divisibility_rows(stand_in(hypermatrix_of(mutant)))[0]
 
 
 def test_euler_identity_rejects_a_perturbed_form():
@@ -894,6 +909,12 @@ def test_order3_tensor_refuses_entries_that_could_wrap(monkeypatch):
     # within the bound the rows run: c * s^3 and all its partials are multiples of s
     use(np.full((3, 3, 3), 1 << 50, dtype=np.int64))
     assert suite_rows(t, order3_tensor(t)) == [False, False, False, False, True]
+    # a uint16 stand-in is bounded by its dtype, and its sums must not wrap in it
+    entries = np.full((3, 3, 3), 65_535, dtype=np.uint16)
+    use(entries)
+    p = order3_tensor(t)
+    assert p.dtype == np.int64 and np.array_equal(p, stand_in(entries))
+    assert suite_rows(t, p) == suite_rows(t, stand_in(entries))
 
 
 def test_s3_cofactors_structure():

@@ -599,6 +599,9 @@ def _raw_entries(draw):
 @example((2, [str(INT64.max), "0", "-1", "10"]))   # 19 digits open the piece
 @example((2, [str(INT64.min), "0", "1", "-10"]))
 @example((2, [str(-INT64.min), "0", "1", "2"]))   # 19 digits out of range
+@example((2, ["1\t", "0", "\t2", "3"]))   # the only whitespace a tab
+@example((2, ["1", "\r0", "2\r", "3"]))   # the only whitespace a CR
+@example((2, ["0", " 1", " x", "0 "]))   # a stray byte after spaces
 def test_importers_agree_with_the_oracles_on_raw_entries(drawn):
     # n^2 entries over the reader's whole alphabet, each one separator apart
     n, entries = drawn
