@@ -315,7 +315,7 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     return grad[1:]
 
 
-def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
+def hessian_direct(t: Tree, k: int, point: Sequence, out: np.ndarray | None = None) -> np.ndarray:
     """Second partials of the order-k Steiner form, in complex128.
 
     D_q D_r (s^k - a^k - b^k) keeps a side's power only where q and r are
@@ -326,7 +326,8 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
 
     The point is read as a complex128 array and the n x n result is
     complex128: it only ever feeds float64 Gauss-Newton solves, which read
-    the gradient off it by Euler, g = H x / (k-1).
+    the gradient off it by Euler, g = H x / (k-1).  Given a complex128 n x n
+    ``out``, the same operations write H there, and return it.
     """
     n = t.n
     if len(point) != n:
@@ -335,7 +336,7 @@ def hessian_direct(t: Tree, k: int, point: Sequence) -> np.ndarray:
         raise ValueError("order must be >= 2")
     x = np.asarray(point, dtype=np.complex128)
     cuts = t.cuts()
-    hess = (cuts.T * (cuts @ x) ** (k - 2)) @ cuts
+    hess = np.matmul(cuts.T * (cuts @ x) ** (k - 2), cuts, out=out)
     np.subtract((n - 1) * x.sum() ** (k - 2), hess, out=hess)
     hess *= k * (k - 1)
     return hess

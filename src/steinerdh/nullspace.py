@@ -26,10 +26,12 @@ take O(n) field products; the tests check both against the expanded g.
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system,
 one complex least-squares problem with a gauge row per step, from seeded
 Philox restarts: complex128 steps, each from one Hessian H (a single product
-with the tree's stacked cut array [S; 1 - S]) and the gradient H x / (k-1).
-It reports Gaussian integers over 2^WORKING_PREC, refined in integers where
-float64 runs out of digits, each with a proven upper bound on its residual
-(CycNum JSON and a float), and never claims a nullvector.
+with the tree's stacked cut array [S; 1 - S]) and the gradient H x / (k-1),
+in one (n+1) x n system per phase.  It reports Gaussian integers over
+2^WORKING_PREC, refined in integers where float64 runs out of digits (int
+pairs (Re, Im), the exact gradient one ``gradient_direct`` call on ints at
+i = 2^L), each with a proven upper bound on its residual (CycNum JSON and a
+float), and never claims a nullvector.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -352,11 +355,12 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     restart index) and iterates on a complex128 point with floor
     max(2^-40, tol), for at most ``MAX_STEPS`` steps in all; each pass there
     takes one Hessian H and the gradient H x / (k-1).  Its best point x is
-    rounded to Gaussian integers X = round(x 2^P), P = ``WORKING_PREC``, and
-    reported as X / 2^P with an exact residual bound.  A restart whose float64
-    loop reached its floor goes on in integers (floor max(2^(24 - P), tol),
-    the steps left of ``MAX_STEPS``, complex128 steps rounded into X), so a
-    float64 ``tol`` stop stands only if the exact bound is below ``tol`` too.
+    rounded to Gaussian integers X = round(x 2^P), P = ``WORKING_PREC``, as
+    int pairs, and reported as X / 2^P with an exact residual bound (from
+    ``_gaussian_gradient``, in ints).  A restart whose float64 loop reached
+    its floor goes on in integers (floor max(2^(24 - P), tol), the steps left
+    of ``MAX_STEPS``, complex128 steps rounded into X), so a float64 ``tol``
+    stop stands only if the exact bound is below ``tol`` too.
     Candidates come back sorted by residual; no exactness is ever claimed.
     BudgetExceeded, before S is built, when n^2 exceeds ``entry_budget()``.
     """
@@ -377,7 +381,7 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
                                       max(2.0 ** (24 - WORKING_PREC), tol), tol,
                                       MAX_STEPS - steps if refine else 0)
         stop, scale = (last if refine else stop), 1 << WORKING_PREC
-        point = tuple(CycNum(4, [Fraction(c, scale) for c in z.coeffs]) for z in x)
+        point = tuple(CycNum._ring(4, [Fraction(a, scale), Fraction(b, scale)]) for a, b in x)
         out.append(SearchCandidate(point=point, residual=res, iterations=steps + more,
                                    stop="stalled" if stop == "step_floor" else stop))
     out.sort(key=lambda c: c.residual)
@@ -385,29 +389,31 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
 
 
 def _descend(t: Tree, k: int, x, floor: float, tol: float, budget: int):
-    """Gauss-Newton from ``x``: complex128, or Gaussian integers X in Q(zeta_4)
-    for X / 2^P, P = ``WORKING_PREC``.  Each pass normalizes x and takes the
+    """Gauss-Newton from ``x``: complex128, or int pairs (a, b) for X / 2^P,
+    X = a + b i, P = ``WORKING_PREC``.  Each pass normalizes x and takes the
     gradient: g = H x / (k-1) off the one Hessian H in complex128, exact
-    ``gradient_direct`` at X rescaled to norm 2^P in integers, with residual
-    max |g| / |X|^(k-1) rounded up.  It stops on a residual below ``floor``, a
-    last step below ``floor`` (``step_floor``), 8 passes in a row none below
-    0.9 x the best residual before it (``stalled``) or ``budget`` steps; else
-    it takes a complex128 step (on X / 2^P and g / 2^(P(k-1))), rounded into
-    X.  Returns the best point, its residual, the steps and the stop reason."""
-    float64, prec = isinstance(x, np.ndarray), WORKING_PREC
+    (``_gaussian_gradient``) at X rescaled to norm 2^P in integers, with
+    residual max |g| / |X|^(k-1) rounded up.  It stops on a residual below
+    ``floor``, a last step below ``floor`` (``step_floor``), 8 passes in a row
+    none below 0.9 x the best residual before it (``stalled``) or ``budget``
+    steps; else it takes a complex128 step (on X / 2^P and g / 2^(P(k-1)),
+    H written into A[:n] of one system A, b per call), rounded into X.
+    Returns the best point, its residual, the steps and the stop reason."""
+    float64, prec, n = isinstance(x, np.ndarray), WORKING_PREC, t.n
+    A, b = np.empty((n + 1, n), dtype=np.complex128), np.empty(n + 1, dtype=np.complex128)
     best_res, best_x = math.inf, x
     stalled = steps = 0
     tiny = False
     while True:
         if float64:
-            x = x / np.sqrt(np.vdot(x, x).real)
-            hess = hessian_direct(t, k, x)
+            x = xf = x / np.sqrt(np.vdot(x, x).real)
+            hess = hessian_direct(t, k, x, out=A[:n])
             grads = hess @ x / (k - 1)
             res = np.abs(grads).max()
         else:
             root = math.isqrt(sum(map(_modulus2, x)))
-            x = [CycNum(4, [(c << prec) // root for c in z.coeffs]) for z in x]
-            grads = gradient_direct(t, k, x)
+            x = [((re << prec) // root, (im << prec) // root) for re, im in x]
+            grads = _gaussian_gradient(t, k, x)
             res = _sqrt_up(max(map(_modulus2, grads)), sum(map(_modulus2, x)) ** (k - 1))
         stalled = 0 if res < best_res * 0.9 else stalled + 1
         if res < best_res:
@@ -420,31 +426,54 @@ def _descend(t: Tree, k: int, x, floor: float, tol: float, budget: int):
             return best_x, best_res, steps, "stalled"
         if steps == budget:
             return best_x, best_res, steps, "max_iter"
-        xf = x if float64 else _complex(x, prec)
         if not float64:
-            grads, hess = _complex(grads, prec * (k - 1)), hessian_direct(t, k, xf)
-        step = _gauss_newton_step(xf, grads, hess)
+            xf, grads = _complex(x, prec), _complex(grads, prec * (k - 1))
+            hessian_direct(t, k, xf, out=A[:n])
+        step = _gauss_newton_step(xf, grads, A, b)
         if step is None:
             return best_x, best_res, steps, "singular"
         steps += 1
-        x = x + step if float64 else [z + _gaussian(d, prec) for z, d in zip(x, step.tolist())]
+        x = x + step if float64 else [(re + c, im + d) for (re, im), (c, d)
+                                      in zip(x, (_gaussian(z, prec) for z in step.tolist()))]
         tiny = np.abs(step).max() < floor
 
 
-def _gaussian(z: complex, prec: int) -> CycNum:
-    """round(z 2^prec), a Gaussian integer in Q(zeta_4)."""
-    return CycNum(4, [round(math.ldexp(z.real, prec)), round(math.ldexp(z.imag, prec))])
+def _gaussian_gradient(t: Tree, k: int, x: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The exact gradient at the Gaussian integers X_r = a_r + b_r i, as pairs
+    (Re, Im), from one ``gradient_direct`` call on the ints a + b 2^L.
+
+    i -> 2^L is a ring homomorphism Z[i] -> Z/M, M = 4^L + 1, and the
+    gradient has integer coefficients, so each v_r maps to D_r p(X).  With B
+    the largest bit length of any a or b, |X_r| < 2^(B+1), every side sum is
+    below n 2^(B+1), and D_r p = k sum_e (s^(k-1) - side_e(r)^(k-1)) over
+    n - 1 edges has |D_r p| < 2k(n-1) (n 2^(B+1))^(k-1) <= 2^(L-1) for
+    L = bitlen(2k(n-1)) + (k-1)(B + 1 + bitlen(n)) + 1 (``shift``).  So
+    Re + Im 2^L, in (-M/2, M/2), is v_r's balanced residue r, and r + 2^(L-1)
+    is Im 2^L + (Re + 2^(L-1)) with 0 < Re + 2^(L-1) < 2^L.  The ints carry
+    about (k-1)(L + B) bits: this beats CycNum arithmetic up to about k = 9.
+    """
+    n = t.n
+    bits = max(map(int.bit_length, chain.from_iterable(x)))
+    shift = (2 * k * (n - 1)).bit_length() + (k - 1) * (bits + 1 + n.bit_length()) + 1
+    modulus, centre, half = (1 << 2 * shift) + 1, 1 << (2 * shift - 1), 1 << (shift - 1)
+    codes = [(v + centre) % modulus - centre + half
+             for v in gradient_direct(t, k, [a + (b << shift) for a, b in x])]
+    return [((c & ((1 << shift) - 1)) - half, c >> shift) for c in codes]
 
 
-def _complex(values: list[CycNum], prec: int) -> np.ndarray:
-    """Gaussian integers over 2^prec in complex128, by big-int true division."""
+def _gaussian(z: complex, prec: int) -> tuple[int, int]:
+    """round(z 2^prec), a Gaussian integer as the pair (Re, Im)."""
+    return round(math.ldexp(z.real, prec)), round(math.ldexp(z.imag, prec))
+
+
+def _complex(values: list[tuple[int, int]], prec: int) -> np.ndarray:
+    """Gaussian integers (a, b) over 2^prec in complex128, by big-int true division."""
     scale = 1 << prec
-    return np.array([complex(a / scale, b / scale) for a, b in (z.coeffs for z in values)])
+    return np.array([complex(a / scale, b / scale) for a, b in values])
 
 
-def _modulus2(z: CycNum) -> int:
-    a, b = z.coeffs   # z = a + b i
-    return a * a + b * b
+def _modulus2(z: tuple[int, int]) -> int:
+    return z[0] * z[0] + z[1] * z[1]   # |a + b i|^2 for z = (a, b)
 
 
 def _sqrt_up(top: int, base: int) -> float:
@@ -458,9 +487,10 @@ def _sqrt_up(top: int, base: int) -> float:
     return math.nextafter(math.ldexp(math.isqrt(q) + 1, -e), math.inf)
 
 
-def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray):
+def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, A: np.ndarray, b: np.ndarray):
     """Least-squares Newton step for gradient = 0 on the unit sphere: the
-    complex128 d minimizing |H d + g|^2 + |2 x^H d|^2, for a unit x.
+    complex128 d minimizing |H d + g|^2 + |2 x^H d|^2, for a unit x and H in
+    A[:n]; writes -g into b[:n], the gauge row 2 x^H into A[n] and 0 into b[n].
 
     The gauge row 2 x^H d has real part 2 Re(x^H d), the linearized norm
     constraint, and imaginary part 2 Im(x^H d), which forbids a step along
@@ -472,9 +502,8 @@ def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, hess: np.ndarray):
     with mu real, and x^H (H^H H)^-1 x is real; at a nullvector its
     minimum-norm step is orthogonal to the kernel direction i*x.
     """
-    n = len(hess)
-    A, b = np.empty((n + 1, n), dtype=np.complex128), np.empty(n + 1, dtype=np.complex128)
-    A[:n], b[:n] = hess, -grads
+    n = len(x)
+    b[:n] = -grads
     A[n], b[n] = 2 * x.conj(), 0
     try:
         return np.linalg.lstsq(A, b, rcond=None)[0]
