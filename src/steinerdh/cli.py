@@ -5,6 +5,7 @@ JSON goes to stdout (or --out); human-readable notes go to stderr under
 --verbose.  All randomness flows from --seed: trees use Philox keyed by the
 seed, search restarts use Philox keyed by (seed, restart index), campaign
 cases draw per-case seeds in order from one Philox stream keyed by the seed.
+The process pool and its workers load only for campaign --jobs > 1.
 
 Exit codes: 0 success/verified, 1 I/O or parse error, 2 resource budget,
 3 no certificate available (even order), 4 verification failure.
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
@@ -259,7 +259,11 @@ def cmd_campaign(args) -> int:
     # there are cases or usable CPUs; the outputs do not depend on the count
     workers = min(args.jobs, len(descs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(os.sched_getaffinity(0)))) as pool:
+        # imported here: the pool machinery loads only for --jobs > 1
+        from concurrent.futures import ProcessPoolExecutor
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
             results = list(pool.map(_run_campaign_case, descs))
     else:
         results = [_run_campaign_case(d) for d in descs]

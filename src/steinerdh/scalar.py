@@ -143,6 +143,10 @@ def _reduce_coeffs(m: int, coeffs: Sequence[RatLike]) -> list[RatLike]:
     """The phi(m) coefficients of (sum c_j x^j) mod Phi_m, for at least phi(m) c_j."""
     phi = euler_phi(m)
     out = list(coeffs)
+    if len(out) > m:  # Phi_m divides x^m - 1: x^j = x^(j mod m), one fold at a prime m
+        for j in range(m, len(out)):
+            out[j % m] += out[j]
+        del out[m:]
     tail = _phi_tail(m)
     for base in range(len(out) - phi - 1, -1, -1):
         c = out[base + phi]

@@ -446,20 +446,31 @@ def test_campaign_pool_never_outnumbers_the_cases_or_the_cpus(tmp_path, capsys, 
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    # cli imports the pool inside cmd_campaign, so patch where it is looked up
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     args = ["campaign", "--n-min", "3", "--n-max", "3", "--k", "3", "--seed", "1",
             "--jobs", "100000"]
-    for trees, workers in (("1", []), ("3", [3]), ("10", [3, 4])):
-        code, out = run(capsys, args + ["--trees-per-n", trees,
-                                        "--out-dir", str(tmp_path / trees)])
-        assert code == EXIT_OK and json.loads(out)["cases"] == int(trees)
-        assert made == workers, trees
+    # the usable CPUs: the affinity mask where the platform has one (Linux),
+    # else os.cpu_count() (macOS, Windows)
+    for cpus in ("affinity", "cpu_count"):
+        if cpus == "affinity":
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                                raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        made.clear()
+        for trees, workers in (("1", []), ("3", [3]), ("10", [3, 4])):
+            code, out = run(capsys, args + ["--trees-per-n", trees,
+                                            "--out-dir", str(tmp_path / cpus / trees)])
+            assert code == EXIT_OK and json.loads(out)["cases"] == int(trees)
+            assert made == workers, (cpus, trees)
 
 
 def test_commands_run_without_loading_mpmath(tmp_path):
     # mpmath is a test dependency only: no command, and neither a failed
-    # verification nor a completion without a point, may import it
+    # verification nor a completion without a point, may import it; nor may
+    # any command but campaign --jobs > 1 load the process pool's modules
     script = """
 import sys
 from steinerdh import complete_nullvector, path_tree, star_tree, verify_nullvector
@@ -477,6 +488,8 @@ for argv in (["certify", "--tree", tree, "--k", "3"],
 assert verify_nullvector(path_tree(3), 3, [1, 1, 1]).embedded_residual == 39.0
 assert complete_nullvector(star_tree(4), [1, -1])[0].verified
 print(sorted(name for name in sys.modules if name.split(".")[0] == "mpmath"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("multiprocessing", "concurrent")))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -484,7 +497,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "mpmath"))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_campaign_usage_errors(tmp_path):

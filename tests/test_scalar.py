@@ -341,7 +341,7 @@ def test_mul_matches_long_division_oracle(ab, big):
         assert _stored_exactly(product)
 
 
-ORACLE_MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 20, 22, 24]
+ORACLE_MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 19, 20, 22, 24]
 
 
 def kernel_operands(m: int):
