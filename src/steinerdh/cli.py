@@ -328,7 +328,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", required=True)
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("search", help="numeric nullvector search (evidence only)")
+    p = sub.add_parser("search", help="numeric nullvector search (evidence only; "
+                                      "compare residual floors within one small order)")
     common(p)
     p.add_argument("--tree", required=True)
     p.add_argument("--k", type=ascii_int, required=True)

@@ -16,9 +16,10 @@ what makes exact high-order certificates cheap.  At k = 3, s^3 - a^3 - b^3 =
 3abs, so p = s*g with g = 3 sum_e a_e b_e.
 
 The order-3 identity suite checks that factorisation and its consequences
-as int64 tensor equations on P = ``order3_tensor(t)`` (6x the symmetric
-tensor of p) and the arrays beside it (D, the degrees), with no polynomial
-arithmetic: divisibility by s is vanishing on s = 0.  At n = 6..16 the
+as int64 tensor equations on P = ``order3_tensor(t)`` (6x the tree's own
+hypermatrix H, not re-symmetrized, so the rows check H's symmetry too) and
+the arrays beside it (D, the degrees), with no polynomial arithmetic:
+divisibility by s is vanishing on s = 0.  At n = 6..16 the
 suite's time is numpy's per-call overhead, so one restriction to s = 0
 serves both divisibility rows (``_divisibility``).  No check in the package
 runs on polynomials.  ``SparsePoly`` and ``steiner_form`` stay as the
@@ -347,8 +348,11 @@ def hessian_direct(t: Tree, k: int, point: Sequence, out: np.ndarray | None = No
 # ---------------------------------------------------------------------------
 
 def order3_tensor(t: Tree) -> np.ndarray:
-    """P, the sum of the six axis permutations of the order-3 hypermatrix H:
-    6x the symmetric tensor of p for any H, so D_r p is the quadratic P[r]/2.
+    """P = 6H for the tree's order-3 hypermatrix H.  A Steiner distance
+    depends only on the vertex set, so H is super-symmetric and P is 6x the
+    symmetric tensor of p: D_r p is the quadratic P[r]/2.  P is not
+    re-symmetrized, so the rows test the build itself; L(1, 3D) is
+    symmetric, so the product row fails on any asymmetric H.
 
     With h = max|H| and sum_r |2 - deg_r| < 2n, the suite's int64 values stay
     within |P| <= 6h, |M| <= 36nh, |L(1, M) - 6P| <= 126nh and 48h on s = 0.
@@ -361,8 +365,7 @@ def order3_tensor(t: Tree) -> np.ndarray:
     high = np.iinfo(h.dtype).max if h.dtype.kind == "u" else max(int(h.max()), -int(h.min()))
     if 126 * t.n * high > 1 << 62:
         raise OverflowError("hypermatrix entries too large for the int64 identity suite")
-    pair = np.add(h, h.transpose(0, 2, 1), dtype=np.int64)
-    return pair + pair.transpose(1, 0, 2) + pair.transpose(2, 1, 0)
+    return np.multiply(h, 6, dtype=np.int64)   # 6 * h would wrap in uint16
 
 
 def _linear_times(q: np.ndarray) -> np.ndarray:

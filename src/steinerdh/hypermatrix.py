@@ -166,14 +166,19 @@ def _exceeds(n: int, k: int, limit: int) -> bool:
     return (n > 1 and k > limit.bit_length()) or n ** k > limit
 
 
+def check_entry_budget(n: int, k: int, what: str) -> None:
+    """``BudgetExceeded`` when n^k ``what`` exceed ``entry_budget()``."""
+    limit = entry_budget()
+    if _exceeds(n, k, limit):
+        raise BudgetExceeded(f"{n}^{k} {what} exceed the budget of {limit}")
+
+
 def build_steiner(t: Tree, k: int) -> Hypermatrix:
     """The order-k Steiner distance hypermatrix of a tree."""
     if k < 2:
         raise WrongShape("order must be >= 2")
     n = t.n
-    limit = entry_budget()
-    if _exceeds(n, k, limit):
-        raise BudgetExceeded(f"{n}^{k} entries exceed the budget of {limit}")
+    check_entry_budget(n, k, "entries")
     if k > _MAX_AXES:
         raise BudgetExceeded(f"order {k} exceeds numpy's {_MAX_AXES} array axes")
     return Hypermatrix._adopt(k, n, t._steiner_array(k))

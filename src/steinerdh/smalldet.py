@@ -43,9 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, SteinerError, WrongShape
+from .errors import SteinerError, WrongShape
 from .forms import gradient_direct
-from .hypermatrix import Hypermatrix, entry_budget
+from .hypermatrix import Hypermatrix, check_entry_budget
 from .scalar import root_of_unity
 from .trees import Tree, path_tree
 
@@ -130,9 +130,7 @@ def det_order2(t: Tree) -> Fraction:
     n = t.n
     if n < 2:
         raise ValueError("needs n >= 2")
-    limit = entry_budget()
-    if n * n > limit:
-        raise BudgetExceeded(f"{n}^2 distance-matrix entries exceed the budget of {limit}")
+    check_entry_budget(n, 2, "distance-matrix entries")
     up = np.array(t.parent[1:]) - 1
     up[0] = 0   # vertex 1 has no parent; _parent_differences keeps its row
     m = np.ascontiguousarray(_parent_differences(t.distances(), up).T)   # (E D)^T

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdh import forms
+from steinerdh.cli import identity_rows
 from steinerdh import (ConductorMismatch, CycNum, Hypermatrix, MalformedInput,
                        SparsePoly, build_steiner, canonical_odd_nullvector,
                        enumerate_trees, gradient_direct, hessian_direct,
@@ -915,6 +916,21 @@ def test_order3_tensor_refuses_entries_that_could_wrap(monkeypatch):
     p = order3_tensor(t)
     assert p.dtype == np.int64 and np.array_equal(p, stand_in(entries))
     assert suite_rows(t, p) == suite_rows(t, stand_in(entries))
+
+
+def test_identity_rows_fail_an_asymmetric_build(monkeypatch):
+    # +1 and -1 on one orbit leave the sum of the six axis permutations
+    # unchanged, so only a P read off the build itself can see them
+    t = random_tree(7, 2)
+    h = build_steiner(t, 3).entries.astype(np.int64)
+    h[0, 1, 2] += 1
+    h[1, 0, 2] -= 1
+    assert suite_rows(t, stand_in(h)) == [True] * 5
+    monkeypatch.setattr(forms, "build_steiner", lambda t, k: Hypermatrix(k, t.n, h))
+    rows = identity_rows(t)[:5]
+    assert [row["name"] for row in rows[:2]] == ["product_decomposition", "euler_identity"]
+    # every D_r p stays off the multiples of s; every other order-3 row fails
+    assert [row["status"] for row in rows] == ["fail", "fail", "fail", "pass", "fail"]
 
 
 def test_s3_cofactors_structure():

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steinerdh import (BudgetExceeded, Hypermatrix, MalformedInput, RatMatrix, SparsePoly,
-                       WrongShape, build_steiner, enumerate_trees, export_json,
-                       export_text, hypermatrix, import_json, import_text, path_tree,
-                       random_tree, star_tree, steiner_distance_bruteforce, trees,
-                       zero_degenerate)
+                       WrongShape, build_steiner, det_order2, enumerate_trees, export_json,
+                       export_text, hypermatrix, import_json, import_text, numeric_search,
+                       path_tree, random_tree, star_tree, steiner_distance_bruteforce,
+                       trees, zero_degenerate)
 from steinerdh.hypermatrix import (BUDGET_ENV_VAR, _MAX_AXES, _repeated_index_mask,
                                    entry_budget)
 from oracles import (int64_steiner_array, json_export, json_import, multiset_hypermatrix,
@@ -669,6 +669,21 @@ def test_budget(monkeypatch, path3):
         monkeypatch.setenv(BUDGET_ENV_VAR, bad)
         with pytest.raises(MalformedInput):
             entry_budget()
+
+
+def test_one_budget_check_words_every_refusal(monkeypatch, path3):
+    # the order-3 build, the order-2 determinant and the search each refuse
+    # one entry past n^k and name what they refuse
+    for what, size, call in [("3^3 entries", 27, lambda: build_steiner(path3, 3)),
+                             ("3^2 distance-matrix entries", 9, lambda: det_order2(path3)),
+                             ("3^2 side-matrix entries", 9,
+                              lambda: numeric_search(path3, 4, 0, 1))]:
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(size - 1))
+        with pytest.raises(BudgetExceeded) as refused:
+            call()
+        assert str(refused.value) == f"{what} exceed the budget of {size - 1}"
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(size))
+        call()
 
 
 class _Order(int):
