@@ -173,7 +173,10 @@ def identity_rows(t: Tree) -> list[dict]:
         return [{"name": nm, "status": "skipped",
                  "reason": "single-vertex tree: order-3 form and matrix algebra are void"}
                 for nm in IDENTITY_ROWS]
-    P, D, degrees = order3_tensor(t), t.distances(), np.array(t.degrees[1:])
+    P, degrees = order3_tensor(t), np.array(t.degrees[1:])
+    # D off P's diagonal, P[i, j, j] = 6 d(i, j), not a second build: the
+    # inverse row pins D exactly, and the product row then pins all of P
+    D = P.diagonal(axis1=1, axis2=2) // 6
     num, den = gl_inverse(t)   # |num| < 2n^2, so num @ D stays below 2n^4 in int64
     tau = 2 - degrees   # c_r = tau_r / (n - 1) solves c D = 1
     product = verify_product_decomposition(P, D)

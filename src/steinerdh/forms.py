@@ -17,13 +17,13 @@ what makes exact high-order certificates cheap.  At k = 3, s^3 - a^3 - b^3 =
 
 The order-3 identity suite checks that factorisation and its consequences
 as int64 tensor equations on P = ``order3_tensor(t)`` (6x the tree's own
-hypermatrix H, not re-symmetrized, so the rows check H's symmetry too) and
-the arrays beside it (D, the degrees), with no polynomial arithmetic:
-divisibility by s is vanishing on s = 0.  At n = 6..16 the
-suite's time is numpy's per-call overhead, so one restriction to s = 0
-serves both divisibility rows (``_divisibility``).  No check in the package
-runs on polynomials.  ``SparsePoly`` and ``steiner_form`` stay as the
-polynomial of any hypermatrix, and because the benchmark's tracer binds
+hypermatrix H, not re-symmetrized, so the rows check H's symmetry too), on
+D read off its diagonal (P[i, j, j] = 6 d(i, j)) and on the degrees, with
+no polynomial arithmetic: divisibility by s is vanishing on s = 0.  At
+n = 6..16 the suite's time is numpy's per-call overhead, so one restriction
+to s = 0 serves both divisibility rows (``_divisibility``).  No check in
+the package runs on polynomials.  ``SparsePoly`` and ``steiner_form`` stay
+as the polynomial of any hypermatrix, and because the benchmark's tracer binds
 ``SparsePoly.__mul__``/``__rmul__``; division by a linear form, s, g and
 the s^3 cofactors are test oracles (``tests/oracles.py``).
 

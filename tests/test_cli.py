@@ -256,8 +256,9 @@ def test_identity_rows_pass_on_every_small_tree_class():
             assert {row["status"] for row in identity_rows(t)} == {"pass"}, t
 
 
-def test_identity_rows_builds_the_distance_matrix_once(monkeypatch):
-    # the product, Euler and matrix rows all read the one cached D
+def test_identity_rows_make_one_build_of_order_3(monkeypatch):
+    # every row reads P or D off P's diagonal, so the one build is of order 3;
+    # t.distances() still builds the order-2 array once, on first use, read-only
     orders, steiner_array = [], Tree._steiner_array
 
     def recording(self, k, **kwargs):
@@ -267,12 +268,12 @@ def test_identity_rows_builds_the_distance_matrix_once(monkeypatch):
     monkeypatch.setattr(Tree, "_steiner_array", recording)
     t = random_tree(16, 5)
     assert {row["status"] for row in identity_rows(t)} == {"pass"}
-    assert orders.count(2) == 1
+    assert orders == [3]
     d = t.distances()
     assert t.distances() is d and not d.flags.writeable
     with pytest.raises(ValueError):
         d[0, 1] = 0
-    assert orders.count(2) == 1
+    assert orders == [3, 2]
 
 
 def test_identity_rows_build_p_and_the_inverse_once_and_no_ratmatrix(monkeypatch):

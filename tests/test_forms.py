@@ -933,6 +933,22 @@ def test_identity_rows_fail_an_asymmetric_build(monkeypatch):
     assert [row["status"] for row in rows] == ["fail", "fail", "fail", "pass", "fail"]
 
 
+def test_identity_rows_fail_a_symmetric_build_off_by_one_on_a_pair(monkeypatch):
+    # +1 on the six entries {i, j, j} and {i, i, j} keeps the build
+    # super-symmetric but moves d(i, j) and d(j, i) on P's diagonal, where
+    # the matrix rows read D
+    t = random_tree(7, 2)
+    h = build_steiner(t, 3).entries.astype(np.int64)
+    pair = set(permutations((0, 1, 1))) | set(permutations((0, 0, 1)))
+    for idx in pair:
+        h[idx] += 1
+    assert len(pair) == 6
+    assert all((h == h.transpose(axes)).all() for axes in permutations(range(3)))
+    monkeypatch.setattr(forms, "build_steiner", lambda t, k: Hypermatrix(k, t.n, h))
+    rows = {row["name"]: row["status"] for row in identity_rows(t)}
+    assert rows["gl_inverse"] == rows["ones_row"] == "fail"
+
+
 def test_s3_cofactors_structure():
     t = random_tree(6, 2)
     fs = s3_cofactors(t)

@@ -220,6 +220,16 @@ def _entry_arrays(draw):
 # at _CHUNK = 3, pieces of two, three, four, five, one and one limbs, some signed
 @example(np.array([[7, -9999, 10 ** 4, 10 ** 8 - 1], [0, -10 ** 8, 10 ** 12, -1],
                    [10 ** 15, 10 ** 16, 3, INT64.min], [1, 2, 3, 4]]), 3)
+# one word an entry below 100 in JSON and below 1000 in text, limbs from there
+@example(np.array([[99, 5], [0, 42]], dtype=np.uint8), 1 << 16)
+@example(np.array([[100, 5], [0, 42]], dtype=np.uint8), 1 << 16)
+@example(np.array([[999, 7], [0, 10]], dtype=np.uint16), 1 << 16)
+@example(np.array([[1000, 7], [0, 10]], dtype=np.uint16), 1 << 16)
+@example(np.array([[[1, 2], [3, 0]], [[9, 8], [7, 6]]], dtype=np.uint8), 1 << 16)
+@example(np.array([[5, 6], [7, 8]], dtype=np.uint8), 3)   # a last piece of one entry
+# at _CHUNK = 3, pieces alternate one word an entry and limbs, then end in one entry
+@example(np.array([[0, 1, 2, 1000], [4, 5, 6, 7], [8, 65535, 10, 11], [12, 13, 14, 15]],
+                  dtype=np.uint16), 3)
 def test_export_matches_the_oracle_on_any_int64_entries(entries, chunk):
     # uint8 and uint16 entries are stored as they are and written as int64 ones
     h = Hypermatrix(entries.ndim, entries.shape[0], entries)
