@@ -383,8 +383,8 @@ def _on_s_zero(x: np.ndarray) -> np.ndarray:
 
 def verify_product_decomposition(p: np.ndarray, d: np.ndarray) -> bool:
     """The order-3 form with tensor P equals s * g, g = 3 sum_(i<j) d_ij x_i x_j
-    for the distance matrix D: P == L(1, 3D), shapes included."""
-    q = _linear_times(3 * d)
+    for the distance matrix D, read in int64: P == L(1, 3D), shapes included."""
+    q = _linear_times(3 * np.asarray(d, dtype=np.int64))
     return p.shape == q.shape and bool((p == q).all())
 
 

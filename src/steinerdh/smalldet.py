@@ -7,7 +7,8 @@ operation "row c -= row parent(c)" down the BFS order after vertex 1, so
 det E = 1.  Because D[c] - D[parent c] = 1 - 2 S_c (S_c the far side of
 edge c), every tree gives the same arrowhead M = E D E^T: M_11 = 0,
 M_1c = M_c1 = 1, M_cc = -2, and 0 elsewhere.  Forming M is two
-parent-differencing passes over the int64 D and checking it is O(n^2); a D
+parent-differencing passes in D's own width, modulo 2^8 or 2^16 for the
+tree's build (exact: see ``det_order2``), and checking it is O(n^2); a D
 not congruent to the arrowhead raises SteinerError instead of a determinant.
 The package has no general determinant; the tests check this route against
 Bareiss elimination (``tests/oracles.py``).
@@ -122,19 +123,27 @@ def det_order2(t: Tree) -> Fraction:
     """The order-2 hyperdeterminant: det D, read off the arrowhead M = E D E^T.
 
     The column pass runs on rows of the transpose, so the array checked is
-    M^T, the same arrowhead.  det M = prod d_c * (M_11 - sum M_1c M_c1 / d_c)
-    over c != 1, in Python ints.  BudgetExceeded before D is built when its
-    n^2 entries exceed ``entry_budget()``; SteinerError when M is not the
-    arrowhead, i.e. D is not the tree's distance matrix.
+    M^T, the same arrowhead.  The passes run in D's dtype, w bits wide, and
+    M is read in the signed view of that width: modulo 2^w, which is exact.
+    E is unit lower-triangular, so invertible modulo 2^w, and M = arrowhead
+    (mod 2^w) gives D = the tree's distance matrix (mod 2^w); when D's dtype
+    holds n - 1, as ``Tree.distances``'s does, both lie in its range, so they
+    are equal.  det M = prod d_c * (M_11 - sum M_1c M_c1 / d_c) over c != 1,
+    in Python ints.  BudgetExceeded before D is built when its n^2 entries
+    exceed ``entry_budget()``; SteinerError when D's dtype cannot hold n - 1
+    or M is not the arrowhead, i.e. D is not the tree's distance matrix.
     """
     n = t.n
     if n < 2:
         raise ValueError("needs n >= 2")
     check_entry_budget(n, 2, "distance-matrix entries")
+    d = t.distances()
+    if np.iinfo(d.dtype).max < n - 1:
+        raise SteinerError(f"a {d.dtype} distance matrix cannot hold n - 1 = {n - 1}")
     up = np.array(t.parent[1:]) - 1
     up[0] = 0   # vertex 1 has no parent; _parent_differences keeps its row
-    m = np.ascontiguousarray(_parent_differences(t.distances(), up).T)   # (E D)^T
-    m = _parent_differences(m, up)                                     # E (E D)^T = M^T
+    m = np.ascontiguousarray(_parent_differences(d, up).T)   # (E D)^T
+    m = _parent_differences(m, up).view(f"i{m.itemsize}")   # E (E D)^T = M^T, signed
     top, arms_out, arms_in = int(m[0, 0]), m[0, 1:].tolist(), m[1:, 0].tolist()
     diag = m.diagonal()[1:].tolist()
     m[0] = m[:, 0] = 0

@@ -131,19 +131,21 @@ class Tree:
         return sum(1 for c in self.far_sums(indicator) if 0 < c < r)
 
     def distances(self) -> np.ndarray:
-        """The n×n int64 distance matrix, the order-2 Steiner array.  Built
-        once per tree and shared, so read-only."""
+        """The n×n distance matrix, the order-2 Steiner array, in
+        ``narrowest_dtype(n - 1)`` (uint8 for n <= 256, uint16 for
+        n <= 65,536): cast to int64 before arithmetic.  Built once per tree
+        and shared, so read-only."""
         if self._distances_cache is None:
-            d = self._steiner_array(2, wide=True)
+            d = self._steiner_array(2)
             d.flags.writeable = False
             object.__setattr__(self, "_distances_cache", d)
         return self._distances_cache
 
-    def _steiner_array(self, k: int, wide: bool = False) -> np.ndarray:
+    def _steiner_array(self, k: int) -> np.ndarray:
         """The order-k Steiner distances as an array of shape (n,)*k in
-        ``narrowest_dtype(n - 1)``, or in int64 if ``wide``, one leading-index
-        row per vertex down the BFS order.  With S_e the far side of edge e (a row
-        of ``sides()``), N_e = 1 - S_e and ^m the m-fold outer power, row 1 is
+        ``narrowest_dtype(n - 1)``, one leading-index row per vertex down the
+        BFS order.  With S_e the far side of edge e (a row of ``sides()``),
+        N_e = 1 - S_e and ^m the m-fold outer power, row 1 is
         (n-1) - sum_e N_e^(k-1).  Moving the leading index from p across edge
         c to c changes only edge c's cut: +1 if the other k - 1 indices all
         lie on the near side, -1 if all on the far side, so row c = row p +
@@ -157,14 +159,11 @@ class Tree:
         vector, so the order does not matter).  The steps are cast once to the
         signed type of the result's width, viewed as its unsigned type, so each
         row add has one dtype and wraps modulo 2^8 or 2^16.  The rows are
-        stepped relative to row 1, which is added once at the end.  A wide
-        result is stepped in the narrow dtype at the front of its own int64
-        buffer and widened in place, last rows first.  Besides the result, the
-        build holds S, one n^(k-1) row sum and one block's temporaries."""
+        stepped relative to row 1, which is added once at the end.  Besides the
+        result, the build holds S, one n^(k-1) row sum and one block's temporaries."""
         n, far = self.n, self.sides()
         dtype = narrowest_dtype(n - 1)   # every entry lies in [0, n-1]
-        buf = np.empty(n ** k, dtype=np.int64 if wide else dtype)
-        rows = buf.view(dtype)[:n ** k].reshape(n, -1)   # row v - 1: vertex v's slice
+        rows = np.empty((n, n ** (k - 1)), dtype=dtype)   # row v - 1: vertex v's slice
         rows[0] = 0
         near_sum = np.zeros(rows.shape[1], dtype=dtype)
         signed = np.dtype(f"i{dtype.itemsize}")
@@ -183,16 +182,7 @@ class Tree:
                 np.add(rows[self.parent[c] - 1], step, out=rows[c - 1])
         np.subtract(n - 1, near_sum, out=rows[0])
         rows[1:] += rows[0]
-        if wide and dtype != buf.dtype:
-            # last rows first: with 4 lo >= hi, wide rows lo..hi-1 start past
-            # narrow row hi - 1, so they overwrite only narrow rows already widened
-            wide_rows = buf.reshape(n, -1)
-            hi = n
-            while hi:
-                lo = (hi + 3) // 4 if hi > 1 else 0
-                wide_rows[lo:hi] = rows[lo:hi]
-                hi = lo
-        return buf.reshape((n,) * k)
+        return rows.reshape((n,) * k)
 
     # -- edge cuts ---------------------------------------------------------------
 

@@ -83,8 +83,8 @@ is unchanged, so they share what they always shared.
 - The int64 recurrence: ``int64_steiner_array`` is ``Tree._steiner_array``
   before it stepped in uint8 or uint16, int64 rows stepped by int8 steps
   (``_BLOCK_ENTRIES`` fixed at 2^16), so no sum wraps.  It shares S and the
-  recurrence with the package, but none of the narrow dtypes, the modular
-  adds or the in-place widening of ``Tree.distances``.
+  recurrence with the package, but none of the narrow dtypes or the modular
+  adds of ``Tree.distances`` and ``build_steiner``.
 - The 128-bit embedding: ``embed128`` is ``CycNum.embed`` before the
   package dropped mpmath, each coefficient times mpmath's exp(2 pi i j/m),
   summed at ``WORKING_PREC`` + 16 bits.  It shares only the power-basis

@@ -804,6 +804,20 @@ def test_product_row_compares_shapes():
     assert verify_product_decomposition(p, d) is False
 
 
+def test_product_row_reads_a_narrow_d_in_int64():
+    # at n = 100, D is uint8 and 6(n - 1) > 255, so 3D and L(1, 3D) would wrap
+    # in D's own dtype; the int64 copy of D gives the same answer
+    t = path_tree(100)
+    p, d = order3_tensor(t), build_steiner(t, 2).entries
+    assert d.dtype == t.distances().dtype == np.uint8
+    assert verify_product_decomposition(p, d) is True
+    assert verify_product_decomposition(p, t.distances()) is True
+    assert verify_product_decomposition(p, d.astype(np.int64)) is True
+    bad = d.copy()
+    bad[3, 97] = bad[97, 3] = int(d[3, 97]) - 1
+    assert verify_product_decomposition(p, bad) is False
+
+
 def test_every_row_has_a_mutant_that_fails_it():
     # one stray x1 x2 x3 breaks p = s*g and everything derived from it; a form
     # whose partials are all multiples of s breaks the non-divisibility row

@@ -82,7 +82,7 @@ def test_build_matches_the_side_einsum_past_brute_force_reach():
 def test_build_matches_the_int64_recurrence_at_the_uint8_uint16_boundary():
     # n = 256 is the last uint8 build and 257 the first uint16 one; a path's
     # largest entry is n - 1, so its build at 257 needs the wider type, and
-    # its distances widen each narrow build in place
+    # its distances are the same narrow order-2 build
     for n, dtype in ((256, np.uint8), (257, np.uint16)):
         for t in (path_tree(n), star_tree(n, 5), random_tree(n, 8)):
             for k in (2, 3):
@@ -91,7 +91,7 @@ def test_build_matches_the_int64_recurrence_at_the_uint8_uint16_boundary():
                 assert np.array_equal(entries, int64_steiner_array(t, k)), (t, k)
                 del entries
             d = t.distances()
-            assert d.dtype == np.int64 and np.array_equal(d, int64_steiner_array(t, 2)), t
+            assert d.dtype == dtype and np.array_equal(d, int64_steiner_array(t, 2)), t
     assert build_steiner(path_tree(257), 2).entries.max() == 256
 
 

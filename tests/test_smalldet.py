@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,15 +168,15 @@ def test_det_order2_at_n_2000():
 
 
 def distance_mutants(t: Tree) -> list[np.ndarray]:
-    """Every symmetric off-by-one pair and every two-row swap of D."""
+    """Every symmetric off-by-one pair and every two-row swap of D, in D's
+    own dtype: the off-diagonal entries are >= 1, so d - 1 cannot wrap."""
     d = t.distances()
     out = []
     for i in range(t.n):
         for j in range(i + 1, t.n):
             for delta in (1, -1):
                 bad = d.copy()
-                bad[i, j] += delta
-                bad[j, i] += delta
+                bad[i, j] = bad[j, i] = int(d[i, j]) + delta
                 out.append(bad)
             bad = d.copy()
             bad[[i, j]] = bad[[j, i]]
@@ -185,13 +186,51 @@ def distance_mutants(t: Tree) -> list[np.ndarray]:
 
 def test_det_order2_reads_d(monkeypatch):
     # the route computes det D: a D that is not the tree's is refused,
-    # never answered with the closed form
+    # never answered with the closed form, in D's narrow dtype and in int64
     for t in (random_tree(7, 2), star_tree(5), path_tree(2)):
-        for bad in distance_mutants(t):
+        mutants = distance_mutants(t)
+        assert all(bad.dtype == t.distances().dtype == np.uint8 for bad in mutants)
+        for bad in mutants + [bad.astype(np.int64) for bad in mutants]:
             monkeypatch.setattr(Tree, "distances", lambda self, bad=bad: bad)
             with pytest.raises(SteinerError):
                 det_order2(t)
             monkeypatch.undo()
+
+
+def test_det_order2_refuses_a_d_too_narrow_for_n(monkeypatch):
+    # modulo 2^8 a path's distances at n = 300 read like a proof; a uint8 D
+    # cannot hold n - 1 = 299, so it is refused before the check
+    t = path_tree(300)
+    d = t.distances()
+    assert d.dtype == np.uint16 and det_order2(t) == graham_pollak_value(300)
+    monkeypatch.setattr(Tree, "distances", lambda self: d.astype(np.uint8))
+    with pytest.raises(SteinerError, match="cannot hold"):
+        det_order2(t)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_det_order2_at_the_uint8_uint16_boundary(n):
+    # n = 256 is D's last uint8 build and 257 its first uint16 one; a path
+    # reaches the largest distance n - 1
+    for t in (path_tree(n), star_tree(n), random_tree(n, 5)):
+        assert t.distances().dtype == (np.uint8 if n <= 256 else np.uint16)
+        assert det_order2(t) == graham_pollak_value(n), t
+
+
+def test_det_order2_holds_few_copies_of_the_narrow_d():
+    # with S built, the two passes form E D, its transpose and M in D's own
+    # uint16 width, about 3 copies; an int64 D and its passes read 12
+    t = random_tree(600, 17)
+    t.sides()
+    d_bytes = t.n * t.n * np.dtype(np.uint16).itemsize
+    tracemalloc.start()
+    try:
+        assert det_order2(t) == graham_pollak_value(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.distances().nbytes == d_bytes
+    assert peak < 4 * d_bytes, peak / d_bytes
 
 
 def test_det_order2_checks_the_budget_before_building_d(monkeypatch):

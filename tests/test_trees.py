@@ -13,6 +13,7 @@ from steinerdh import (EmptySet, MalformedInput, NotATree, TooLarge, Tree,
                        format_tree, parse_tree, path_tree, prufer_decode,
                        prufer_encode, random_tree, star_tree,
                        steiner_distance_bruteforce)
+from steinerdh.trees import narrowest_dtype
 from conftest import tree_corpus
 from oracles import multiset_hypermatrix, side_distances
 
@@ -143,7 +144,7 @@ def test_distances_recurrence_matches_side_products_and_bruteforce():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             d = t.distances()
-            assert d.dtype == np.int64
+            assert d.dtype == narrowest_dtype(n - 1)
             assert np.array_equal(d, side_distances(t))
             assert d.tolist() == [[steiner_distance_bruteforce(t, (u, v))
                                    for v in range(1, n + 1)] for u in range(1, n + 1)]
@@ -157,7 +158,8 @@ def test_distances_recurrence_matches_side_products_and_bruteforce():
 
 def test_order2_build_holds_only_distances_beyond_sides():
     # S is built and cached first; the order-2 build steps through int8 blocks
-    # of edges, so beyond D it holds one n-entry row sum and one block
+    # of edges, so beyond D it holds one n-entry row sum and one block; the
+    # allowance beyond D is in bytes, 0.2 of an int64 D (D itself is uint16)
     t = random_tree(600, 17)
     t.sides()
     tracemalloc.start()
@@ -166,7 +168,8 @@ def test_order2_build_holds_only_distances_beyond_sides():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * d.nbytes, peak / d.nbytes
+    assert d.dtype == np.uint16
+    assert peak - d.nbytes < 0.2 * 8 * t.n * t.n, (peak, d.nbytes)
 
 
 def test_sides_holds_only_s_at_its_peak():
