@@ -12,17 +12,16 @@ distance depends only on the index set.  An order above numpy's axis limit
 build, ``MalformedInput`` on import.
 
 Both export formats come from one writer that works ``_CHUNK`` entries at a
-time in the stored width, in uint32 words of NUL-padded ASCII.  A
-chunk with no negative entry whose largest's digits and separator fit four
-bytes (below 100 in JSON, 1000 in text) reads one word an entry, digits and
-separator, from a table.  Any other chunk splits each magnitude into
-base-10^4 limbs, reads each limb's word from a 10^4-entry table, and adds a
-sign word where the chunk has a negative and a separator word.  One pass
-then deletes the NULs.  It holds one chunk's words besides the pieces it
-returns; ``export_json`` and ``export_text`` join the pieces, and
-the ``hypermatrix`` command writes them as they come.  The bytes are those
-of ``json.dumps`` and ``str`` over the entries as Python ints, whatever the
-stored dtype.
+time.  A uint8 or uint16 piece reads one word an entry from a table, built on
+first use, of each value's ASCII digits and the separator, NUL-padded to four
+bytes where the piece's largest entry and the separator fit them (below 100
+in JSON, 1000 in text) and to eight otherwise; one pass then deletes the
+NULs.  An int64 piece, of a caller's array or an import with a negative
+entry or one above 65,535, is ``str``'s.  The writer holds one piece's words
+besides the pieces it returns; ``export_json`` and ``export_text`` join the
+pieces, and the ``hypermatrix`` command writes them as they come.  The bytes
+are those of ``json.dumps`` and ``str`` over the entries as Python ints,
+whatever the stored dtype.
 
 Both formats come back through one reader, the writer's mirror: the entries
 are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,7 +67,6 @@ DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
 _CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an imported one
 _INT64_MAX = np.iinfo(np.int64).max
-_LIMB = 10 ** 4   # the writer's base: four decimal digits, one uint32 word of ASCII
 _SPACES = " \t\r\n"   # JSON whitespace, space first; a text line's less its newline (CR for CRLF)
 # the narrowest unsigned type that sums an integer of 1, 2, .., 19 digits: |int64| < 10^19
 _SUMS = (np.uint8,) * 2 + (np.uint16,) * 2 + (np.uint32,) * 5 + (np.uint64,) * 10
@@ -210,99 +209,47 @@ def has_nonzero_degenerate(h: Hypermatrix) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
-def _word(text: bytes) -> np.uint32:
-    """``text``, at most four ASCII bytes, as one uint32 word, NUL-padded."""
-    return np.frombuffer(text.ljust(4, b"\0"), dtype=np.uint32)[0]
-
-
-def _limb_words() -> np.ndarray:
-    """The uint32 ASCII word of each limb 0 .. 10^4 - 1: NUL-padded, for a
-    leading limb, at i, and zero-padded, for an inner one, at 10^4 + i.  The
-    leading 0 is '0', so a zero entry prints."""
-    i = np.arange(_LIMB, dtype=np.uint16)[:, None]
-    digits = (i // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
-    lead = np.where(i < np.array([1000, 100, 10, 0], dtype=np.uint16), np.uint8(0), digits)
-    return np.concatenate([lead, digits]).view(np.uint32).reshape(-1)
-
-
-_WORDS = _limb_words()
-
-
-def _packed_words(sep: bytes) -> np.ndarray:
-    """The uint32 ASCII word of each value whose digits and ``sep`` fit four
-    bytes, below 10^(4 - len(sep)): its digits, then ``sep``, NUL-padded."""
-    text = b"".join((b"%d" % v + sep).ljust(4, b"\0") for v in range(10 ** (4 - len(sep))))
-    return np.frombuffer(text, dtype=np.uint32)
-
-
-_PACKED = {sep: _packed_words(sep) for sep in (b", ", b"\n")}   # JSON's and text's
-
-
-def _limbs(chunk: np.ndarray, sep: bytes, end: bool) -> np.ndarray:
-    """A row of uint32 words for each entry of ``chunk``: a '-' word where the
-    chunk has a negative entry, one ``_WORDS`` word per base-10^4 limb of the
-    magnitude (as many limbs as the chunk's largest needs), and the
-    separator's word, but none after the last entry where ``end``.  The
-    magnitudes are an unsigned copy in the entries' width, at least 16
-    bits, so narrow entries are never widened to int64."""
-    rest = chunk.astype(np.promote_types(chunk.dtype, np.uint16))   # a copy
-    neg = rest < 0 if rest.dtype.kind == "i" else None   # uint8, uint16 read as uint16: no sign
-    signed = int(neg is not None and neg.any())
-    if signed:
-        rest = np.abs(rest, out=rest).view(f"u{rest.itemsize}")   # exact at -2^63
-    limbs = -(-len(str(rest.max())) // 4)   # the largest's limbs
-    words = np.empty((rest.size, signed + limbs + 1), dtype=np.uint32)
-    if signed:
-        words[:, 0] = neg * _word(b"-")
-    words[:, -1] = _word(sep)
-    if end:
-        words[-1, -1] = 0
-    last = signed + limbs - 1   # the least significant limb's column
-    for col in range(last, signed - 1, -1):
-        if col > signed:   # zero-padded where a higher limb is nonzero
-            high = rest // _LIMB
-            limb = np.minimum(rest, rest - high * _LIMB + _LIMB)
-        else:              # the leading limb, below 10^4
-            high, limb = None, rest
-        words[:, col] = _WORDS.take(limb, mode="clip")   # limb < 2 * 10^4: no clip happens
-        if col < last:
-            words[:, col] *= rest > 0   # no digit this high: no word
-        rest = high
+@lru_cache(maxsize=None)
+def _words(sep: str, width: int, size: int) -> np.ndarray:
+    """The ``width``-byte word of each value below ``size`` (at most 2^16,
+    so five digits): its ASCII digits, then ``sep``, NUL-padded.  Built on
+    first use, then shared."""
+    text = np.char.add(np.arange(size).astype("S5"), sep.encode("ascii"))
+    words = text.astype(f"S{width}").view(f"u{width}")
+    words.flags.writeable = False
     return words
 
 
-def _decimals(entries: np.ndarray, sep: bytes) -> Iterator[str]:
+def _decimals(entries: np.ndarray, sep: str) -> Iterator[str]:
     """``sep.join`` of the entries' ASCII decimals, in pieces of ``_CHUNK``
-    entries.  A piece with no negative entry whose largest's digits and
-    ``sep`` fit four bytes takes one ``_PACKED`` word an entry (the last
-    entry's ``_WORDS`` word, with no separator, at the document's end); any
-    other piece takes ``_limbs``' rows.  Every word is NUL-padded, and one
-    pass deletes the NULs."""
+    entries, each entry followed by ``sep`` but the document's last.  A
+    uint8 or uint16 piece takes one ``_words`` word an entry, of four bytes
+    where its largest entry and ``sep`` fit them and eight otherwise, and
+    one pass deletes the NULs; an int64 piece is ``str``'s."""
     flat = entries.reshape(-1)
-    packed = _PACKED[sep]
     for lo in range(0, flat.size, _CHUNK):
         chunk = flat[lo:lo + _CHUNK]
-        end = lo + _CHUNK >= flat.size   # the document's last piece
-        if chunk.max() < packed.size and (chunk.dtype.kind == "u" or chunk.min() >= 0):
-            words = packed.take(chunk)
-            if end:
-                words[-1] = _WORDS[chunk[-1]]
+        if chunk.dtype == np.int64:   # only a caller's array or an import
+            piece = sep.join(map(str, chunk.tolist())) + sep
         else:
-            words = _limbs(chunk, sep, end)
-        # bytearray, not bytes: bytes.translate on these words fragments the heap
-        # (`hypermatrix --k 4` at n = 100 peaks at 168 MB against 131 MB)
-        yield bytearray(words).translate(None, b"\0").decode("ascii")
+            width = 4 if chunk.max() < 10 ** (4 - len(sep)) else 8
+            size = min(10 ** (width - len(sep)), 1 << 8 * chunk.itemsize)
+            words = _words(sep, width, size).take(chunk)
+            # bytearray, not bytes: bytes.translate on these words fragments the heap
+            # (`hypermatrix --k 4` at n = 100 peaks at 168 MB against 131 MB)
+            piece = bytearray(words).translate(None, b"\0").decode("ascii")
+        yield piece[:-len(sep)] if lo + _CHUNK >= flat.size else piece
 
 
 def _json_pieces(h: Hypermatrix) -> Iterator[str]:
     yield f'{{"k": {h.k}, "n": {h.n}, "entries": ['
-    yield from _decimals(h.entries, b", ")
+    yield from _decimals(h.entries, ", ")
     yield "]}"
 
 
 def _text_pieces(h: Hypermatrix) -> Iterator[str]:
     yield f"{h.k} {h.n}\n"
-    yield from _decimals(h.entries, b"\n")
+    yield from _decimals(h.entries, "\n")
     yield "\n"
 
 

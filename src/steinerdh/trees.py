@@ -11,8 +11,8 @@ per-edge sums over the two sides of each edge; ``Tree.far_sums`` computes them
 in one children-first pass over the BFS order from vertex 1.  A single
 query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` makes the same pass in place over the far-side indicators, the
-matrix S behind the Hessian and the Steiner arrays of every order.  One
-parent recurrence over blocks of edge steps fills them all:
+0/1 matrix S, in int8, behind the Hessian and the Steiner arrays of every
+order.  One parent recurrence over blocks of edge steps fills them all:
 ``Tree.distances`` is its k = 2 case and the hypermatrix the rest.  A
 Steiner distance lies in [0, n-1], so the recurrence runs in the narrowest
 unsigned dtype that holds n - 1 (uint8 for n <= 256, uint16 for
@@ -169,7 +169,7 @@ class Tree:
         signed = np.dtype(f"i{dtype.itemsize}")
         block = max(1, _BLOCK_ENTRIES // rows.shape[1])
         for lo in range(0, n - 1, block):
-            f = far[lo:lo + block].astype(np.int8)
+            f = far[lo:lo + block]
             g = 1 - f
             near_pow, far_pow = g, f
             for _ in range(k - 2):   # outer powers, flattened to one axis per edge
@@ -209,13 +209,14 @@ class Tree:
         return [below[v] for v in self.order[1:]]
 
     def sides(self) -> np.ndarray:
-        """The (n-1)×n int64 far-side indicators S, rows in ``far_sums`` edge
-        order, so S @ x is ``far_sums(x)``.  Built once per tree and shared,
-        so read-only.  Filled in place children-first: edge c's row starts as
-        c's own indicator and is added into its parent's row, so S is the
-        only n^2 array the build holds."""
+        """The (n-1)×n far-side indicators S in int8, rows in ``far_sums``
+        edge order, so S @ x is ``far_sums(x)`` for an x wider than int8.
+        Built once per tree and shared, so read-only.  Filled in place
+        children-first: edge c's row starts as c's own indicator and is added
+        into its parent's row, whose other subtrees it does not meet, so no
+        entry passes 1 and S is the only n^2 array the build holds."""
         if self._sides_cache is None:
-            far = np.zeros((self.n - 1, self.n), dtype=np.int64)
+            far = np.zeros((self.n - 1, self.n), dtype=np.int8)
             rows = [None] * (self.n + 1)   # vertex -> its edge's row; none for vertex 1
             for v, row in zip(self.order[1:], far):
                 row[v - 1] = 1

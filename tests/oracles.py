@@ -181,7 +181,7 @@ def edge_cut_hessian(t: Tree, k: int, point: Sequence) -> list[list]:
     n = t.n
     x = np.array([v if isinstance(v, Fraction) else mpmath.mpmathify(v) for v in point],
                  dtype=object)
-    far = t.sides()
+    far = t.sides().astype(np.int64)
     near = 1 - far
     s = x.sum()
     a = far @ x
@@ -462,7 +462,7 @@ def side_distances(t: Tree, k: int = 2) -> np.ndarray:
     and N_e = 1 - S_e the near side of edge e: an index tuple misses edge e
     exactly when it lies on one side.  One ``np.einsum`` over the 2(n-1)
     stacked side rows, O(n^(k+1)); at k = 2 it is Sᵀ(1-S) + (1-S)ᵀS."""
-    far = t.sides()
+    far = t.sides().astype(np.int64)
     sides = np.concatenate([far, 1 - far])
     operands = []
     for axis in range(1, k + 1):
@@ -728,7 +728,7 @@ def two_vertex_scan_all_roots(k: int):
 def int64_steiner_array(t: Tree, k: int) -> np.ndarray:
     """The order-k Steiner array by the parent recurrence in int64: row 1 is
     (n-1) - sum_e N_e^(k-1) and row c = row p + N_c^(k-1) - S_c^(k-1)."""
-    n, far = t.n, t.sides()
+    n, far = t.n, t.sides().astype(np.int64)
     out = np.empty((n,) * k, dtype=np.int64)
     rows = out.reshape(n, -1)
     rows[0] = 0

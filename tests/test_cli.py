@@ -239,14 +239,21 @@ def test_identities_pass_and_skip(tree_file, capsys):
 
 def test_hypermatrix_command_prints_the_same_bytes(tree_file, capsys):
     # the command writes the writer's pieces as they come, a path export_json
-    # does not take; these sha256 digests are those of the int64 entries
-    path = tree_file(random_tree(30, 77))
-    for fmt, digest in (
-            ("json", "92a0b87c0307cf8898a952a4d786e39323b145cc47cad91fca7296cf82edbcda"),
-            ("text", "3614cb5570ebd1582d23ed34b94fc7f840e3e6ece1a56bddcf668dfb8a5aece7")):
-        code, out = run(capsys, ["hypermatrix", "--tree", path, "--k", "4", "--format", fmt])
+    # does not take; these sha256 digests are those of the int64 entries.  The
+    # path's entries reach 1,000, so its words are of eight bytes in both formats
+    for t, k, fmt, digest in (
+            (random_tree(30, 77), 4, "json",
+             "92a0b87c0307cf8898a952a4d786e39323b145cc47cad91fca7296cf82edbcda"),
+            (random_tree(30, 77), 4, "text",
+             "3614cb5570ebd1582d23ed34b94fc7f840e3e6ece1a56bddcf668dfb8a5aece7"),
+            (path_tree(1001), 2, "json",
+             "35cd3f12ad454b9fb81a361b80cb08366aa2f1b80b84cc439478106f66fb1083"),
+            (path_tree(1001), 2, "text",
+             "01c9c67bc60bfa3c37a33ebcbfed92e945bf9085a1125032d95c853357be58fd")):
+        path = tree_file(t)
+        code, out = run(capsys, ["hypermatrix", "--tree", path, "--k", str(k), "--format", fmt])
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, fmt
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, (t.n, fmt)
 
 
 def test_identity_rows_pass_on_every_small_tree_class():

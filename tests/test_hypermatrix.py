@@ -190,11 +190,11 @@ def test_round_trips_bit_exact(monkeypatch):
             assert import_json(export_json(h)) == h and import_text(export_text(h)) == h
 
 
-# the writer's base-10^4 limb edges (9,999 | 10^4, 10^8 - 1 | 10^8, 10^12, 10^16) and
-# the uint16 limit
-_LIMB_EDGES = [9999, 10 ** 4, 65535, 10 ** 8 - 1, 10 ** 8, 10 ** 12, 10 ** 16]
+# digit-count edges (9,999 | 10^4, 10^8 - 1 | 10^8, 10^12, 10^16) and the uint16
+# limit, which an int64 piece writes by str
+_DIGIT_EDGES = [9999, 10 ** 4, 65535, 10 ** 8 - 1, 10 ** 8, 10 ** 12, 10 ** 16]
 _EDGE_ENTRIES = [INT64.min, INT64.min + 1, INT64.max, -1, 0, 9, 10, -10, 99, -100,
-                 10 ** 18, -10 ** 18, 10 ** 18 - 1, *_LIMB_EDGES, *(-e for e in _LIMB_EDGES)]
+                 10 ** 18, -10 ** 18, 10 ** 18 - 1, *_DIGIT_EDGES, *(-e for e in _DIGIT_EDGES)]
 _ELEMENTS = {
     np.int64: st.one_of(st.sampled_from(_EDGE_ENTRIES),
                         st.integers(INT64.min, INT64.max), st.integers(-99, 99)),
@@ -217,19 +217,23 @@ def _entry_arrays(draw):
 @example(np.array([[INT64.min, INT64.max], [0, -1]]), 3)
 @example(np.array([[0, 255], [256, 65535]], dtype=np.uint16), 3)
 @example(np.array([[0, 255], [1, 254]], dtype=np.uint8), 1)
-# at _CHUNK = 3, pieces of two, three, four, five, one and one limbs, some signed
+# at _CHUNK = 3, int64 pieces of one to nineteen digits, some signed
 @example(np.array([[7, -9999, 10 ** 4, 10 ** 8 - 1], [0, -10 ** 8, 10 ** 12, -1],
                    [10 ** 15, 10 ** 16, 3, INT64.min], [1, 2, 3, 4]]), 3)
-# one word an entry below 100 in JSON and below 1000 in text, limbs from there
+# four-byte words below 100 in JSON and below 1000 in text, eight-byte ones from there
 @example(np.array([[99, 5], [0, 42]], dtype=np.uint8), 1 << 16)
 @example(np.array([[100, 5], [0, 42]], dtype=np.uint8), 1 << 16)
 @example(np.array([[999, 7], [0, 10]], dtype=np.uint16), 1 << 16)
 @example(np.array([[1000, 7], [0, 10]], dtype=np.uint16), 1 << 16)
 @example(np.array([[[1, 2], [3, 0]], [[9, 8], [7, 6]]], dtype=np.uint8), 1 << 16)
 @example(np.array([[5, 6], [7, 8]], dtype=np.uint8), 3)   # a last piece of one entry
-# at _CHUNK = 3, pieces alternate one word an entry and limbs, then end in one entry
+# at _CHUNK = 3, pieces alternate four- and eight-byte words, then end in one entry
 @example(np.array([[0, 1, 2, 1000], [4, 5, 6, 7], [8, 65535, 10, 11], [12, 13, 14, 15]],
                   dtype=np.uint16), 3)
+# every word of every table, across each digit-count boundary
+@example(np.arange(100, dtype=np.uint8).reshape(10, 10), 1 << 16)
+@example(np.arange(256, dtype=np.uint8).reshape(16, 16), 1 << 16)
+@example(np.arange(65536, dtype=np.uint16).reshape(256, 256), 1 << 16)
 def test_export_matches_the_oracle_on_any_int64_entries(entries, chunk):
     # uint8 and uint16 entries are stored as they are and written as int64 ones
     h = Hypermatrix(entries.ndim, entries.shape[0], entries)
@@ -283,16 +287,17 @@ def test_round_trips_keep_the_dtype_and_the_values(monkeypatch):
 
 
 def test_export_peaks_stay_near_the_document():
-    # the writer holds one chunk's buffers besides the pieces and their join
-    h = build_steiner(random_tree(30, 77), 4)
-    for export in (export_json, export_text):
-        tracemalloc.start()
-        try:
-            doc = export(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * len(doc), (export.__name__, peak / len(doc))
+    # the writer holds one chunk's buffers besides the pieces and their join;
+    # the uint16 path's entries reach 1,000, so its words are of eight bytes
+    for h in (build_steiner(random_tree(30, 77), 4), build_steiner(path_tree(1001), 2)):
+        for export in (export_json, export_text):
+            tracemalloc.start()
+            try:
+                doc = export(h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * len(doc), (h.n, export.__name__, peak / len(doc))
 
 
 def test_import_peaks_below_two_thirds_of_a_document():
