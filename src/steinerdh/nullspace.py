@@ -24,14 +24,14 @@ On s = 0, g = -3 sum_e a_e^2, so membership and the completion quadratic
 take O(n) field products; the tests check both against the expanded g.
 
 The numeric side (`numeric_search`) runs Gauss-Newton on the gradient system,
-one complex least-squares problem with a gauge row per step, from seeded
-Philox restarts: complex128 steps, each from one Hessian H (a single product
-with the tree's stacked cut array [S; 1 - S]) and the gradient H x / (k-1),
-in one (n+1) x n system per phase.  It reports Gaussian integers over
-2^WORKING_PREC, refined in integers where float64 runs out of digits (int
-pairs (Re, Im), the exact gradient one ``gradient_direct`` call on ints at
-i = 2^L), each with a proven upper bound on its residual (CycNum JSON and a
-float), and never claims a nullvector.
+one complex least-squares problem with a gauge row per step, solved by one LU
+of its normal equations, from seeded Philox restarts: complex128 steps, each
+from one Hessian H (a single product with the tree's stacked cut array
+[S; 1 - S]) and the gradient H x / (k-1), in one (n+1) x n system per phase.
+It reports Gaussian integers over 2^WORKING_PREC, refined in integers where
+float64 runs out of digits (int pairs (Re, Im), the exact gradient one
+``gradient_direct`` call on ints at i = 2^L), each with a proven upper bound
+on its residual (CycNum JSON and a float), and never claims a nullvector.
 """
 
 from __future__ import annotations
@@ -318,9 +318,9 @@ class SearchCandidate:
     up to that rounding, and ``residual`` a proven upper bound on
     max_r |D_r p(x)| / |x|^(k-1) there.  ``iterations`` counts the steps of
     both phases.  ``stop`` is ``tol`` (residual below ``tol``), ``precision_floor``
-    (below the working precision's floor, when that lies above ``tol``),
-    ``stalled`` (8 passes in a row, none with a residual below 0.9 x the best
-    before it, or a step below the floor), ``singular`` (no step) or ``max_iter``.
+    (below the working precision's floor, when that lies above ``tol``), ``stalled``
+    (8 passes in a row, none with a residual below 0.9 x the best before it, or a
+    step below the floor), ``singular`` (LU and ``lstsq`` both failed) or ``max_iter``.
     """
 
     point: tuple[CycNum, ...]
@@ -348,8 +348,8 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     stop stands only if the exact bound is below ``tol`` too.
     Candidates come back sorted by residual; no exactness is ever claimed.
     Floors compare only within one order: even-order floors fall as k grows
-    (about 1e-1 at k = 4 and 8e-9 at k = 16 on a 5-vertex tree; at k = 24,
-    32 and 40 they reach the default ``tol`` as odd ones do).
+    (about 1e-1 at k = 4, 8e-9 at k = 16 and 2e-12 at k = 24 and 32 on a
+    5-vertex tree; at k = 40 they reach the default ``tol`` as odd ones do).
     BudgetExceeded, before S is built, when n^2 exceeds ``entry_budget()``.
     """
     if k < 2:
@@ -383,8 +383,8 @@ def _descend(t: Tree, k: int, x, floor: float, tol: float, budget: int):
     residual max |g| / |X|^(k-1) rounded up.  It stops on a residual below
     ``floor``, a last step below ``floor`` (``step_floor``), 8 passes in a row
     none below 0.9 x the best residual before it (``stalled``) or ``budget``
-    steps; else it takes a complex128 step (on X / 2^P and g / 2^(P(k-1)),
-    H written into A[:n] of one system A, b per call), rounded into X.
+    steps; else it takes a complex128 step (on X / 2^P and g / 2^(P(k-1)), H in
+    A[:n] of one system A, b per call; ``singular`` if none), rounded into X.
     Returns the best point, its residual, the steps and the stop reason."""
     float64, prec, n = isinstance(x, np.ndarray), WORKING_PREC, t.n
     A, b = np.empty((n + 1, n), dtype=np.complex128), np.empty(n + 1, dtype=np.complex128)
@@ -488,11 +488,19 @@ def _gauss_newton_step(x: np.ndarray, grads: np.ndarray, A: np.ndarray, b: np.nd
     H x = (k-1) g, so its normal equations give d + x/(k-1) = mu (H^H H)^-1 x
     with mu real, and x^H (H^H H)^-1 x is real; at a nullvector its
     minimum-norm step is orthogonal to the kernel direction i*x.
+    It solves A^H A d = A^H b by LU.  Squaring A's condition number is harmless
+    here: float64 only has to reach 2^-40, and the integer phase corrects each
+    step against exact gradients.  A singular A^H A falls back to ``lstsq``,
+    whose failure gives None.
     """
     n = len(x)
     b[:n] = -grads
     A[n], b[n] = 2 * x.conj(), 0
+    ah = A.conj().T
     try:
-        return np.linalg.lstsq(A, b, rcond=None)[0]
+        return np.linalg.solve(ah @ A, ah @ b)
     except np.linalg.LinAlgError:
-        return None
+        try:
+            return np.linalg.lstsq(A, b, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return None

@@ -540,19 +540,53 @@ def test_gauge_row_leaves_the_real_split_step_unchanged():
 
 
 def test_search_solves_one_complex_problem_per_step(monkeypatch):
-    operands = []
-    lstsq = np.linalg.lstsq
+    # Each step is one LU solve of the bordered system's n x n normal
+    # equations; lstsq runs only when that matrix is singular, which it never
+    # is here.
+    operands, fallbacks = [], []
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
 
-    def recording(a, b, rcond=None):
+    def recording(a, b):
         operands.append((a, b))
+        return solve(a, b)
+
+    def counted_lstsq(a, b, rcond=None):
+        fallbacks.append((a, b))
         return lstsq(a, b, rcond=rcond)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
-    numeric_search(random_tree(6, 1), 4, 1, 2)
-    assert operands
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    found = numeric_search(random_tree(6, 1), 4, 1, 2)
+    assert operands and not fallbacks
+    assert len(operands) == sum(c.iterations for c in found)
     for a, b in operands:
-        assert a.shape == (7, 6) and a.dtype == np.complex128
-        assert b.shape == (7,) and b.dtype == np.complex128
+        assert a.shape == (6, 6) and a.dtype == np.complex128
+        assert b.shape == (6,) and b.dtype == np.complex128
+
+
+def test_singular_normal_equations_fall_back_to_lstsq(monkeypatch):
+    # When solve refuses A^H A, the step is lstsq's minimum-norm solution of
+    # the bordered system A = [H; 2 x^H], b = [-g; 0] itself; when lstsq
+    # fails too there is no step, and a restart stops "singular".
+    def refused(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    t, k, n = random_tree(5, 3), 4, 5
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z /= np.linalg.norm(z)
+    a, b = np.empty((n + 1, n), dtype=complex), np.empty(n + 1, dtype=complex)
+    grads = hessian_direct(t, k, z, out=a[:n]) @ z / (k - 1)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    got = _gauss_newton_step(z, grads, a, b)
+    assert (a[:n] == hessian_direct(t, k, z)).all() and (a[n] == 2 * z.conj()).all()
+    assert (b[:n] == -grads).all() and b[n] == 0
+    assert np.array_equal(got, np.linalg.lstsq(a, b, rcond=None)[0])
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    assert _gauss_newton_step(z, grads, a, b) is None
+    found = numeric_search(t, k, 1, 2)
+    assert [(c.stop, c.iterations) for c in found] == [("singular", 0)] * 2
 
 
 def test_search_builds_the_complex_cut_pair_once(monkeypatch):

@@ -13,12 +13,13 @@ roots of unity and a sum of them, and, for tails whose discriminant is not
 rewrite it deliberately (after a change that is meant to alter the output), run
 ``PYTHONPATH=src python tests/test_search_golden.py``; before it overwrites
 the file it prints how many search rows change bytes and lists every row
-whose multiset of (iterations, stop) pairs changes.
+whose multiset of (iterations, stop) pairs, or of stop reasons alone, changes.
 
 The embeddings (mpmath) and the completions (exact) are platform-independent,
-but a search step goes through BLAS zgemm and LAPACK zgelsd, so the search
-rows repeat for a given seed on one numpy/BLAS build only.  k = 6
-comes last in ``ORDERS`` so that the older rows keep their restart counts.
+but a search step goes through BLAS zgemm and one LAPACK zgesv (an LU solve
+of the normal equations; zgelsd only for a singular one), so the search rows
+repeat for a given seed on one numpy/BLAS build only.  k = 6 comes last in
+``ORDERS`` so that the older rows keep their restart counts.
 """
 
 from __future__ import annotations
@@ -114,17 +115,24 @@ def _stops(row: dict) -> list[str]:
                   for line in row["stderr"].splitlines() if line.startswith("candidate:"))
 
 
+def _reasons(row: dict) -> list[str]:
+    """A search row's stop reasons, iteration counts aside, sorted."""
+    return sorted(pair.rsplit(" ", 1)[1] for pair in _stops(row))
+
+
 def _report_changes(old: dict, new: dict) -> None:
-    """Print how many search rows change bytes, and every row whose multiset
-    of (iterations, stop) pairs changes."""
+    """Print how many search rows change bytes, every row whose multiset of
+    (iterations, stop) pairs changes, and every row whose multiset of stop
+    reasons changes."""
     pairs = list(zip(old["search"], new["search"]))
     print(f"{sum(a != b for a, b in pairs)} of {len(pairs)} search rows change bytes",
           file=sys.stderr)
-    moved = [(a, b) for a, b in pairs if _stops(a) != _stops(b)]
-    print(f"{len(moved)} rows change their (iterations, stop) pairs", file=sys.stderr)
-    for a, b in moved:
-        print(f"  {a['tree']} k={a['k']} tol={a['tol']}: {_stops(a)} -> {_stops(b)}",
-              file=sys.stderr)
+    for what, key in (("(iterations, stop) pairs", _stops), ("stop reasons", _reasons)):
+        moved = [(a, b) for a, b in pairs if key(a) != key(b)]
+        print(f"{len(moved)} rows change their {what}", file=sys.stderr)
+        for a, b in moved:
+            print(f"  {a['tree']} k={a['k']} tol={a['tol']}: {key(a)} -> {key(b)}",
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":
