@@ -276,15 +276,16 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
     D_c = D_parent - k * (a_c^(k-1) - (s - a_c)^(k-1)).
 
     An edge whose far sum is zero adds nothing to D_1, and all such edges
-    share the step -k * s^(k-1); a zero step copies the parent's entry.  A
-    call makes 3n - 1 truth tests and one per nonzero far sum: one per
-    coordinate (in s), two per edge (one in ``Tree.far_sums``, one here),
-    one for the shared step and one for each other step.  A support-3
-    certificate has s = 0 and two nonzero far sums whose powers are
-    monomials (see ``scalar``), so it takes five powers by re-indexing and
-    no subtraction in the parent pass, whatever n is.  s and
-    ``Tree.far_sums`` add only nonzero values, so its additions do not grow
-    with n either.
+    share the step -k * s^(k-1); a zero step copies the parent's entry.  At
+    s = 0 and odd k, (s - a)^(k-1) = a^(k-1) as k - 1 is even, so every step
+    is 0 and D_r p = -k * sum_e a_e^(k-1) for every r: one power per nonzero
+    far sum.  The point is read with one truth test per coordinate; unless
+    all are zero, each zero becomes the int 0, which s, ``Tree.far_sums``
+    and the edge loop test at C speed.  A support-3 certificate has s = 0
+    and two nonzero far sums, monomials whose powers are re-indexings (see
+    ``scalar``), so it takes n + O(1) CycNum truth tests, two powers and no
+    subtraction, whatever n is; s and ``Tree.far_sums`` add only nonzero
+    values, so its additions do not grow with n either.
 
     Computes in the point's own number type, where CycNum, int and Fraction
     mix (two moduli raise ConductorMismatch).  A numpy array is read with
@@ -298,7 +299,12 @@ def gradient_direct(t: Tree, k: int, point: Sequence) -> list:
         coords = point.tolist()
     else:
         coords = [_rational(x) if isinstance(x, np.integer) else x for x in point]
-    s = sum([x for x in coords if x] or coords)   # all zero: the coords' own zero
+    read = [x or 0 for x in coords]
+    nonzero = [x for x in read if x]
+    coords = read if nonzero else coords
+    s = sum(nonzero or coords)   # all zero: the coords' own zero
+    if nonzero and k % 2 and not s:   # every step is 0
+        return [-k * sum([a ** (k - 1) for a in t.far_sums(coords) if a])] * t.n
     top = s ** (k - 1)
     zero_step = -k * top or None   # None: the step copies the parent's entry
     near_pow, steps = [], []

@@ -40,6 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -89,6 +90,9 @@ def canonical_odd_nullvector(t: Tree, k: int) -> list[CycNum]:
     into 1 (the leaf u) and -1; edge wv into zeta (v's side) and -zeta.  As
     k-1 is even, every vertex gets D_r p = -k * (1 + zeta^(k-1)), and
     zeta^(k-1) = -1 for a primitive (2k-2)-th root of unity.
+
+    The four values are built once per order and shared, which is safe as
+    CycNum is immutable; each call returns a fresh list.
     """
     if k % 2 == 0:
         raise EvenOrder("canonical construction exists for odd order only")
@@ -99,13 +103,17 @@ def canonical_odd_nullvector(t: Tree, k: int) -> list[CycNum]:
     u = next(v for v in range(1, t.n + 1) if t.degrees[v] == 1)
     w = t.adjacency[u][0]
     v = next(x for x in t.adjacency[w] if x != u)
-    m = 2 * k - 2
-    zeta = root_of_unity(m)
-    point = [CycNum.zero(m)] * t.n
-    point[u - 1] = CycNum.one(m)
-    point[v - 1] = zeta
-    point[w - 1] = CycNum.from_rational(-1, m) - zeta
+    zero, one, zeta, rest = _canonical_values(2 * k - 2)
+    point = [zero] * t.n
+    point[u - 1], point[v - 1], point[w - 1] = one, zeta, rest
     return point
+
+
+@lru_cache(maxsize=None)
+def _canonical_values(m: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
+    """0, 1, zeta and -1 - zeta in Q(zeta_m)."""
+    zeta = root_of_unity(m)
+    return CycNum.zero(m), CycNum.one(m), zeta, CycNum.from_rational(-1, m) - zeta
 
 
 def verify_nullvector(t: Tree, k: int, point: Sequence) -> NullvectorReport:

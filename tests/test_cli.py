@@ -168,16 +168,22 @@ def test_certify_two_vertex(tree_file, capsys):
 
 def test_certify_prints_the_dense_report_byte_for_byte(tree_file, capsys):
     # the zero coordinates share one JSON dict; the printed text must be the
-    # one a dict per coordinate gives
+    # one a dict per coordinate gives.  The expected text is built through
+    # canonical_odd_nullvector and verify_nullvector, so fixed digests pin it
+    # independently of them
     t = random_tree(2000, 1)
-    code, out = run(capsys, ["certify", "--tree", tree_file(t), "--k", "21"])
-    rep = verify_nullvector(t, 21, canonical_odd_nullvector(t, 21))
-    certificate = {"point": [x.to_json() for x in rep.point], "exact_zero": True,
-                   "residual": 0.0, "tree": format_tree(t), "k": 21}
-    report = {"schema": SCHEMA, "kind": "nullvector_certificate", "n": 2000, "k": 21,
-              "certificate": certificate, "verified": True}
-    assert code == EXIT_OK
-    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    digests = {21: "e9767f72e42a0a3880db96c935af71728b8c55884604c323cc1db7f801b6517d",
+               3: "04aa12a987cb02e1628b054cfc5fe94ef9f89cb1afd43bb4994a55ab605de307"}
+    for k, digest in digests.items():
+        code, out = run(capsys, ["certify", "--tree", tree_file(t), "--k", str(k)])
+        rep = verify_nullvector(t, k, canonical_odd_nullvector(t, k))
+        certificate = {"point": [x.to_json() for x in rep.point], "exact_zero": True,
+                       "residual": 0.0, "tree": format_tree(t), "k": k}
+        report = {"schema": SCHEMA, "kind": "nullvector_certificate", "n": 2000, "k": k,
+                  "certificate": certificate, "verified": True}
+        assert code == EXIT_OK
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, k
 
 
 def test_two_vertex_certificates_scan_once(monkeypatch):

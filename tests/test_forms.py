@@ -472,8 +472,10 @@ def test_gradient_direct_matches_multiset_oracle_cyclotomic():
 
 def _zero_rich_points(n: int, k: int, rng) -> list:
     """Points whose far sums are often exactly zero: Fraction unit vectors
-    (s = 1), sparse Q(zeta_m) points with s = 0 and with s != 0, and
-    complex128 arrays with exact-zero coordinates."""
+    (s = 1), sparse Q(zeta_m) points with s = 0 and with s != 0, complex128
+    arrays with exact-zero coordinates, and points whose last coordinate is
+    minus the sum of the others (s = 0, the short path at odd k) in int,
+    Fraction, Q(zeta_m) and complex128 with integral parts."""
     m = 2 * k - 2
     zeta = root_of_unity(m)
     points = [[Fraction(int(v == r)) for v in range(n)] for r in range(n)]
@@ -487,6 +489,13 @@ def _zero_rich_points(n: int, k: int, rng) -> list:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z[rng.random(n) < 0.5] = 0
         points.append(z)
+    for lift in (lambda a, b: a, lambda a, b: Fraction(a, 3 + b),
+                 lambda a, b: a + b * zeta, complex):
+        pairs = rng.integers(-2, 3, size=(n, 2))
+        pairs[rng.random(n) < 0.5] = 0
+        point = [lift(int(a), int(b)) for a, b in pairs]
+        point[-1] = -sum(point[:-1], lift(0, 0))
+        points.append(np.array(point) if lift is complex else point)
     return points
 
 
@@ -515,12 +524,18 @@ def test_gradient_direct_matches_multiset_oracle_at_zero_rich_points():
 @pytest.mark.parametrize("k", [3, 9])
 def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
         monkeypatch, k):
-    # the canonical certificate has s = 0 and two nonzero far sums, so the
-    # powers and the parent-pass subtractions are the same at every n; s and
-    # the far sums add only nonzero values, and u + v + w = 0 above the
-    # support, so the additions stay a handful too
-    powers, subtractions, additions = [], [], []
-    real_pow, real_sub, real_add = CycNum.__pow__, CycNum.__sub__, CycNum.__add__
+    # the canonical certificate has s = 0 at odd k, so the gradient takes one
+    # power per nonzero far sum (two) and no step; the point is read with one
+    # truth test per coordinate, after which its zeros are ints, so the other
+    # CycNum truth tests stay a handful; s and the far sums add only nonzero
+    # values, and u + v + w = 0 above the support, so the additions do too
+    truths, powers, subtractions, additions = [], [], [], []
+    real_bool, real_pow = CycNum.__bool__, CycNum.__pow__
+    real_sub, real_add = CycNum.__sub__, CycNum.__add__
+
+    def counting_bool(x):
+        truths.append(x)
+        return real_bool(x)
 
     def counting_pow(x, e):
         powers.append(x)
@@ -534,6 +549,7 @@ def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
         additions.append(x)
         return real_add(x, y)
 
+    monkeypatch.setattr(CycNum, "__bool__", counting_bool)
     monkeypatch.setattr(CycNum, "__pow__", counting_pow)
     monkeypatch.setattr(CycNum, "__sub__", counting_sub)
     monkeypatch.setattr(CycNum, "__add__", counting_add)
@@ -542,15 +558,15 @@ def test_gradient_direct_work_on_the_canonical_point_does_not_grow_with_n(
     for n in (40, 2000):
         for t in (path_tree(n), star_tree(n), random_tree(n, 5)):
             point = canonical_odd_nullvector(t, k)
-            powers.clear()
-            subtractions.clear()
-            additions.clear()
+            for work in (truths, powers, subtractions, additions):
+                work.clear()
             grad = gradient_direct(t, k, point)
+            assert len(truths) <= n + 16, (n, len(truths))
             assert len(grad) == n and all(g.is_zero() for g in grad)
             counts.add((len(powers), len(subtractions), len(additions)))
     assert len(counts) == 1, counts
     power_count, subtraction_count, addition_count = counts.pop()
-    assert power_count <= 5 and subtraction_count <= 5 and addition_count <= 8
+    assert power_count <= 3 and subtraction_count <= 1 and addition_count <= 8
 
 
 def test_numeric_gradient_and_hessian_match_multiset_oracle():
