@@ -119,7 +119,7 @@ def cmd_hypermatrix(args) -> int:
 
 def certify_case(t: Tree, k: int) -> tuple[dict, int]:
     """Certificate report and exit code for one (tree, order) pair."""
-    _check_order(k)
+    k = _check_order(k)
     n = t.n
     if k == 2:
         if n == 1:

@@ -119,6 +119,8 @@ def _canonical_values(m: int) -> tuple[CycNum, CycNum, CycNum, CycNum]:
 def verify_nullvector(t: Tree, k: int, point: Sequence) -> NullvectorReport:
     """Exact gradient check of a candidate against the order-k Steiner form."""
     coords, _ = unify_conductor(list(point))
+    if len(coords) != t.n:
+        raise ValueError(f"point length {len(coords)} != {t.n} vertices")
     if not any(_distinct(coords)):
         raise ZeroVector("the zero vector certifies nothing")
     gradient = gradient_direct(t, k, coords)
@@ -192,6 +194,8 @@ def membership_sg(t: Tree, point: Sequence) -> bool:
     if t.n < 2:
         raise ValueError("needs at least two vertices")
     coords, m = unify_conductor(list(point))
+    if len(coords) != t.n:
+        raise ValueError(f"point length {len(coords)} != {t.n} vertices")
     zero = CycNum.zero(m)
     if not sum(coords, zero).is_zero():
         return False

@@ -7,9 +7,10 @@ operation "row c -= row parent(c)" down the BFS order after vertex 1, so
 det E = 1.  Because D[c] - D[parent c] = 1 - 2 S_c (S_c the far side of
 edge c), every tree gives the same arrowhead M = E D E^T: M_11 = 0,
 M_1c = M_c1 = 1, M_cc = -2, and 0 elsewhere.  Forming M is two
-parent-differencing passes in D's own width, modulo 2^8 or 2^16 for the
-tree's build (exact: see ``det_order2``), and checking it is O(n^2); a D
-not congruent to the arrowhead raises SteinerError instead of a determinant.
+parent-differencing passes in place, on D and then on its transpose, in D's
+own width, modulo 2^8 or 2^16 for the tree's build (exact: see
+``det_order2``), and checking it is O(n^2); a D not congruent to the
+arrowhead raises SteinerError instead of a determinant.
 The package has no general determinant; the tests check this route against
 Bareiss elimination (``tests/oracles.py``).
 
@@ -111,20 +112,17 @@ def two_vertex_nullvector_witness(k: int):
     return None
 
 
-def _parent_differences(a: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """E a: row c minus row parent(c) for every vertex c != 1; row 0 (vertex 1) kept."""
-    out = a[up]
-    np.subtract(a, out, out=out)
-    out[0] = a[0]
-    return out
-
-
 def det_order2(t: Tree) -> Fraction:
     """The order-2 hyperdeterminant: det D, read off the arrowhead M = E D E^T.
 
-    The column pass runs on rows of the transpose, so the array checked is
-    M^T, the same arrowhead.  The passes run in D's dtype, w bits wide, and
-    M is read in the signed view of that width: modulo 2^w, which is exact.
+    Each pass runs in place: rows 2..n lose a gather of their parents'
+    original rows.  The row pass runs on D itself, which ``Tree.distances``
+    builds afresh; D is dropped once its transpose is copied, and the column
+    pass runs on rows of that copy, so the array checked is M^T, the same
+    arrowhead.  Besides S, at most two n^2 arrays of D's width are held at
+    once: D and its row gather, D and its transpose, or the transpose and
+    its row gather.  The passes run in D's dtype, w bits wide, and M is read
+    in the signed view of that width: modulo 2^w, which is exact.
     E is unit lower-triangular, so invertible modulo 2^w, and M = arrowhead
     (mod 2^w) gives D = the tree's distance matrix (mod 2^w); when D's dtype
     holds n - 1, as ``Tree.distances``'s does, both lie in its range, so they
@@ -140,10 +138,12 @@ def det_order2(t: Tree) -> Fraction:
     d = t.distances()
     if np.iinfo(d.dtype).max < n - 1:
         raise SteinerError(f"a {d.dtype} distance matrix cannot hold n - 1 = {n - 1}")
-    up = np.array(t.parent[1:]) - 1
-    up[0] = 0   # vertex 1 has no parent; _parent_differences keeps its row
-    m = np.ascontiguousarray(_parent_differences(d, up).T)   # (E D)^T
-    m = _parent_differences(m, up).view(f"i{m.itemsize}")   # E (E D)^T = M^T, signed
+    up = np.array(t.parent[2:]) - 1   # the parent rows of vertices 2..n
+    d[1:] -= d[up]   # E D
+    m = np.ascontiguousarray(d.T)   # (E D)^T
+    del d
+    m[1:] -= m[up]   # E (E D)^T = M^T
+    m = m.view(f"i{m.itemsize}")   # signed
     top, arms_out, arms_in = int(m[0, 0]), m[0, 1:].tolist(), m[1:, 0].tolist()
     diag = m.diagonal()[1:].tolist()
     m[0] = m[:, 0] = 0

@@ -13,11 +13,11 @@ query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` makes the same pass in place over the far-side indicators, the
 0/1 matrix S, in int8, behind the Hessian and the Steiner arrays of every
 order.  One parent recurrence over blocks of edge steps fills them all:
-``Tree.distances`` is its k = 2 case and the hypermatrix the rest.  A
-Steiner distance lies in [0, n-1], so the recurrence runs in the narrowest
-unsigned dtype that holds n - 1 (uint8 for n <= 256, uint16 for
-n <= 65,536, int64 beyond), modulo 2^8 or 2^16, which is exact because
-every final value fits.
+``Tree.distances`` is its k = 2 case, a fresh array for each caller, and
+the hypermatrix the rest.  A Steiner distance lies in [0, n-1], so the
+recurrence runs in the narrowest unsigned dtype that holds n - 1 (uint8 for
+n <= 256, uint16 for n <= 65,536, int64 beyond), modulo 2^8 or 2^16, which
+is exact because every final value fits.
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.  It and
@@ -55,7 +55,7 @@ class Tree:
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_connected_masks_cache", "_sides_cache", "_cuts_cache", "_distances_cache",
+        "_connected_masks_cache", "_sides_cache", "_cuts_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -106,7 +106,6 @@ class Tree:
         object.__setattr__(self, "_connected_masks_cache", None)
         object.__setattr__(self, "_sides_cache", None)
         object.__setattr__(self, "_cuts_cache", None)
-        object.__setattr__(self, "_distances_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("Tree is immutable")
@@ -133,13 +132,9 @@ class Tree:
     def distances(self) -> np.ndarray:
         """The n×n distance matrix, the order-2 Steiner array, in
         ``narrowest_dtype(n - 1)`` (uint8 for n <= 256, uint16 for
-        n <= 65,536): cast to int64 before arithmetic.  Built once per tree
-        and shared, so read-only."""
-        if self._distances_cache is None:
-            d = self._steiner_array(2)
-            d.flags.writeable = False
-            object.__setattr__(self, "_distances_cache", d)
-        return self._distances_cache
+        n <= 65,536): cast to int64 before arithmetic.  Built afresh on every
+        call, so the caller owns it and may write to it."""
+        return self._steiner_array(2)
 
     def _steiner_array(self, k: int) -> np.ndarray:
         """The order-k Steiner distances as an array of shape (n,)*k in

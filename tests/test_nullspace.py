@@ -66,6 +66,10 @@ def test_canonical_verifies_on_all_small_trees():
 def test_verify_rejects_zero_vector(path3):
     with pytest.raises(ZeroVector):
         verify_nullvector(path3, 3, [0, 0, 0])
+    # a wrong-length point is refused for its length first, as by
+    # verify_form_nullvector
+    with pytest.raises(ValueError, match="point length 2"):
+        verify_nullvector(path3, 3, [0, 0])
 
 
 def test_verify_non_nullvectors(path3, k2):
@@ -200,6 +204,10 @@ def test_membership_examples(path3):
     # s = 0 and g = 0 on the first three coordinates; a fourth has no vertex
     with pytest.raises(ValueError):
         membership_sg(path3, [5, 0, 0, -5])
+    # the length is checked before s != 0
+    for point in ([1], [1, -1, 0, 5]):
+        with pytest.raises(ValueError, match="point length"):
+            membership_sg(path3, point)
     g = distance_quadratic(path3)
     assert evaluate(g, [1, -1, 0]) == -3
 

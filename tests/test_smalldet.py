@@ -16,8 +16,8 @@ from steinerdh import (BudgetExceeded, CycNum, Hypermatrix, SteinerError, Tree, 
                        verify_nullvector, zero_degenerate)
 from steinerdh import smalldet
 from steinerdh.forms import SparsePoly
-from oracles import (determinant_exact, distance_matrix, substitute, two_vertex_form,
-                     two_vertex_scan_all_roots)
+from oracles import (determinant_exact, distance_matrix, side_distances, substitute,
+                     two_vertex_form, two_vertex_scan_all_roots)
 
 
 def slice_discriminant(h: Hypermatrix) -> int:
@@ -217,10 +217,11 @@ def test_det_order2_at_the_uint8_uint16_boundary(n):
         assert det_order2(t) == graham_pollak_value(n), t
 
 
-def test_det_order2_holds_few_copies_of_the_narrow_d():
-    # with S built, the two passes form E D, its transpose and M in D's own
-    # uint16 width, about 3 copies; an int64 D and its passes read 12
-    t = random_tree(600, 17)
+@pytest.mark.parametrize("t", [random_tree(600, 17), path_tree(600), star_tree(600)],
+                         ids=["random", "path", "star"])
+def test_det_order2_holds_few_copies_of_the_narrow_d(t):
+    # with S built, both passes run in place in D's own uint16 width, so at
+    # most two copies are alive at once: D, its transpose, or a row gather
     t.sides()
     d_bytes = t.n * t.n * np.dtype(np.uint16).itemsize
     tracemalloc.start()
@@ -230,17 +231,35 @@ def test_det_order2_holds_few_copies_of_the_narrow_d():
     finally:
         tracemalloc.stop()
     assert t.distances().nbytes == d_bytes
-    assert peak < 4 * d_bytes, peak / d_bytes
+    assert peak < 2.5 * d_bytes, peak / d_bytes
 
 
 def test_det_order2_checks_the_budget_before_building_d(monkeypatch):
     t = random_tree(50, 1)
+    orders, steiner_array = [], Tree._steiner_array
+
+    def recording(self, k, **kwargs):
+        orders.append(k)
+        return steiner_array(self, k, **kwargs)
+
+    monkeypatch.setattr(Tree, "_steiner_array", recording)
     monkeypatch.setenv("STEINER_MEM_BUDGET", "2499")
     with pytest.raises(BudgetExceeded):
         det_order2(t)
-    assert t._distances_cache is None
+    assert orders == []
     monkeypatch.setenv("STEINER_MEM_BUDGET", "2500")
     assert det_order2(t) == graham_pollak_value(50)
+    assert orders == [2]
+
+
+@pytest.mark.parametrize("t", [random_tree(257, 3), path_tree(257), star_tree(257)],
+                         ids=["random", "path", "star"])
+def test_det_order2_leaves_the_distances_of_the_tree_alone(t):
+    # the passes run in place on det_order2's own D: the tree's distances are
+    # untouched after it, and a second call reads the same value
+    first = det_order2(t)
+    assert np.array_equal(t.distances(), side_distances(t))
+    assert det_order2(t) == first == graham_pollak_value(257)
 
 
 def test_cayley_nonzero_agrees_with_search_floor(k2):
