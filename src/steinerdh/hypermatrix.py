@@ -24,21 +24,27 @@ are those of ``json.dumps`` and ``str`` over the entries as Python ints,
 whatever the stored dtype.
 
 Both formats come back through one reader, the writer's mirror: the entries
-are read in pieces of about ``_CHUNK`` bytes cut at separators (``,`` in
+are read in pieces of about ``_PIECE`` = 32 KiB cut at separators (``,`` in
 JSON, a newline in text).  Each piece's bytes are classified by numpy
-compares; tab, CR and JSON's LF are compared only while some byte is not a
-digit, the separator, '-' or a space.  The sign and leading-zero rules are
-checked on neighbouring bytes.  One selection finds each integer's last
-digit and each separator, and they must alternate, which leaves one
-separator between neighbours and none outside.  Each digit column is
-gathered at its distance from the last digits, where a run of digits
-reaches that far, and summed in the narrowest unsigned type the piece's
-longest integer allows; signs are read only in a piece that has a '-'.  Each
-piece's values are kept in the narrowest of uint8, uint16 and int64 that
-holds them, and more than one piece is joined by one ``np.concatenate``
-into the widest of their dtypes, which is the dtype that the hypermatrix
-stores.  So the reader holds the document, the pieces' values and one
-piece's arrays, then the joined result, and no Python int per entry.
+compares into one buffer, and its digits, separators and spaces counted; tab,
+CR and JSON's LF are counted only while the counts fall short of the piece.
+The sign and leading-zero rules are checked on neighbouring bytes.  One
+selection of the last digits gives the integers' end positions, and the
+separators must alternate with them, one between neighbours and none
+outside: one gather of the byte after each inner last digit proves it for the
+exporters' layout, and only where that byte is whitespace are the
+separators' own positions compared with the ends.  Each digit column is
+gathered at its distance from the ends while some integer reaches that far,
+and summed in the narrowest unsigned type the piece's longest integer
+allows; signs are read only in a piece that has a '-'.  Each piece's values
+are kept in the narrowest of uint8, uint16 and int64 that holds them, and
+more than one piece is joined by one ``np.concatenate`` into the widest of
+their dtypes, which is the dtype that the hypermatrix stores.  So besides
+the document the reader holds the pieces' values and their join, 2x the
+result, and one piece's arrays, at most 8.1 ``_PIECE`` measured, and no
+Python int per entry.  Its transient does not grow with the document, so a
+process that imports many small documents keeps reusing the same heap
+instead of handing it back and faulting it in again on each import.
 ``import_json`` decodes with json's own ``JSONDecoder``, so it takes what
 ``json.loads`` takes, but hands the reader each array among the top-level
 object's values, and json's C scanner each value that is not an array of
@@ -65,11 +71,13 @@ except ImportError:   # numpy 1.x
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "STEINER_MEM_BUDGET"
-_CHUNK = 1 << 16   # entries per piece of an exported document, bytes of an imported one
+_CHUNK = 1 << 16   # entries per piece of an exported document
+_PIECE = 1 << 15   # bytes per piece of an imported one, cut at the next separator
 _INT64_MAX = np.iinfo(np.int64).max
 _SPACES = " \t\r\n"   # JSON whitespace, space first; a text line's less its newline (CR for CRLF)
 # the narrowest unsigned type that sums an integer of 1, 2, .., 19 digits: |int64| < 10^19
 _SUMS = (np.uint8,) * 2 + (np.uint16,) * 2 + (np.uint32,) * 5 + (np.uint64,) * 10
+_PAD = len(_SUMS) - 1   # the farthest digit column read, 18 bytes before a 19th digit
 _DECODER = json.JSONDecoder()
 
 
@@ -270,91 +278,102 @@ def _shape(k, n, count: int) -> tuple:
     return (n,) * k
 
 
-def _magnitudes(piece: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The magnitudes of the integers in ``piece`` (one ``sep`` between
-    neighbours), in the narrowest unsigned type that holds the longest, and
-    a mask of the negative ones; None unless every byte is a digit, '-',
-    ``sep`` or its format's whitespace and every integer is
-    ``-?(0|[1-9][0-9]*)`` within int64.  One selection finds each integer's
-    last digit and each separator, which must alternate from an integer to
-    an integer, and the rest is read at a distance from the last digits
-    ``ends``: digit column p at ``ends - p`` where p + 1 digits run to the
-    end, and, in a piece that has a '-', the sign one byte before an
-    integer's first digit."""
+def _magnitudes(text: str, lo: int, hi: int, sep: str) -> tuple | None:
+    """The magnitudes of the integers in ``text[lo:hi]`` (one ``sep``
+    between neighbours), in the narrowest unsigned type that holds the
+    longest, and a mask of the negative ones, None where no byte is a '-';
+    None unless every byte is a digit, '-', ``sep`` or its format's
+    whitespace and every integer is ``-?(0|[1-9][0-9]*)`` within int64.
+    The integers' end positions ``ends`` come from one selection of their
+    last digits.  The separators must alternate with them: the byte after
+    each inner last digit is ``sep`` in the exporters' layout, and only
+    where it is whitespace are the separators' own positions checked.
+    Digit column p is read at ``ends - p`` until every digit is read, and
+    in a piece that has a '-' the sign one byte before each first digit."""
     try:
-        u = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+        raw = text[lo:hi].encode("ascii")
     except UnicodeEncodeError:
         return None
-    digits = u - np.uint8(ord("0"))   # a digit's value; any other byte reads 10 or more
-    digit = np.zeros(u.size + 2, dtype=bool)   # False on both sides: every byte has neighbours
-    np.less(digits, 10, out=digit[1:-1])
-    is_sep = u == ord(sep)
-    known = digit[1:-1] | is_sep | (u == ord(" "))
-    signed = "-" in piece
-    if signed:
-        minus = u == ord("-")
-        known |= minus
-    for space in _SPACES[1:].replace(sep, ""):   # tab, CR, JSON's LF: while a byte is unclassified
-        if known.all():
+    u = np.frombuffer(raw, dtype=np.uint8)
+    # each byte's digit value, 10 or more for any other byte, between _PAD bytes and one of
+    # 255, so column p of an integer at byte 0 reads no digit, and neither does byte -1 or m
+    values = np.empty(_PAD + u.size + 1, dtype=np.uint8)
+    values[:_PAD] = values[-1] = 255
+    np.subtract(u, np.uint8(ord("0")), out=values[_PAD:-1])
+    digit = values < 10
+    at, before, after = digit[_PAD:-1], digit[_PAD - 1:-2], digit[_PAD + 1:]
+    flag = np.equal(u, ord(sep))   # one buffer: known bytes, leading zeros, last digits
+    seps, digits = np.count_nonzero(flag), np.count_nonzero(at)
+    known = seps + digits
+    signed = b"-" in raw
+    # '-', space, tab, CR, JSON's LF, while a byte is unknown: the classes are disjoint, so
+    # their counts add up to the piece's size only when every byte is in one
+    for other in "-" * signed + _SPACES.replace(sep, ""):
+        if known == u.size:
             break
-        known |= u == ord(space)
-    # refused: a byte of another kind, a '-' after a digit or before none, a leading 0
-    if (not known.all()
-            or (signed and (minus & (digit[:-2] | ~digit[2:])).any())
-            or ((u == ord("0")) & (digit[2:] > digit[:-2])).any()):
+        known += np.count_nonzero(np.equal(u, ord(other), out=flag))
+    if known != u.size or (signed and ((u == ord("-")) & (before | ~after)).any()):
+        return None   # a byte of another kind, or a '-' after a digit or before none
+    np.equal(u, ord("0"), out=flag)   # a leading 0: a digit after it, none before
+    flag &= after
+    np.greater(flag, before, out=flag)
+    if flag.any():
         return None
-    last = digit[1:-1] > digit[2:]   # each integer's last digit
-    if np.count_nonzero(is_sep) != np.count_nonzero(last) - 1:
+    ends = np.greater(at, after, out=flag).nonzero()[0]
+    if seps != ends.size - 1:
         return None   # not one separator fewer than integers
-    ends = np.flatnonzero(last | is_sep)[::2].copy()   # marks 0, 2, .. of 2 * count - 1
-    mag = digits.take(ends)
-    if (mag > 9).any():   # a separator at an even mark: not one between each pair of
-        return None       # neighbours, or one before the first or after the last
-    run = digit[1:-1].copy()
+    if (u[1:].take(ends[:-1]) != ord(sep)).any():   # whitespace after an inner integer
+        where = np.flatnonzero(u == ord(sep))
+        if (where < ends[:-1]).any() or (where > ends[1:]).any():
+            return None   # not one separator between each pair of neighbours
+    mag = values[_PAD:].take(ends)
+    more = np.ones(ends.size, dtype=bool)   # more[i]: integer i has a digit at ends - place
     length = np.ones(ends.size, dtype=np.uint8) if signed else None
-    for place in range(1, len(_SUMS) + 1):
-        run = run[:-1]   # run[j]: bytes j .. j + place all digits, for every j short of the end
-        run &= digit[1 + place:-1]
-        if not run.any():
-            break
+    # each digit is in one integer: the digits before the last ones are read once each
+    place, left = 0, digits - ends.size
+    while left:
+        place += 1
         if place == len(_SUMS):
             return None   # a 20th digit
+        column = values[_PAD - place:].take(ends)
+        more &= column < 10
+        left -= np.count_nonzero(more)
         total = _SUMS[place]
         mag = mag.astype(total, copy=False)
-        # below 0 only for an integer of at most place digits that ends before byte place,
-        # so no run of place + 1 digits starts at byte 0, where the clip reads
-        at = ends - place
-        mag += (digits[:-place] * run).take(at, mode="clip") * total(10 ** place)
+        column *= more
+        mag += np.multiply(column, 10 ** place, dtype=total)
         if signed:
-            length += run.take(at, mode="clip")
+            length += more
     # an unsigned integer at byte 0 reads the piece's last byte, never a '-'
-    neg = u.take(ends - length) == ord("-") if signed else np.zeros(ends.size, dtype=bool)
-    if place == len(_SUMS) and (mag > np.uint64(_INT64_MAX) + neg).any():
+    neg = u.take(ends - length) == ord("-") if signed else None
+    if place == len(_SUMS) - 1 and (mag > np.uint64(_INT64_MAX) + (neg if signed else 0)).any():
         return None   # 2^63 is in range only negated
     return mag, neg
 
 
 def _integer_array(text: str, lo: int, hi: int, sep: str) -> np.ndarray | None:
     """``_magnitudes`` over ``text[lo:hi]``, cut at ``sep`` into pieces of
-    about ``_CHUNK`` bytes.  Each piece's values are kept in the narrowest
+    about ``_PIECE`` bytes.  Each piece's values are kept in the narrowest
     of uint8, uint16 and int64 that holds them, and more than one piece is
     joined by one ``np.concatenate`` into the widest of their dtypes, so
     the result is in the narrowest that holds every value.  None where a
     piece is, where the text is empty, or where it ends in ``sep``."""
     pieces = []
     while lo < hi:
-        cut = text.find(sep, lo + _CHUNK, hi)   # the first separator past _CHUNK bytes
+        cut = text.find(sep, lo + _PIECE, hi)   # the first separator past _PIECE bytes
         if cut < 0:
             cut = hi
-        read = _magnitudes(text[lo:cut], sep)
+        read = _magnitudes(text, lo, cut, sep)
         if read is None:
             return None
         values, neg = read
-        if neg.any():
+        if neg is not None and neg.any():
             values = values.astype(np.int64)   # 2^63 wraps to -2^63, which negates to itself
             np.negative(values, out=values, where=neg)
-        dtype = narrowest_dtype(int(values.max()), int(values.min()))
-        pieces.append(values.astype(dtype, copy=False))
+        if values.dtype != np.uint8:
+            values = values.astype(narrowest_dtype(int(values.max()), int(values.min())),
+                                   copy=False)
+        pieces.append(values)
         lo = cut + 1
     if not pieces or lo == hi:
         return None   # no entries, or a separator with nothing after it

@@ -32,6 +32,22 @@ It reports Gaussian integers over 2^WORKING_PREC, refined in integers where
 float64 runs out of digits (int pairs (Re, Im), the exact gradient one
 ``gradient_direct`` call on ints at i = 2^L), each with a proven upper bound
 on its residual (CycNum JSON and a float), and never claims a nullvector.
+
+An even-order floor shows only that its restarts did not converge.  Order 6
+is singular at n = 351, where the edge-cut identity gives an exact point
+(y_0 = 1 and y_e = 1/(1 + w_e) in cut coordinates, w_e = 1, zeta_5 and
+zeta_5^2 on 288, 31 and 31 edges), and not at n = 350 or 352; yet the best
+residual of ``numeric_search(t, 6, seed=1, restarts=6)`` reads the same:
+
+    n     singular   random_tree(n, 1)   path_tree(n)   star_tree(n)
+    350   no         3.4e-4              1.1e-3         4.9e-7
+    351   yes        7.4e-4              7.5e-4         2.1e-7
+    352   no         7.4e-4              9.8e-4         6.4e-8
+
+Started a relative 1e-6 from the n = 351 point, the float64 phase reaches
+``tol`` in 1-2 steps on all three trees, so the basin is narrow rather than
+missing.  Exact answers at even k come from a witness or the resultant's
+verdict, not from floors.
 """
 
 from __future__ import annotations
@@ -362,6 +378,16 @@ def numeric_search(t: Tree, k: int, seed: int, restarts: int,
     Floors compare only within one order: even-order floors fall as k grows
     (about 1e-1 at k = 4, 8e-9 at k = 16 and 2e-12 at k = 24 and 32 on a
     5-vertex tree; at k = 40 they reach the default ``tol`` as odd ones do).
+    And a floor shows only that these restarts did not converge: at k = 6,
+    n = 351 is singular and 350 and 352 are not, yet with seed 1 and 6
+    restarts every restart stalls, at best
+
+        n = 350, 351, 352:  random_tree(n, 1)  3.4e-4, 7.4e-4, 7.4e-4
+                            path_tree(n)       1.1e-3, 7.5e-4, 9.8e-4
+                            star_tree(n)       4.9e-7, 2.1e-7, 6.4e-8
+
+    (the module docstring has the witness at n = 351, from which ``tol`` is
+    reached in 1-2 steps).
     BudgetExceeded, before S is built, when n^2 exceeds ``entry_budget()``.
     """
     if k < 2:

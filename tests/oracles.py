@@ -41,6 +41,13 @@ mpmath one).  They check the completion quadratic, the x1 = 0 branch of the
 two-vertex scan, the exact gradient and the numeric gradient and Hessian
 against the expanded form.
 
+``even_order_witness`` is a singular point of the order-k form at an even
+k, built in the cut coordinates y = (s, far sums) from the closed form of
+the form there and mapped back by x = B^-1 y, each vertex's far sum taken off
+its parent's value; with the package it shares only the tree's parent array
+and edge order.
+The numeric search tests start next to it.
+
 The last six sections hold routes that left ``steinerdh`` when no package
 code called them any more, or when a faster route replaced them; their code
 is unchanged, so they share what they always shared.
@@ -764,3 +771,29 @@ def embed128(x: CycNum) -> mpmath.mpc:
                 w = mpmath.expjpi(mpmath.mpf(2 * j) / x.m)
                 total += mpmath.mpf(c.numerator) / c.denominator * w
         return total
+
+
+# ---------------------------------------------------------------------------
+# An even-order singular point
+# ---------------------------------------------------------------------------
+
+def even_order_witness(t: Tree, k: int, counts: Sequence[int]) -> np.ndarray:
+    """A unit complex128 point where every partial of the order-k Steiner form
+    vanishes, at even k, built in cut coordinates y = Bx: y_0 = s, then the
+    far sums.  There the form is q_n(y) = sum_e [y_0^k - y_e^k - (y_0 - y_e)^k],
+    and y_0 = 1, y_e = 1/(1 + w_e) with w_e^(k-1) = 1 zero each f_e =
+    (y_0 - y_e)^(k-1) - y_e^(k-1), leaving f_0 = (n-1) - sum_e v(w_e) with
+    v(w) = (1 + w)^(1-k), constant on each pair {w, 1/w}.  ``counts[j]``
+    edges, in ``far_sums`` order, take w = exp(2 pi i j/(k-1)); where the
+    counts sum to n - 1 with sum_j counts[j] (v_j - 1) = 0, such as
+    (288, 31, 31) at n = 351 and k = 6, f_0 vanishes too.  Then x = B^-1 y:
+    x_v = y_v - sum over v's children d of y_d, with y_0 at vertex 1."""
+    if sum(counts) != t.n - 1:
+        raise ValueError(f"{sum(counts)} edge counts for {t.n - 1} edges")
+    w = np.repeat(np.exp(2j * np.pi * np.arange(len(counts)) / (k - 1)), counts)
+    y = np.ones(t.n + 1, dtype=np.complex128)   # y[v]: vertex v's far sum, y[1] = y_0
+    y[list(t.order[1:])] = 1 / (1 + w)
+    x = y.copy()
+    for v in t.order[1:]:
+        x[t.parent[v]] -= y[v]
+    return x[1:] / np.linalg.norm(x[1:])

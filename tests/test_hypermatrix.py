@@ -179,10 +179,12 @@ def test_round_trips_bit_exact(monkeypatch):
             h = build_steiner(t, k)
             assert import_json(export_json(h)) == h
             assert import_text(export_text(h)) == h
-    # documents of several pieces: entry counts on, below and above a chunk multiple
+    # documents of several pieces: entry counts on, below and above a chunk multiple,
+    # and imports cut into pieces of one to eight bytes
     rng = np.random.default_rng(24)
     for chunk in (1, 2, 3, 8):
         monkeypatch.setattr(hypermatrix, "_CHUNK", chunk)
+        monkeypatch.setattr(hypermatrix, "_PIECE", chunk)
         for n, k in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2)):
             h = Hypermatrix(k, n, rng.integers(-10 ** 4, 10 ** 4, size=(n,) * k))
             assert export_json(h) == json_export(h), (chunk, h.entries)
@@ -267,10 +269,11 @@ def test_round_trips_keep_the_dtype_and_the_values(monkeypatch):
                              ("2 2\n0\n65536\n1\n0\n", import_text, 65536)):
         h = read(doc)
         assert h.entries.dtype == np.int64 and h.flat() == [0, value, 1, 0], doc
-    # documents read in pieces of about two entries: uint8 ones, then one above
-    # 255, one with a negative and one above 65,535, so the pieces widen to
-    # uint16 and then to int64, and each prefix ends in the narrowest
+    # documents written and read in pieces of about two entries: uint8 ones, then
+    # one above 255, one with a negative and one above 65,535, so the pieces widen
+    # to uint16 and then to int64, and each prefix ends in the narrowest
     monkeypatch.setattr(hypermatrix, "_CHUNK", 4)
+    monkeypatch.setattr(hypermatrix, "_PIECE", 4)
     values = [3, 7, 0, 255, 300, 2, 65535, 1, -1, 4, 65536, INT64.min, INT64.max, 0, 5, 9]
     for end in range(1, len(values) + 1):
         head = values[:end]
@@ -300,30 +303,48 @@ def test_export_peaks_stay_near_the_document():
             assert peak < 3 * len(doc), (h.n, export.__name__, peak / len(doc))
 
 
-def test_import_peaks_below_two_thirds_of_a_document():
-    # the uint8 result is 0.27 document here, held as the pieces' values and
-    # then joined; the reader adds one piece's arrays (0.58 document measured)
-    doc = export_json(build_steiner(random_tree(30, 77), 4))
+def _import_peak(read, doc: str) -> tuple[int, Hypermatrix]:
     tracemalloc.start()
     try:
-        h = import_json(doc)
-        peak = tracemalloc.get_traced_memory()[1]
+        h = read(doc)
+        return tracemalloc.get_traced_memory()[1], h
     finally:
         tracemalloc.stop()
+
+
+def test_import_working_set_is_bounded_by_the_piece():
+    # Steiner documents of 1 to 58 pieces, among them the workload's (7, 5) and
+    # (11, 4) classes: an import holds the pieces' values and their join, 2x the
+    # result, besides one piece's arrays, at most 8.1 _PIECE measured (text, at
+    # one piece and a line), so its transient never grows with the document
+    piece = hypermatrix._PIECE
+    counts = set()
+    for n, k, seed in ((6, 5, 1), (7, 5, 1), (11, 4, 1), (11, 4, 2), (20, 4, 1), (27, 4, 2)):
+        h = build_steiner(random_tree(n, seed), k)
+        for export, read in ((export_json, import_json), (export_text, import_text)):
+            doc = export(h)
+            counts.add(-(-len(doc) // piece))
+            peak, back = _import_peak(read, doc)
+            assert back == h
+            assert peak <= 2 * back.entries.nbytes + 10 * piece, (
+                n, k, read.__name__, (peak - 2 * back.entries.nbytes) / piece)
+    assert min(counts) == 1 and max(counts) <= 64, counts
+
+
+def test_import_peaks_below_two_thirds_of_a_document():
+    # the uint8 result is 0.27 document here, held as the pieces' values and
+    # then joined; the reader adds one piece's arrays (0.55 document measured)
+    doc = export_json(build_steiner(random_tree(30, 77), 4))
+    peak, h = _import_peak(import_json, doc)
     assert h.entries.shape == (30,) * 4
     assert peak < 2 / 3 * len(doc), peak / len(doc)
 
 
 def test_import_text_peaks_below_one_document():
     # one byte an entry shorter than JSON, so the uint8 result is 0.38
-    # document and a piece holds more integers (0.86 document measured)
+    # document and a piece holds more integers (0.76 document measured)
     doc = export_text(build_steiner(random_tree(30, 77), 4))
-    tracemalloc.start()
-    try:
-        h = import_text(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, h = _import_peak(import_text, doc)
     assert h.entries.shape == (30,) * 4
     assert peak < len(doc), peak / len(doc)
 
@@ -572,9 +593,9 @@ def _assert_readers_agree(doc, reader=import_json, oracle=json_import):
     # next to every token
     expected = _read(oracle, doc)
     with pytest.MonkeyPatch.context() as mp:
-        for chunk in (1, 2, 3, 7, hypermatrix._CHUNK):
-            mp.setattr(hypermatrix, "_CHUNK", chunk)
-            assert _read(reader, doc) == expected, (chunk, doc)
+        for piece in (1, 2, 3, 7, hypermatrix._PIECE):
+            mp.setattr(hypermatrix, "_PIECE", piece)
+            assert _read(reader, doc) == expected, (piece, doc)
 
 
 @settings(max_examples=50, deadline=None)
@@ -617,6 +638,11 @@ def _raw_entries(draw):
 @example((2, ["1\t", "0", "\t2", "3"]))   # the only whitespace a tab
 @example((2, ["1", "\r0", "2\r", "3"]))   # the only whitespace a CR
 @example((2, ["0", " 1", " x", "0 "]))   # a stray byte after spaces
+# whitespace after a last digit, so the separators' positions are checked: they hold
+@example((2, ["1 ", "2\t", "3\r", "4"]))
+# a separator dropped after a space and one doubled next to it: the counts balance and
+# only the positions refuse it, at 7-byte pieces inside a first piece cut just after
+@example((3, ["0", "1 2", "", "3", "4", "5", "6", "7", "8"]))
 def test_importers_agree_with_the_oracles_on_raw_entries(drawn):
     # n^2 entries over the reader's whole alphabet, each one separator apart
     n, entries = drawn

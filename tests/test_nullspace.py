@@ -21,13 +21,13 @@ from steinerdh import (CycNum, EvenOrder, NotDegenerateZeroed, OrderTooLow,
                        verify_form_nullvector, verify_nullvector,
                        zero_degenerate)
 from steinerdh import nullspace
-from steinerdh.nullspace import (_completes_every_root, _gauss_newton_step,
+from steinerdh.nullspace import (_completes_every_root, _descend, _gauss_newton_step,
                                  _gaussian_gradient, _sqrt_up)
 from steinerdh.scalar import WORKING_PREC
 from conftest import tree_corpus
 from oracles import (distance_quadratic, edge_cut_hessian, embed128, evaluate,
-                     gauge_row_gauss_newton_step, qr_gauss_newton_step, s_form,
-                     substitute)
+                     even_order_witness, gauge_row_gauss_newton_step, qr_gauss_newton_step,
+                     s_form, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +506,23 @@ def test_search_order2_floor_brackets_least_eigenvalue(t):
     lam, v = abs(vals[least]), vecs[:, least]
     best = numeric_search(t, 2, seed=5, restarts=6)[0].residual
     assert 2 * lam / np.sqrt(n) <= best <= 2 * lam * np.abs(v).max() + 1e-9
+
+
+@pytest.mark.parametrize("t", [random_tree(351, 1), path_tree(351), star_tree(351)],
+                         ids=["random351", "path351", "star351"])
+def test_descend_reaches_tol_next_to_an_even_order_singular_point(t):
+    # The positive control for the even floors: order 6 is singular at n = 351
+    # (the edge counts (288, 31, 31) of ``even_order_witness``), yet six random
+    # restarts stall there as at n = 350 and 352.  From the witness moved by a
+    # relative 1e-6, the float64 phase reaches tol, so a floor shows only that
+    # its restarts missed a narrow basin.
+    x = even_order_witness(t, 6, (288, 31, 31))
+    assert np.abs(hessian_direct(t, 6, x) @ x / 5).max() < 1e-12
+    rng = np.random.default_rng(351)
+    noise = rng.standard_normal(t.n) + 1j * rng.standard_normal(t.n)
+    start = x + 1e-6 * noise / np.linalg.norm(noise)
+    _, res, steps, stop = _descend(t, 6, start, 2.0 ** -40, 1e-12, nullspace.MAX_STEPS)
+    assert stop == "tol" and res < 1e-12 and steps <= 4, (stop, res, steps)
 
 
 def test_gauss_newton_step_matches_qr_oracle():
