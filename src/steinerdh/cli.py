@@ -68,8 +68,9 @@ def _write(args, pieces: Iterable[str]) -> None:
             fh.writelines(pieces)
 
 
-def _emit(args, obj) -> None:
-    _write(args, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+def _encode(obj) -> str:
+    """The text of every JSON report and campaign file, with no final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _check_order(k) -> int:
@@ -158,7 +159,7 @@ def certify_case(t: Tree, k: int) -> tuple[dict, int]:
 def cmd_certify(args) -> int:
     t = _load_tree(args.tree)
     report, code = certify_case(t, args.k)
-    _emit(args, report)
+    _write(args, [_encode(report), "\n"])
     _note(args, f"certify: kind={report['kind']} exit={code}")
     return code
 
@@ -193,7 +194,7 @@ def cmd_identities(args) -> int:
     t = _load_tree(args.tree)
     rows = identity_rows(t)
     report = {"schema": SCHEMA, "n": t.n, "checks": rows}
-    _emit(args, report)
+    _write(args, [_encode(report), "\n"])
     if getattr(args, "verbose", False):
         width = max(len(r["name"]) for r in rows)
         for r in rows:
@@ -218,7 +219,7 @@ def cmd_search(args) -> int:
             for cand in candidates
         ],
     }
-    _emit(args, report)
+    _write(args, [_encode(report), "\n"])
     for cand in candidates:
         _note(args, f"candidate: residual {cand.residual:.3e}, "
                     f"{cand.iterations} iterations, stop {cand.stop}")
@@ -281,12 +282,12 @@ def cmd_campaign(args) -> int:
             counts["failed"] += 1
         name = f"case_n{res['n']}_k{res['k']}_i{res['index']:04d}.json"
         with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(res, fh, sort_keys=True, indent=2)
-    summary = {"schema": SCHEMA, "seed": args.seed, "cases": len(results),
-               "orders": ks, "n_range": [args.n_min, args.n_max], **counts}
+            fh.write(_encode(res))
+    summary = _encode({"schema": SCHEMA, "seed": args.seed, "cases": len(results),
+                       "orders": ks, "n_range": [args.n_min, args.n_max], **counts})
     with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-    _emit(args, summary)
+        fh.write(summary)
+    _write(args, [summary, "\n"])
     _note(args, f"campaign: {counts}")
     return EXIT_OK if counts["failed"] == 0 else EXIT_VERIFICATION
 

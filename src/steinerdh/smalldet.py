@@ -119,14 +119,14 @@ def det_order2(t: Tree) -> Fraction:
     original rows.  The row pass runs on D itself, which ``Tree.distances``
     builds afresh; D is dropped once its transpose is copied, and the column
     pass runs on rows of that copy, so the array checked is M^T, the same
-    arrowhead.  Besides S, at most two n^2 arrays of D's width are held at
-    once: D and its row gather, D and its transpose, or the transpose and
-    its row gather.  The passes run in D's dtype, w bits wide, and M is read
-    in the signed view of that width: modulo 2^w, which is exact.
-    E is unit lower-triangular, so invertible modulo 2^w, and M = arrowhead
-    (mod 2^w) gives D = the tree's distance matrix (mod 2^w); when D's dtype
-    holds n - 1, as ``Tree.distances``'s does, both lie in its range, so they
-    are equal.  det M = prod d_c * (M_11 - sum M_1c M_c1 / d_c) over c != 1,
+    arrowhead.  S lives only while D is built, so at most two n^2 arrays of
+    D's width are held at once: D and its row gather, D and its transpose,
+    or the transpose and its row gather.  The passes run in D's dtype, w
+    bits wide, and M is read in the signed view of that width: modulo 2^w,
+    which is exact.  E is unit lower-triangular, so invertible modulo 2^w,
+    and M = arrowhead (mod 2^w) gives D = the tree's distance matrix (mod
+    2^w); when D's dtype holds n - 1, as ``Tree.distances``'s does, both lie
+    in its range, so they are equal.  det M = prod d_c * (M_11 - sum M_1c M_c1 / d_c) over c != 1,
     in Python ints.  BudgetExceeded before D is built when its n^2 entries
     exceed ``entry_budget()``; SteinerError when D's dtype cannot hold n - 1
     or M is not the arrowhead, i.e. D is not the tree's distance matrix.

@@ -13,11 +13,11 @@ query (``Tree.steiner``, a pair included) counts edge cuts the same way, and
 ``Tree.sides`` makes the same pass in place over the far-side indicators, the
 0/1 matrix S, in int8, behind the Hessian and the Steiner arrays of every
 order.  One parent recurrence over blocks of edge steps fills them all:
-``Tree.distances`` is its k = 2 case, a fresh array for each caller, and
-the hypermatrix the rest.  A Steiner distance lies in [0, n-1], so the
-recurrence runs in the narrowest unsigned dtype that holds n - 1 (uint8 for
-n <= 256, uint16 for n <= 65,536, int64 beyond), modulo 2^8 or 2^16, which
-is exact because every final value fits.
+``Tree.distances`` is its k = 2 case and the hypermatrix the rest.  S and D
+are fresh arrays for each caller, so a build frees its S when it ends.  A
+Steiner distance lies in [0, n-1], so the recurrence runs in the narrowest
+unsigned dtype that holds n - 1 (uint8 for n <= 256, uint16 for n <=
+65,536, int64 beyond), modulo 2^8 or 2^16, exact because every value fits.
 
 A bitmask brute force over connected vertex subsets, which shares nothing
 with the edge cuts, is provided as an oracle for n <= 12.  It and
@@ -55,7 +55,7 @@ class Tree:
 
     __slots__ = (
         "n", "edges", "adjacency", "degrees", "parent", "order",
-        "_connected_masks_cache", "_sides_cache", "_cuts_cache",
+        "_connected_masks_cache", "_cuts_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -104,7 +104,6 @@ class Tree:
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_connected_masks_cache", None)
-        object.__setattr__(self, "_sides_cache", None)
         object.__setattr__(self, "_cuts_cache", None)
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -206,28 +205,25 @@ class Tree:
     def sides(self) -> np.ndarray:
         """The (n-1)×n far-side indicators S in int8, rows in ``far_sums``
         edge order, so S @ x is ``far_sums(x)`` for an x wider than int8.
-        Built once per tree and shared, so read-only.  Filled in place
+        Built afresh on every call, so the caller owns it.  Filled in place
         children-first: edge c's row starts as c's own indicator and is added
         into its parent's row, whose other subtrees it does not meet, so no
         entry passes 1 and S is the only n^2 array the build holds."""
-        if self._sides_cache is None:
-            far = np.zeros((self.n - 1, self.n), dtype=np.int8)
-            rows = [None] * (self.n + 1)   # vertex -> its edge's row; none for vertex 1
-            for v, row in zip(self.order[1:], far):
-                row[v - 1] = 1
-                rows[v] = row
-            for v in reversed(self.order[1:]):
-                parent_row = rows[self.parent[v]]
-                if parent_row is not None:
-                    parent_row += rows[v]
-            far.flags.writeable = False
-            object.__setattr__(self, "_sides_cache", far)
-        return self._sides_cache
+        far = np.zeros((self.n - 1, self.n), dtype=np.int8)
+        rows = [None] * (self.n + 1)   # vertex -> its edge's row; none for vertex 1
+        for v, row in zip(self.order[1:], far):
+            row[v - 1] = 1
+            rows[v] = row
+        for v in reversed(self.order[1:]):
+            parent_row = rows[self.parent[v]]
+            if parent_row is not None:
+                parent_row += rows[v]
+        return far
 
     def cuts(self) -> np.ndarray:
         """C = [S; 1 - S] for S = ``sides()``, in complex128 for the numeric
-        Hessian: C x = [a; s - a] for the far sums a.  Built once per tree
-        and shared, so read-only: 32 bytes per entry of S."""
+        Hessian: C x = [a; s - a] for the far sums a.  Cast once per tree from
+        a fresh S, and shared, so read-only: 32 bytes per entry of S."""
         if self._cuts_cache is None:
             far = self.sides()
             cuts = np.concatenate([far, 1 - far], dtype=np.complex128)

@@ -100,7 +100,6 @@ def test_build_forms_no_second_full_size_array():
     # stays near one byte an entry; (60, 4) is the 1.5 bytes an entry gate
     for n, k, bytes_per_entry in ((30, 4, 1.5), (12, 6, 1.6), (60, 4, 1.5)):
         t = random_tree(n, 77)
-        t.sides()
         tracemalloc.start()
         try:
             h = build_steiner(t, k)

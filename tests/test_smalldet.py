@@ -220,9 +220,9 @@ def test_det_order2_at_the_uint8_uint16_boundary(n):
 @pytest.mark.parametrize("t", [random_tree(600, 17), path_tree(600), star_tree(600)],
                          ids=["random", "path", "star"])
 def test_det_order2_holds_few_copies_of_the_narrow_d(t):
-    # with S built, both passes run in place in D's own uint16 width, so at
-    # most two copies are alive at once: D, its transpose, or a row gather
-    t.sides()
+    # on a fresh tree, S lives only while D is built, and both passes run in
+    # place in D's own uint16 width, so at most two copies are alive at once:
+    # D, its transpose, or a row gather
     d_bytes = t.n * t.n * np.dtype(np.uint16).itemsize
     tracemalloc.start()
     try:
@@ -231,7 +231,7 @@ def test_det_order2_holds_few_copies_of_the_narrow_d(t):
     finally:
         tracemalloc.stop()
     assert t.distances().nbytes == d_bytes
-    assert peak < 2.5 * d_bytes, peak / d_bytes
+    assert peak < 2.2 * d_bytes, peak / d_bytes
 
 
 def test_det_order2_checks_the_budget_before_building_d(monkeypatch):

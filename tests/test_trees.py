@@ -157,11 +157,10 @@ def test_distances_recurrence_matches_side_products_and_bruteforce():
 
 
 def test_order2_build_holds_only_distances_beyond_sides():
-    # S is built and cached first; the order-2 build steps through int8 blocks
-    # of edges, so beyond D it holds one n-entry row sum and one block; the
-    # allowance beyond D is in bytes, 0.2 of an int64 D (D itself is uint16)
+    # the order-2 build makes its own int8 S and steps through int8 blocks of
+    # edges, so beyond D and S it holds one n-entry row sum and one block; the
+    # allowance beyond them is in bytes, 0.2 of an int64 D (D itself is uint16)
     t = random_tree(600, 17)
-    t.sides()
     tracemalloc.start()
     try:
         d = t.distances()
@@ -169,7 +168,8 @@ def test_order2_build_holds_only_distances_beyond_sides():
     finally:
         tracemalloc.stop()
     assert d.dtype == np.uint16
-    assert peak - d.nbytes < 0.2 * 8 * t.n * t.n, (peak, d.nbytes)
+    s_bytes = (t.n - 1) * t.n
+    assert peak - d.nbytes - s_bytes < 0.2 * 8 * t.n * t.n, (peak, d.nbytes)
 
 
 def test_sides_holds_only_s_at_its_peak():
@@ -284,15 +284,17 @@ def test_tree_rejects_bad_shapes():
         Tree(4, [(1, 2), (3, 4), (1, 3), (2, 4)])
 
 
-def test_sides_cached_read_only():
+def test_sides_built_fresh_for_each_caller():
+    # each call owns its S: writing into one leaves every later build exact
     for t in tree_corpus(8, 2, 7, seed0=640):
         sides = t.sides()
-        assert t.sides() is sides
-        with pytest.raises(ValueError):
-            sides[0, 0] = 1 - sides[0, 0]
-        d = t.distances()
-        assert d.tolist() == [[steiner_distance_bruteforce(t, (u, v))
-                               for v in range(1, t.n + 1)] for u in range(1, t.n + 1)]
-        assert (t.distances() == d).all() and t.sides() is sides
+        again = t.sides()
+        assert again is not sides and np.array_equal(again, sides)
+        assert sides.flags.writeable and again.flags.writeable
+        sides[:] = 1 - sides
+        assert np.array_equal(t.sides(), again)
+        assert t.distances().tolist() == [[steiner_distance_bruteforce(t, (u, v))
+                                           for v in range(1, t.n + 1)]
+                                          for u in range(1, t.n + 1)]
         for k in (2, 3):
             assert build_steiner(t, k) == multiset_hypermatrix(t, k)
